@@ -4,10 +4,8 @@ synthetic detector for desk-scale experiments."""
 from .certainty import (
     CertaintyTriple,
     ImageCertainty,
-    combined_certainty,
     image_certainty,
     occurrence_certainty,
-    rank_pool,
     semantic_certainty,
     set_certainty,
     spatial_certainty,
@@ -34,7 +32,7 @@ from .evaluation import (
     regularized_incomplete_beta,
     ttest_two_sided,
 )
-from .geometry import BoundingBox, iou, mean_box, nms
+from .geometry import BoundingBox, iou, mean_box
 from .grouping import InstanceSet, group_passes
 from .orchestrator import (
     ActiveLearningState,
@@ -47,7 +45,7 @@ from .orchestrator import (
     run_iteration,
     run_loop,
 )
-from .sampling import SamplerConfig, sample_min_certainty, sample_random, substream_seed
+from .sampling import rank, sample_min_certainty, sample_random, substream_seed
 from .simulator import (
     SkillState,
     SyntheticWorld,

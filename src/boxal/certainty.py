@@ -1,4 +1,4 @@
-"""Semantic, spatial, occurrence and combined certainties; pool ranking.
+"""Semantic, spatial, occurrence and combined certainties of instance sets.
 
 Semantic certainty is one minus the normalized Shannon entropy of each
 member's category-probability vector, averaged over the set (0*log(0) := 0;
@@ -19,10 +19,9 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .data_io import ImagePasses
 from .errors import ValidationError
 from .geometry import iou, mean_box
-from .grouping import InstanceSet, group_passes
+from .grouping import InstanceSet
 
 
 @dataclass(frozen=True)
@@ -87,10 +86,6 @@ def occurrence_certainty(instance_set: InstanceSet, n: int) -> float:
     return r / n
 
 
-def combined_certainty(triple: CertaintyTriple) -> float:
-    return triple.c_h
-
-
 def set_certainty(instance_set: InstanceSet, kappa: int, n: int) -> CertaintyTriple:
     return CertaintyTriple(
         c_sem=semantic_certainty(instance_set, kappa),
@@ -100,19 +95,9 @@ def set_certainty(instance_set: InstanceSet, kappa: int, n: int) -> CertaintyTri
 
 
 def image_certainty(
-    img: ImagePasses, kappa: int, n: int, match_iou: float = 0.5
+    image_id: str, sets: Sequence[InstanceSet], kappa: int, n: int
 ) -> ImageCertainty:
-    """Group an image's passes and reduce to the per-image minimum certainty."""
-    sets = group_passes(img, match_iou)
+    """Reduce an image's instance sets to the per-image minimum certainty."""
     triples = tuple(set_certainty(s, kappa, n) for s in sets)
     c_min = min((t.c_h for t in triples), default=1.0)
-    return ImageCertainty(img.image_id, triples, c_min)
-
-
-def rank_pool(
-    pool: Sequence[ImagePasses], kappa: int, n: int, match_iou: float = 0.5
-) -> list[tuple[str, float]]:
-    """Rank images ascending by c_min; ties broken by image_id."""
-    scored = [image_certainty(img, kappa, n, match_iou) for img in pool]
-    scored.sort(key=lambda ic: (ic.c_min, ic.image_id))
-    return [(ic.image_id, ic.c_min) for ic in scored]
+    return ImageCertainty(image_id, triples, c_min)

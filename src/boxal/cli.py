@@ -13,7 +13,7 @@ import json
 import sys
 from pathlib import Path
 
-from .certainty import image_certainty
+from .certainty import CertaintyTriple, image_certainty
 from .data_io import apply_thresholds, load_ground_truth, load_image_passes, load_manifest
 from .errors import BoxalError
 from .evaluation import coco_map, load_predictions, ttest_two_sided
@@ -26,7 +26,8 @@ from .orchestrator import (
     run_iteration,
     run_loop,
 )
-from .sampling import sample_min_certainty, sample_random
+from .grouping import group_passes
+from .sampling import rank, sample_min_certainty, sample_random
 from .simulator import generate_world, load_world, save_world
 
 CONFIG_FLAGS = (
@@ -111,25 +112,15 @@ def _cmd_rank(args) -> int:
     images = load_image_passes(args.detections, expected_n=config.passes_n, kappa=kappa)
     rows = []
     for img in images:
-        thresholded = apply_thresholds(img, config.confidence, config.nms_iou)
-        ic = image_certainty(thresholded, kappa, config.passes_n, config.match_iou)
-        t = ic.min_triple
-        rows.append(
-            (
-                ic.image_id,
-                ic.c_min,
-                ic.set_count,
-                t.c_sem if t else 1.0,
-                t.c_spa if t else 1.0,
-                t.c_occ if t else 1.0,
-            )
-        )
-    rows.sort(key=lambda r: (r[1], r[0]))
+        kept = apply_thresholds(img, config.confidence, config.nms_iou)
+        ic = image_certainty(img.image_id, group_passes(kept, config.match_iou), kappa, config.passes_n)
+        t = ic.min_triple or CertaintyTriple(1.0, 1.0, 1.0)
+        rows.append((ic.image_id, ic.c_min, ic.set_count, t.c_sem, t.c_spa, t.c_occ))
     out = open(args.out, "w", encoding="utf-8", newline="") if args.out else sys.stdout
     try:
         writer = csv.writer(out)
         writer.writerow(["image_id", "c_min", "set_count", "min_c_sem", "min_c_spa", "min_c_occ"])
-        for image_id, c_min, count, c_sem, c_spa, c_occ in rows:
+        for image_id, c_min, count, c_sem, c_spa, c_occ in rank(rows):
             writer.writerow(
                 [image_id, format(c_min, ".9g"), count, format(c_sem, ".9g"),
                  format(c_spa, ".9g"), format(c_occ, ".9g")]
@@ -147,7 +138,6 @@ def _cmd_sample(args) -> int:
         with open(args.ranking, "r", encoding="utf-8", newline="") as fh:
             reader = csv.DictReader(fh)
             ranking = [(row["image_id"], float(row["c_min"])) for row in reader]
-        ranking.sort(key=lambda r: (r[1], r[0]))
         chosen = sample_min_certainty(ranking, args.n)
     else:
         if not args.pool:

@@ -61,8 +61,9 @@ class Detection:
     scores: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if any(s < 0.0 or s > 1.0 for s in self.scores):
-            raise ValidationError(f"scores must lie in [0, 1], got {self.scores}")
+        # written so that NaN fails the range test too
+        if any(not 0.0 <= s <= 1.0 for s in self.scores):
+            raise ValidationError(f"scores must be finite and lie in [0, 1], got {self.scores}")
         total = sum(self.scores)
         if abs(total - 1.0) > SCORE_SUM_TOLERANCE:
             raise ValidationError(f"scores must sum to 1 within {SCORE_SUM_TOLERANCE}, got {total}")
@@ -256,21 +257,26 @@ def save_image_passes(images: Sequence[ImagePasses], path: str | Path) -> None:
             fh.write(json.dumps(record) + "\n")
 
 
-def apply_thresholds(img: ImagePasses, confidence: float = 0.5, nms_iou: float = 0.3) -> ImagePasses:
-    """Per pass: drop detections with max score below ``confidence``, then NMS.
+def canonical_order(detections: Iterable[Detection]) -> list[Detection]:
+    """Descending max score; ties broken by the lexicographic order of the box corners."""
+    return sorted(detections, key=lambda d: (-d.max_score, d.box.as_tuple()))
 
-    NMS scores by the maximum category score. The pass count is unchanged and
-    the operation is idempotent.
+
+def apply_thresholds(img: ImagePasses, confidence: float = 0.5, nms_iou: float = 0.3) -> ImagePasses:
+    """Per pass: drop detections with max score below ``confidence``, then greedy NMS.
+
+    NMS visits detections in ``canonical_order`` and keeps one iff its IoU
+    with every already-kept detection is below ``nms_iou``; kept detections
+    stay in that visiting order. The pass count is unchanged and the
+    operation is idempotent.
     """
     if not 0.0 <= confidence <= 1.0 or not 0.0 <= nms_iou <= 1.0:
         raise ValidationError("thresholds must lie in [0, 1]")
     new_passes = []
     for pass_dets in img.passes:
         survivors = [d for d in pass_dets if d.max_score >= confidence]
-        # same greedy rule as geometry.nms, kept inline to preserve full Detection records
-        ordered = sorted(survivors, key=lambda d: (-d.max_score, d.box.as_tuple()))
         kept: list[Detection] = []
-        for det in ordered:
+        for det in canonical_order(survivors):
             if all(iou(det.box, k.box) < nms_iou for k in kept):
                 kept.append(det)
         new_passes.append(tuple(kept))

@@ -59,6 +59,11 @@ class TTestResult:
     p_value: float
 
 
+def _score_order(pred: FinalPrediction) -> tuple:
+    """Sort key: descending score, ties broken by the box corners."""
+    return (-pred.score, pred.box.as_tuple())
+
+
 def consolidate(sets: Sequence[InstanceSet]) -> list[FinalPrediction]:
     """Reduce instance sets to single predictions: mean box, mean scores, argmax.
 
@@ -74,7 +79,7 @@ def consolidate(sets: Sequence[InstanceSet]) -> list[FinalPrediction]:
         ]
         category = max(range(kappa), key=lambda j: mean_scores[j])
         preds.append(FinalPrediction(box, category, min(mean_scores[category], 1.0)))
-    preds.sort(key=lambda p: (-p.score, p.box.as_tuple()))
+    preds.sort(key=_score_order)
     return preds
 
 
@@ -84,7 +89,7 @@ def _greedy_match(
     iou_thr: float,
 ) -> list[bool]:
     """Per-prediction TP flags under greedy score-descending matching."""
-    order = sorted(range(len(preds)), key=lambda i: (-preds[i].score, preds[i].box.as_tuple()))
+    order = sorted(range(len(preds)), key=lambda i: _score_order(preds[i]))
     gt_used = [False] * len(gt_objects)
     flags = [False] * len(preds)
     for i in order:
@@ -104,6 +109,16 @@ def _greedy_match(
     return flags
 
 
+def _f1(tp: int, n_preds: int, n_gt: int) -> float:
+    if n_preds == 0 and n_gt == 0:
+        return 1.0
+    if tp == 0:
+        return 0.0
+    precision = tp / n_preds
+    recall = tp / n_gt
+    return 2.0 * precision * recall / (precision + recall)
+
+
 def f1_image(
     preds: Sequence[FinalPrediction], gt: GroundTruthImage, iou_thr: float = 0.5
 ) -> float:
@@ -113,17 +128,8 @@ def f1_image(
     ground-truth object of the same category with IoU >= iou_thr. Both-empty
     images score 1 so blanks do not read as failures.
     """
-    if not preds and not gt.objects:
-        return 1.0
-    flags = _greedy_match(preds, gt.objects, iou_thr)
-    tp = sum(flags)
-    fp = len(preds) - tp
-    fn = len(gt.objects) - tp
-    if tp == 0:
-        return 0.0
-    precision = tp / (tp + fp)
-    recall = tp / (tp + fn)
-    return 2.0 * precision * recall / (precision + recall)
+    tp = sum(_greedy_match(preds, gt.objects, iou_thr))
+    return _f1(tp, len(preds), len(gt.objects))
 
 
 def _average_precision(tp_flags: Sequence[bool], n_gt: int) -> float:
@@ -160,12 +166,15 @@ def coco_map(
     if all(not gt.objects for gt in gt_by_image.values()):
         raise ValidationError("mAP is undefined with no ground-truth objects")
 
+    # Matching is per image: a prediction only competes for ground truth of
+    # its own image and category, so one greedy pass per image and threshold
+    # yields every category's TP flags at once.
     capped: dict[str, list[FinalPrediction]] = {}
-    for image_id in gt_by_image:
-        preds = sorted(
-            preds_by_image.get(image_id, ()), key=lambda p: (-p.score, p.box.as_tuple())
-        )
-        capped[image_id] = preds[:MAX_DETECTIONS_PER_IMAGE]
+    flags: dict[str, list[list[bool]]] = {}  # image -> threshold index -> per-prediction flag
+    for image_id, gt in gt_by_image.items():
+        preds = sorted(preds_by_image.get(image_id, ()), key=_score_order)[:MAX_DETECTIONS_PER_IMAGE]
+        capped[image_id] = preds
+        flags[image_id] = [_greedy_match(preds, gt.objects, thr) for thr in COCO_IOU_THRESHOLDS]
 
     per_category_ap: dict[int, float] = {}
     for category in range(len(catalog)):
@@ -175,36 +184,15 @@ def coco_map(
         if gt_count == 0:
             continue
         detections = [
-            (p.score, image_id, p)
+            (p.score, image_id, p.box.as_tuple(), [f[k] for f in flags[image_id]])
             for image_id, preds in capped.items()
-            for p in preds
+            for k, p in enumerate(preds)
             if p.category == category
         ]
-        detections.sort(key=lambda d: (-d[0], d[1], d[2].box.as_tuple()))
+        detections.sort(key=lambda d: (-d[0], d[1], d[2]))
         ap_sum = 0.0
-        for thr in COCO_IOU_THRESHOLDS:
-            gt_used: dict[str, list[bool]] = {
-                image_id: [False] * len(gt.objects) for image_id, gt in gt_by_image.items()
-            }
-            flags = []
-            for _, image_id, pred in detections:
-                objects = gt_by_image[image_id].objects
-                used = gt_used[image_id]
-                best_j = -1
-                best_iou = 0.0
-                for j, (gt_box, gt_cat) in enumerate(objects):
-                    if used[j] or gt_cat != category:
-                        continue
-                    value = iou(pred.box, gt_box)
-                    if value >= thr and value > best_iou:
-                        best_iou = value
-                        best_j = j
-                if best_j >= 0:
-                    used[best_j] = True
-                    flags.append(True)
-                else:
-                    flags.append(False)
-            ap_sum += _average_precision(flags, gt_count)
+        for t in range(len(COCO_IOU_THRESHOLDS)):
+            ap_sum += _average_precision([d[3][t] for d in detections], gt_count)
         per_category_ap[category] = ap_sum / len(COCO_IOU_THRESHOLDS)
 
     map_score = sum(per_category_ap.values()) / len(per_category_ap)
@@ -212,12 +200,11 @@ def coco_map(
     per_image_f1 = {}
     tp = fp = fn = 0
     for image_id, gt in gt_by_image.items():
-        preds = capped[image_id]
-        per_image_f1[image_id] = f1_image(preds, gt)
-        flags = _greedy_match(preds, gt.objects, 0.5)
-        image_tp = sum(flags)
+        n_preds = len(capped[image_id])
+        image_tp = sum(flags[image_id][0])  # COCO_IOU_THRESHOLDS[0] is 0.5
+        per_image_f1[image_id] = _f1(image_tp, n_preds, len(gt.objects))
         tp += image_tp
-        fp += len(preds) - image_tp
+        fp += n_preds - image_tp
         fn += len(gt.objects) - image_tp
 
     return EvalResult(per_category_ap, map_score, per_image_f1, tp, fp, fn)

@@ -1,9 +1,8 @@
-"""Axis-aligned bounding-box primitives: IoU, mean box, non-maximum suppression.
+"""Axis-aligned bounding-box primitives: IoU and mean box.
 
 Boxes use the corner convention (x_min, y_min, x_max, y_max) with continuous
 coordinates, so areas are exact products and no pixel rasterization is involved.
-All operations are pure; tie-breaks fall back to the lexicographic order of the
-corner tuple so results are deterministic.
+All operations are pure.
 """
 
 from __future__ import annotations
@@ -62,26 +61,3 @@ def mean_box(boxes: Sequence[BoundingBox]) -> BoundingBox:
         sum(b.y_max for b in boxes) / k,
     )
 
-
-def nms(
-    detections: Sequence[tuple[BoundingBox, float]],
-    iou_threshold: float,
-) -> list[tuple[BoundingBox, float]]:
-    """Greedy non-maximum suppression.
-
-    Detections are visited in descending score order (score ties broken by the
-    lexicographic order of the box corners); a detection is kept iff its IoU
-    with every already-kept detection is below ``iou_threshold``. The output
-    preserves that visiting order.
-    """
-    if not 0.0 <= iou_threshold <= 1.0:
-        raise ValidationError(f"iou_threshold must be in [0, 1], got {iou_threshold}")
-    for _, score in detections:
-        if not math.isfinite(score):
-            raise ValidationError(f"detection score must be finite, got {score}")
-    ordered = sorted(detections, key=lambda d: (-d[1], d[0].as_tuple()))
-    kept: list[tuple[BoundingBox, float]] = []
-    for box, score in ordered:
-        if all(iou(box, kb) < iou_threshold for kb, _ in kept):
-            kept.append((box, score))
-    return kept

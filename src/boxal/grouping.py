@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .data_io import Detection, ImagePasses
+from .data_io import Detection, ImagePasses, canonical_order
 from .geometry import iou
 
 
@@ -36,16 +36,12 @@ class InstanceSet:
         return tuple(det.box for _, det in self.members)
 
 
-def _canonical_order(detections) -> list[Detection]:
-    return sorted(detections, key=lambda d: (-d.max_score, d.box.as_tuple()))
-
-
 def group_passes(img: ImagePasses, match_iou: float = 0.5) -> list[InstanceSet]:
     """Partition an image's detections into instance sets."""
     sets: list[list[tuple[int, Detection]]] = []
     for pass_index, pass_dets in enumerate(img.passes):
         matched_this_pass: set[int] = set()
-        for det in _canonical_order(pass_dets):
+        for det in canonical_order(pass_dets):
             best_index = -1
             best_value = -1.0
             for set_index, members in enumerate(sets):

@@ -40,7 +40,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from . import sampling
-from .certainty import image_certainty
+from .certainty import ImageCertainty, image_certainty
 from .data_io import (
     DatasetManifest,
     GroundTruthImage,
@@ -54,7 +54,14 @@ from .data_io import (
     save_manifest,
 )
 from .errors import AdapterError, BoxalError, ValidationError
-from .evaluation import TTestResult, coco_map, consolidate, f1_image, ttest_two_sided
+from .evaluation import (
+    FinalPrediction,
+    TTestResult,
+    coco_map,
+    consolidate,
+    f1_image,
+    ttest_two_sided,
+)
 from .grouping import group_passes
 from .simulator import SkillState, SyntheticWorld, simulate_passes, train_update
 
@@ -349,10 +356,12 @@ def _request_detections(
     run_dir: Path,
     adapter: DetectorAdapter,
     config: RunConfig,
+    kappa: int,
     iteration: int,
     image_ids: Sequence[str],
     tag: str,
 ) -> dict[str, ImagePasses]:
+    """Ask the adapter for detections, then validate and threshold its output."""
     request_path = run_dir / "requests" / f"{tag}.json"
     output_path = run_dir / "detections" / f"{tag}.jsonl"
     _atomic_write_json(
@@ -370,14 +379,39 @@ def _request_detections(
     adapter.fulfill_detection_request(request_path, output_path)
     if not Path(str(output_path) + ".done").exists():
         raise AdapterError(f"adapter did not signal completion for {output_path}")
-    images = {
-        img.image_id: apply_thresholds(img, config.confidence, config.nms_iou)
-        for img in load_image_passes(output_path, expected_n=config.passes_n)
-    }
-    missing = set(image_ids) - set(images)
+    requested = set(image_ids)
+    images = {}
+    for img in load_image_passes(output_path, expected_n=config.passes_n, kappa=kappa):
+        if img.image_id not in requested:
+            raise AdapterError(f"{output_path}: adapter returned unrequested image {img.image_id!r}")
+        images[img.image_id] = apply_thresholds(img, config.confidence, config.nms_iou)
+    missing = requested - set(images)
     if missing:
-        raise AdapterError(f"adapter omitted {len(missing)} requested images, e.g. {sorted(missing)[:3]}")
+        raise AdapterError(
+            f"{output_path}: adapter omitted {len(missing)} requested images, e.g. {sorted(missing)[:3]}"
+        )
     return images
+
+
+def _predict(
+    detections: Mapping[str, ImagePasses],
+    config: RunConfig,
+    kappa: int,
+    pool_ids: Sequence[str] = (),
+) -> tuple[dict[str, list[FinalPrediction]], dict[str, ImageCertainty]]:
+    """Group each image once; consolidate every image and score the pool images.
+
+    Only the predictions and certainties are kept, not the instance sets.
+    """
+    pool = set(pool_ids)
+    preds = {}
+    certainties = {}
+    for image_id, img in detections.items():
+        sets = group_passes(img, config.match_iou)
+        if image_id in pool:
+            certainties[image_id] = image_certainty(image_id, sets, kappa, config.passes_n)
+        preds[image_id] = consolidate(sets)
+    return preds, certainties
 
 
 def _fmt(value) -> str:
@@ -389,28 +423,35 @@ def _fmt(value) -> str:
 
 
 def _evaluate_test_set(
-    detections: Mapping[str, ImagePasses],
+    preds: Mapping[str, Sequence[FinalPrediction]],
     manifest: DatasetManifest,
     gt: Mapping[str, GroundTruthImage],
-    match_iou: float,
 ) -> float | None:
     if not manifest.test:
         return None
-    preds_by_image = {
-        image_id: consolidate(group_passes(detections[image_id], match_iou))
-        for image_id in manifest.test
-    }
+    preds_by_image = {image_id: preds[image_id] for image_id in manifest.test}
     gt_by_image = {image_id: gt[image_id] for image_id in manifest.test}
-    result = coco_map(preds_by_image, gt_by_image, manifest.catalog)
-    return result.map_score
+    return coco_map(preds_by_image, gt_by_image, manifest.catalog).map_score
 
 
-def _run_iteration_locked(
-    run_dir: Path, adapter: DetectorAdapter, state: ActiveLearningState
-) -> ActiveLearningState:
+def _load_run_inputs(
+    run_dir: Path,
+) -> tuple[RunConfig, DatasetManifest, dict[str, GroundTruthImage]]:
+    """The run's config, manifest and ground truth, which no iteration changes."""
     config = load_config(run_dir)
     manifest = load_manifest(run_dir / "manifest.json")
     gt = load_ground_truth(run_dir / "ground_truth.jsonl", kappa=len(manifest.catalog))
+    return config, manifest, gt
+
+
+def _run_iteration_locked(
+    run_dir: Path,
+    adapter: DetectorAdapter,
+    state: ActiveLearningState,
+    config: RunConfig,
+    manifest: DatasetManifest,
+    gt: Mapping[str, GroundTruthImage],
+) -> ActiveLearningState:
     i = state.iteration
     n_sample = config.batch_size
     if len(state.pool_ids) < n_sample:
@@ -419,26 +460,19 @@ def _run_iteration_locked(
         )
     kappa = len(manifest.catalog)
 
-    wanted = list(state.pool_ids) + [t for t in manifest.test if t not in set(state.pool_ids)]
-    detections = _request_detections(run_dir, adapter, config, i, wanted, f"iter_{i}")
+    wanted = state.pool_ids + manifest.test
+    detections = _request_detections(run_dir, adapter, config, kappa, i, wanted, f"iter_{i}")
+    preds, certainties = _predict(detections, config, kappa, state.pool_ids)
 
-    certainties = {
-        image_id: image_certainty(detections[image_id], kappa, config.passes_n, config.match_iou)
-        for image_id in state.pool_ids
-    }
-    ranking = sorted(
-        ((ic.image_id, ic.c_min) for ic in certainties.values()), key=lambda r: (r[1], r[0])
-    )
     if config.strategy == "min_certainty":
-        sampled = sampling.sample_min_certainty(ranking, n_sample)
+        sampled = sampling.sample_min_certainty(
+            [(ic.image_id, ic.c_min) for ic in certainties.values()], n_sample
+        )
     else:
         sampled = sampling.sample_random(sorted(state.pool_ids), n_sample, config.seed, i)
 
     per_image_f1 = {
-        image_id: f1_image(
-            consolidate(group_passes(detections[image_id], config.match_iou)), gt[image_id]
-        )
-        for image_id in state.pool_ids
+        image_id: f1_image(preds[image_id], gt[image_id]) for image_id in state.pool_ids
     }
     sampled_set = set(sampled)
     sampled_f1 = [per_image_f1[s] for s in sampled]
@@ -447,7 +481,7 @@ def _run_iteration_locked(
         ttest = compare_sampled_vs_remaining(per_image_f1, sampled)
     else:
         ttest = None
-    map_score = _evaluate_test_set(detections, manifest, gt, config.match_iou)
+    map_score = _evaluate_test_set(preds, manifest, gt)
 
     metrics = {
         "iteration": i,
@@ -502,7 +536,7 @@ def run_iteration(run_dir: str | Path, adapter: DetectorAdapter) -> ActiveLearni
     run_dir = Path(run_dir)
     with run_lock(run_dir):
         state = load_state(run_dir)
-        return _run_iteration_locked(run_dir, adapter, state)
+        return _run_iteration_locked(run_dir, adapter, state, *_load_run_inputs(run_dir))
 
 
 def run_loop(
@@ -517,17 +551,17 @@ def run_loop(
     run_dir = Path(run_dir)
     with run_lock(run_dir):
         state = load_state(run_dir)
+        config, manifest, gt = _load_run_inputs(run_dir)
         for _ in range(iterations):
-            state = _run_iteration_locked(run_dir, adapter, state)
+            state = _run_iteration_locked(run_dir, adapter, state, config, manifest, gt)
 
-        config = load_config(run_dir)
-        manifest = load_manifest(run_dir / "manifest.json")
-        gt = load_ground_truth(run_dir / "ground_truth.jsonl", kappa=len(manifest.catalog))
         final_iter = state.iteration
+        kappa = len(manifest.catalog)
         detections = _request_detections(
-            run_dir, adapter, config, final_iter, list(manifest.test), f"iter_{final_iter}_eval"
+            run_dir, adapter, config, kappa, final_iter, manifest.test, f"iter_{final_iter}_eval"
         )
-        final_map = _evaluate_test_set(detections, manifest, gt, config.match_iou)
+        preds, _ = _predict(detections, config, kappa)
+        final_map = _evaluate_test_set(preds, manifest, gt)
 
         columns = [
             "iteration",

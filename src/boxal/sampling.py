@@ -1,4 +1,4 @@
-"""Batch selection strategies: minimum-certainty and uniform-random.
+"""Pool ranking and batch selection: minimum-certainty and uniform-random.
 
 Random sampling is reproducible across platforms and builds: the generator is
 numpy's PCG64, and the stream for iteration ``i`` of a run with seed ``s`` is
@@ -9,8 +9,7 @@ never shifts the samples drawn by other iterations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -22,29 +21,21 @@ _MASK64 = (1 << 64) - 1
 STRATEGIES = ("min_certainty", "random")
 
 
-@dataclass(frozen=True)
-class SamplerConfig:
-    batch_size: int = 100
-    strategy: str = "min_certainty"
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.batch_size < 1:
-            raise ValidationError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.strategy not in STRATEGIES:
-            raise ValidationError(f"strategy must be one of {STRATEGIES}, got {self.strategy!r}")
-
-
 def substream_seed(seed: int, iteration: int) -> int:
     """Derive the per-iteration RNG seed from the run seed."""
     return (seed ^ ((iteration * STREAM_STRIDE) & _MASK64)) & _MASK64
 
 
-def sample_min_certainty(ranking: Sequence[tuple[str, float]], n: int) -> list[str]:
-    """First n image ids of an ascending (image_id, c_min) ranking."""
-    if n > len(ranking):
-        raise ValidationError(f"cannot sample {n} images from a pool of {len(ranking)}")
-    return [image_id for image_id, _ in ranking[:n]]
+def rank(scores: Iterable[tuple]) -> list[tuple]:
+    """Rows starting ``(image_id, c_min)``, ascending by c_min; ties by image_id."""
+    return sorted(scores, key=lambda row: (row[1], row[0]))
+
+
+def sample_min_certainty(scores: Sequence[tuple[str, float]], n: int) -> list[str]:
+    """The n image ids of lowest c_min among ``(image_id, c_min)`` pairs, in rank order."""
+    if n > len(scores):
+        raise ValidationError(f"cannot sample {n} images from a pool of {len(scores)}")
+    return [image_id for image_id, _ in rank(scores)[:n]]
 
 
 def sample_random(pool_ids: Sequence[str], n: int, seed: int, iteration: int) -> list[str]:

@@ -13,7 +13,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from boxal.certainty import image_certainty, rank_pool, semantic_certainty
+from boxal.certainty import image_certainty, semantic_certainty
 from boxal.cli import main as cli_main
 from boxal.data_io import Detection, ImagePasses
 from boxal.evaluation import FinalPrediction, coco_map, regularized_incomplete_beta, ttest_two_sided
@@ -59,12 +59,8 @@ def test_criterion_2_certainty_math_under_one_second():
     assert single((0.9, 0.1), 2) == pytest.approx(0.531004, abs=1e-5)
 
     # spatial / occurrence / combined / image examples
-    from boxal.certainty import (
-        CertaintyTriple,
-        combined_certainty,
-        occurrence_certainty,
-        spatial_certainty,
-    )
+    from boxal.certainty import CertaintyTriple, occurrence_certainty, spatial_certainty
+    from boxal.sampling import rank
 
     pair = InstanceSet(
         ((0, det((1.0, 0.0), (0, 0, 10, 10))), (1, det((1.0, 0.0), (2, 0, 12, 10)))), 0
@@ -75,12 +71,12 @@ def test_criterion_2_certainty_math_under_one_second():
     fifteen = InstanceSet(tuple((p, det((1.0, 0.0))) for p in range(15)), 0)
     assert occurrence_certainty(fifteen, 15) == pytest.approx(1.0, abs=1e-9)
     assert occurrence_certainty(solo, 15) == pytest.approx(1.0 / 15.0, abs=1e-9)
-    assert combined_certainty(CertaintyTriple(0.5, 0.8, 0.2)) == pytest.approx(0.08, abs=1e-9)
+    assert CertaintyTriple(0.5, 0.8, 0.2).c_h == pytest.approx(0.08, abs=1e-9)
 
     blank = ImagePasses("blank", 10, 10, ((), ()))
-    ic = image_certainty(blank, 2, 2)
+    ic = image_certainty("blank", group_passes(blank), 2, 2)
     assert (ic.c_min, ic.set_count) == (1.0, 0)
-    ranking = rank_pool([blank], 2, 2)
+    ranking = rank([(ic.image_id, ic.c_min)])
     assert ranking == [("blank", 1.0)]
 
     # base invariance over 1,000 random probability vectors

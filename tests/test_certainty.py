@@ -5,10 +5,8 @@ import pytest
 
 from boxal.certainty import (
     CertaintyTriple,
-    combined_certainty,
     image_certainty,
     occurrence_certainty,
-    rank_pool,
     semantic_certainty,
     set_certainty,
     spatial_certainty,
@@ -16,7 +14,8 @@ from boxal.certainty import (
 from boxal.data_io import Detection, ImagePasses
 from boxal.errors import ValidationError
 from boxal.geometry import BoundingBox
-from boxal.grouping import InstanceSet
+from boxal.grouping import InstanceSet, group_passes
+from boxal.sampling import rank
 
 from oracles import random_passes
 
@@ -31,6 +30,10 @@ def det(x0, y0, x1, y1, scores):
 
 def make_set(*members, creation_index=0):
     return InstanceSet(tuple(members), creation_index)
+
+
+def certainty_of(img, kappa, n):
+    return image_certainty(img.image_id, group_passes(img), kappa, n)
 
 
 class TestSemanticCertainty:
@@ -114,10 +117,10 @@ class TestOccurrenceCertainty:
 
 class TestCombinedCertainty:
     def test_all_ones(self):
-        assert combined_certainty(CertaintyTriple(1.0, 1.0, 1.0)) == 1.0
+        assert CertaintyTriple(1.0, 1.0, 1.0).c_h == 1.0
 
     def test_product(self):
-        assert combined_certainty(CertaintyTriple(0.5, 0.8, 0.2)) == pytest.approx(0.08, abs=1e-9)
+        assert CertaintyTriple(0.5, 0.8, 0.2).c_h == pytest.approx(0.08, abs=1e-9)
 
     def test_bounded_by_factors(self):
         rng = np.random.Generator(np.random.PCG64(7))
@@ -134,20 +137,20 @@ class TestImageCertainty:
             (det(0, 0, 10, 10, (1.0, 0.0)),),
         )
         img = ImagePasses("x", 100, 100, passes)
-        ic = image_certainty(img, kappa=2, n=2)
+        ic = certainty_of(img, kappa=2, n=2)
         assert ic.set_count == 2
         assert ic.c_min == pytest.approx(min(t.c_h for t in ic.triples), abs=1e-15)
         assert ic.min_triple.c_h == ic.c_min
 
     def test_single_set(self):
         img = ImagePasses("x", 100, 100, ((det(0, 0, 10, 10, (0.8, 0.2)),), ()))
-        ic = image_certainty(img, kappa=2, n=2)
+        ic = certainty_of(img, kappa=2, n=2)
         assert ic.set_count == 1
         assert ic.c_min == pytest.approx(ic.triples[0].c_h, abs=1e-15)
 
     def test_no_detections_certainty_one(self):
         img = ImagePasses("blank", 100, 100, ((), (), ()))
-        ic = image_certainty(img, kappa=2, n=3)
+        ic = certainty_of(img, kappa=2, n=3)
         assert ic.set_count == 0
         assert ic.c_min == 1.0
         assert ic.min_triple is None
@@ -170,14 +173,14 @@ class TestImageCertainty:
         rng = np.random.Generator(np.random.PCG64(11))
         for _ in range(30):
             img = random_passes(rng)
-            ic = image_certainty(img, kappa=3, n=img.n_passes)
+            ic = certainty_of(img, kappa=3, n=img.n_passes)
             # append an extra detection far from the 100x100 content grid
             extra = det(110, 110, 118, 118, (0.5, 0.3, 0.2))
             bigger = ImagePasses(
                 img.image_id, 120, 120,
                 (img.passes[0] + (extra,),) + img.passes[1:],
             )
-            ic2 = image_certainty(bigger, kappa=3, n=img.n_passes)
+            ic2 = certainty_of(bigger, kappa=3, n=img.n_passes)
             assert ic2.set_count == ic.set_count + 1
             assert ic2.c_min <= ic.c_min + 1e-15
 
@@ -185,7 +188,7 @@ class TestImageCertainty:
         rng = np.random.Generator(np.random.PCG64(5))
         for _ in range(50):
             img = random_passes(rng)
-            ic = image_certainty(img, kappa=3, n=img.n_passes)
+            ic = certainty_of(img, kappa=3, n=img.n_passes)
             assert 0.0 <= ic.c_min <= 1.0
             for t in ic.triples:
                 for v in (t.c_sem, t.c_spa, t.c_occ, t.c_h):
@@ -200,16 +203,19 @@ class TestRankPool:
     def one_set(self, image_id, scores):
         return ImagePasses(image_id, 100, 100, ((det(0, 0, 10, 10, scores),), ()))
 
+    def rank_pool(self, pool):
+        return rank((img.image_id, certainty_of(img, kappa=2, n=2).c_min) for img in pool)
+
     def test_singleton_pool(self):
-        assert rank_pool([self.blank("only")], kappa=2, n=2) == [("only", 1.0)]
+        assert self.rank_pool([self.blank("only")]) == [("only", 1.0)]
 
     def test_ascending_order(self):
         sharp = self.one_set("sharp", (1.0, 0.0))      # higher c_min
         fuzzy = self.one_set("fuzzy", (0.55, 0.45))    # lower c_min
-        ranking = rank_pool([sharp, fuzzy], kappa=2, n=2)
+        ranking = self.rank_pool([sharp, fuzzy])
         assert [r[0] for r in ranking] == ["fuzzy", "sharp"]
         assert ranking[0][1] <= ranking[1][1]
 
     def test_tie_broken_by_image_id(self):
-        ranking = rank_pool([self.blank("b"), self.blank("a")], kappa=2, n=2)
+        ranking = self.rank_pool([self.blank("b"), self.blank("a")])
         assert [r[0] for r in ranking] == ["a", "b"]

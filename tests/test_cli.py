@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 
 from boxal.cli import main
@@ -41,6 +42,18 @@ class TestSimulateRun:
         a = simulate(tmp_path, name="a")
         b = simulate(tmp_path, name="b")
         assert (a / "log.csv").read_bytes() == (b / "log.csv").read_bytes()
+
+    def test_criterion_8_log_digest_is_pinned(self, tmp_path):
+        # the criterion-8 run; its log.csv must not change between versions
+        run_dir = tmp_path / "c8"
+        assert run_cli(
+            "simulate-run", "--out", run_dir,
+            "--images", 120, "--categories", 4,
+            "--initial-training", 15, "--validation", 5, "--test", 15,
+            "--passes-n", 5, "--batch-size", 20, "--iterations", 3, "--seed", 9,
+        ) == 0
+        digest = hashlib.sha256((run_dir / "log.csv").read_bytes()).hexdigest()
+        assert digest == "ded232a06095689721b36d081f92fdce127dfc81c7ec51b05dcc40f6ef688fd5"
 
 
 class TestInitIterateLoop:

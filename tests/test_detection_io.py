@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -56,6 +57,11 @@ class TestDetection:
     def test_tolerance_accepts_near_one(self):
         det(0, 0, 10, 10, (0.5 + 4e-7, 0.5))  # within the 1e-6 budget
 
+    @pytest.mark.parametrize("scores", [(math.nan, math.nan), (math.nan, 1.0), (1.0, math.nan)])
+    def test_nan_scores_rejected(self, scores):
+        with pytest.raises(ValidationError, match="finite"):
+            det(0, 0, 10, 10, scores)
+
 
 class TestImagePasses:
     def test_box_outside_bounds_rejected(self):
@@ -106,6 +112,16 @@ class TestDetectionsFile:
         p.write_text(json.dumps(record) + "\n")
         with pytest.raises(ValidationError, match="bad_one"):
             load_image_passes(p)
+
+    def test_nan_score_names_file_and_line(self, tmp_path):
+        p = tmp_path / "d.jsonl"
+        good = '{"image_id": "a", "width": 50, "height": 50, "passes": []}'
+        bad = ('{"image_id": "b", "width": 50, "height": 50, '
+               '"passes": [[{"bbox": [0, 0, 10, 10], "scores": [NaN, NaN]}]]}')
+        p.write_text(good + "\n" + bad + "\n")
+        with pytest.raises(ValidationError, match="finite") as excinfo:
+            load_image_passes(p)
+        assert f"{p}:2" in str(excinfo.value)
 
     def test_parse_error_carries_line_number(self, tmp_path):
         p = tmp_path / "d.jsonl"

@@ -5,8 +5,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from boxal.certainty import image_certainty
 from boxal.data_io import CategoryCatalog, DatasetManifest, load_image_passes
 from boxal.errors import AdapterError, BoxalError, ValidationError
+from boxal.grouping import group_passes
 from boxal.orchestrator import (
     ActiveLearningState,
     FileWaitAdapter,
@@ -21,7 +23,7 @@ from boxal.orchestrator import (
     run_loop,
     state_path,
 )
-from boxal.sampling import sample_min_certainty
+from boxal.sampling import rank, sample_min_certainty
 from boxal.simulator import generate_world
 
 
@@ -130,8 +132,6 @@ class TestRunIteration:
         assert set(after.training_ids) >= set(before.training_ids)
 
     def test_min_certainty_takes_lowest_ranked(self, tmp_path):
-        from boxal.certainty import rank_pool
-
         run_dir, adapter, world = start_run(tmp_path)
         state0 = load_state(run_dir)
         after = run_iteration(run_dir, adapter)
@@ -139,7 +139,12 @@ class TestRunIteration:
         config = load_config(run_dir)
         detections = load_image_passes(run_dir / "detections" / "iter_0.jsonl")
         pool = [img for img in detections if img.image_id in set(state0.pool_ids)]
-        ranking = rank_pool(pool, kappa=3, n=config.passes_n, match_iou=config.match_iou)
+        ranking = rank(
+            (img.image_id, image_certainty(
+                img.image_id, group_passes(img, config.match_iou), 3, config.passes_n
+            ).c_min)
+            for img in pool
+        )
         assert sorted(sample_min_certainty(ranking, 10)) == sampled
 
     def test_random_strategy(self, tmp_path):
@@ -205,6 +210,49 @@ class TestRunIteration:
             request = json.load(fh)
         assert request["epochs"] == small_config().epoch_budget(1)
         assert len(request["new_image_ids"]) == 10
+
+
+class TamperingAdapter(SimulatorDetectorAdapter):
+    """Simulator adapter whose detections file is rewritten by ``tamper`` before completion."""
+
+    def __init__(self, world, run_dir, tamper):
+        super().__init__(world, run_dir)
+        self.tamper = tamper
+
+    def fulfill_detection_request(self, request_path, output_path):
+        super().fulfill_detection_request(request_path, output_path)
+        records = [json.loads(line) for line in output_path.read_text().splitlines()]
+        self.tamper(records)
+        output_path.write_text("".join(json.dumps(r) + "\n" for r in records))
+
+
+class TestAdapterOutputValidation:
+    def test_wrong_score_length_on_test_image_rejected(self, tmp_path):
+        run_dir, _, world = start_run(tmp_path)
+        test_ids = set(world.manifest.test)
+
+        def widen_scores(records):
+            # a fourth score of 0 keeps each sum at 1; only the length (kappa=3) is wrong
+            record = next(r for r in records if r["image_id"] in test_ids and any(r["passes"]))
+            for pass_dets in record["passes"]:
+                for det in pass_dets:
+                    det["scores"].append(0.0)
+
+        before = load_state(run_dir)
+        with pytest.raises(BoxalError, match="iter_0.jsonl") as excinfo:
+            run_iteration(run_dir, TamperingAdapter(world, run_dir, widen_scores))
+        assert "expected 3 scores" in str(excinfo.value)
+        assert load_state(run_dir) == before
+
+    def test_unrequested_image_rejected(self, tmp_path):
+        run_dir, _, world = start_run(tmp_path)
+
+        def add_extra(records):
+            records.append(dict(records[0], image_id="not_requested"))
+
+        with pytest.raises(AdapterError, match="iter_0.jsonl") as excinfo:
+            run_iteration(run_dir, TamperingAdapter(world, run_dir, add_extra))
+        assert "not_requested" in str(excinfo.value)
 
 
 class TestRunLoop:

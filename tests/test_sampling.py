@@ -4,26 +4,11 @@ import pytest
 from boxal.errors import ValidationError
 from boxal.sampling import (
     STREAM_STRIDE,
-    SamplerConfig,
+    rank,
     sample_min_certainty,
     sample_random,
     substream_seed,
 )
-
-
-class TestSamplerConfig:
-    def test_defaults(self):
-        c = SamplerConfig()
-        assert c.batch_size == 100
-        assert c.strategy == "min_certainty"
-
-    def test_invalid_batch_size(self):
-        with pytest.raises(ValidationError):
-            SamplerConfig(batch_size=0)
-
-    def test_invalid_strategy(self):
-        with pytest.raises(ValidationError):
-            SamplerConfig(strategy="oracle")
 
 
 class TestSubstreamSeed:
@@ -54,6 +39,10 @@ class TestMinCertaintySampling:
         with pytest.raises(ValidationError):
             sample_min_certainty(self.RANKING, 6)
 
+    def test_ranks_unordered_input(self):
+        scores = [("d", 0.4), ("b", 0.1), ("a", 0.2), ("c", 0.1)]
+        assert sample_min_certainty(scores, 3) == ["b", "c", "a"]
+
     def test_split_point_property(self):
         # max c_min of the selection <= min c_min of the remainder
         rng = np.random.Generator(np.random.PCG64(0))
@@ -63,6 +52,12 @@ class TestMinCertaintySampling:
         selected_max = max(v for i, v in ranking if i in chosen)
         remainder_min = min(v for i, v in ranking if i not in chosen)
         assert selected_max <= remainder_min
+
+
+class TestRank:
+    def test_ascending_then_image_id_keeping_extra_columns(self):
+        rows = [("b", 0.5, "x"), ("c", 0.2, "y"), ("a", 0.5, "z")]
+        assert rank(rows) == [("c", 0.2, "y"), ("a", 0.5, "z"), ("b", 0.5, "x")]
 
 
 class TestRandomSampling:

@@ -117,7 +117,7 @@ class TestSimulatePasses:
         world = hand_world([img])
         skill = SkillState(exposures=(10**6, 10**6))
         passes = simulate_passes(world, skill, "easy", n=10, pass_seed=5)
-        ic = image_certainty(passes, kappa=2, n=10)
+        ic = image_certainty(passes.image_id, group_passes(passes), kappa=2, n=10)
         assert ic.set_count == 2
         assert ic.c_min > 0.98
         preds = consolidate(group_passes(passes))
@@ -132,7 +132,7 @@ class TestSimulatePasses:
         sems = []
         for image_id in world.images:
             passes = simulate_passes(world, skill, image_id, n=10, pass_seed=13)
-            ic = image_certainty(passes, 2, 10)
+            ic = image_certainty(image_id, group_passes(passes), 2, 10)
             sems.extend(t.c_sem for t in ic.triples)
         assert len(sems) >= 500
         assert sum(sems) / len(sems) < 0.2
@@ -148,7 +148,7 @@ class TestSimulatePasses:
             cmins = []
             for image_id in image_ids:
                 passes = simulate_passes(world, skill, image_id, n=10, pass_seed=55)
-                cmins.append(image_certainty(passes, 3, 10).c_min)
+                cmins.append(image_certainty(image_id, group_passes(passes), 3, 10).c_min)
             means.append(sum(cmins) / len(cmins))
         assert means[1] >= means[0] - 0.01
         assert means[2] >= means[1] - 0.01
