@@ -19,8 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import ValidationError
-from .geometry import iou, mean_box
+from .geometry import iou
 from .grouping import InstanceSet
 
 
@@ -58,32 +57,23 @@ def _entropy(scores: Sequence[float]) -> float:
 
 
 def semantic_certainty(instance_set: InstanceSet, kappa: int) -> float:
-    """Mean over members of 1 - H(scores)/log(kappa)."""
-    if kappa < 2:
-        raise ValidationError(f"semantic certainty needs kappa >= 2, got {kappa}")
+    """Mean over members of 1 - H(scores)/log(kappa); the readers ensure kappa >= 2 scores each."""
     h_max = math.log(kappa)
     total = 0.0
     for _, det in instance_set.members:
-        if len(det.scores) != kappa:
-            raise ValidationError(
-                f"score vector length {len(det.scores)} does not match kappa={kappa}"
-            )
         total += 1.0 - _entropy(det.scores) / h_max
     return total / instance_set.size
 
 
 def spatial_certainty(instance_set: InstanceSet) -> float:
     """Mean IoU between each member box and the set's mean box."""
-    boxes = instance_set.boxes
-    center = mean_box(boxes)
-    return sum(iou(center, b) for b in boxes) / len(boxes)
+    center = instance_set.mean_box
+    return sum(iou(center, b) for b in instance_set.boxes) / instance_set.size
 
 
 def occurrence_certainty(instance_set: InstanceSet, n: int) -> float:
-    """Fraction of the n passes represented in the set."""
-    r = instance_set.size
-    assert r <= n, f"instance set size {r} exceeds pass count {n}"
-    return r / n
+    """Fraction of the n passes represented in the set (grouping puts at most one member per pass)."""
+    return instance_set.size / n
 
 
 def set_certainty(instance_set: InstanceSet, kappa: int, n: int) -> CertaintyTriple:

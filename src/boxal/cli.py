@@ -10,12 +10,15 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
+from contextlib import nullcontext
+from dataclasses import replace
 from pathlib import Path
 
 from .certainty import CertaintyTriple, image_certainty
-from .data_io import apply_thresholds, load_ground_truth, load_image_passes, load_manifest
-from .errors import BoxalError
+from .data_io import _load_json, apply_thresholds, load_ground_truth, load_image_passes, load_manifest
+from .errors import BoxalError, FormatError, ValidationError
 from .evaluation import coco_map, load_predictions, ttest_two_sided
 from .orchestrator import (
     FileWaitAdapter,
@@ -30,37 +33,64 @@ from .grouping import group_passes
 from .sampling import rank, sample_min_certainty, sample_random
 from .simulator import generate_world, load_world, save_world
 
-CONFIG_FLAGS = (
-    ("passes-n", int),
-    ("dropout-p", float),
-    ("confidence", float),
-    ("nms-iou", float),
-    ("match-iou", float),
-    ("batch-size", int),
-    ("iterations", int),
-    ("epoch-base", int),
-    ("epoch-increment", int),
-    ("strategy", str),
-    ("seed", int),
-)
+
+def _output(path: str | None):
+    """A text stream to ``path``, or to stdout when no path is given."""
+    return open(path, "w", encoding="utf-8", newline="") if path else nullcontext(sys.stdout)
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    for flag, ftype in CONFIG_FLAGS:
-        parser.add_argument(f"--{flag}", type=ftype, default=None)
+    """One flag per RunConfig field, ``--passes-n`` for ``passes_n``, typed like its default."""
+    for name, field in RunConfig.__dataclass_fields__.items():
+        parser.add_argument(f"--{name.replace('_', '-')}", type=type(field.default), default=None)
 
 
 def _build_config(args: argparse.Namespace, config_path: str | None) -> RunConfig:
-    doc: dict = {}
-    if config_path:
-        with open(config_path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    for flag, _ in CONFIG_FLAGS:
-        key = flag.replace("-", "_")
-        value = getattr(args, key, None)
-        if value is not None:
-            doc[key] = value
-    return RunConfig.from_dict(doc)
+    """The config file's RunConfig (the defaults without a file) with the flags given applied."""
+    config = _load_json(config_path, RunConfig.from_dict) if config_path else RunConfig()
+    flags = {name: getattr(args, name) for name in RunConfig.__dataclass_fields__}
+    return replace(config, **{name: value for name, value in flags.items() if value is not None})
+
+
+def _csv_rows(path: str) -> list[tuple[int, list[str]]]:
+    """(line number, fields) of each nonblank CSV row; unreadable rows are a FormatError."""
+    rows = []
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            for row in reader:
+                if "".join(row).strip():
+                    rows.append((reader.line_num, row))
+        except (csv.Error, UnicodeDecodeError) as exc:
+            raise FormatError(f"{path}:{reader.line_num + 1}: unreadable CSV: {exc}") from exc
+    return rows
+
+
+def _csv_number(path: str, lineno: int, text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise FormatError(f"{path}:{lineno}: not a number: {text!r}") from None
+    if not math.isfinite(value):
+        raise ValidationError(f"{path}:{lineno}: numbers must be finite, got {text!r}")
+    return value
+
+
+def _read_ranking(path: str) -> list[tuple[str, float]]:
+    """(image_id, c_min) pairs from a ranking CSV whose header names both columns."""
+    rows = _csv_rows(path)
+    header_line, header = rows[0] if rows else (1, [])
+    if "image_id" not in header or "c_min" not in header:
+        raise FormatError(f"{path}:{header_line}: the header must name the columns image_id and c_min")
+    id_col, c_col = header.index("image_id"), header.index("c_min")
+    ranking = {}
+    for lineno, row in rows[1:]:
+        if len(row) != len(header):
+            raise FormatError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
+        if not row[id_col] or row[id_col] in ranking:
+            raise ValidationError(f"{path}:{lineno}: empty or duplicate image_id {row[id_col]!r}")
+        ranking[row[id_col]] = _csv_number(path, lineno, row[c_col])
+    return list(ranking.items())
 
 
 def _make_adapter(args: argparse.Namespace, run_dir: Path):
@@ -116,8 +146,7 @@ def _cmd_rank(args) -> int:
         ic = image_certainty(img.image_id, group_passes(kept, config.match_iou), kappa, config.passes_n)
         t = ic.min_triple or CertaintyTriple(1.0, 1.0, 1.0)
         rows.append((ic.image_id, ic.c_min, ic.set_count, t.c_sem, t.c_spa, t.c_occ))
-    out = open(args.out, "w", encoding="utf-8", newline="") if args.out else sys.stdout
-    try:
+    with _output(args.out) as out:
         writer = csv.writer(out)
         writer.writerow(["image_id", "c_min", "set_count", "min_c_sem", "min_c_spa", "min_c_occ"])
         for image_id, c_min, count, c_sem, c_spa, c_occ in rank(rows):
@@ -125,9 +154,6 @@ def _cmd_rank(args) -> int:
                 [image_id, format(c_min, ".9g"), count, format(c_sem, ".9g"),
                  format(c_spa, ".9g"), format(c_occ, ".9g")]
             )
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return 0
 
 
@@ -135,23 +161,15 @@ def _cmd_sample(args) -> int:
     if args.strategy == "min_certainty":
         if not args.ranking:
             raise BoxalError("min_certainty sampling needs --ranking (CSV from `boxal rank`)")
-        with open(args.ranking, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.DictReader(fh)
-            ranking = [(row["image_id"], float(row["c_min"])) for row in reader]
-        chosen = sample_min_certainty(ranking, args.n)
+        chosen = sample_min_certainty(_read_ranking(args.ranking), args.n)
     else:
         if not args.pool:
             raise BoxalError("random sampling needs --pool (one image_id per line)")
         with open(args.pool, "r", encoding="utf-8") as fh:
             pool_ids = [line.strip() for line in fh if line.strip()]
         chosen = sample_random(pool_ids, args.n, args.seed, args.iteration)
-    out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
-    try:
-        for image_id in chosen:
-            out.write(image_id + "\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    with _output(args.out) as out:
+        out.writelines(image_id + "\n" for image_id in chosen)
     return 0
 
 
@@ -169,15 +187,11 @@ def _cmd_evaluate(args) -> int:
         "false_positives": result.false_positives,
         "false_negatives": result.false_negatives,
     }
-    if args.out_report:
-        with open(args.out_report, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
-    else:
-        json.dump(report, sys.stdout, indent=2)
-        sys.stdout.write("\n")
+    with _output(args.out_report) as out:
+        json.dump(report, out, indent=2)
+        out.write("\n")
     if args.out_f1:
-        with open(args.out_f1, "w", encoding="utf-8", newline="") as fh:
+        with _output(args.out_f1) as fh:
             writer = csv.writer(fh)
             writer.writerow(["image_id", "f1"])
             for image_id in sorted(result.per_image_f1):
@@ -186,17 +200,13 @@ def _cmd_evaluate(args) -> int:
 
 
 def _read_column(path: str) -> list[float]:
-    values = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                values.append(float(line.split(",")[0]))
-            except ValueError:
-                continue  # header line
-    return values
+    """The finite numbers in the first CSV column; only the first row may be a header."""
+    rows = _csv_rows(path)
+    try:
+        float(rows[0][1][0])
+    except (IndexError, ValueError):
+        rows = rows[1:]  # no rows, or a header
+    return [_csv_number(path, lineno, row[0]) for lineno, row in rows]
 
 
 def _cmd_ttest(args) -> int:
@@ -212,7 +222,7 @@ def _cmd_simulate_run(args) -> int:
     run_dir = Path(args.out)
     config = _build_config(args, args.config)
     world = generate_world(
-        seed=args.seed if args.seed is not None else config.seed,
+        seed=config.seed,
         image_count=args.images,
         kappa=args.categories,
         objects_per_image=(args.objects_min, args.objects_max),

@@ -1,4 +1,4 @@
-"""Data model and file formats for multi-pass detections, ground truth, manifests.
+"""Data model, file formats and readers for detections, ground truth, manifests.
 
 File formats (all JSON, floats serialized losslessly via ``repr``):
 
@@ -16,6 +16,15 @@ File formats (all JSON, floats serialized losslessly via ``repr``):
     {"categories": [...], "initial_training": [ids], "pool": [ids],
      "validation": [ids], "test": [ids]}
 
+Outside data is checked once, by the reader that takes it in; the values a
+reader returns, and every value the package derives from them, are not
+checked again. A reader raises only ``FormatError`` (invalid JSON, a missing
+field or a value of the wrong JSON type) and ``ValidationError`` (a value
+that breaks a rule), and each message starts with the file and, for
+line-delimited files, the line. ``BoundingBox`` holds the box rules and
+``Detection`` the score rules; the readers build those, so each rule has one
+implementation.
+
 Score vectors cover the foreground categories only and must sum to 1 within
 1e-6; invalid sums are rejected rather than renormalized, because silent
 renormalization would hide producer bugs and corrupt the entropy values
@@ -25,14 +34,17 @@ computed downstream.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
-from .errors import FormatError, ValidationError
+from .errors import BoxalError, FormatError, ValidationError
 from .geometry import BoundingBox, iou
 
 SCORE_SUM_TOLERANCE = 1e-6
+PARTITIONS = ("initial_training", "pool", "validation", "test")
 
 
 @dataclass(frozen=True)
@@ -79,29 +91,12 @@ class Detection:
 
 @dataclass(frozen=True)
 class ImagePasses:
-    """All detections for one image, grouped per Monte-Carlo forward pass."""
+    """All detections for one image, grouped per Monte-Carlo forward pass (checked on loading)."""
 
     image_id: str
     width: int
     height: int
     passes: tuple[tuple[Detection, ...], ...]
-
-    def __post_init__(self) -> None:
-        if self.width <= 0 or self.height <= 0:
-            raise ValidationError(f"{self.image_id}: width/height must be positive")
-        kappa = None
-        for pass_dets in self.passes:
-            for det in pass_dets:
-                b = det.box
-                if b.x_min < 0 or b.y_min < 0 or b.x_max > self.width or b.y_max > self.height:
-                    raise ValidationError(
-                        f"{self.image_id}: box {b.as_tuple()} outside image bounds "
-                        f"[0,{self.width}]x[0,{self.height}]"
-                    )
-                if kappa is None:
-                    kappa = len(det.scores)
-                elif len(det.scores) != kappa:
-                    raise ValidationError(f"{self.image_id}: inconsistent score-vector lengths")
 
     @property
     def n_passes(self) -> int:
@@ -114,11 +109,6 @@ class GroundTruthImage:
 
     image_id: str
     objects: tuple[tuple[BoundingBox, int], ...]
-
-    def validate_categories(self, kappa: int) -> None:
-        for _, cat in self.objects:
-            if not 0 <= cat < kappa:
-                raise ValidationError(f"{self.image_id}: category index {cat} outside [0, {kappa})")
 
 
 @dataclass(frozen=True)
@@ -134,60 +124,149 @@ class DatasetManifest:
         # initial training partition must be nonempty
         if not self.initial_training and (self.pool or self.validation or self.test):
             raise ValidationError("initial_training partition must be nonempty")
-        parts = {
-            "initial_training": self.initial_training,
-            "pool": self.pool,
-            "validation": self.validation,
-            "test": self.test,
-        }
         seen: dict[str, str] = {}
-        for name, ids in parts.items():
-            if len(set(ids)) != len(ids):
-                raise ValidationError(f"duplicate image ids within partition {name}")
-            for image_id in ids:
+        for name in PARTITIONS:
+            for image_id in getattr(self, name):
                 if image_id in seen:
-                    raise ValidationError(
-                        f"image id {image_id!r} appears in both {seen[image_id]} and {name}"
-                    )
+                    raise ValidationError(f"duplicate id {image_id!r} in {seen[image_id]} and {name}")
                 seen[image_id] = name
 
     @property
     def all_ids(self) -> frozenset[str]:
-        return frozenset(self.initial_training) | frozenset(self.pool) | frozenset(
-            self.validation
-        ) | frozenset(self.test)
+        return frozenset().union(*(getattr(self, name) for name in PARTITIONS))
 
 
 # ---------------------------------------------------------------------------
-# parsing helpers
+# reading helpers, shared by every reader of outside data
+
+# exact types, because JSON true and false load as bool, a subclass of int
+_NUMBER_TYPES = frozenset((int, float))
+_KIND_NAMES = {int: "an integer", float: "a number", str: "a string", list: "an array",
+               dict: "an object"}
 
 
-def _parse_box(raw, where: str) -> BoundingBox:
-    if not isinstance(raw, (list, tuple)) or len(raw) != 4:
-        raise FormatError(f"{where}: bbox must be a 4-element array, got {raw!r}")
+@contextmanager
+def _located(where: str):
+    """Prefix ``where`` (a file, ``file:line`` or an image) to a BoxalError raised in the block."""
     try:
-        return BoundingBox(*(float(v) for v in raw))
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{where}: {exc}") from exc
+        yield
+    except BoxalError as exc:
+        raise type(exc)(f"{where}: {exc}") from exc
 
 
-def _iter_jsonl(path: Path) -> Iterable[tuple[int, dict]]:
-    with open(path, "r", encoding="utf-8") as fh:
+def _field(record, key: str, kind: type):
+    """``record[key]``, which must hold a JSON value of type ``kind``; ``float`` admits integers."""
+    if type(record) is not dict:
+        raise FormatError(f"expected a JSON object, got {record!r:.80}")
+    if key not in record:
+        raise FormatError(f"missing field {key!r}")
+    value = record[key]
+    if type(value) is not kind and not (kind is float and type(value) is int):
+        raise FormatError(f"{key} must be {_KIND_NAMES[kind]}, got {value!r:.80}")
+    return value
+
+
+def _string_list(record, key: str) -> tuple[str, ...]:
+    values = _field(record, key, list)
+    if not all(type(v) is str for v in values):
+        raise FormatError(f"{key} must be an array of strings, got {values!r:.80}")
+    return tuple(values)
+
+
+def _floats(record, key: str) -> tuple[float, ...]:
+    """``record[key]``, an array of JSON numbers that each fit a float."""
+    values = _field(record, key, list)
+    try:
+        if _NUMBER_TYPES.issuperset(map(type, values)):
+            return tuple(map(float, values))
+    except OverflowError:  # an integer beyond the float range
+        pass
+    raise FormatError(f"{key} must be an array of numbers, got {values!r:.80}")
+
+
+def _box_field(record) -> BoundingBox:
+    coords = _floats(record, "bbox")
+    if len(coords) != 4:
+        raise FormatError(f"bbox must hold 4 numbers, got {len(coords)}")
+    return BoundingBox(*coords)
+
+
+def _iter_jsonl(path: Path) -> Iterable[tuple[int, object]]:
+    """(line number, JSON value) for each nonblank line of ``path``."""
+    with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
+            if not line.strip():
                 continue
             try:
                 record = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # also bytes that are not UTF-8
                 raise FormatError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-            if not isinstance(record, dict):
-                raise FormatError(f"{path}:{lineno}: expected a JSON object")
             yield lineno, record
+
+
+def _load_json(path: str | Path, parse: Callable):
+    """``parse`` applied to the JSON document in ``path``; errors name the file."""
+    with _located(str(path)):
+        try:
+            doc = json.loads(Path(path).read_bytes())
+        except ValueError as exc:
+            raise FormatError(f"invalid JSON: {exc}") from exc
+        return parse(doc)
+
+
+def _load_by_image(path: str | Path, parse: Callable) -> dict:
+    """``{image_id: parse(image_id, record)}`` over a line-delimited file of unique image ids."""
+    path = Path(path)
+    out = {}
+    for lineno, record in _iter_jsonl(path):
+        with _located(f"{path}:{lineno}"):
+            image_id = _field(record, "image_id", str)
+            if image_id in out:
+                raise ValidationError(f"duplicate image_id {image_id!r}")
+            out[image_id] = parse(image_id, record)
+    return out
+
+
+def _save_jsonl(records: Iterable[dict], path: str | Path) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        for record in records:
+            fh.write(json.dumps(record) + "\n")
 
 
 # ---------------------------------------------------------------------------
 # detections
+
+
+def _parse_detection(raw) -> Detection:
+    return Detection(_box_field(raw), _floats(raw, "scores"))
+
+
+def _parse_image_passes(image_id: str, record, expected_n: int | None, kappa: int | None) -> ImagePasses:
+    width = _field(record, "width", int)
+    height = _field(record, "height", int)
+    raw_passes = _field(record, "passes", list)
+    with _located(f"image {image_id!r}"):
+        if width <= 0 or height <= 0:
+            raise ValidationError(f"width/height must be positive, got {width}x{height}")
+        if expected_n is not None and len(raw_passes) != expected_n:
+            raise ValidationError(f"expected {expected_n} passes, got {len(raw_passes)}")
+        passes = []
+        for raw_pass in raw_passes:
+            if type(raw_pass) is not list:
+                raise FormatError(f"each pass must be an array, got {raw_pass!r:.80}")
+            dets = tuple(map(_parse_detection, raw_pass))
+            for det in dets:
+                b = det.box
+                if b.x_min < 0 or b.y_min < 0 or b.x_max > width or b.y_max > height:
+                    raise ValidationError(
+                        f"box {b.as_tuple()} outside image bounds [0,{width}]x[0,{height}]"
+                    )
+                if kappa is None:
+                    kappa = len(det.scores)  # the image's first vector sets the length
+                elif len(det.scores) != kappa:
+                    raise ValidationError(f"expected {kappa} scores, got {len(det.scores)}")
+            passes.append(dets)
+    return ImagePasses(image_id, width, height, tuple(passes))
 
 
 def load_image_passes(
@@ -195,66 +274,29 @@ def load_image_passes(
     expected_n: int | None = None,
     kappa: int | None = None,
 ) -> list[ImagePasses]:
-    """Load and validate a line-delimited detections file.
+    """Load and check a line-delimited detections file.
 
-    When given, ``expected_n`` enforces the run's pass count on every image
-    and ``kappa`` enforces the score-vector length.
+    Every image needs a positive integer size, unique id, boxes inside the
+    image and score vectors of one length. When given, ``expected_n``
+    enforces the run's pass count and ``kappa`` the score-vector length.
     """
-    path = Path(path)
-    out: list[ImagePasses] = []
-    seen: set[str] = set()
-    for lineno, record in _iter_jsonl(path):
-        where = f"{path}:{lineno}"
-        try:
-            image_id = record["image_id"]
-            width = record["width"]
-            height = record["height"]
-            raw_passes = record["passes"]
-        except KeyError as exc:
-            raise FormatError(f"{where}: missing field {exc}") from exc
-        if image_id in seen:
-            raise ValidationError(f"{where}: duplicate image_id {image_id!r}")
-        seen.add(image_id)
-        passes = []
-        for raw_pass in raw_passes:
-            dets = []
-            for raw_det in raw_pass:
-                box = _parse_box(raw_det.get("bbox"), f"{where} image {image_id!r}")
-                raw_scores = raw_det.get("scores")
-                if not isinstance(raw_scores, list):
-                    raise FormatError(f"{where} image {image_id!r}: scores must be an array")
-                try:
-                    det = Detection(box, tuple(float(s) for s in raw_scores))
-                except ValidationError as exc:
-                    raise ValidationError(f"{where} image {image_id!r}: {exc}") from exc
-                if kappa is not None and len(det.scores) != kappa:
-                    raise ValidationError(
-                        f"{where} image {image_id!r}: expected {kappa} scores, got {len(det.scores)}"
-                    )
-                dets.append(det)
-            passes.append(tuple(dets))
-        img = ImagePasses(image_id, int(width), int(height), tuple(passes))
-        if expected_n is not None and img.n_passes != expected_n:
-            raise ValidationError(
-                f"{where} image {image_id!r}: expected {expected_n} passes, got {img.n_passes}"
-            )
-        out.append(img)
-    return out
+    parse = partial(_parse_image_passes, expected_n=expected_n, kappa=kappa)
+    return list(_load_by_image(path, parse).values())
 
 
 def save_image_passes(images: Sequence[ImagePasses], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for img in images:
-            record = {
-                "image_id": img.image_id,
-                "width": img.width,
-                "height": img.height,
-                "passes": [
-                    [{"bbox": list(d.box.as_tuple()), "scores": list(d.scores)} for d in p]
-                    for p in img.passes
-                ],
-            }
-            fh.write(json.dumps(record) + "\n")
+    _save_jsonl((
+        {
+            "image_id": img.image_id,
+            "width": img.width,
+            "height": img.height,
+            "passes": [
+                [{"bbox": list(d.box.as_tuple()), "scores": list(d.scores)} for d in p]
+                for p in img.passes
+            ],
+        }
+        for img in images
+    ), path)
 
 
 def canonical_order(detections: Iterable[Detection]) -> list[Detection]:
@@ -268,10 +310,9 @@ def apply_thresholds(img: ImagePasses, confidence: float = 0.5, nms_iou: float =
     NMS visits detections in ``canonical_order`` and keeps one iff its IoU
     with every already-kept detection is below ``nms_iou``; kept detections
     stay in that visiting order. The pass count is unchanged and the
-    operation is idempotent.
+    operation is idempotent. Both thresholds lie in [0, 1], which
+    ``RunConfig`` checks.
     """
-    if not 0.0 <= confidence <= 1.0 or not 0.0 <= nms_iou <= 1.0:
-        raise ValidationError("thresholds must lie in [0, 1]")
     new_passes = []
     for pass_dets in img.passes:
         survivors = [d for d in pass_dets if d.max_score >= confidence]
@@ -287,76 +328,53 @@ def apply_thresholds(img: ImagePasses, confidence: float = 0.5, nms_iou: float =
 # ground truth
 
 
+def _parse_objects(raw_objects: list, kappa: int | None) -> tuple[tuple[BoundingBox, int], ...]:
+    """(box, category) pairs; categories are nonnegative, and below ``kappa`` when given."""
+    objects = []
+    for raw in raw_objects:
+        box = _box_field(raw)
+        category = _field(raw, "category", int)
+        if category < 0:
+            raise FormatError(f"category must be a nonnegative integer, got {category}")
+        if kappa is not None and category >= kappa:
+            raise ValidationError(f"category index {category} outside [0, {kappa})")
+        objects.append((box, category))
+    return tuple(objects)
+
+
 def load_ground_truth(path: str | Path, kappa: int | None = None) -> dict[str, GroundTruthImage]:
-    path = Path(path)
-    out: dict[str, GroundTruthImage] = {}
-    for lineno, record in _iter_jsonl(path):
-        where = f"{path}:{lineno}"
-        try:
-            image_id = record["image_id"]
-            raw_objects = record["objects"]
-        except KeyError as exc:
-            raise FormatError(f"{where}: missing field {exc}") from exc
-        if image_id in out:
-            raise ValidationError(f"{where}: duplicate image_id {image_id!r}")
-        objects = []
-        for raw in raw_objects:
-            box = _parse_box(raw.get("bbox"), f"{where} image {image_id!r}")
-            cat = raw.get("category")
-            if not isinstance(cat, int) or cat < 0:
-                raise FormatError(f"{where} image {image_id!r}: category must be a nonneg integer")
-            objects.append((box, cat))
-        gt = GroundTruthImage(image_id, tuple(objects))
-        if kappa is not None:
-            gt.validate_categories(kappa)
-        out[image_id] = gt
-    return out
+    return _load_by_image(path, lambda image_id, record: GroundTruthImage(
+        image_id, _parse_objects(_field(record, "objects", list), kappa)
+    ))
 
 
 def save_ground_truth(images: Mapping[str, GroundTruthImage], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for image_id in images:
-            gt = images[image_id]
-            record = {
-                "image_id": gt.image_id,
-                "objects": [
-                    {"bbox": list(box.as_tuple()), "category": cat} for box, cat in gt.objects
-                ],
-            }
-            fh.write(json.dumps(record) + "\n")
+    _save_jsonl((
+        {
+            "image_id": gt.image_id,
+            "objects": [{"bbox": list(box.as_tuple()), "category": cat} for box, cat in gt.objects],
+        }
+        for gt in images.values()
+    ), path)
 
 
 # ---------------------------------------------------------------------------
 # manifest
 
 
+def _parse_manifest(doc) -> DatasetManifest:
+    """A manifest from a JSON object holding ``categories`` and the four partitions."""
+    catalog = CategoryCatalog(_string_list(doc, "categories"))
+    return DatasetManifest(catalog, **{name: _string_list(doc, name) for name in PARTITIONS})
+
+
 def load_manifest(path: str | Path) -> DatasetManifest:
-    path = Path(path)
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: invalid JSON: {exc}") from exc
-    try:
-        return DatasetManifest(
-            catalog=CategoryCatalog(tuple(doc["categories"])),
-            initial_training=tuple(doc["initial_training"]),
-            pool=tuple(doc["pool"]),
-            validation=tuple(doc["validation"]),
-            test=tuple(doc["test"]),
-        )
-    except KeyError as exc:
-        raise FormatError(f"{path}: missing field {exc}") from exc
+    return _load_json(path, _parse_manifest)
 
 
 def save_manifest(manifest: DatasetManifest, path: str | Path) -> None:
-    doc = {
-        "categories": list(manifest.catalog.names),
-        "initial_training": list(manifest.initial_training),
-        "pool": list(manifest.pool),
-        "validation": list(manifest.validation),
-        "test": list(manifest.test),
-    }
+    doc = {"categories": list(manifest.catalog.names)}
+    doc.update((name, list(getattr(manifest, name))) for name in PARTITIONS)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")

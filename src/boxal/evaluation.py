@@ -14,15 +14,14 @@ function, implemented here with a Lentz-style continued fraction.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .data_io import CategoryCatalog, GroundTruthImage, _iter_jsonl
+from .data_io import CategoryCatalog, GroundTruthImage, _box_field, _field, _load_by_image, _save_jsonl
 from .errors import ValidationError
-from .geometry import BoundingBox, iou, mean_box
+from .geometry import BoundingBox, iou
 from .grouping import InstanceSet
 
 COCO_IOU_THRESHOLDS = tuple((50 + 5 * i) / 100.0 for i in range(10))
@@ -31,15 +30,11 @@ MAX_DETECTIONS_PER_IMAGE = 100
 
 @dataclass(frozen=True)
 class FinalPrediction:
-    """A single consolidated prediction: box, winning category, its score."""
+    """A single consolidated prediction: box, winning category, its score in [0, 1]."""
 
     box: BoundingBox
     category: int
     score: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.score <= 1.0:
-            raise ValidationError(f"prediction score must be in [0, 1], got {self.score}")
 
 
 @dataclass(frozen=True)
@@ -71,7 +66,7 @@ def consolidate(sets: Sequence[InstanceSet]) -> list[FinalPrediction]:
     """
     preds = []
     for instance_set in sets:
-        box = mean_box(instance_set.boxes)
+        box = instance_set.mean_box
         kappa = len(instance_set.members[0][1].scores)
         mean_scores = [
             sum(det.scores[j] for _, det in instance_set.members) / instance_set.size
@@ -215,39 +210,34 @@ def coco_map(
 # {"image_id": str, "predictions": [{"bbox": [x1,y1,x2,y2], "category": int, "score": f}]}
 
 
+def _parse_prediction(raw) -> FinalPrediction:
+    box = _box_field(raw)
+    category = _field(raw, "category", int)
+    score = _field(raw, "score", float)
+    if category < 0:
+        raise ValidationError(f"category must be nonnegative, got {category}")
+    if not 0.0 <= score <= 1.0:
+        raise ValidationError(f"prediction score must be in [0, 1], got {score}")
+    return FinalPrediction(box, category, float(score))
+
+
 def load_predictions(path: str | Path) -> dict[str, list[FinalPrediction]]:
-    out: dict[str, list[FinalPrediction]] = {}
-    for lineno, record in _iter_jsonl(Path(path)):
-        where = f"{path}:{lineno}"
-        image_id = record.get("image_id")
-        if image_id is None:
-            raise ValidationError(f"{where}: missing image_id")
-        if image_id in out:
-            raise ValidationError(f"{where}: duplicate image_id {image_id!r}")
-        preds = []
-        for raw in record.get("predictions", []):
-            preds.append(
-                FinalPrediction(
-                    BoundingBox(*(float(v) for v in raw["bbox"])),
-                    int(raw["category"]),
-                    float(raw["score"]),
-                )
-            )
-        out[image_id] = preds
-    return out
+    return _load_by_image(
+        path, lambda _, record: [_parse_prediction(raw) for raw in _field(record, "predictions", list)]
+    )
 
 
 def save_predictions(preds_by_image: Mapping[str, Sequence[FinalPrediction]], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for image_id, preds in preds_by_image.items():
-            record = {
-                "image_id": image_id,
-                "predictions": [
-                    {"bbox": list(p.box.as_tuple()), "category": p.category, "score": p.score}
-                    for p in preds
-                ],
-            }
-            fh.write(json.dumps(record) + "\n")
+    _save_jsonl((
+        {
+            "image_id": image_id,
+            "predictions": [
+                {"bbox": list(p.box.as_tuple()), "category": p.category, "score": p.score}
+                for p in preds
+            ],
+        }
+        for image_id, preds in preds_by_image.items()
+    ), path)
 
 
 # ---------------------------------------------------------------------------
@@ -261,33 +251,22 @@ def _beta_continued_fraction(a: float, b: float, x: float) -> float:
     qab = a + b
     qap = a + 1.0
     qam = a - 1.0
+
+    def floor(v: float) -> float:
+        return tiny if abs(v) < tiny else v
+
     c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < tiny:
-        d = tiny
-    d = 1.0 / d
+    d = 1.0 / floor(1.0 - qab * x / qap)
     h = d
     for m in range(1, 400):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
+        # the even then the odd step of the fraction's m-th pair of terms
+        for aa in (m * (b - m) * x / ((qam + m2) * (a + m2)),
+                   -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))):
+            d = 1.0 / floor(1.0 + aa * d)
+            c = floor(1.0 + aa / c)
+            delta = d * c
+            h *= delta
         if abs(delta - 1.0) < eps:
             return h
     raise ArithmeticError(f"incomplete beta continued fraction failed to converge (a={a}, b={b}, x={x})")

@@ -15,9 +15,11 @@ holds more than one member per pass (so set sizes never exceed n).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
+from . import geometry
 from .data_io import Detection, ImagePasses, canonical_order
-from .geometry import iou
+from .geometry import BoundingBox, iou
 
 
 @dataclass(frozen=True)
@@ -34,6 +36,11 @@ class InstanceSet:
     @property
     def boxes(self):
         return tuple(det.box for _, det in self.members)
+
+    @cached_property
+    def mean_box(self) -> BoundingBox:
+        """The members' mean box, computed once and read by spatial certainty and consolidation."""
+        return geometry.mean_box(self.boxes)
 
 
 def group_passes(img: ImagePasses, match_iou: float = 0.5) -> list[InstanceSet]:

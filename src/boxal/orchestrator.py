@@ -31,10 +31,11 @@ from __future__ import annotations
 import csv
 import json
 import os
+import socket
 import time
 from abc import ABC, abstractmethod
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -45,6 +46,9 @@ from .data_io import (
     DatasetManifest,
     GroundTruthImage,
     ImagePasses,
+    _field,
+    _load_json,
+    _string_list,
     apply_thresholds,
     load_ground_truth,
     load_image_passes,
@@ -53,7 +57,7 @@ from .data_io import (
     save_image_passes,
     save_manifest,
 )
-from .errors import AdapterError, BoxalError, ValidationError
+from .errors import AdapterError, BoxalError, FormatError, ValidationError
 from .evaluation import (
     FinalPrediction,
     TTestResult,
@@ -81,16 +85,16 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.passes_n < 2:
-            raise ValidationError(f"passes_n must be >= 2, got {self.passes_n}")
-        if self.iterations < 1:
-            raise ValidationError(f"iterations must be >= 1, got {self.iterations}")
-        if self.batch_size < 1:
-            raise ValidationError(f"batch_size must be >= 1, got {self.batch_size}")
+        # bool is a subclass of int, and JSON true/false load as bool
+        for name, low in (("passes_n", 2), ("batch_size", 1), ("iterations", 1),
+                          ("epoch_base", 0), ("epoch_increment", 0), ("seed", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool) or value < low:
+                raise ValidationError(f"{name} must be an integer >= {low}, got {value!r}")
         for name in ("dropout_p", "confidence", "nms_iou", "match_iou"):
             value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValidationError(f"{name} must be in [0, 1], got {value}")
+            if not isinstance(value, (int, float)) or isinstance(value, bool) or not 0.0 <= value <= 1.0:
+                raise ValidationError(f"{name} must be a number in [0, 1], got {value!r}")
         if self.strategy not in sampling.STRATEGIES:
             raise ValidationError(f"unknown strategy {self.strategy!r}")
 
@@ -98,24 +102,13 @@ class RunConfig:
         return self.epoch_base + self.epoch_increment * iteration
 
     def to_dict(self) -> dict:
-        return {
-            "passes_n": self.passes_n,
-            "dropout_p": self.dropout_p,
-            "confidence": self.confidence,
-            "nms_iou": self.nms_iou,
-            "match_iou": self.match_iou,
-            "batch_size": self.batch_size,
-            "iterations": self.iterations,
-            "epoch_base": self.epoch_base,
-            "epoch_increment": self.epoch_increment,
-            "strategy": self.strategy,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, doc: Mapping) -> "RunConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(doc) - known
+        if not isinstance(doc, Mapping):
+            raise FormatError(f"config must be a JSON object, got {doc!r:.80}")
+        unknown = set(doc) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValidationError(f"unknown config keys: {sorted(unknown)}")
         return cls(**doc)
@@ -128,11 +121,6 @@ class ActiveLearningState:
     pool_ids: tuple[str, ...]
     history: tuple[dict, ...] = ()
 
-    def __post_init__(self) -> None:
-        overlap = set(self.training_ids) & set(self.pool_ids)
-        if overlap:
-            raise ValidationError(f"training set and pool overlap: {sorted(overlap)[:5]}")
-
     def to_dict(self) -> dict:
         return {
             "iteration": self.iteration,
@@ -143,12 +131,13 @@ class ActiveLearningState:
 
     @classmethod
     def from_dict(cls, doc: Mapping) -> "ActiveLearningState":
-        return cls(
-            iteration=int(doc["iteration"]),
-            training_ids=tuple(doc["training_ids"]),
-            pool_ids=tuple(doc["pool_ids"]),
-            history=tuple(doc["history"]),
-        )
+        """The state in ``doc``; the training set and the pool must be disjoint."""
+        state = cls(_field(doc, "iteration", int), _string_list(doc, "training_ids"),
+                    _string_list(doc, "pool_ids"), tuple(_field(doc, "history", list)))
+        overlap = set(state.training_ids) & set(state.pool_ids)
+        if overlap:
+            raise ValidationError(f"training set and pool overlap: {sorted(overlap)[:5]}")
+        return state
 
 
 # ---------------------------------------------------------------------------
@@ -200,8 +189,7 @@ class SimulatorDetectorAdapter(DetectorAdapter):
         self.save_skill(skill, 0)
 
     def fulfill_detection_request(self, request_path: Path, output_path: Path) -> None:
-        with open(request_path, "r", encoding="utf-8") as fh:
-            request = json.load(fh)
+        request = json.loads(request_path.read_text(encoding="utf-8"))
         skill = self.load_skill(request["iteration"])
         images = [
             simulate_passes(
@@ -219,8 +207,7 @@ class SimulatorDetectorAdapter(DetectorAdapter):
         Path(str(output_path) + ".done").touch()
 
     def fulfill_training_request(self, request_path: Path) -> None:
-        with open(request_path, "r", encoding="utf-8") as fh:
-            request = json.load(fh)
+        request = json.loads(request_path.read_text(encoding="utf-8"))
         iteration = request["iteration"]
         skill = self.load_skill(iteration - 1)
         gt = self.world.ground_truth()
@@ -255,32 +242,51 @@ class FileWaitAdapter(DetectorAdapter):
 # run directory plumbing
 
 
-def _atomic_write_json(doc: dict, path: Path) -> None:
+def _atomic_write(text: str, path: Path) -> None:
     tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+    tmp.write_text(text, encoding="utf-8")
     os.replace(tmp, path)
+
+
+def _atomic_write_json(doc: dict, path: Path) -> None:
+    _atomic_write(json.dumps(doc, indent=1) + "\n", path)
 
 
 def _write_id_file(ids: Sequence[str], path: Path) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        for image_id in ids:
-            fh.write(image_id + "\n")
-    os.replace(tmp, path)
+    _atomic_write("".join(image_id + "\n" for image_id in ids), path)
+
+
+def _lock_is_stale(lock_path: Path) -> bool:
+    """True when the lock names a process of this host that is no longer running."""
+    try:
+        pid, _, host = lock_path.read_text(encoding="utf-8").strip().partition(" ")
+        if host == socket.gethostname():
+            os.kill(int(pid), 0)
+    except ProcessLookupError:
+        return True
+    except (OSError, ValueError):  # removed, still being written, or alive under another user
+        pass
+    return False
 
 
 @contextmanager
 def run_lock(run_dir: Path):
-    """Exclusive ownership of a run directory via an O_EXCL lock file."""
+    """Exclusive ownership of a run directory via an O_EXCL lock file holding ``<pid> <host>``.
+
+    A lock left by a dead process of this host is replaced, so a rerun after a kill
+    resumes; two processes replacing the same dead lock at once can both succeed.
+    """
     lock_path = run_dir / "LOCK"
+    for attempt in range(2):
+        try:
+            fd = os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+            break
+        except FileExistsError:
+            if attempt or not _lock_is_stale(lock_path):
+                raise BoxalError(f"run directory is locked by another process: {lock_path}") from None
+            lock_path.unlink(missing_ok=True)
     try:
-        fd = os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
-        raise BoxalError(f"run directory is locked by another process: {lock_path}") from None
-    try:
-        os.write(fd, f"{os.getpid()}\n".encode())
+        os.write(fd, f"{os.getpid()} {socket.gethostname()}\n".encode())
         os.close(fd)
         yield
     finally:
@@ -305,13 +311,11 @@ def load_state(run_dir: str | Path, iteration: int | None = None) -> ActiveLearn
         if not files:
             raise BoxalError(f"no persisted state under {run_dir / 'state'}")
         iteration = max(int(f.stem.split("_")[1]) for f in files)
-    with open(state_path(run_dir, iteration), "r", encoding="utf-8") as fh:
-        return ActiveLearningState.from_dict(json.load(fh))
+    return _load_json(state_path(run_dir, iteration), ActiveLearningState.from_dict)
 
 
 def load_config(run_dir: str | Path) -> RunConfig:
-    with open(Path(run_dir) / "config.json", "r", encoding="utf-8") as fh:
-        return RunConfig.from_dict(json.load(fh))
+    return _load_json(Path(run_dir) / "config.json", RunConfig.from_dict)
 
 
 def init_run(
@@ -499,7 +503,6 @@ def _run_iteration_locked(
         "metrics": metrics,
         "f1_sampled": sampled_f1,
         "f1_remaining": remaining_f1,
-        "timestamp": datetime.now(timezone.utc).isoformat(),
     }
     new_state = ActiveLearningState(
         iteration=i + 1,

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -22,10 +22,16 @@ import numpy as np
 
 from .data_io import (
     CategoryCatalog,
+    PARTITIONS,
     DatasetManifest,
     Detection,
     GroundTruthImage,
     ImagePasses,
+    _field,
+    _load_json,
+    _located,
+    _parse_manifest,
+    _parse_objects,
     apply_thresholds,
 )
 from .errors import ValidationError
@@ -78,29 +84,11 @@ class SkillState:
         return sum(self.skill(c) for c in range(len(self.exposures))) / len(self.exposures)
 
     def to_dict(self) -> dict:
-        return {
-            "exposures": list(self.exposures),
-            "half_saturation": self.half_saturation,
-            "jitter_sigma": self.jitter_sigma,
-            "fp_rate": self.fp_rate,
-            "p_lo": self.p_lo,
-            "p_hi": self.p_hi,
-            "noise_concentration": self.noise_concentration,
-            "fp_concentration": self.fp_concentration,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SkillState":
-        return cls(
-            exposures=tuple(int(e) for e in doc["exposures"]),
-            half_saturation=float(doc["half_saturation"]),
-            jitter_sigma=float(doc["jitter_sigma"]),
-            fp_rate=float(doc["fp_rate"]),
-            p_lo=float(doc["p_lo"]),
-            p_hi=float(doc["p_hi"]),
-            noise_concentration=float(doc["noise_concentration"]),
-            fp_concentration=float(doc["fp_concentration"]),
-        )
+        return cls(**{**doc, "exposures": tuple(doc["exposures"])})
 
     @classmethod
     def fresh(cls, kappa: int, **overrides) -> "SkillState":
@@ -188,12 +176,7 @@ def save_world(world: SyntheticWorld, path: str | Path) -> None:
     doc = {
         "seed": world.seed,
         "categories": list(world.catalog.names),
-        "manifest": {
-            "initial_training": list(world.manifest.initial_training),
-            "pool": list(world.manifest.pool),
-            "validation": list(world.manifest.validation),
-            "test": list(world.manifest.test),
-        },
+        "manifest": {name: list(getattr(world.manifest, name)) for name in PARTITIONS},
         "images": [
             {
                 "image_id": img.image_id,
@@ -212,27 +195,33 @@ def save_world(world: SyntheticWorld, path: str | Path) -> None:
         fh.write("\n")
 
 
-def load_world(path: str | Path) -> SyntheticWorld:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    catalog = CategoryCatalog(tuple(doc["categories"]))
+def _parse_world(doc) -> SyntheticWorld:
+    manifest_doc = {**_field(doc, "manifest", dict), "categories": _field(doc, "categories", list)}
+    manifest = _parse_manifest(manifest_doc)
     images = {}
-    for raw in doc["images"]:
-        objects = tuple(
-            (BoundingBox(*obj["bbox"]), int(obj["category"])) for obj in raw["objects"]
-        )
-        images[raw["image_id"]] = WorldImage(
-            raw["image_id"], int(raw["width"]), int(raw["height"]), float(raw["difficulty"]), objects
-        )
-    m = doc["manifest"]
-    manifest = DatasetManifest(
-        catalog=catalog,
-        initial_training=tuple(m["initial_training"]),
-        pool=tuple(m["pool"]),
-        validation=tuple(m["validation"]),
-        test=tuple(m["test"]),
-    )
-    return SyntheticWorld(catalog, images, manifest, int(doc["seed"]))
+    for raw in _field(doc, "images", list):
+        image_id = _field(raw, "image_id", str)
+        with _located(f"image {image_id!r}"):
+            if image_id in images:
+                raise ValidationError("duplicate image_id")
+            width = _field(raw, "width", int)
+            height = _field(raw, "height", int)
+            difficulty = _field(raw, "difficulty", float)
+            if width <= 0 or height <= 0 or not 0.0 <= difficulty <= 1.0:
+                raise ValidationError(
+                    f"size must be positive and difficulty in [0, 1], got {width}x{height}, {difficulty}"
+                )
+            objects = _parse_objects(_field(raw, "objects", list), len(manifest.catalog))
+        images[image_id] = WorldImage(image_id, width, height, float(difficulty), objects)
+    missing = manifest.all_ids - images.keys()
+    if missing:
+        raise ValidationError(f"{len(missing)} manifest ids have no image, e.g. {sorted(missing)[:3]}")
+    return SyntheticWorld(manifest.catalog, images, manifest, _field(doc, "seed", int))
+
+
+def load_world(path: str | Path) -> SyntheticWorld:
+    """Load a world file; object categories must lie in its catalog."""
+    return _load_json(path, _parse_world)
 
 
 def _pass_rng(pass_seed: int, image_id: str, pass_index: int) -> np.random.Generator:
@@ -305,11 +294,9 @@ def simulate_passes(
 
 
 def train_update(skill: SkillState, newly_annotated: Iterable[GroundTruthImage]) -> SkillState:
-    """Add the annotated instances of the sampled images to the exposure counts."""
+    """Add the sampled images' annotated instances (categories in the catalog) to the exposure counts."""
     exposures = list(skill.exposures)
     for gt in newly_annotated:
         for _, category in gt.objects:
-            if not 0 <= category < len(exposures):
-                raise ValidationError(f"{gt.image_id}: category {category} outside catalog")
             exposures[category] += 1
     return replace(skill, exposures=tuple(exposures))

@@ -43,17 +43,28 @@ class TestSimulateRun:
         b = simulate(tmp_path, name="b")
         assert (a / "log.csv").read_bytes() == (b / "log.csv").read_bytes()
 
-    def test_criterion_8_log_digest_is_pinned(self, tmp_path):
-        # the criterion-8 run; its log.csv must not change between versions
-        run_dir = tmp_path / "c8"
+    @staticmethod
+    def criterion_8(run_dir):
         assert run_cli(
             "simulate-run", "--out", run_dir,
             "--images", 120, "--categories", 4,
             "--initial-training", 15, "--validation", 5, "--test", 15,
             "--passes-n", 5, "--batch-size", 20, "--iterations", 3, "--seed", 9,
         ) == 0
+        return run_dir
+
+    def test_criterion_8_log_digest_is_pinned(self, tmp_path):
+        # the criterion-8 run; its log.csv must not change between versions
+        run_dir = self.criterion_8(tmp_path / "c8")
         digest = hashlib.sha256((run_dir / "log.csv").read_bytes()).hexdigest()
         assert digest == "ded232a06095689721b36d081f92fdce127dfc81c7ec51b05dcc40f6ef688fd5"
+
+    def test_criterion_8_state_files_identical(self, tmp_path):
+        a = self.criterion_8(tmp_path / "a")
+        b = self.criterion_8(tmp_path / "b")
+        for i in (1, 2, 3):
+            name = f"state/iter_{i}.json"
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
 class TestInitIterateLoop:

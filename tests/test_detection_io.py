@@ -64,20 +64,32 @@ class TestDetection:
 
 
 class TestImagePasses:
-    def test_box_outside_bounds_rejected(self):
-        with pytest.raises(ValidationError):
-            ImagePasses("x", 100, 100, ((det(0, 0, 120, 10, (1.0, 0.0)),),))
+    """The image-level rules, which ``load_image_passes`` checks on each line."""
 
-    def test_inconsistent_score_lengths_rejected(self):
-        with pytest.raises(ValidationError):
-            ImagePasses(
-                "x", 100, 100,
-                ((det(0, 0, 10, 10, (1.0, 0.0)), det(0, 0, 10, 10, (1.0, 0.0, 0.0))),),
-            )
+    @staticmethod
+    def load_second_line(tmp_path, record):
+        p = tmp_path / "d.jsonl"
+        good = {"image_id": "ok", "width": 50, "height": 50, "passes": []}
+        p.write_text(json.dumps(good) + "\n" + json.dumps(record) + "\n")
+        with pytest.raises(ValidationError) as excinfo:
+            load_image_passes(p)
+        assert f"{p}:2: image 'x'" in str(excinfo.value)
+        return str(excinfo.value)
 
-    def test_nonpositive_size_rejected(self):
-        with pytest.raises(ValidationError):
-            ImagePasses("x", 0, 100, ())
+    def test_box_outside_bounds_rejected(self, tmp_path):
+        record = {"image_id": "x", "width": 100, "height": 100,
+                  "passes": [[{"bbox": [0, 0, 120, 10], "scores": [1.0, 0.0]}]]}
+        assert "outside image bounds" in self.load_second_line(tmp_path, record)
+
+    def test_inconsistent_score_lengths_rejected(self, tmp_path):
+        record = {"image_id": "x", "width": 100, "height": 100,
+                  "passes": [[{"bbox": [0, 0, 10, 10], "scores": [1.0, 0.0]},
+                              {"bbox": [0, 0, 10, 10], "scores": [1.0, 0.0, 0.0]}]]}
+        assert "expected 2 scores, got 3" in self.load_second_line(tmp_path, record)
+
+    def test_nonpositive_size_rejected(self, tmp_path):
+        record = {"image_id": "x", "width": 0, "height": 100, "passes": []}
+        assert "positive" in self.load_second_line(tmp_path, record)
 
 
 class TestDetectionsFile:
@@ -256,11 +268,6 @@ class TestApplyThresholds:
         assert iou(a.box, b.box) > 0.3
         out = apply_thresholds(ImagePasses("a", 100, 100, ((a, b),)), 0.5, 0.3)
         assert out.passes == ((a,),)
-
-    def test_invalid_thresholds_rejected(self):
-        img = ImagePasses("a", 10, 10, ())
-        with pytest.raises(ValidationError):
-            apply_thresholds(img, 1.5, 0.3)
 
     @settings(max_examples=60)
     @given(st.integers(0, 2**32 - 1), st.integers(0, 10), st.integers(1, 10))

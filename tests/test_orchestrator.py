@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import socket
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -63,6 +67,8 @@ class TestRunConfig:
     @pytest.mark.parametrize("kw", [
         dict(passes_n=1), dict(iterations=0), dict(batch_size=0),
         dict(confidence=1.5), dict(strategy="entropy"),
+        dict(nms_iou=-0.1), dict(nms_iou=1.5),
+        dict(passes_n="15"), dict(passes_n=15.5), dict(seed="x"), dict(batch_size=True),
     ])
     def test_invalid_config_rejected(self, kw):
         with pytest.raises(ValidationError):
@@ -77,8 +83,9 @@ class TestRunConfig:
 
 class TestActiveLearningState:
     def test_overlap_rejected(self):
-        with pytest.raises(ValidationError):
-            ActiveLearningState(0, ("a", "b"), ("b", "c"))
+        doc = {"iteration": 0, "training_ids": ["a", "b"], "pool_ids": ["b", "c"], "history": []}
+        with pytest.raises(ValidationError, match="overlap"):
+            ActiveLearningState.from_dict(doc)
 
     def test_round_trip(self):
         s = ActiveLearningState(2, ("a",), ("b",), ({"iteration": 0},))
@@ -290,6 +297,26 @@ class TestRunLock:
         # released on exit
         with run_lock(run_dir):
             pass
+
+    def test_dead_owner_is_replaced(self, tmp_path):
+        child = subprocess.run([sys.executable, "-c", "import os; print(os.getpid())"],
+                               capture_output=True, text=True, check=True)
+        (tmp_path / "LOCK").write_text(f"{child.stdout.strip()} {socket.gethostname()}\n")
+        with run_lock(tmp_path):
+            assert (tmp_path / "LOCK").read_text() == f"{os.getpid()} {socket.gethostname()}\n"
+        assert not (tmp_path / "LOCK").exists()
+
+    @pytest.mark.parametrize("owner", [
+        f"{os.getpid()} {socket.gethostname()}",  # alive on this host
+        f"{os.getpid()} not-{socket.gethostname()}",  # another host: cannot be checked
+        "",  # still being written
+    ])
+    def test_live_or_unknown_owner_blocks(self, tmp_path, owner):
+        (tmp_path / "LOCK").write_text(owner)
+        with pytest.raises(BoxalError, match="locked"):
+            with run_lock(tmp_path):
+                pass
+        assert (tmp_path / "LOCK").read_text() == owner
 
 
 class TestFileWaitAdapter:

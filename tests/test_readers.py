@@ -1,0 +1,245 @@
+"""Every reader of outside data lets only BoxalError out, naming the file (and line).
+
+Each reader gets a valid input, then inputs mutated from it: a value
+replaced by NaN, infinity, a wrong type or a non-object, a key or element
+deleted, a record or id duplicated, a score vector lengthened (wrong kappa).
+The probes of ``PROBES`` are fixed mutations that earlier versions let
+through or crashed on; the CLI commands that read them must exit 2.
+"""
+
+import copy
+import csv
+import json
+import math
+import re
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from boxal.cli import _read_column, _read_ranking, main
+from boxal.data_io import load_ground_truth, load_image_passes, load_manifest
+from boxal.errors import BoxalError
+from boxal.evaluation import load_predictions
+from boxal.orchestrator import RunConfig, load_config
+from boxal.simulator import generate_world, load_world, save_world
+
+DET = {"bbox": [1.0, 2.0, 11.0, 12.0], "scores": [0.7, 0.3]}
+VALID = {
+    "detections": [
+        {"image_id": "x1", "width": 50, "height": 40, "passes": [[DET], []]},
+        {"image_id": "x2", "width": 50, "height": 40, "passes": [[DET], [DET]]},
+    ],
+    "ground_truth": [
+        {"image_id": "x1", "objects": [{"bbox": [1, 2, 11, 12], "category": 0}]},
+        {"image_id": "x2", "objects": [{"bbox": [5, 5, 25, 30], "category": 1}]},
+    ],
+    "predictions": [
+        {"image_id": "x1", "predictions": [{"bbox": [1, 2, 11, 12], "category": 0, "score": 0.9}]},
+        {"image_id": "x2", "predictions": [{"bbox": [5, 5, 25, 30], "category": 1, "score": 0.8}]},
+    ],
+    "manifest": {"categories": ["cat_a", "cat_b"], "initial_training": ["t1"], "pool": ["p1"],
+                 "validation": [], "test": ["x1", "x2"]},
+    "config": RunConfig().to_dict(),
+    "ranking": [["image_id", "c_min", "set_count"], ["p1", "0.25", "2"], ["p2", "0.5", "1"]],
+    "column": [["f1"], ["0.5"], ["0.6"], ["0.7"], ["0.9"]],
+}
+
+
+def _world_doc(tmp_path_factory):
+    path = tmp_path_factory.mktemp("world") / "world.json"
+    save_world(generate_world(seed=1, image_count=6, kappa=2, initial_training=1,
+                              validation=1, test=1), path)
+    return json.loads(path.read_text())
+
+
+def _write_jsonl(path, records):
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+
+
+def _write_json(path, doc):
+    path.write_text(json.dumps(doc))
+
+
+def _write_csv(path, rows):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+
+
+# name -> (file name, writer, reader, whether errors name a line)
+READERS = {
+    "detections": ("d.jsonl", _write_jsonl, lambda p: load_image_passes(p, 2, 2), True),
+    "ground_truth": ("gt.jsonl", _write_jsonl, lambda p: load_ground_truth(p, kappa=2), True),
+    "predictions": ("preds.jsonl", _write_jsonl, load_predictions, True),
+    "manifest": ("manifest.json", _write_json, load_manifest, False),
+    "world": ("world.json", _write_json, load_world, False),
+    "config": ("config.json", _write_json, lambda p: load_config(p.parent), False),
+    "ranking": ("ranking.csv", _write_csv, _read_ranking, True),
+    "column": ("column.csv", _write_csv, _read_column, True),
+}
+JUNK = [math.nan, math.inf, -math.inf, None, True, False, 0, -3, 1.5, 50.7, 10**30, 10**400,
+        "", "abc", "15", [], [1], {}, {"x": 1}]
+CSV_JUNK = ["nan", "inf", "-1", "2", "1e999", "", "abc", "0.5"]
+DELETE = object()
+
+
+def _paths(value, prefix=()):
+    yield prefix
+    if isinstance(value, dict):
+        for key, child in value.items():
+            yield from _paths(child, prefix + (key,))
+    elif isinstance(value, list):
+        for i, child in enumerate(value):
+            yield from _paths(child, prefix + (i,))
+
+
+def _mutated(doc, path, action, junk):
+    """A copy of ``doc`` with the value at ``path`` replaced, deleted or duplicated."""
+    doc = json.loads(json.dumps(doc))  # a copy in which the records share no DET dict
+    if not path:
+        return junk
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    key = path[-1]
+    if action is DELETE:
+        del parent[key]
+    elif action == "duplicate" and isinstance(parent, list):
+        parent.insert(key, copy.deepcopy(parent[key]))
+    else:
+        parent[key] = junk
+    return doc
+
+
+def _check(name, path, doc):
+    """Read ``doc`` written to ``path``; any error must be a BoxalError that locates itself."""
+    _, write, read, by_line = READERS[name]
+    write(path, doc)
+    try:
+        read(path)
+    except BoxalError as exc:
+        message = str(exc)
+        assert re.match(re.escape(str(path)) + (r":\d+: " if by_line else ": "), message), message
+        return message
+    return None
+
+
+@pytest.fixture(scope="module")
+def valid(tmp_path_factory):
+    return dict(VALID, world=_world_doc(tmp_path_factory))
+
+
+@pytest.mark.parametrize("name", sorted(READERS))
+def test_valid_input_reads(name, valid, tmp_path):
+    assert _check(name, tmp_path / READERS[name][0], valid[name]) is None
+
+
+@pytest.mark.parametrize("name", sorted(READERS))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_mutated_input_raises_only_boxal_errors(name, valid, tmp_path_factory, data):
+    doc = valid[name]
+    is_csv = name in ("ranking", "column")
+    # a JSONL or CSV file stays a list of records or rows; a CSV row or cell is what changes
+    paths = [p for p in _paths(doc) if (p or not READERS[name][3]) and not (is_csv and len(p) > 2)]
+    path = data.draw(st.sampled_from(paths), label="path")
+    action = data.draw(st.sampled_from(["replace", "duplicate", DELETE]) if path else st.just("replace"))
+    junk = data.draw(st.sampled_from(CSV_JUNK if is_csv else JUNK))
+    if is_csv and len(path) == 1 and action == "replace":
+        junk = [junk]  # a row is a list of cells
+    target = tmp_path_factory.mktemp(name) / READERS[name][0]
+    _check(name, target, _mutated(doc, path, action, junk))
+
+
+# (reader, path into the valid input, new value or DELETE)
+PROBES = [
+    ("detections", (1, "width"), "abc"),
+    ("detections", (1, "passes"), 5),
+    ("detections", (1, "image_id"), [1]),
+    ("detections", (1, "passes", 0, 0), "x"),
+    ("detections", (1, "width"), 50.7),
+    ("detections", (1, "width"), True),
+    ("detections", (1, "passes", 1, 0, "scores"), [0.7, 0.3, 0.0]),
+    ("detections", (1, "passes", 1, 0, "scores"), [math.nan, math.nan]),
+    ("detections", (1, "image_id"), "x1"),
+    ("ground_truth", (1, "objects", 0), "x"),
+    ("ground_truth", (1, "objects"), 3),
+    ("ground_truth", (1, "objects", 0, "category"), True),
+    ("ground_truth", (1, "objects", 0, "category"), 2),
+    ("manifest", ("pool",), 5),
+    ("manifest", (), ["a"]),
+    ("manifest", ("categories",), "ab"),
+    ("manifest", ("pool",), ["x1"]),
+    ("predictions", (1, "predictions", 0, "bbox"), DELETE),
+    ("predictions", (1, "predictions", 0, "category"), "x"),
+    ("predictions", (1, "predictions", 0, "category"), -3),
+    ("predictions", (1, "predictions", 0, "score"), math.inf),
+    ("config", ("passes_n",), "15"),
+    ("config", ("passes_n",), 15.5),
+    ("config", ("seed",), "x"),
+    ("config", ("batch_size",), True),
+    ("config", ("nms_iou",), math.nan),
+    ("ranking", (0, 1), "score"),
+    ("ranking", (1, 1), "nan"),
+    ("column", (2, 0), "abc"),
+]
+
+
+def _probe(probe, valid, tmp_path):
+    name, path, value = probe
+    action = DELETE if value is DELETE else "replace"
+    target = tmp_path / READERS[name][0]
+    message = _check(name, target, _mutated(valid[name], path, action, value))
+    assert message is not None, f"{name} accepted {value!r} at {path}"
+    if READERS[name][3]:
+        assert message.startswith(f"{target}:{path[0] + 1}: "), message
+    return target
+
+
+@pytest.mark.parametrize("probe", PROBES, ids=lambda p: f"{p[0]}-{'-'.join(map(str, p[1]))}")
+def test_probe_rejected_with_location(probe, valid, tmp_path):
+    _probe(probe, valid, tmp_path)
+
+
+def _cli(tmp_path, valid, name, target):
+    """The command that reads the probed file, with valid files for its other inputs."""
+    files = {}
+    for other in ("manifest", "ground_truth", "predictions", "column"):
+        files[other] = tmp_path / f"valid_{READERS[other][0]}"
+        READERS[other][1](files[other], valid[other])
+    files[name] = target
+    if name in ("manifest", "ground_truth", "predictions"):
+        return ["evaluate", "--predictions", files["predictions"],
+                "--ground-truth", files["ground_truth"], "--manifest", files["manifest"]]
+    if name == "ranking":
+        return ["sample", "--strategy", "min_certainty", "--ranking", target, "--n", 1]
+    if name == "column":
+        return ["ttest", target, files["column"]]
+    return ["init", "--manifest", files["manifest"], "--config", target, "--out", tmp_path / "run"]
+
+
+CLI_PROBES = [p for p in PROBES if p[0] != "detections"]
+
+
+@pytest.mark.parametrize("probe", CLI_PROBES, ids=lambda p: f"{p[0]}-{'-'.join(map(str, p[1]))}")
+def test_cli_exits_2_on_probe(probe, valid, tmp_path, capsys):
+    target = _probe(probe, valid, tmp_path)
+    capsys.readouterr()
+    assert main([str(a) for a in _cli(tmp_path, valid, probe[0], target)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(target) in err, err
+
+
+@pytest.mark.parametrize("name", ["manifest", "ranking", "column", "config"])
+def test_cli_accepts_valid_input(name, valid, tmp_path):
+    target = tmp_path / READERS[name][0]
+    READERS[name][1](target, valid[name])
+    assert main([str(a) for a in _cli(tmp_path, valid, name, target)]) == 0
+
+
+@pytest.mark.parametrize("flags", [["--passes-n", "1"], ["--confidence", "nan"], ["--seed", "-1"]])
+def test_cli_flag_out_of_range_exits_2(flags, valid, tmp_path, capsys):
+    manifest = tmp_path / "manifest.json"
+    _write_json(manifest, valid["manifest"])
+    assert main(["init", "--manifest", str(manifest), "--out", str(tmp_path / "run"), *flags]) == 2
+    assert capsys.readouterr().err.startswith("error: ")

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -88,6 +90,16 @@ class TestGenerateWorld:
         assert loaded.images == world.images
         assert loaded.manifest == world.manifest
         assert loaded.seed == world.seed
+
+    def test_load_world_bad_category(self, tmp_path):
+        path = tmp_path / "world.json"
+        save_world(generate_world(seed=21, image_count=10, kappa=2), path)
+        doc = json.loads(path.read_text())
+        doc["images"][3]["objects"] = [{"bbox": [0, 0, 10, 10], "category": 5}]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match="category index 5") as excinfo:
+            load_world(path)
+        assert str(excinfo.value).startswith(f"{path}: image ")
 
 
 class TestSimulatePasses:
@@ -213,9 +225,3 @@ class TestSkillState:
         updated = train_update(s, [gt])
         assert updated.skill(0) >= s.skill(0)
         assert updated.skill(1) == s.skill(1)
-
-    def test_train_update_bad_category(self):
-        s = SkillState.fresh(2)
-        gt = GroundTruthImage("a", ((BoundingBox(0, 0, 10, 10), 5),))
-        with pytest.raises(ValidationError):
-            train_update(s, [gt])
