@@ -40,7 +40,6 @@ from .orchestrator import (
     FileWaitAdapter,
     RunConfig,
     SimulatorDetectorAdapter,
-    compare_sampled_vs_remaining,
     init_run,
     run_iteration,
     run_loop,

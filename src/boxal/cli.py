@@ -17,13 +17,21 @@ from dataclasses import replace
 from pathlib import Path
 
 from .certainty import CertaintyTriple, image_certainty
-from .data_io import _load_json, apply_thresholds, load_ground_truth, load_image_passes, load_manifest
+from .data_io import (
+    _load_json,
+    _open_input,
+    apply_thresholds,
+    load_ground_truth,
+    load_image_passes,
+    load_manifest,
+)
 from .errors import BoxalError, FormatError, ValidationError
 from .evaluation import coco_map, load_predictions, ttest_two_sided
 from .orchestrator import (
     FileWaitAdapter,
     RunConfig,
     SimulatorDetectorAdapter,
+    _fmt,
     init_run,
     load_config,
     run_iteration,
@@ -55,7 +63,7 @@ def _build_config(args: argparse.Namespace, config_path: str | None) -> RunConfi
 def _csv_rows(path: str) -> list[tuple[int, list[str]]]:
     """(line number, fields) of each nonblank CSV row; unreadable rows are a FormatError."""
     rows = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with _open_input(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
             for row in reader:
@@ -93,12 +101,25 @@ def _read_ranking(path: str) -> list[tuple[str, float]]:
     return list(ranking.items())
 
 
+def _read_pool(path: str) -> list[str]:
+    """The image ids of a pool file, one per nonblank line; an id may appear once."""
+    pool_ids: dict[str, None] = {}  # insertion-ordered set
+    with _open_input(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                image_id = line.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                raise FormatError(f"{path}:{lineno}: not UTF-8: {exc}") from None
+            if image_id in pool_ids:
+                raise ValidationError(f"{path}:{lineno}: duplicate image_id {image_id!r}")
+            if image_id:
+                pool_ids[image_id] = None
+    return list(pool_ids)
+
+
 def _make_adapter(args: argparse.Namespace, run_dir: Path):
     if args.adapter == "simulator":
-        world_path = run_dir / "world.json"
-        if not world_path.exists():
-            raise BoxalError(f"simulator adapter needs {world_path}")
-        return SimulatorDetectorAdapter(load_world(world_path), run_dir)
+        return SimulatorDetectorAdapter(load_world(run_dir / "world.json"), run_dir)
     return FileWaitAdapter(timeout=args.adapter_timeout)
 
 
@@ -149,11 +170,8 @@ def _cmd_rank(args) -> int:
     with _output(args.out) as out:
         writer = csv.writer(out)
         writer.writerow(["image_id", "c_min", "set_count", "min_c_sem", "min_c_spa", "min_c_occ"])
-        for image_id, c_min, count, c_sem, c_spa, c_occ in rank(rows):
-            writer.writerow(
-                [image_id, format(c_min, ".9g"), count, format(c_sem, ".9g"),
-                 format(c_spa, ".9g"), format(c_occ, ".9g")]
-            )
+        for image_id, *values in rank(rows):
+            writer.writerow([image_id, *map(_fmt, values)])
     return 0
 
 
@@ -165,9 +183,7 @@ def _cmd_sample(args) -> int:
     else:
         if not args.pool:
             raise BoxalError("random sampling needs --pool (one image_id per line)")
-        with open(args.pool, "r", encoding="utf-8") as fh:
-            pool_ids = [line.strip() for line in fh if line.strip()]
-        chosen = sample_random(pool_ids, args.n, args.seed, args.iteration)
+        chosen = sample_random(_read_pool(args.pool), args.n, args.seed, args.iteration)
     with _output(args.out) as out:
         out.writelines(image_id + "\n" for image_id in chosen)
     return 0
@@ -176,7 +192,7 @@ def _cmd_sample(args) -> int:
 def _cmd_evaluate(args) -> int:
     manifest = load_manifest(args.manifest)
     gt = load_ground_truth(args.ground_truth, kappa=len(manifest.catalog))
-    preds = load_predictions(args.predictions)
+    preds = load_predictions(args.predictions, kappa=len(manifest.catalog))
     result = coco_map(preds, gt, manifest.catalog)
     report = {
         "map": result.map_score,
@@ -195,7 +211,7 @@ def _cmd_evaluate(args) -> int:
             writer = csv.writer(fh)
             writer.writerow(["image_id", "f1"])
             for image_id in sorted(result.per_image_f1):
-                writer.writerow([image_id, format(result.per_image_f1[image_id], ".9g")])
+                writer.writerow([image_id, _fmt(result.per_image_f1[image_id])])
     return 0
 
 
@@ -213,8 +229,7 @@ def _cmd_ttest(args) -> int:
     x = _read_column(args.x)
     y = _read_column(args.y)
     result = ttest_two_sided(x, y)
-    print(f"t={format(result.statistic, '.9g')} df={result.degrees_of_freedom} "
-          f"p={format(result.p_value, '.9g')}")
+    print(f"t={_fmt(result.statistic)} df={result.degrees_of_freedom} p={_fmt(result.p_value)}")
     return 0
 
 

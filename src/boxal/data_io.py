@@ -191,9 +191,28 @@ def _box_field(record) -> BoundingBox:
     return BoundingBox(*coords)
 
 
+def _labeled_box(record, kappa: int | None) -> tuple[BoundingBox, int]:
+    """``record``'s box and category; the category is nonnegative, and below ``kappa`` when given."""
+    box = _box_field(record)
+    category = _field(record, "category", int)
+    if category < 0:
+        raise FormatError(f"category must be a nonnegative integer, got {category}")
+    if kappa is not None and category >= kappa:
+        raise ValidationError(f"category index {category} outside [0, {kappa})")
+    return box, category
+
+
+def _open_input(path: str | Path, mode: str = "rb", **kwargs):
+    """``open(path, mode)``; a file that cannot be opened is a FormatError naming it."""
+    try:
+        return open(path, mode, **kwargs)
+    except OSError as exc:
+        raise FormatError(f"{path}: cannot open: {exc.strerror or exc}") from exc
+
+
 def _iter_jsonl(path: Path) -> Iterable[tuple[int, object]]:
     """(line number, JSON value) for each nonblank line of ``path``."""
-    with open(path, "rb") as fh:
+    with _open_input(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
@@ -206,9 +225,11 @@ def _iter_jsonl(path: Path) -> Iterable[tuple[int, object]]:
 
 def _load_json(path: str | Path, parse: Callable):
     """``parse`` applied to the JSON document in ``path``; errors name the file."""
+    with _open_input(path) as fh:
+        text = fh.read()
     with _located(str(path)):
         try:
-            doc = json.loads(Path(path).read_bytes())
+            doc = json.loads(text)
         except ValueError as exc:
             raise FormatError(f"invalid JSON: {exc}") from exc
         return parse(doc)
@@ -330,16 +351,7 @@ def apply_thresholds(img: ImagePasses, confidence: float = 0.5, nms_iou: float =
 
 def _parse_objects(raw_objects: list, kappa: int | None) -> tuple[tuple[BoundingBox, int], ...]:
     """(box, category) pairs; categories are nonnegative, and below ``kappa`` when given."""
-    objects = []
-    for raw in raw_objects:
-        box = _box_field(raw)
-        category = _field(raw, "category", int)
-        if category < 0:
-            raise FormatError(f"category must be a nonnegative integer, got {category}")
-        if kappa is not None and category >= kappa:
-            raise ValidationError(f"category index {category} outside [0, {kappa})")
-        objects.append((box, category))
-    return tuple(objects)
+    return tuple(_labeled_box(raw, kappa) for raw in raw_objects)
 
 
 def load_ground_truth(path: str | Path, kappa: int | None = None) -> dict[str, GroundTruthImage]:

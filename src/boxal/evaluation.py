@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .data_io import CategoryCatalog, GroundTruthImage, _box_field, _field, _load_by_image, _save_jsonl
+from .data_io import CategoryCatalog, GroundTruthImage, _field, _labeled_box, _load_by_image, _save_jsonl
 from .errors import ValidationError
 from .geometry import BoundingBox, iou
 from .grouping import InstanceSet
@@ -210,21 +210,19 @@ def coco_map(
 # {"image_id": str, "predictions": [{"bbox": [x1,y1,x2,y2], "category": int, "score": f}]}
 
 
-def _parse_prediction(raw) -> FinalPrediction:
-    box = _box_field(raw)
-    category = _field(raw, "category", int)
+def _parse_prediction(raw, kappa: int | None) -> FinalPrediction:
+    box, category = _labeled_box(raw, kappa)
     score = _field(raw, "score", float)
-    if category < 0:
-        raise ValidationError(f"category must be nonnegative, got {category}")
     if not 0.0 <= score <= 1.0:
         raise ValidationError(f"prediction score must be in [0, 1], got {score}")
     return FinalPrediction(box, category, float(score))
 
 
-def load_predictions(path: str | Path) -> dict[str, list[FinalPrediction]]:
-    return _load_by_image(
-        path, lambda _, record: [_parse_prediction(raw) for raw in _field(record, "predictions", list)]
-    )
+def load_predictions(path: str | Path, kappa: int | None = None) -> dict[str, list[FinalPrediction]]:
+    """Load a predictions file; categories are nonnegative, and below ``kappa`` when given."""
+    return _load_by_image(path, lambda _, record: [
+        _parse_prediction(raw, kappa) for raw in _field(record, "predictions", list)
+    ])
 
 
 def save_predictions(preds_by_image: Mapping[str, Sequence[FinalPrediction]], path: str | Path) -> None:

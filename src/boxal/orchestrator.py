@@ -1,29 +1,20 @@
 """The iterative annotate-retrain loop, run persistence, and adapter protocol.
 
-A run lives in a directory with this layout::
-
-    RUNDIR/
-      config.json            run parameters (RunConfig)
-      manifest.json          dataset partitions
-      ground_truth.jsonl     annotations, revealed image-by-image on sampling
-      state/iter_N.json      persisted loop state after iteration N
-      requests/              detection/training request documents
-      detections/            adapter-produced multi-pass detection files
-      samples/iter_N.txt     ids sampled when building training set T_N
-      trainset_iter_N.txt    full training set after iteration N
-      log.csv                per-iteration metrics report
-      events.log             append-only audit trail
-      sim/                   simulator adapter state (when used)
-
-The detector adapter is a file contract, not an in-process interface: the
-orchestrator writes a JSON request naming the images (and, for training, the
-epoch budget), and the adapter must produce a detections file in the
-documented format plus a ``<file>.done`` sentinel. The built-in simulator
+A run lives in a directory whose layout the README's "Run directory layout"
+section describes. The detector adapter is a file contract, not an in-process
+interface: the orchestrator writes a JSON request naming the images (and, for
+training, the epoch budget), and the adapter must produce a detections file in
+the documented format plus a ``<file>.done`` sentinel. The built-in simulator
 adapter fulfils the contract in-process; ``FileWaitAdapter`` waits for an
 external trainer to do the same.
 
 State is persisted atomically (write to a temp file, then rename), so a crash
-mid-iteration leaves the previous iteration's state intact.
+mid-iteration leaves the previous iteration's state intact. ``state/iter_N.json``
+is the only place iteration N-1's record is written, so writing it commits the
+iteration; ``log.csv`` is read back from the records. A record holds
+``sampled`` ([image_id, c_min] pairs in rank order), ``metrics`` (the log.csv
+row, keyed by ``LOG_COLUMNS``), ``f1_sampled`` (rank order) and
+``f1_remaining`` (pool order).
 """
 
 from __future__ import annotations
@@ -60,7 +51,6 @@ from .data_io import (
 from .errors import AdapterError, BoxalError, FormatError, ValidationError
 from .evaluation import (
     FinalPrediction,
-    TTestResult,
     coco_map,
     consolidate,
     f1_image,
@@ -114,26 +104,36 @@ class RunConfig:
         return cls(**doc)
 
 
+# log.csv columns, in order; they are also the keys of a record's "metrics"
+LOG_COLUMNS = ("iteration", "train_size", "map", "mean_f1_sampled", "mean_f1_remaining",
+               "t_statistic", "p_value", "mean_cmin_sampled")
+
+
 @dataclass(frozen=True)
 class ActiveLearningState:
+    """The training set and pool entering ``iteration``, and the previous iteration's record."""
+
     iteration: int
     training_ids: tuple[str, ...]
     pool_ids: tuple[str, ...]
-    history: tuple[dict, ...] = ()
+    record: dict | None = None
 
     def to_dict(self) -> dict:
-        return {
+        doc = {
             "iteration": self.iteration,
             "training_ids": list(self.training_ids),
             "pool_ids": list(self.pool_ids),
-            "history": list(self.history),
         }
+        if self.record is not None:
+            doc["record"] = self.record
+        return doc
 
     @classmethod
     def from_dict(cls, doc: Mapping) -> "ActiveLearningState":
-        """The state in ``doc``; the training set and the pool must be disjoint."""
-        state = cls(_field(doc, "iteration", int), _string_list(doc, "training_ids"),
-                    _string_list(doc, "pool_ids"), tuple(_field(doc, "history", list)))
+        """The state in ``doc``; it needs a record from iteration 1 on, and a pool disjoint from T."""
+        iteration = _field(doc, "iteration", int)
+        record = _field(doc, "record", dict) if iteration >= 1 else None
+        state = cls(iteration, _string_list(doc, "training_ids"), _string_list(doc, "pool_ids"), record)
         overlap = set(state.training_ids) & set(state.pool_ids)
         if overlap:
             raise ValidationError(f"training set and pool overlap: {sorted(overlap)[:5]}")
@@ -172,11 +172,7 @@ class SimulatorDetectorAdapter(DetectorAdapter):
         return self.sim_dir / f"skill_iter_{iteration}.json"
 
     def load_skill(self, iteration: int) -> SkillState:
-        path = self._skill_path(iteration)
-        if not path.exists():
-            raise AdapterError(f"no simulator skill state for iteration {iteration} at {path}")
-        with open(path, "r", encoding="utf-8") as fh:
-            return SkillState.from_dict(json.load(fh))
+        return _load_json(self._skill_path(iteration), SkillState.from_dict)
 
     def save_skill(self, skill: SkillState, iteration: int) -> None:
         _atomic_write_json(skill.to_dict(), self._skill_path(iteration))
@@ -326,7 +322,7 @@ def init_run(
 ) -> ActiveLearningState:
     """Create the run directory and persist iteration-0 state."""
     run_dir = Path(run_dir)
-    for sub in ("state", "requests", "detections", "samples"):
+    for sub in ("state", "requests", "detections"):
         (run_dir / sub).mkdir(parents=True, exist_ok=True)
     _atomic_write_json(config.to_dict(), run_dir / "config.json")
     save_manifest(manifest, run_dir / "manifest.json")
@@ -344,16 +340,6 @@ def init_run(
     _atomic_write_json(state.to_dict(), state_path(run_dir, 0))
     _log_event(run_dir, f"init |T_0|={len(state.training_ids)} |P_0|={len(state.pool_ids)}")
     return state
-
-
-def compare_sampled_vs_remaining(
-    per_image_f1: Mapping[str, float], sampled_ids: Sequence[str]
-) -> TTestResult:
-    """t-test of per-image F1 between sampled images and the rest of the pool."""
-    sampled = set(sampled_ids)
-    x = [f1 for image_id, f1 in per_image_f1.items() if image_id in sampled]
-    y = [f1 for image_id, f1 in per_image_f1.items() if image_id not in sampled]
-    return ttest_two_sided(x, y)
 
 
 def _request_detections(
@@ -419,6 +405,7 @@ def _predict(
 
 
 def _fmt(value) -> str:
+    """A report value: empty for None, an integer as is, a float to 9 significant digits."""
     if value is None:
         return ""
     if isinstance(value, int):
@@ -482,23 +469,23 @@ def _run_iteration_locked(
     sampled_f1 = [per_image_f1[s] for s in sampled]
     remaining_f1 = [f for s, f in per_image_f1.items() if s not in sampled_set]
     if len(sampled_f1) >= 2 and len(remaining_f1) >= 2:
-        ttest = compare_sampled_vs_remaining(per_image_f1, sampled)
+        # the t-test sums the sampled F1 in pool order; the record keeps rank order
+        ttest = ttest_two_sided([f for s, f in per_image_f1.items() if s in sampled_set], remaining_f1)
     else:
         ttest = None
     map_score = _evaluate_test_set(preds, manifest, gt)
 
-    metrics = {
-        "iteration": i,
-        "train_size": len(state.training_ids),
-        "map": map_score,
-        "mean_f1_sampled": sum(sampled_f1) / len(sampled_f1) if sampled_f1 else None,
-        "mean_f1_remaining": sum(remaining_f1) / len(remaining_f1) if remaining_f1 else None,
-        "t_statistic": ttest.statistic if ttest else None,
-        "p_value": ttest.p_value if ttest else None,
-        "mean_cmin_sampled": sum(certainties[s].c_min for s in sampled) / len(sampled),
-    }
+    metrics = dict(zip(LOG_COLUMNS, (
+        i,
+        len(state.training_ids),
+        map_score,
+        sum(sampled_f1) / len(sampled_f1) if sampled_f1 else None,
+        sum(remaining_f1) / len(remaining_f1) if remaining_f1 else None,
+        ttest.statistic if ttest else None,
+        ttest.p_value if ttest else None,
+        sum(certainties[s].c_min for s in sampled) / len(sampled),
+    )))
     record = {
-        "iteration": i,
         "sampled": [[s, certainties[s].c_min] for s in sampled],
         "metrics": metrics,
         "f1_sampled": sampled_f1,
@@ -508,10 +495,9 @@ def _run_iteration_locked(
         iteration=i + 1,
         training_ids=state.training_ids + tuple(sampled),
         pool_ids=tuple(p for p in state.pool_ids if p not in sampled_set),
-        history=state.history + (record,),
+        record=record,
     )
 
-    _write_id_file(sampled, run_dir / "samples" / f"iter_{i + 1}.txt")
     _write_id_file(new_state.training_ids, run_dir / f"trainset_iter_{i + 1}.txt")
     train_request = run_dir / "requests" / f"train_iter_{i + 1}.json"
     _atomic_write_json(
@@ -566,26 +552,14 @@ def run_loop(
         preds, _ = _predict(detections, config, kappa)
         final_map = _evaluate_test_set(preds, manifest, gt)
 
-        columns = [
-            "iteration",
-            "train_size",
-            "map",
-            "mean_f1_sampled",
-            "mean_f1_remaining",
-            "t_statistic",
-            "p_value",
-            "mean_cmin_sampled",
-        ]
         with open(run_dir / "log.csv", "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(columns)
-            for record in state.history:
-                writer.writerow(_fmt(record["metrics"][c]) for c in columns)
-            final_row = {
-                "iteration": final_iter,
-                "train_size": len(state.training_ids),
-                "map": final_map,
-            }
-            writer.writerow(_fmt(final_row.get(c)) for c in columns)
+            writer.writerow(LOG_COLUMNS)
+            for k in range(1, final_iter + 1):
+                metrics = load_state(run_dir, k).record["metrics"]
+                writer.writerow(_fmt(metrics[c]) for c in LOG_COLUMNS)
+            # the final row evaluates the last model, so only its first three columns apply
+            final_row = (final_iter, len(state.training_ids), final_map)
+            writer.writerow([_fmt(v) for v in final_row] + [""] * (len(LOG_COLUMNS) - len(final_row)))
         _log_event(run_dir, f"loop complete at iteration {final_iter}")
         return state

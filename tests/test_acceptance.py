@@ -159,12 +159,12 @@ def test_criterion_5_ttest_references():
 
 
 def _qualitative_runs(tmp_path, seeds=5, images=500, batch=50, iterations=8):
-    """Both strategies over several seeds; returns history and report rows."""
+    """Both strategies over several seeds; returns the iteration records and report rows."""
     import csv
 
     results = {}
     for strategy in ("min_certainty", "random"):
-        histories, reports = [], []
+        records_by_seed, reports = [], []
         for seed in range(seeds):
             world = generate_world(
                 seed=100 + seed, image_count=images, kappa=10,
@@ -178,11 +178,11 @@ def _qualitative_runs(tmp_path, seeds=5, images=500, batch=50, iterations=8):
             init_run(world.manifest, config, run_dir, world.ground_truth())
             adapter = SimulatorDetectorAdapter(world, run_dir)
             adapter.initialize(world.manifest.initial_training)
-            state = run_loop(run_dir, adapter, iterations)
-            histories.append(state.history)
+            run_loop(run_dir, adapter, iterations)
+            records_by_seed.append([load_state(run_dir, k).record for k in range(1, iterations + 1)])
             with open(run_dir / "log.csv", newline="") as fh:
                 reports.append(list(csv.DictReader(fh)))
-        results[strategy] = (histories, reports)
+        results[strategy] = (records_by_seed, reports)
     return results
 
 
@@ -216,13 +216,13 @@ def test_criterion_6_qualitative_reproduction(tmp_path):
     # (b) sampled images read harder than the remaining pool: in at least
     # half of iterations 3+ the sampled mean F1 is lower with p <= 0.05
     # (per-image F1 pooled across seeds per iteration)
-    histories = results["min_certainty"][0]
+    records_by_seed = results["min_certainty"][0]
     significant = comparable = 0
     for i in range(2, iterations):
         sampled, remaining = [], []
-        for history in histories:
-            sampled += history[i]["f1_sampled"]
-            remaining += history[i]["f1_remaining"]
+        for records in records_by_seed:
+            sampled += records[i]["f1_sampled"]
+            remaining += records[i]["f1_remaining"]
         if len(remaining) < 2:
             continue  # final iteration consumes the whole pool
         comparable += 1
@@ -235,7 +235,7 @@ def test_criterion_6_qualitative_reproduction(tmp_path):
     # sampled images is nondecreasing with at most one violation
     mean_cmins = [
         statistics.mean(
-            statistics.mean(c for _, c in history[i]["sampled"]) for history in histories
+            statistics.mean(c for _, c in records[i]["sampled"]) for records in records_by_seed
         )
         for i in range(iterations)
     ]

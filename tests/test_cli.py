@@ -116,6 +116,16 @@ class TestInitIterateLoop:
         assert run_cli("iterate", "--run", run_dir) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_missing_ground_truth_is_reported(self, tmp_path, capsys):
+        world = generate_world(seed=2, image_count=30, kappa=3,
+                               initial_training=5, validation=3, test=4)
+        manifest_path = tmp_path / "manifest.json"
+        save_manifest(world.manifest, manifest_path)
+        run_dir = tmp_path / "run"
+        assert run_cli("init", "--manifest", manifest_path, "--out", run_dir) == 0
+        assert run_cli("iterate", "--run", run_dir, "--adapter", "file", "--adapter-timeout", 0.01) == 2
+        assert capsys.readouterr().err.startswith(f"error: {run_dir / 'ground_truth.jsonl'}: ")
+
 
 class TestRankSampleEvaluateTtest:
     def test_rank_sample_round_trip(self, tmp_path):

@@ -11,14 +11,14 @@ import pytest
 
 from boxal.certainty import image_certainty
 from boxal.data_io import CategoryCatalog, DatasetManifest, load_image_passes
-from boxal.errors import AdapterError, BoxalError, ValidationError
+from boxal.errors import AdapterError, BoxalError, FormatError, ValidationError
 from boxal.grouping import group_passes
 from boxal.orchestrator import (
     ActiveLearningState,
+    DetectorAdapter,
     FileWaitAdapter,
     RunConfig,
     SimulatorDetectorAdapter,
-    compare_sampled_vs_remaining,
     init_run,
     load_config,
     load_state,
@@ -27,6 +27,7 @@ from boxal.orchestrator import (
     run_loop,
     state_path,
 )
+from boxal.evaluation import ttest_two_sided
 from boxal.sampling import rank, sample_min_certainty
 from boxal.simulator import generate_world
 
@@ -83,13 +84,21 @@ class TestRunConfig:
 
 class TestActiveLearningState:
     def test_overlap_rejected(self):
-        doc = {"iteration": 0, "training_ids": ["a", "b"], "pool_ids": ["b", "c"], "history": []}
+        doc = {"iteration": 0, "training_ids": ["a", "b"], "pool_ids": ["b", "c"]}
         with pytest.raises(ValidationError, match="overlap"):
             ActiveLearningState.from_dict(doc)
 
     def test_round_trip(self):
-        s = ActiveLearningState(2, ("a",), ("b",), ({"iteration": 0},))
+        s = ActiveLearningState(2, ("a",), ("b",), {"metrics": {"iteration": 1}})
         assert ActiveLearningState.from_dict(s.to_dict()) == s
+        s0 = ActiveLearningState(0, ("a",), ("b",))
+        assert "record" not in s0.to_dict()
+        assert ActiveLearningState.from_dict(s0.to_dict()) == s0
+
+    def test_record_required_from_iteration_1(self):
+        doc = {"iteration": 1, "training_ids": ["a"], "pool_ids": ["b"]}
+        with pytest.raises(FormatError, match="record"):
+            ActiveLearningState.from_dict(doc)
 
 
 class TestInitRun:
@@ -287,6 +296,95 @@ class TestRunLoop:
         assert outputs[0] == outputs[1]
 
 
+class InjectedCrash(Exception):
+    """Stands for the process dying; not a BoxalError, so nothing handles it."""
+
+
+class CrashingAdapter(DetectorAdapter):
+    """Delegates to ``inner`` and raises InjectedCrash at the ``at``-th visit of ``point``.
+
+    ``before_detections`` comes right after the previous state write (or init),
+    ``after_detections`` after the detections file and its ``.done``,
+    ``before_training`` after the training set file and the train request, and
+    ``after_training`` after the adapter has trained, still before the state write.
+    """
+
+    def __init__(self, inner, point, at):
+        self.inner, self.point, self.left = inner, point, at
+
+    def _visit(self, point):
+        if point == self.point:
+            self.left -= 1
+            if self.left == 0:
+                raise InjectedCrash(point)
+
+    def fulfill_detection_request(self, request_path, output_path):
+        self._visit("before_detections")
+        self.inner.fulfill_detection_request(request_path, output_path)
+        self._visit("after_detections")
+
+    def fulfill_training_request(self, request_path):
+        self._visit("before_training")
+        self.inner.fulfill_training_request(request_path)
+        self._visit("after_training")
+
+
+def dead_pid():
+    child = subprocess.run([sys.executable, "-c", "import os; print(os.getpid())"],
+                           capture_output=True, text=True, check=True)
+    return child.stdout.strip()
+
+
+class TestCrashResume:
+    ITERATIONS = 3
+
+    @pytest.fixture(scope="class")
+    def reference_log(self, tmp_path_factory):
+        run_dir, adapter, _ = start_run(tmp_path_factory.mktemp("ref"))
+        run_loop(run_dir, adapter, self.ITERATIONS)
+        return (run_dir / "log.csv").read_bytes()
+
+    def test_split_loop_equals_one_loop(self, tmp_path):
+        world = small_world()
+        whole, adapter, _ = start_run(tmp_path, world, name="whole")
+        run_loop(whole, adapter, 4)
+        split, adapter, _ = start_run(tmp_path, world, name="split")
+        run_loop(split, adapter, 2)
+        run_loop(split, SimulatorDetectorAdapter(world, split), 2)
+        assert (split / "log.csv").read_bytes() == (whole / "log.csv").read_bytes()
+
+    @pytest.mark.parametrize("point, at, stale_lock", [
+        ("after_detections", 1, False),
+        ("after_detections", 2, False),
+        ("before_training", 2, False),
+        ("after_training", 2, False),
+        ("before_detections", 2, False),  # right after state/iter_1.json
+        ("after_detections", 4, False),  # in the final evaluation, after state/iter_3.json
+        ("before_training", 3, True),  # and the killed process's LOCK is left behind
+    ])
+    def test_resume_after_crash_gives_same_report(self, tmp_path, reference_log, point, at, stale_lock):
+        run_dir, adapter, world = start_run(tmp_path)
+        with pytest.raises(InjectedCrash):
+            run_loop(run_dir, CrashingAdapter(adapter, point, at), self.ITERATIONS)
+        if stale_lock:
+            (run_dir / "LOCK").write_text(f"{dead_pid()} {socket.gethostname()}\n")
+        done = load_state(run_dir).iteration
+        run_loop(run_dir, SimulatorDetectorAdapter(world, run_dir), self.ITERATIONS - done)
+        assert (run_dir / "log.csv").read_bytes() == reference_log
+
+    def test_each_state_file_holds_its_own_record(self, tmp_path):
+        run_dir, adapter, _ = start_run(tmp_path)
+        run_loop(run_dir, adapter, self.ITERATIONS)
+        docs = [json.loads(state_path(run_dir, k).read_text()) for k in range(self.ITERATIONS + 1)]
+        assert set(docs[0]) == {"iteration", "training_ids", "pool_ids"}
+        for k, doc in enumerate(docs[1:], start=1):
+            assert set(doc) == {"iteration", "training_ids", "pool_ids", "record"}
+            assert doc["iteration"] == k
+            assert doc["record"]["metrics"]["iteration"] == k - 1
+            assert len(doc["record"]["sampled"]) == len(doc["record"]["f1_sampled"]) == 10
+        assert not (run_dir / "samples").exists()
+
+
 class TestRunLock:
     def test_lock_is_exclusive(self, tmp_path):
         run_dir = tmp_path
@@ -299,9 +397,7 @@ class TestRunLock:
             pass
 
     def test_dead_owner_is_replaced(self, tmp_path):
-        child = subprocess.run([sys.executable, "-c", "import os; print(os.getpid())"],
-                               capture_output=True, text=True, check=True)
-        (tmp_path / "LOCK").write_text(f"{child.stdout.strip()} {socket.gethostname()}\n")
+        (tmp_path / "LOCK").write_text(f"{dead_pid()} {socket.gethostname()}\n")
         with run_lock(tmp_path):
             assert (tmp_path / "LOCK").read_text() == f"{os.getpid()} {socket.gethostname()}\n"
         assert not (tmp_path / "LOCK").exists()
@@ -310,7 +406,7 @@ class TestRunLock:
         f"{os.getpid()} {socket.gethostname()}",  # alive on this host
         f"{os.getpid()} not-{socket.gethostname()}",  # another host: cannot be checked
         "",  # still being written
-    ])
+    ], ids=lambda owner: owner.replace(str(os.getpid()), "pid").replace(socket.gethostname(), "host"))
     def test_live_or_unknown_owner_blocks(self, tmp_path, owner):
         (tmp_path / "LOCK").write_text(owner)
         with pytest.raises(BoxalError, match="locked"):
@@ -332,16 +428,15 @@ class TestFileWaitAdapter:
 
 
 class TestCompareSampledVsRemaining:
+    """The pool F1 split into sampled and remaining, compared by ``ttest_two_sided``."""
+
     def test_identical_distributions(self):
-        f1 = {f"a{i}": 0.5 for i in range(10)}
-        r = compare_sampled_vs_remaining(f1, [f"a{i}" for i in range(4)])
+        r = ttest_two_sided([0.5] * 4, [0.5] * 6)
         assert r.statistic == 0.0
         assert r.p_value == 1.0
 
     def test_degenerate_separation(self):
-        f1 = {f"s{i}": 0.0 for i in range(5)}
-        f1.update({f"r{i}": 1.0 for i in range(5)})
-        r = compare_sampled_vs_remaining(f1, [f"s{i}" for i in range(5)])
+        r = ttest_two_sided([0.0] * 5, [1.0] * 5)
         assert r.p_value == 0.0
         assert r.statistic == -float("inf")
 
@@ -352,8 +447,9 @@ class TestCompareSampledVsRemaining:
         calm = 0
         for _ in range(50):
             values = rng.uniform(0.0, 1.0, size=60)
-            f1 = {f"im{i}": float(v) for i, v in enumerate(values)}
-            sampled = [f"im{i}" for i in rng.choice(60, size=15, replace=False)]
-            if compare_sampled_vs_remaining(f1, sampled).p_value > 0.05:
+            sampled = set(rng.choice(60, size=15, replace=False).tolist())
+            x = [float(v) for i, v in enumerate(values) if i in sampled]
+            y = [float(v) for i, v in enumerate(values) if i not in sampled]
+            if ttest_two_sided(x, y).p_value > 0.05:
                 calm += 1
         assert calm >= 45

@@ -2,7 +2,8 @@
 
 Each reader gets a valid input, then inputs mutated from it: a value
 replaced by NaN, infinity, a wrong type or a non-object, a key or element
-deleted, a record or id duplicated, a score vector lengthened (wrong kappa).
+deleted, a record or id duplicated, a score vector lengthened (wrong kappa);
+a reader given a path that does not exist must name it too.
 The probes of ``PROBES`` are fixed mutations that earlier versions let
 through or crashed on; the CLI commands that read them must exit 2.
 """
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boxal.cli import _read_column, _read_ranking, main
+from boxal.cli import _read_column, _read_pool, _read_ranking, main
 from boxal.data_io import load_ground_truth, load_image_passes, load_manifest
 from boxal.errors import BoxalError
 from boxal.evaluation import load_predictions
@@ -43,6 +44,7 @@ VALID = {
     "config": RunConfig().to_dict(),
     "ranking": [["image_id", "c_min", "set_count"], ["p1", "0.25", "2"], ["p2", "0.5", "1"]],
     "column": [["f1"], ["0.5"], ["0.6"], ["0.7"], ["0.9"]],
+    "pool": ["p1", "p2", "p3"],
 }
 
 
@@ -61,6 +63,10 @@ def _write_json(path, doc):
     path.write_text(json.dumps(doc))
 
 
+def _write_lines(path, lines):
+    path.write_text("".join(f"{line}\n" for line in lines))
+
+
 def _write_csv(path, rows):
     with open(path, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh).writerows(rows)
@@ -70,12 +76,13 @@ def _write_csv(path, rows):
 READERS = {
     "detections": ("d.jsonl", _write_jsonl, lambda p: load_image_passes(p, 2, 2), True),
     "ground_truth": ("gt.jsonl", _write_jsonl, lambda p: load_ground_truth(p, kappa=2), True),
-    "predictions": ("preds.jsonl", _write_jsonl, load_predictions, True),
+    "predictions": ("preds.jsonl", _write_jsonl, lambda p: load_predictions(p, kappa=2), True),
     "manifest": ("manifest.json", _write_json, load_manifest, False),
     "world": ("world.json", _write_json, load_world, False),
     "config": ("config.json", _write_json, lambda p: load_config(p.parent), False),
     "ranking": ("ranking.csv", _write_csv, _read_ranking, True),
     "column": ("column.csv", _write_csv, _read_column, True),
+    "pool": ("pool.txt", _write_lines, _read_pool, True),
 }
 JUNK = [math.nan, math.inf, -math.inf, None, True, False, 0, -3, 1.5, 50.7, 10**30, 10**400,
         "", "abc", "15", [], [1], {}, {"x": 1}]
@@ -135,6 +142,14 @@ def test_valid_input_reads(name, valid, tmp_path):
 
 
 @pytest.mark.parametrize("name", sorted(READERS))
+def test_missing_file_is_named(name, tmp_path):
+    target = tmp_path / READERS[name][0]
+    with pytest.raises(BoxalError) as excinfo:
+        READERS[name][2](target)
+    assert str(excinfo.value).startswith(f"{target}: "), excinfo.value
+
+
+@pytest.mark.parametrize("name", sorted(READERS))
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_mutated_input_raises_only_boxal_errors(name, valid, tmp_path_factory, data):
@@ -174,6 +189,7 @@ PROBES = [
     ("predictions", (1, "predictions", 0, "category"), "x"),
     ("predictions", (1, "predictions", 0, "category"), -3),
     ("predictions", (1, "predictions", 0, "score"), math.inf),
+    ("predictions", (1, "predictions", 0, "category"), 7),
     ("config", ("passes_n",), "15"),
     ("config", ("passes_n",), 15.5),
     ("config", ("seed",), "x"),
@@ -182,6 +198,7 @@ PROBES = [
     ("ranking", (0, 1), "score"),
     ("ranking", (1, 1), "nan"),
     ("column", (2, 0), "abc"),
+    ("pool", (2,), "p1"),
 ]
 
 
@@ -215,6 +232,8 @@ def _cli(tmp_path, valid, name, target):
         return ["sample", "--strategy", "min_certainty", "--ranking", target, "--n", 1]
     if name == "column":
         return ["ttest", target, files["column"]]
+    if name == "pool":
+        return ["sample", "--strategy", "random", "--pool", target, "--n", 1]
     return ["init", "--manifest", files["manifest"], "--config", target, "--out", tmp_path / "run"]
 
 
@@ -230,11 +249,18 @@ def test_cli_exits_2_on_probe(probe, valid, tmp_path, capsys):
     assert err.startswith("error: ") and str(target) in err, err
 
 
-@pytest.mark.parametrize("name", ["manifest", "ranking", "column", "config"])
+@pytest.mark.parametrize("name", ["manifest", "ranking", "column", "config", "pool"])
 def test_cli_accepts_valid_input(name, valid, tmp_path):
     target = tmp_path / READERS[name][0]
     READERS[name][1](target, valid[name])
     assert main([str(a) for a in _cli(tmp_path, valid, name, target)]) == 0
+
+
+def test_cli_missing_file_exits_2(valid, tmp_path, capsys):
+    target = tmp_path / "nofile.csv"
+    assert main([str(a) for a in _cli(tmp_path, valid, "column", target)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {target}: "), err
 
 
 @pytest.mark.parametrize("flags", [["--passes-n", "1"], ["--confidence", "nan"], ["--seed", "-1"]])
