@@ -33,7 +33,6 @@ from .orchestrator import (
     SimulatorDetectorAdapter,
     _fmt,
     init_run,
-    load_config,
     run_iteration,
     run_loop,
 )
@@ -147,10 +146,7 @@ def _cmd_iterate(args) -> int:
 def _cmd_loop(args) -> int:
     run_dir = Path(args.run)
     adapter = _make_adapter(args, run_dir)
-    iterations = args.iterations
-    if iterations is None:
-        iterations = load_config(run_dir).iterations
-    state = run_loop(run_dir, adapter, iterations)
+    state = run_loop(run_dir, adapter, args.iterations)
     print(f"loop complete: iteration {state.iteration}, |T|={len(state.training_ids)}; "
           f"report at {run_dir / 'log.csv'}")
     return 0
@@ -245,12 +241,12 @@ def _cmd_simulate_run(args) -> int:
         validation=args.validation,
         test=args.test,
     )
-    run_dir.mkdir(parents=True, exist_ok=True)
-    save_world(world, run_dir / "world.json")
+    # init_run refuses a directory that already holds a run, so it goes before save_world
     init_run(world.manifest, config, run_dir, world.ground_truth())
+    save_world(world, run_dir / "world.json")
     adapter = SimulatorDetectorAdapter(world, run_dir)
     adapter.initialize(world.manifest.initial_training)
-    state = run_loop(run_dir, adapter, config.iterations)
+    state = run_loop(run_dir, adapter)
     print(f"simulate-run complete: iteration {state.iteration}, "
           f"|T|={len(state.training_ids)}; report at {run_dir / 'log.csv'}")
     return 0

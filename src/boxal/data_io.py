@@ -21,19 +21,23 @@ reader returns, and every value the package derives from them, are not
 checked again. A reader raises only ``FormatError`` (invalid JSON, a missing
 field or a value of the wrong JSON type) and ``ValidationError`` (a value
 that breaks a rule), and each message starts with the file and, for
-line-delimited files, the line. ``BoundingBox`` holds the box rules and
-``Detection`` the score rules; the readers build those, so each rule has one
-implementation.
+line-delimited files, the line. Each rule has one implementation here:
+``_box_field`` holds the box rules (four finite coordinates, positive area)
+for every file that carries boxes, and ``_parse_detection`` the score rules.
+``BoundingBox``, ``Detection`` and ``ImagePasses`` are plain records, so the
+objects the package builds itself (simulated passes, mean boxes) are trusted:
+the detector boundary is the file contract, and the readers guard it.
 
-Score vectors cover the foreground categories only and must sum to 1 within
-1e-6; invalid sums are rejected rather than renormalized, because silent
-renormalization would hide producer bugs and corrupt the entropy values
-computed downstream.
+Score vectors cover the foreground categories only, each score lies in
+[0, 1], and they must sum to 1 within ``SCORE_SUM_TOLERANCE``; invalid sums
+are rejected rather than renormalized, because silent renormalization would
+hide producer bugs and corrupt the entropy values computed downstream.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
@@ -67,26 +71,14 @@ class CategoryCatalog:
 
 @dataclass(frozen=True)
 class Detection:
-    """One predicted box with its category-probability vector."""
+    """One predicted box with its category-probability vector (checked on loading)."""
 
     box: BoundingBox
     scores: tuple[float, ...]
 
-    def __post_init__(self) -> None:
-        # written so that NaN fails the range test too
-        if any(not 0.0 <= s <= 1.0 for s in self.scores):
-            raise ValidationError(f"scores must be finite and lie in [0, 1], got {self.scores}")
-        total = sum(self.scores)
-        if abs(total - 1.0) > SCORE_SUM_TOLERANCE:
-            raise ValidationError(f"scores must sum to 1 within {SCORE_SUM_TOLERANCE}, got {total}")
-
     @property
     def max_score(self) -> float:
         return max(self.scores)
-
-    @property
-    def category(self) -> int:
-        return max(range(len(self.scores)), key=lambda i: self.scores[i])
 
 
 @dataclass(frozen=True)
@@ -97,10 +89,6 @@ class ImagePasses:
     width: int
     height: int
     passes: tuple[tuple[Detection, ...], ...]
-
-    @property
-    def n_passes(self) -> int:
-        return len(self.passes)
 
 
 @dataclass(frozen=True)
@@ -185,9 +173,17 @@ def _floats(record, key: str) -> tuple[float, ...]:
 
 
 def _box_field(record) -> BoundingBox:
+    """``record``'s box: four finite coordinates with x_max > x_min and y_max > y_min."""
     coords = _floats(record, "bbox")
     if len(coords) != 4:
         raise FormatError(f"bbox must hold 4 numbers, got {len(coords)}")
+    if not all(map(math.isfinite, coords)):
+        raise ValidationError(f"box coordinates must be finite numbers, got {coords}")
+    x_min, y_min, x_max, y_max = coords
+    if not (x_max > x_min and y_max > y_min):
+        raise ValidationError(
+            f"box must have strictly positive area (x_max > x_min, y_max > y_min), got {coords}"
+        )
     return BoundingBox(*coords)
 
 
@@ -259,7 +255,16 @@ def _save_jsonl(records: Iterable[dict], path: str | Path) -> None:
 
 
 def _parse_detection(raw) -> Detection:
-    return Detection(_box_field(raw), _floats(raw, "scores"))
+    """``raw``'s box and scores; each score lies in [0, 1] and they sum to 1 within the tolerance."""
+    box = _box_field(raw)
+    scores = _floats(raw, "scores")
+    # written so that NaN fails the range test too
+    if any(not 0.0 <= s <= 1.0 for s in scores):
+        raise ValidationError(f"scores must be finite and lie in [0, 1], got {scores}")
+    total = sum(scores)
+    if abs(total - 1.0) > SCORE_SUM_TOLERANCE:
+        raise ValidationError(f"scores must sum to 1 within {SCORE_SUM_TOLERANCE}, got {total}")
+    return Detection(box, scores)
 
 
 def _parse_image_passes(image_id: str, record, expected_n: int | None, kappa: int | None) -> ImagePasses:

@@ -19,12 +19,13 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .data_io import CategoryCatalog, GroundTruthImage, _field, _labeled_box, _load_by_image, _save_jsonl
+from .data_io import CategoryCatalog, GroundTruthImage, _field, _labeled_box, _load_by_image
 from .errors import ValidationError
 from .geometry import BoundingBox, iou
 from .grouping import InstanceSet
 
 COCO_IOU_THRESHOLDS = tuple((50 + 5 * i) / 100.0 for i in range(10))
+F1_IOU = COCO_IOU_THRESHOLDS[0]  # 0.5, the IoU of per-image F1 in f1_image and coco_map
 MAX_DETECTIONS_PER_IMAGE = 100
 
 
@@ -114,16 +115,14 @@ def _f1(tp: int, n_preds: int, n_gt: int) -> float:
     return 2.0 * precision * recall / (precision + recall)
 
 
-def f1_image(
-    preds: Sequence[FinalPrediction], gt: GroundTruthImage, iou_thr: float = 0.5
-) -> float:
-    """Detection F1 for one image at a single IoU threshold.
+def f1_image(preds: Sequence[FinalPrediction], gt: GroundTruthImage) -> float:
+    """Detection F1 for one image at IoU ``F1_IOU``.
 
     A prediction counts as a true positive if it greedily matches an unmatched
-    ground-truth object of the same category with IoU >= iou_thr. Both-empty
+    ground-truth object of the same category with IoU >= F1_IOU. Both-empty
     images score 1 so blanks do not read as failures.
     """
-    tp = sum(_greedy_match(preds, gt.objects, iou_thr))
+    tp = sum(_greedy_match(preds, gt.objects, F1_IOU))
     return _f1(tp, len(preds), len(gt.objects))
 
 
@@ -157,7 +156,7 @@ def coco_map(
     gt_by_image: Mapping[str, GroundTruthImage],
     catalog: CategoryCatalog,
 ) -> EvalResult:
-    """COCO-style mAP plus per-image F1 at IoU 0.5."""
+    """COCO-style mAP plus per-image F1 at IoU ``F1_IOU``."""
     if all(not gt.objects for gt in gt_by_image.values()):
         raise ValidationError("mAP is undefined with no ground-truth objects")
 
@@ -196,7 +195,7 @@ def coco_map(
     tp = fp = fn = 0
     for image_id, gt in gt_by_image.items():
         n_preds = len(capped[image_id])
-        image_tp = sum(flags[image_id][0])  # COCO_IOU_THRESHOLDS[0] is 0.5
+        image_tp = sum(flags[image_id][0])  # the flags at COCO_IOU_THRESHOLDS[0], F1_IOU
         per_image_f1[image_id] = _f1(image_tp, n_preds, len(gt.objects))
         tp += image_tp
         fp += n_preds - image_tp
@@ -223,19 +222,6 @@ def load_predictions(path: str | Path, kappa: int | None = None) -> dict[str, li
     return _load_by_image(path, lambda _, record: [
         _parse_prediction(raw, kappa) for raw in _field(record, "predictions", list)
     ])
-
-
-def save_predictions(preds_by_image: Mapping[str, Sequence[FinalPrediction]], path: str | Path) -> None:
-    _save_jsonl((
-        {
-            "image_id": image_id,
-            "predictions": [
-                {"bbox": list(p.box.as_tuple()), "category": p.category, "score": p.score}
-                for p in preds
-            ],
-        }
-        for image_id, preds in preds_by_image.items()
-    ), path)
 
 
 # ---------------------------------------------------------------------------

@@ -2,33 +2,24 @@
 
 Boxes use the corner convention (x_min, y_min, x_max, y_max) with continuous
 coordinates, so areas are exact products and no pixel rasterization is involved.
-All operations are pure.
+``BoundingBox`` is a plain record: the readers in ``data_io`` check the box
+rules (four finite coordinates, positive area) on every box that comes from a
+file, and the boxes the package builds itself are trusted. All operations are
+pure and check nothing.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import ValidationError
 
-
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class BoundingBox:
     x_min: float
     y_min: float
     x_max: float
     y_max: float
-
-    def __post_init__(self) -> None:
-        coords = (self.x_min, self.y_min, self.x_max, self.y_max)
-        if not all(isinstance(c, (int, float)) and math.isfinite(c) for c in coords):
-            raise ValidationError(f"box coordinates must be finite numbers, got {coords}")
-        if not (self.x_max > self.x_min and self.y_max > self.y_min):
-            raise ValidationError(
-                f"box must have strictly positive area (x_max > x_min, y_max > y_min), got {coords}"
-            )
 
     @property
     def area(self) -> float:
@@ -51,8 +42,6 @@ def iou(a: BoundingBox, b: BoundingBox) -> float:
 
 def mean_box(boxes: Sequence[BoundingBox]) -> BoundingBox:
     """Coordinate-wise arithmetic mean of a nonempty sequence of boxes."""
-    if not boxes:
-        raise ValidationError("mean_box requires at least one box")
     k = len(boxes)
     return BoundingBox(
         sum(b.x_min for b in boxes) / k,
@@ -60,4 +49,3 @@ def mean_box(boxes: Sequence[BoundingBox]) -> BoundingBox:
         sum(b.x_max for b in boxes) / k,
         sum(b.y_max for b in boxes) / k,
     )
-

@@ -27,7 +27,6 @@ class InstanceSet:
     """Detections across passes attributed to one physical object."""
 
     members: tuple[tuple[int, Detection], ...]  # (pass index, detection)
-    creation_index: int
 
     @property
     def size(self) -> int:
@@ -44,7 +43,7 @@ class InstanceSet:
 
 
 def group_passes(img: ImagePasses, match_iou: float = 0.5) -> list[InstanceSet]:
-    """Partition an image's detections into instance sets."""
+    """Partition an image's detections into instance sets, in creation order."""
     sets: list[list[tuple[int, Detection]]] = []
     for pass_index, pass_dets in enumerate(img.passes):
         matched_this_pass: set[int] = set()
@@ -64,4 +63,4 @@ def group_passes(img: ImagePasses, match_iou: float = 0.5) -> list[InstanceSet]:
             else:
                 matched_this_pass.add(len(sets))
                 sets.append([(pass_index, det)])
-    return [InstanceSet(tuple(members), i) for i, members in enumerate(sets)]
+    return [InstanceSet(tuple(members)) for members in sets]

@@ -34,10 +34,12 @@ from typing import Mapping, Sequence
 from . import sampling
 from .certainty import ImageCertainty, image_certainty
 from .data_io import (
+    _NUMBER_TYPES,
     DatasetManifest,
     GroundTruthImage,
     ImagePasses,
     _field,
+    _floats,
     _load_json,
     _string_list,
     apply_thresholds,
@@ -109,6 +111,21 @@ LOG_COLUMNS = ("iteration", "train_size", "map", "mean_f1_sampled", "mean_f1_rem
                "t_statistic", "p_value", "mean_cmin_sampled")
 
 
+def _parse_record(record: dict) -> dict:
+    """``record``, checked: [image_id, c_min] pairs, every log.csv column as a number or null, F1 lists."""
+    for pair in _field(record, "sampled", list):
+        if not (type(pair) is list and len(pair) == 2 and type(pair[0]) is str
+                and type(pair[1]) in _NUMBER_TYPES):
+            raise FormatError(f"sampled must hold [image_id, c_min] pairs, got {pair!r:.80}")
+    metrics = _field(record, "metrics", dict)
+    for column in LOG_COLUMNS:
+        if column not in metrics or metrics[column] is not None:
+            _field(metrics, column, float)
+    _floats(record, "f1_sampled")
+    _floats(record, "f1_remaining")
+    return record
+
+
 @dataclass(frozen=True)
 class ActiveLearningState:
     """The training set and pool entering ``iteration``, and the previous iteration's record."""
@@ -132,7 +149,7 @@ class ActiveLearningState:
     def from_dict(cls, doc: Mapping) -> "ActiveLearningState":
         """The state in ``doc``; it needs a record from iteration 1 on, and a pool disjoint from T."""
         iteration = _field(doc, "iteration", int)
-        record = _field(doc, "record", dict) if iteration >= 1 else None
+        record = _parse_record(_field(doc, "record", dict)) if iteration >= 1 else None
         state = cls(iteration, _string_list(doc, "training_ids"), _string_list(doc, "pool_ids"), record)
         overlap = set(state.training_ids) & set(state.pool_ids)
         if overlap:
@@ -177,9 +194,9 @@ class SimulatorDetectorAdapter(DetectorAdapter):
     def save_skill(self, skill: SkillState, iteration: int) -> None:
         _atomic_write_json(skill.to_dict(), self._skill_path(iteration))
 
-    def initialize(self, initial_training_ids: Sequence[str], base: SkillState | None = None) -> None:
+    def initialize(self, initial_training_ids: Sequence[str]) -> None:
         """Emulate step 1: train a fresh model on the initial training set."""
-        skill = base if base is not None else SkillState.fresh(len(self.world.catalog))
+        skill = SkillState.fresh(len(self.world.catalog))
         gt = self.world.ground_truth()
         skill = train_update(skill, (gt[i] for i in initial_training_ids))
         self.save_skill(skill, 0)
@@ -320,8 +337,10 @@ def init_run(
     run_dir: str | Path,
     ground_truth: Mapping[str, GroundTruthImage] | None = None,
 ) -> ActiveLearningState:
-    """Create the run directory and persist iteration-0 state."""
+    """Create the run directory and persist iteration-0 state; a directory holding a run is refused."""
     run_dir = Path(run_dir)
+    if any((run_dir / "state").glob("iter_*.json")):
+        raise BoxalError(f"{run_dir} already holds a run (state/ has state files); use a fresh directory")
     for sub in ("state", "requests", "detections"):
         (run_dir / sub).mkdir(parents=True, exist_ok=True)
     _atomic_write_json(config.to_dict(), run_dir / "config.json")
@@ -529,18 +548,22 @@ def run_iteration(run_dir: str | Path, adapter: DetectorAdapter) -> ActiveLearni
 
 
 def run_loop(
-    run_dir: str | Path, adapter: DetectorAdapter, iterations: int
+    run_dir: str | Path, adapter: DetectorAdapter, iterations: int | None = None
 ) -> ActiveLearningState:
-    """Run the loop for a number of iterations and write the log.csv report.
+    """Run ``iterations`` more iterations and write the log.csv report.
 
-    The report carries one row per completed iteration (metrics measured with
-    the model as trained entering that iteration) plus a final row evaluating
-    the model after the last retraining.
+    Without ``iterations`` the loop runs the iterations the config has left,
+    up to ``config.iterations`` in all. The report carries one row per
+    completed iteration (metrics measured with the model as trained entering
+    that iteration) plus a final row evaluating the model after the last
+    retraining.
     """
     run_dir = Path(run_dir)
     with run_lock(run_dir):
         state = load_state(run_dir)
         config, manifest, gt = _load_run_inputs(run_dir)
+        if iterations is None:
+            iterations = max(0, config.iterations - state.iteration)
         for _ in range(iterations):
             state = _run_iteration_locked(run_dir, adapter, state, config, manifest, gt)
 

@@ -37,6 +37,10 @@ from .data_io import (
 from .errors import ValidationError
 from .geometry import BoundingBox, iou
 
+IMAGE_SIZE = (640, 480)  # (width, height) of every generated image
+MAX_GT_OVERLAP = 0.3  # ground-truth boxes of one image overlap at most this IoU, best effort
+CATEGORY_IMBALANCE = 1.2  # Zipf exponent of the category frequencies
+
 
 @dataclass(frozen=True)
 class WorldImage:
@@ -95,9 +99,9 @@ class SkillState:
         return cls(exposures=(0,) * kappa, **overrides)
 
 
-def _category_weights(kappa: int, imbalance: float) -> np.ndarray:
+def _category_weights(kappa: int) -> np.ndarray:
     # Zipf-like imbalance: a few dominant categories, a long rare tail
-    weights = 1.0 / np.arange(1, kappa + 1) ** imbalance
+    weights = 1.0 / np.arange(1, kappa + 1) ** CATEGORY_IMBALANCE
     return weights / weights.sum()
 
 
@@ -114,12 +118,9 @@ def generate_world(
     image_count: int,
     kappa: int,
     objects_per_image: tuple[int, int] = (1, 4),
-    image_size: tuple[int, int] = (640, 480),
     initial_training: int | None = None,
     validation: int | None = None,
     test: int | None = None,
-    max_gt_overlap: float = 0.3,
-    category_imbalance: float = 1.2,
 ) -> SyntheticWorld:
     """Deterministically generate a world and its dataset partitions.
 
@@ -130,10 +131,10 @@ def generate_world(
     lo, hi = objects_per_image
     if lo < 0 or hi < lo:
         raise ValidationError(f"invalid objects_per_image range {objects_per_image}")
-    width, height = image_size
+    width, height = IMAGE_SIZE
     catalog = CategoryCatalog(tuple(f"cat_{i:02d}" for i in range(kappa)))
     rng = np.random.Generator(np.random.PCG64(seed))
-    weights = _category_weights(kappa, category_imbalance)
+    weights = _category_weights(kappa)
 
     images: dict[str, WorldImage] = {}
     for i in range(image_count):
@@ -144,7 +145,7 @@ def generate_world(
         for _ in range(count):
             box = _place_box(rng, width, height)
             for _ in range(50):  # bounded-overlap rejection sampling, best effort
-                if all(iou(box, other) <= max_gt_overlap for other, _ in objects):
+                if all(iou(box, other) <= MAX_GT_OVERLAP for other, _ in objects):
                     break
                 box = _place_box(rng, width, height)
             category = int(rng.choice(kappa, p=weights))

@@ -47,7 +47,7 @@ def test_criterion_2_certainty_math_under_one_second():
         return Detection(BoundingBox(*(float(c) for c in box)), tuple(scores))
 
     def single(scores, kappa):
-        return semantic_certainty(InstanceSet(((0, det(scores)),), 0), kappa)
+        return semantic_certainty(InstanceSet(((0, det(scores)),)), kappa)
 
     # semantic certainty examples
     assert single((1.0, 0.0, 0.0), 3) == pytest.approx(1.0, abs=1e-9)
@@ -63,12 +63,12 @@ def test_criterion_2_certainty_math_under_one_second():
     from boxal.sampling import rank
 
     pair = InstanceSet(
-        ((0, det((1.0, 0.0), (0, 0, 10, 10))), (1, det((1.0, 0.0), (2, 0, 12, 10)))), 0
+        ((0, det((1.0, 0.0), (0, 0, 10, 10))), (1, det((1.0, 0.0), (2, 0, 12, 10))))
     )
     assert spatial_certainty(pair) == pytest.approx(90.0 / 110.0, abs=1e-9)
-    solo = InstanceSet(((0, det((1.0, 0.0))),), 0)
+    solo = InstanceSet(((0, det((1.0, 0.0))),))
     assert spatial_certainty(solo) == pytest.approx(1.0, abs=1e-9)
-    fifteen = InstanceSet(tuple((p, det((1.0, 0.0))) for p in range(15)), 0)
+    fifteen = InstanceSet(tuple((p, det((1.0, 0.0))) for p in range(15)))
     assert occurrence_certainty(fifteen, 15) == pytest.approx(1.0, abs=1e-9)
     assert occurrence_certainty(solo, 15) == pytest.approx(1.0 / 15.0, abs=1e-9)
     assert CertaintyTriple(0.5, 0.8, 0.2).c_h == pytest.approx(0.08, abs=1e-9)
@@ -103,7 +103,7 @@ def test_criterion_3_grouping_oracle_equivalence():
         img = random_passes(rng, image_id=f"acc_{i}", max_passes=4, max_dets=5)
         sets = group_passes(img, 0.5)
         assert [list(s.members) for s in sets] == brute_force_grouping(img, 0.5, iou)
-        n = img.n_passes
+        n = len(img.passes)
         flattened = [m for s in sets for m in s.members]
         original = [(p, d) for p, dets in enumerate(img.passes) for d in dets]
         assert sorted(flattened, key=repr) == sorted(original, key=repr)

@@ -27,8 +27,8 @@ def det(x0, y0, x1, y1, scores):
     return Detection(BoundingBox(float(x0), float(y0), float(x1), float(y1)), tuple(scores))
 
 
-def make_set(*members, creation_index=0):
-    return InstanceSet(tuple(members), creation_index)
+def make_set(*members):
+    return InstanceSet(tuple(members))
 
 
 def certainty_of(img, kappa, n):
@@ -156,14 +156,14 @@ class TestImageCertainty:
         rng = np.random.Generator(np.random.PCG64(11))
         for _ in range(30):
             img = random_passes(rng)
-            ic = certainty_of(img, kappa=3, n=img.n_passes)
+            ic = certainty_of(img, kappa=3, n=len(img.passes))
             # append an extra detection far from the 100x100 content grid
             extra = det(110, 110, 118, 118, (0.5, 0.3, 0.2))
             bigger = ImagePasses(
                 img.image_id, 120, 120,
                 (img.passes[0] + (extra,),) + img.passes[1:],
             )
-            ic2 = certainty_of(bigger, kappa=3, n=img.n_passes)
+            ic2 = certainty_of(bigger, kappa=3, n=len(img.passes))
             assert ic2.set_count == ic.set_count + 1
             assert ic2.c_min <= ic.c_min + 1e-15
 
@@ -171,7 +171,7 @@ class TestImageCertainty:
         rng = np.random.Generator(np.random.PCG64(5))
         for _ in range(50):
             img = random_passes(rng)
-            ic = certainty_of(img, kappa=3, n=img.n_passes)
+            ic = certainty_of(img, kappa=3, n=len(img.passes))
             assert 0.0 <= ic.c_min <= 1.0
             for t in ic.triples:
                 for v in (t.c_sem, t.c_spa, t.c_occ, t.c_h):

@@ -3,10 +3,10 @@ import hashlib
 import json
 
 from boxal.cli import main
-from boxal.data_io import load_manifest, save_manifest
-from boxal.evaluation import consolidate, save_predictions
+from boxal.data_io import load_image_passes, load_manifest, save_ground_truth, save_manifest
+from boxal.evaluation import consolidate
 from boxal.grouping import group_passes
-from boxal.orchestrator import load_state
+from boxal.orchestrator import SimulatorDetectorAdapter, load_state
 from boxal.simulator import generate_world, save_world
 
 
@@ -14,7 +14,7 @@ def run_cli(*argv):
     return main([str(a) for a in argv])
 
 
-def simulate(tmp_path, name="run", **overrides):
+def simulate(tmp_path, name="run", expect=0, **overrides):
     args = [
         "simulate-run", "--out", tmp_path / name,
         "--images", 60, "--categories", 3,
@@ -23,8 +23,15 @@ def simulate(tmp_path, name="run", **overrides):
     ]
     for flag, value in overrides.items():
         args += [f"--{flag}", value]
-    assert run_cli(*args) == 0
+    assert run_cli(*args) == expect
     return tmp_path / name
+
+
+def run_files(run_dir):
+    """The bytes of a finished run's report, config, world and state files."""
+    names = ["log.csv", "config.json", "world.json"]
+    names += sorted(f"state/{f.name}" for f in (run_dir / "state").iterdir())
+    return {name: (run_dir / name).read_bytes() for name in names}
 
 
 class TestSimulateRun:
@@ -42,6 +49,16 @@ class TestSimulateRun:
         a = simulate(tmp_path, name="a")
         b = simulate(tmp_path, name="b")
         assert (a / "log.csv").read_bytes() == (b / "log.csv").read_bytes()
+
+    def test_directory_holding_a_run_is_refused(self, tmp_path, capsys):
+        run_dir = simulate(tmp_path)
+        before = run_files(run_dir)
+        capsys.readouterr()
+        simulate(tmp_path, expect=2, seed=4)
+        assert capsys.readouterr().err.startswith(f"error: {run_dir} already holds a run")
+        assert run_cli("init", "--manifest", run_dir / "manifest.json", "--out", run_dir) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert run_files(run_dir) == before
 
     @staticmethod
     def criterion_8(run_dir):
@@ -67,6 +84,24 @@ class TestSimulateRun:
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
+def init_simulated(tmp_path, *flags):
+    """``boxal init`` with ground truth, plus the simulator's world and initial training."""
+    world = generate_world(seed=2, image_count=40, kappa=3,
+                           initial_training=5, validation=3, test=4)
+    manifest_path = tmp_path / "manifest.json"
+    save_manifest(world.manifest, manifest_path)
+    gt_path = tmp_path / "gt.jsonl"
+    save_ground_truth(world.ground_truth(), gt_path)
+    run_dir = tmp_path / "run"
+    assert run_cli(
+        "init", "--manifest", manifest_path, "--ground-truth", gt_path,
+        "--out", run_dir, "--passes-n", 4, "--batch-size", 5, "--seed", 1, *flags,
+    ) == 0
+    save_world(world, run_dir / "world.json")
+    SimulatorDetectorAdapter(world, run_dir).initialize(world.manifest.initial_training)
+    return run_dir
+
+
 class TestInitIterateLoop:
     def test_init_with_config_file_and_override(self, tmp_path, capsys):
         world = generate_world(seed=2, image_count=30, kappa=3,
@@ -86,25 +121,19 @@ class TestInitIterateLoop:
         assert saved["batch_size"] == 6     # flag overrides file
 
     def test_iterate_then_loop(self, tmp_path, capsys):
-        world = generate_world(seed=2, image_count=40, kappa=3,
-                               initial_training=5, validation=3, test=4)
-        manifest_path = tmp_path / "manifest.json"
-        save_manifest(world.manifest, manifest_path)
-        from boxal.data_io import save_ground_truth
-        gt_path = tmp_path / "gt.jsonl"
-        save_ground_truth(world.ground_truth(), gt_path)
-        run_dir = tmp_path / "run"
-        assert run_cli(
-            "init", "--manifest", manifest_path, "--ground-truth", gt_path,
-            "--out", run_dir, "--passes-n", 4, "--batch-size", 5, "--seed", 1,
-        ) == 0
-        save_world(world, run_dir / "world.json")
-        from boxal.orchestrator import SimulatorDetectorAdapter
-        SimulatorDetectorAdapter(world, run_dir).initialize(world.manifest.initial_training)
+        run_dir = init_simulated(tmp_path)
         assert run_cli("iterate", "--run", run_dir) == 0
         assert "iteration 1" in capsys.readouterr().out
         assert run_cli("loop", "--run", run_dir, "--iterations", 1) == 0
         assert load_state(run_dir).iteration == 2
+
+    def test_bare_loop_runs_to_the_configured_total(self, tmp_path):
+        run_dir = init_simulated(tmp_path, "--iterations", 3)
+        assert run_cli("iterate", "--run", run_dir) == 0
+        assert run_cli("loop", "--run", run_dir) == 0
+        assert load_state(run_dir).iteration == 3
+        with open(run_dir / "log.csv", newline="") as fh:
+            assert [row["iteration"] for row in csv.DictReader(fh)] == ["0", "1", "2", "3"]
 
     def test_missing_world_is_reported(self, tmp_path, capsys):
         world = generate_world(seed=2, image_count=30, kappa=3,
@@ -169,15 +198,14 @@ class TestRankSampleEvaluateTtest:
     def test_evaluate(self, tmp_path):
         run_dir = simulate(tmp_path)
         manifest = load_manifest(run_dir / "manifest.json")
-        from boxal.data_io import load_image_passes
-
         detections = load_image_passes(run_dir / "detections" / "iter_2_eval.jsonl")
-        preds = {
-            img.image_id: consolidate(group_passes(img)) for img in detections
-            if img.image_id in set(manifest.test)
-        }
         preds_path = tmp_path / "preds.jsonl"
-        save_predictions(preds, preds_path)
+        with open(preds_path, "w", encoding="utf-8") as fh:
+            for img in detections:
+                if img.image_id in manifest.test:
+                    records = [{"bbox": list(p.box.as_tuple()), "category": p.category, "score": p.score}
+                               for p in consolidate(group_passes(img))]
+                    fh.write(json.dumps({"image_id": img.image_id, "predictions": records}) + "\n")
         report_path = tmp_path / "report.json"
         f1_path = tmp_path / "f1.csv"
         assert run_cli(

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -40,27 +41,40 @@ class TestCategoryCatalog:
             CategoryCatalog(names)
 
 
+def load_scores(tmp_path, scores):
+    """Load a one-line detections file whose one detection has ``scores``."""
+    p = tmp_path / "d.jsonl"
+    p.write_text(json.dumps({"image_id": "a", "width": 50, "height": 50,
+                             "passes": [[{"bbox": [0, 0, 10, 10], "scores": list(scores)}]]}) + "\n")
+    return load_image_passes(p)
+
+
 class TestDetection:
+    """The score rules, which ``load_image_passes`` checks on every detection."""
+
+    @staticmethod
+    def rejected(tmp_path, scores, message):
+        with pytest.raises(ValidationError, match=re.escape(message)) as excinfo:
+            load_scores(tmp_path, scores)
+        assert str(excinfo.value).startswith(f"{tmp_path / 'd.jsonl'}:1: "), excinfo.value
+
     def test_valid(self):
         d = det(0, 0, 10, 10, (0.7, 0.3))
         assert d.max_score == 0.7
-        assert d.category == 0
 
-    def test_scores_must_sum_to_one(self):
-        with pytest.raises(ValidationError):
-            det(0, 0, 10, 10, (0.5, 0.3))
+    def test_scores_must_sum_to_one(self, tmp_path):
+        self.rejected(tmp_path, (0.5, 0.3), f"scores must sum to 1 within 1e-06, got {0.5 + 0.3}")
 
-    def test_scores_out_of_range(self):
-        with pytest.raises(ValidationError):
-            det(0, 0, 10, 10, (1.2, -0.2))
+    def test_scores_out_of_range(self, tmp_path):
+        self.rejected(tmp_path, (1.2, -0.2), "scores must be finite and lie in [0, 1], got (1.2, -0.2)")
 
-    def test_tolerance_accepts_near_one(self):
-        det(0, 0, 10, 10, (0.5 + 4e-7, 0.5))  # within the 1e-6 budget
+    def test_tolerance_accepts_near_one(self, tmp_path):
+        (img,) = load_scores(tmp_path, (0.5 + 4e-7, 0.5))  # within the 1e-6 budget
+        assert img.passes[0][0].scores == (0.5 + 4e-7, 0.5)
 
     @pytest.mark.parametrize("scores", [(math.nan, math.nan), (math.nan, 1.0), (1.0, math.nan)])
-    def test_nan_scores_rejected(self, scores):
-        with pytest.raises(ValidationError, match="finite"):
-            det(0, 0, 10, 10, scores)
+    def test_nan_scores_rejected(self, scores, tmp_path):
+        self.rejected(tmp_path, scores, f"scores must be finite and lie in [0, 1], got {scores}")
 
 
 class TestImagePasses:
@@ -115,7 +129,7 @@ class TestDetectionsFile:
         }
         p.write_text(json.dumps(record) + "\n")
         (img,) = load_image_passes(p)
-        assert img.n_passes == 2
+        assert len(img.passes) == 2
 
     def test_bad_score_sum_names_image(self, tmp_path):
         p = tmp_path / "d.jsonl"
@@ -260,7 +274,7 @@ class TestApplyThresholds:
         img = ImagePasses("a", 100, 100, ((det(0, 0, 10, 10, (0.4, 0.6 / 2, 0.3)),),))
         out = apply_thresholds(img, 0.5, 0.3)
         assert out.passes == ((),)
-        assert out.n_passes == 1
+        assert len(out.passes) == 1
 
     def test_nms_removes_lower_scored_overlap(self):
         a = det(0, 0, 10, 10, (0.9, 0.1))
@@ -278,7 +292,7 @@ class TestApplyThresholds:
         nms_iou = nms10 / 10.0
         once = apply_thresholds(img, confidence, nms_iou)
         assert apply_thresholds(once, confidence, nms_iou) == once
-        assert once.n_passes == img.n_passes
+        assert len(once.passes) == len(img.passes)
         for pass_dets in once.passes:
             for d in pass_dets:
                 assert d.max_score >= confidence

@@ -1,3 +1,4 @@
+import json
 import math
 
 import mpmath
@@ -14,7 +15,6 @@ from boxal.evaluation import (
     f1_image,
     load_predictions,
     regularized_incomplete_beta,
-    save_predictions,
     ttest_two_sided,
 )
 from boxal.geometry import BoundingBox, iou
@@ -33,10 +33,20 @@ def pred(x0, y0, x1, y1, category, score):
     return FinalPrediction(BoundingBox(float(x0), float(y0), float(x1), float(y1)), category, score)
 
 
+def write_predictions(preds_by_image, path):
+    """A predictions file in the documented format: one image per line."""
+    path.write_text("".join(
+        json.dumps({"image_id": image_id, "predictions": [
+            {"bbox": list(p.box.as_tuple()), "category": p.category, "score": p.score} for p in preds
+        ]}) + "\n"
+        for image_id, preds in preds_by_image.items()
+    ))
+
+
 class TestConsolidate:
     def test_one_hot_set(self):
         d = det(0, 0, 10, 10, (0.0, 1.0))
-        (p,) = consolidate([InstanceSet(((0, d), (1, d)), 0)])
+        (p,) = consolidate([InstanceSet(((0, d), (1, d)))])
         assert p.box == d.box
         assert p.category == 1
         assert p.score == 1.0
@@ -44,7 +54,7 @@ class TestConsolidate:
     def test_mean_scores_and_argmax(self):
         a = det(0, 0, 10, 10, (0.8, 0.2))
         b = det(2, 2, 12, 12, (0.6, 0.4))
-        (p,) = consolidate([InstanceSet(((0, a), (1, b)), 0)])
+        (p,) = consolidate([InstanceSet(((0, a), (1, b)))])
         assert p.box == BoundingBox(1, 1, 11, 11)
         assert p.category == 0
         assert p.score == pytest.approx(0.7, abs=1e-12)
@@ -53,8 +63,8 @@ class TestConsolidate:
         assert consolidate([]) == []
 
     def test_ordered_by_descending_score(self):
-        lo = InstanceSet(((0, det(0, 0, 10, 10, (0.6, 0.4))),), 0)
-        hi = InstanceSet(((0, det(30, 30, 40, 40, (0.9, 0.1))),), 1)
+        lo = InstanceSet(((0, det(0, 0, 10, 10, (0.6, 0.4))),))
+        hi = InstanceSet(((0, det(30, 30, 40, 40, (0.9, 0.1))),))
         out = consolidate([lo, hi])
         assert [p.score for p in out] == [0.9, 0.6]
 
@@ -202,7 +212,7 @@ class TestPredictionsFile:
             "b": [],
         }
         path = tmp_path / "preds.jsonl"
-        save_predictions(preds, path)
+        write_predictions(preds, path)
         assert load_predictions(path) == preds
 
     def test_duplicate_image_rejected(self, tmp_path):

@@ -32,8 +32,7 @@ class TestExamples:
         img = ImagePasses("x", 100, 100, ((a,), (b,)))
         sets = group_passes(img)
         assert [s.size for s in sets] == [1, 1]
-        assert sets[0].creation_index == 0
-        assert sets[1].creation_index == 1
+        assert [s.members for s in sets] == [((0, a),), ((1, b),)]  # creation order
 
     def test_all_passes_empty(self):
         img = ImagePasses("x", 100, 100, ((), (), ()))
@@ -84,7 +83,7 @@ class TestInvariants:
         rng = np.random.Generator(np.random.PCG64(seed))
         img = random_passes(rng)
         sets = group_passes(img)
-        n = img.n_passes
+        n = len(img.passes)
         everything = []
         for s in sets:
             assert 1 <= s.size <= n
@@ -93,7 +92,6 @@ class TestInvariants:
             everything.extend(s.members)
         original = [(p, d) for p, dets in enumerate(img.passes) for d in dets]
         assert sorted(everything, key=repr) == sorted(original, key=repr)
-        assert [s.creation_index for s in sets] == list(range(len(sets)))
 
     def test_deterministic(self):
         rng = np.random.Generator(np.random.PCG64(99))

@@ -14,6 +14,7 @@ from boxal.data_io import CategoryCatalog, DatasetManifest, load_image_passes
 from boxal.errors import AdapterError, BoxalError, FormatError, ValidationError
 from boxal.grouping import group_passes
 from boxal.orchestrator import (
+    LOG_COLUMNS,
     ActiveLearningState,
     DetectorAdapter,
     FileWaitAdapter,
@@ -89,7 +90,9 @@ class TestActiveLearningState:
             ActiveLearningState.from_dict(doc)
 
     def test_round_trip(self):
-        s = ActiveLearningState(2, ("a",), ("b",), {"metrics": {"iteration": 1}})
+        metrics = dict.fromkeys(LOG_COLUMNS, None) | {"iteration": 1, "map": 0.5}
+        record = {"sampled": [["a", 0.25]], "metrics": metrics, "f1_sampled": [1.0], "f1_remaining": [0.5]}
+        s = ActiveLearningState(2, ("a",), ("b",), record)
         assert ActiveLearningState.from_dict(s.to_dict()) == s
         s0 = ActiveLearningState(0, ("a",), ("b",))
         assert "record" not in s0.to_dict()

@@ -22,7 +22,7 @@ from boxal.cli import _read_column, _read_pool, _read_ranking, main
 from boxal.data_io import load_ground_truth, load_image_passes, load_manifest
 from boxal.errors import BoxalError
 from boxal.evaluation import load_predictions
-from boxal.orchestrator import RunConfig, load_config
+from boxal.orchestrator import RunConfig, load_config, load_state
 from boxal.simulator import generate_world, load_world, save_world
 
 DET = {"bbox": [1.0, 2.0, 11.0, 12.0], "scores": [0.7, 0.3]}
@@ -45,6 +45,17 @@ VALID = {
     "ranking": [["image_id", "c_min", "set_count"], ["p1", "0.25", "2"], ["p2", "0.5", "1"]],
     "column": [["f1"], ["0.5"], ["0.6"], ["0.7"], ["0.9"]],
     "pool": ["p1", "p2", "p3"],
+    "state": {
+        "iteration": 1, "training_ids": ["t1", "p1"], "pool_ids": ["p2"],
+        "record": {
+            "sampled": [["p1", 0.25]],
+            "metrics": {"iteration": 0, "train_size": 1, "map": 0.5, "mean_f1_sampled": 0.5,
+                        "mean_f1_remaining": 0.75, "t_statistic": None, "p_value": None,
+                        "mean_cmin_sampled": 0.25},
+            "f1_sampled": [0.5],
+            "f1_remaining": [0.75],
+        },
+    },
 }
 
 
@@ -61,6 +72,11 @@ def _write_jsonl(path, records):
 
 def _write_json(path, doc):
     path.write_text(json.dumps(doc))
+
+
+def _write_state(path, doc):
+    path.parent.mkdir(exist_ok=True)
+    _write_json(path, doc)
 
 
 def _write_lines(path, lines):
@@ -83,6 +99,7 @@ READERS = {
     "ranking": ("ranking.csv", _write_csv, _read_ranking, True),
     "column": ("column.csv", _write_csv, _read_column, True),
     "pool": ("pool.txt", _write_lines, _read_pool, True),
+    "state": ("state/iter_1.json", _write_state, lambda p: load_state(p.parent.parent, 1), False),
 }
 JUNK = [math.nan, math.inf, -math.inf, None, True, False, 0, -3, 1.5, 50.7, 10**30, 10**400,
         "", "abc", "15", [], [1], {}, {"x": 1}]
@@ -199,6 +216,10 @@ PROBES = [
     ("ranking", (1, 1), "nan"),
     ("column", (2, 0), "abc"),
     ("pool", (2,), "p1"),
+    ("state", ("record", "metrics"), DELETE),
+    ("state", ("record", "metrics", "map"), "0.5"),
+    ("state", ("record", "sampled", 0), ["p1"]),
+    ("state", ("record", "f1_remaining", 0), None),
 ]
 
 
@@ -234,6 +255,8 @@ def _cli(tmp_path, valid, name, target):
         return ["ttest", target, files["column"]]
     if name == "pool":
         return ["sample", "--strategy", "random", "--pool", target, "--n", 1]
+    if name == "state":
+        return ["loop", "--run", target.parent.parent, "--adapter", "file"]
     return ["init", "--manifest", files["manifest"], "--config", target, "--out", tmp_path / "run"]
 
 
