@@ -37,19 +37,12 @@ class CertaintyTriple:
 @dataclass(frozen=True)
 class ImageCertainty:
     image_id: str
-    triples: tuple[CertaintyTriple, ...]
-    c_min: float
+    set_count: int
+    min_triple: CertaintyTriple  # the earliest set achieving c_min; all ones for an image without sets
 
     @property
-    def set_count(self) -> int:
-        return len(self.triples)
-
-    @property
-    def min_triple(self) -> CertaintyTriple | None:
-        """The triple of the set achieving c_min (earliest set on ties)."""
-        if not self.triples:
-            return None
-        return min(self.triples, key=lambda t: t.c_h)
+    def c_min(self) -> float:
+        return self.min_triple.c_h
 
 
 def _entropy(scores: Sequence[float]) -> float:
@@ -88,6 +81,6 @@ def image_certainty(
     image_id: str, sets: Sequence[InstanceSet], kappa: int, n: int
 ) -> ImageCertainty:
     """Reduce an image's instance sets to the per-image minimum certainty."""
-    triples = tuple(set_certainty(s, kappa, n) for s in sets)
-    c_min = min((t.c_h for t in triples), default=1.0)
-    return ImageCertainty(image_id, triples, c_min)
+    scored = (set_certainty(s, kappa, n) for s in sets)
+    min_triple = min(scored, key=lambda t: t.c_h, default=CertaintyTriple(1.0, 1.0, 1.0))
+    return ImageCertainty(image_id, len(sets), min_triple)

@@ -13,18 +13,10 @@ import json
 import math
 import sys
 from contextlib import nullcontext
-from dataclasses import replace
+from dataclasses import astuple, replace
 from pathlib import Path
 
-from .certainty import CertaintyTriple, image_certainty
-from .data_io import (
-    _load_json,
-    _open_input,
-    apply_thresholds,
-    load_ground_truth,
-    load_image_passes,
-    load_manifest,
-)
+from .data_io import _load_json, _open_input, load_ground_truth, load_manifest
 from .errors import BoxalError, FormatError, ValidationError
 from .evaluation import coco_map, load_predictions, ttest_two_sided
 from .orchestrator import (
@@ -32,11 +24,12 @@ from .orchestrator import (
     RunConfig,
     SimulatorDetectorAdapter,
     _fmt,
+    _predict,
+    _read_detections,
     init_run,
     run_iteration,
     run_loop,
 )
-from .grouping import group_passes
 from .sampling import rank, sample_min_certainty, sample_random
 from .simulator import generate_world, load_world, save_world
 
@@ -154,15 +147,10 @@ def _cmd_loop(args) -> int:
 
 def _cmd_rank(args) -> int:
     config = _build_config(args, args.config)
-    manifest = load_manifest(args.manifest)
-    kappa = len(manifest.catalog)
-    images = load_image_passes(args.detections, expected_n=config.passes_n, kappa=kappa)
-    rows = []
-    for img in images:
-        kept = apply_thresholds(img, config.confidence, config.nms_iou)
-        ic = image_certainty(img.image_id, group_passes(kept, config.match_iou), kappa, config.passes_n)
-        t = ic.min_triple or CertaintyTriple(1.0, 1.0, 1.0)
-        rows.append((ic.image_id, ic.c_min, ic.set_count, t.c_sem, t.c_spa, t.c_occ))
+    kappa = len(load_manifest(args.manifest).catalog)
+    detections = _read_detections(args.detections, config, kappa)
+    _, certainties = _predict(detections, config, kappa, detections)
+    rows = [(ic.image_id, ic.c_min, ic.set_count, *astuple(ic.min_triple)) for ic in certainties.values()]
     with _output(args.out) as out:
         writer = csv.writer(out)
         writer.writerow(["image_id", "c_min", "set_count", "min_c_sem", "min_c_spa", "min_c_occ"])

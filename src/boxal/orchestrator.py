@@ -29,7 +29,7 @@ from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from . import sampling
 from .certainty import ImageCertainty, image_certainty
@@ -189,7 +189,13 @@ class SimulatorDetectorAdapter(DetectorAdapter):
         return self.sim_dir / f"skill_iter_{iteration}.json"
 
     def load_skill(self, iteration: int) -> SkillState:
-        return _load_json(self._skill_path(iteration), SkillState.from_dict)
+        """The skill after ``iteration``; it must hold one exposure count per category of the world."""
+        path = self._skill_path(iteration)
+        skill = _load_json(path, SkillState.from_dict)
+        kappa = len(self.world.catalog)
+        if len(skill.exposures) != kappa:
+            raise FormatError(f"{path}: exposures must hold {kappa} counts, got {len(skill.exposures)}")
+        return skill
 
     def save_skill(self, skill: SkillState, iteration: int) -> None:
         _atomic_write_json(skill.to_dict(), self._skill_path(iteration))
@@ -324,7 +330,11 @@ def load_state(run_dir: str | Path, iteration: int | None = None) -> ActiveLearn
         if not files:
             raise BoxalError(f"no persisted state under {run_dir / 'state'}")
         iteration = max(int(f.stem.split("_")[1]) for f in files)
-    return _load_json(state_path(run_dir, iteration), ActiveLearningState.from_dict)
+    path = state_path(run_dir, iteration)
+    state = _load_json(path, ActiveLearningState.from_dict)
+    if state.iteration != iteration:
+        raise FormatError(f"{path}: iteration {state.iteration} does not match the file name")
+    return state
 
 
 def load_config(run_dir: str | Path) -> RunConfig:
@@ -361,6 +371,14 @@ def init_run(
     return state
 
 
+def _read_detections(path: str | Path, config: RunConfig, kappa: int) -> dict[str, ImagePasses]:
+    """The detections in ``path``, checked for the run's pass count and ``kappa``, then thresholded."""
+    return {
+        img.image_id: apply_thresholds(img, config.confidence, config.nms_iou)
+        for img in load_image_passes(path, expected_n=config.passes_n, kappa=kappa)
+    }
+
+
 def _request_detections(
     run_dir: Path,
     adapter: DetectorAdapter,
@@ -370,7 +388,7 @@ def _request_detections(
     image_ids: Sequence[str],
     tag: str,
 ) -> dict[str, ImagePasses]:
-    """Ask the adapter for detections, then validate and threshold its output."""
+    """Ask the adapter for detections of ``image_ids``, then read its output."""
     request_path = run_dir / "requests" / f"{tag}.json"
     output_path = run_dir / "detections" / f"{tag}.jsonl"
     _atomic_write_json(
@@ -388,13 +406,12 @@ def _request_detections(
     adapter.fulfill_detection_request(request_path, output_path)
     if not Path(str(output_path) + ".done").exists():
         raise AdapterError(f"adapter did not signal completion for {output_path}")
+    images = _read_detections(output_path, config, kappa)
     requested = set(image_ids)
-    images = {}
-    for img in load_image_passes(output_path, expected_n=config.passes_n, kappa=kappa):
-        if img.image_id not in requested:
-            raise AdapterError(f"{output_path}: adapter returned unrequested image {img.image_id!r}")
-        images[img.image_id] = apply_thresholds(img, config.confidence, config.nms_iou)
-    missing = requested - set(images)
+    for image_id in images:
+        if image_id not in requested:
+            raise AdapterError(f"{output_path}: adapter returned unrequested image {image_id!r}")
+    missing = requested - images.keys()
     if missing:
         raise AdapterError(
             f"{output_path}: adapter omitted {len(missing)} requested images, e.g. {sorted(missing)[:3]}"
@@ -406,7 +423,7 @@ def _predict(
     detections: Mapping[str, ImagePasses],
     config: RunConfig,
     kappa: int,
-    pool_ids: Sequence[str] = (),
+    pool_ids: Iterable[str] = (),
 ) -> tuple[dict[str, list[FinalPrediction]], dict[str, ImageCertainty]]:
     """Group each image once; consolidate every image and score the pool images.
 

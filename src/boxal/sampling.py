@@ -33,7 +33,7 @@ def rank(scores: Iterable[tuple]) -> list[tuple]:
 
 def sample_min_certainty(scores: Sequence[tuple[str, float]], n: int) -> list[str]:
     """The n image ids of lowest c_min among ``(image_id, c_min)`` pairs, in rank order."""
-    if n > len(scores):
+    if not 0 <= n <= len(scores):
         raise ValidationError(f"cannot sample {n} images from a pool of {len(scores)}")
     return [image_id for image_id, _ in rank(scores)[:n]]
 
@@ -43,7 +43,7 @@ def sample_random(pool_ids: Sequence[str], n: int, seed: int, iteration: int) ->
 
     Deterministic for a given (pool, n, seed, iteration).
     """
-    if n > len(pool_ids):
+    if not 0 <= n <= len(pool_ids):
         raise ValidationError(f"cannot sample {n} images from a pool of {len(pool_ids)}")
     rng = np.random.Generator(np.random.PCG64(substream_seed(seed, iteration)))
     chosen = rng.choice(len(pool_ids), size=n, replace=False)

@@ -8,13 +8,20 @@ category saturates hyperbolically with annotated-instance exposure,
 grows. Detection probability, box jitter, and score sharpness all improve
 with skill and degrade with image difficulty; false positives decay as mean
 skill rises. Everything is reproducible from explicit seeds.
+
+The noise model's parameters are module constants: ``HALF_SATURATION`` (k),
+``JITTER_SIGMA``, ``FP_RATE``, ``P_LO`` and ``P_HI`` (the detection
+probability at zero and full skill), ``NOISE_CONCENTRATION`` and
+``FP_CONCENTRATION`` (the Dirichlet concentrations of true- and
+false-positive scores). A skill file, ``SkillState.to_dict``, holds only the
+exposures.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -34,12 +41,19 @@ from .data_io import (
     _parse_objects,
     apply_thresholds,
 )
-from .errors import ValidationError
+from .errors import FormatError, ValidationError
 from .geometry import BoundingBox, iou
 
 IMAGE_SIZE = (640, 480)  # (width, height) of every generated image
 MAX_GT_OVERLAP = 0.3  # ground-truth boxes of one image overlap at most this IoU, best effort
 CATEGORY_IMBALANCE = 1.2  # Zipf exponent of the category frequencies
+HALF_SATURATION = 20.0  # k: exposures at which skill reaches 0.5
+JITTER_SIGMA = 0.05  # box-corner jitter, fraction of box diagonal
+FP_RATE = 0.3  # Poisson rate of false positives per pass at zero skill
+P_LO = 0.45  # detection probability floor (zero skill)
+P_HI = 1.0  # detection probability ceiling (full skill)
+NOISE_CONCENTRATION = 0.5  # Dirichlet concentration of score noise
+FP_CONCENTRATION = 10.0  # Dirichlet concentration of false-positive scores
 
 
 @dataclass(frozen=True)
@@ -68,35 +82,32 @@ class SyntheticWorld:
 
 @dataclass(frozen=True)
 class SkillState:
-    """Per-category detector skill plus the noise model parameters."""
+    """Per-category detector skill: the annotated instances the detector has been trained on."""
 
     exposures: tuple[int, ...]
-    half_saturation: float = 20.0  # k: exposures at which skill reaches 0.5
-    jitter_sigma: float = 0.05  # box-corner jitter, fraction of box diagonal
-    fp_rate: float = 0.3  # Poisson rate of false positives per pass at zero skill
-    p_lo: float = 0.45  # detection probability floor (zero skill)
-    p_hi: float = 1.0  # detection probability ceiling (full skill)
-    noise_concentration: float = 0.5  # Dirichlet concentration of score noise
-    fp_concentration: float = 10.0  # Dirichlet concentration of false-positive scores
 
     def skill(self, category: int) -> float:
         e = self.exposures[category]
-        return e / (e + self.half_saturation)
+        return e / (e + HALF_SATURATION)
 
     @property
     def mean_skill(self) -> float:
         return sum(self.skill(c) for c in range(len(self.exposures))) / len(self.exposures)
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {"exposures": list(self.exposures)}
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "SkillState":
-        return cls(**{**doc, "exposures": tuple(doc["exposures"])})
+    def from_dict(cls, doc) -> "SkillState":
+        """The skill in a skill file: nonnegative integer exposures; other keys are ignored."""
+        exposures = _field(doc, "exposures", list)
+        if not all(type(e) is int and e >= 0 for e in exposures):
+            raise FormatError(f"exposures must be an array of integers >= 0, got {exposures!r:.80}")
+        return cls(tuple(exposures))
 
     @classmethod
-    def fresh(cls, kappa: int, **overrides) -> "SkillState":
-        return cls(exposures=(0,) * kappa, **overrides)
+    def fresh(cls, kappa: int) -> "SkillState":
+        return cls(exposures=(0,) * kappa)
 
 
 def _category_weights(kappa: int) -> np.ndarray:
@@ -264,12 +275,12 @@ def simulate_passes(
         for box, category in img.objects:
             s = skill.skill(category)
             effective = s * (1.0 - d)
-            p_det = min(max(skill.p_lo + (skill.p_hi - skill.p_lo) * effective, 0.0), 1.0)
+            p_det = min(max(P_LO + (P_HI - P_LO) * effective, 0.0), 1.0)
             detected = rng.random() < p_det
             diag = ((box.x_max - box.x_min) ** 2 + (box.y_max - box.y_min) ** 2) ** 0.5
-            sigma = skill.jitter_sigma * (1.0 - effective) * diag
+            sigma = JITTER_SIGMA * (1.0 - effective) * diag
             jitter = rng.normal(0.0, 1.0, size=4) * sigma
-            noise = _dirichlet(rng, skill.noise_concentration, kappa)
+            noise = _dirichlet(rng, NOISE_CONCENTRATION, kappa)
             if not detected:
                 continue
             x0 = max(0.0, box.x_min + jitter[0])
@@ -283,10 +294,10 @@ def simulate_passes(
             scores[category] += alpha
             scores /= scores.sum()
             dets.append(Detection(BoundingBox(x0, y0, x1, y1), tuple(float(v) for v in scores)))
-        fp_count = int(rng.poisson(skill.fp_rate * (1.0 - skill.mean_skill)))
+        fp_count = int(rng.poisson(FP_RATE * (1.0 - skill.mean_skill)))
         for _ in range(fp_count):
             fp_box = _place_box(rng, img.width, img.height)
-            fp_scores = _dirichlet(rng, skill.fp_concentration, kappa)
+            fp_scores = _dirichlet(rng, FP_CONCENTRATION, kappa)
             fp_scores /= fp_scores.sum()
             dets.append(Detection(fp_box, tuple(float(v) for v in fp_scores)))
         passes.append(tuple(dets))
@@ -300,4 +311,4 @@ def train_update(skill: SkillState, newly_annotated: Iterable[GroundTruthImage])
     for gt in newly_annotated:
         for _, category in gt.objects:
             exposures[category] += 1
-    return replace(skill, exposures=tuple(exposures))
+    return SkillState(tuple(exposures))

@@ -35,6 +35,11 @@ def certainty_of(img, kappa, n):
     return image_certainty(img.image_id, group_passes(img), kappa, n)
 
 
+def set_triples(img, kappa, n):
+    """The certainty triple of each instance set of ``img``, in set order."""
+    return [set_certainty(s, kappa, n) for s in group_passes(img)]
+
+
 class TestSemanticCertainty:
     def test_one_hot_is_one(self):
         for kappa in (2, 5, 9):
@@ -121,22 +126,23 @@ class TestImageCertainty:
         )
         img = ImagePasses("x", 100, 100, passes)
         ic = certainty_of(img, kappa=2, n=2)
-        assert ic.set_count == 2
-        assert ic.c_min == pytest.approx(min(t.c_h for t in ic.triples), abs=1e-15)
+        triples = set_triples(img, kappa=2, n=2)
+        assert ic.set_count == len(triples) == 2
+        assert ic.c_min == pytest.approx(min(t.c_h for t in triples), abs=1e-15)
         assert ic.min_triple.c_h == ic.c_min
 
     def test_single_set(self):
         img = ImagePasses("x", 100, 100, ((det(0, 0, 10, 10, (0.8, 0.2)),), ()))
         ic = certainty_of(img, kappa=2, n=2)
         assert ic.set_count == 1
-        assert ic.c_min == pytest.approx(ic.triples[0].c_h, abs=1e-15)
+        assert ic.c_min == pytest.approx(set_triples(img, kappa=2, n=2)[0].c_h, abs=1e-15)
 
     def test_no_detections_certainty_one(self):
         img = ImagePasses("blank", 100, 100, ((), (), ()))
         ic = certainty_of(img, kappa=2, n=3)
         assert ic.set_count == 0
         assert ic.c_min == 1.0
-        assert ic.min_triple is None
+        assert ic.min_triple == CertaintyTriple(1.0, 1.0, 1.0)
 
     def test_permuting_members_leaves_triple_unchanged(self):
         rng = np.random.Generator(np.random.PCG64(3))
@@ -173,7 +179,7 @@ class TestImageCertainty:
             img = random_passes(rng)
             ic = certainty_of(img, kappa=3, n=len(img.passes))
             assert 0.0 <= ic.c_min <= 1.0
-            for t in ic.triples:
+            for t in set_triples(img, kappa=3, n=len(img.passes)):
                 for v in (t.c_sem, t.c_spa, t.c_occ, t.c_h):
                     assert -1e-12 <= v <= 1.0 + 1e-12
                 assert ic.c_min <= t.c_h + 1e-15

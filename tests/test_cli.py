@@ -6,7 +6,7 @@ from boxal.cli import main
 from boxal.data_io import load_image_passes, load_manifest, save_ground_truth, save_manifest
 from boxal.evaluation import consolidate
 from boxal.grouping import group_passes
-from boxal.orchestrator import SimulatorDetectorAdapter, load_state
+from boxal.orchestrator import SimulatorDetectorAdapter, _fmt, load_config, load_state
 from boxal.simulator import generate_world, save_world
 
 
@@ -194,6 +194,34 @@ class TestRankSampleEvaluateTtest:
     def test_sample_requires_matching_input(self, tmp_path, capsys):
         assert run_cli("sample", "--strategy", "min_certainty", "--n", 3) == 2
         assert "ranking" in capsys.readouterr().err
+
+    def test_negative_sample_size_exits_2(self, tmp_path, capsys):
+        ranking_path = tmp_path / "ranking.csv"
+        ranking_path.write_text("image_id,c_min\na,0.1\nb,0.2\nc,0.3\n")
+        pool_path = tmp_path / "pool.txt"
+        pool_path.write_text("a\nb\nc\n")
+        for flags in (["--ranking", ranking_path], ["--strategy", "random", "--pool", pool_path]):
+            assert run_cli("sample", *flags, "--n", -1) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("error: cannot sample -1 images"), err
+
+    def test_rank_scores_as_the_loop_samples(self, tmp_path):
+        # boxal rank and the loop share one scoring path: ranking iteration 0's detections
+        # with the run's config and keeping the pool images gives the loop's sampled batch
+        run_dir = simulate(tmp_path)
+        ranking_path = tmp_path / "ranking.csv"
+        assert run_cli(
+            "rank", "--detections", run_dir / "detections" / "iter_0.jsonl",
+            "--manifest", run_dir / "manifest.json", "--config", run_dir / "config.json",
+            "--out", ranking_path,
+        ) == 0
+        pool = set(load_state(run_dir, 0).pool_ids)
+        with open(ranking_path, newline="") as fh:
+            ranked = [(r["image_id"], r["c_min"]) for r in csv.DictReader(fh) if r["image_id"] in pool]
+        config = load_config(run_dir)
+        sampled = load_state(run_dir, 1).record["sampled"]
+        assert len(sampled) == config.batch_size
+        assert ranked[: config.batch_size] == [(image_id, _fmt(c_min)) for image_id, c_min in sampled]
 
     def test_evaluate(self, tmp_path):
         run_dir = simulate(tmp_path)

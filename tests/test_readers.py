@@ -13,6 +13,7 @@ import csv
 import json
 import math
 import re
+import shutil
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +23,7 @@ from boxal.cli import _read_column, _read_pool, _read_ranking, main
 from boxal.data_io import load_ground_truth, load_image_passes, load_manifest
 from boxal.errors import BoxalError
 from boxal.evaluation import load_predictions
-from boxal.orchestrator import RunConfig, load_config, load_state
+from boxal.orchestrator import RunConfig, SimulatorDetectorAdapter, load_config, load_state
 from boxal.simulator import generate_world, load_world, save_world
 
 DET = {"bbox": [1.0, 2.0, 11.0, 12.0], "scores": [0.7, 0.3]}
@@ -56,7 +57,9 @@ VALID = {
             "f1_remaining": [0.75],
         },
     },
+    "skill": {"exposures": [3, 0]},
 }
+SKILL_WORLD = generate_world(seed=1, image_count=6, kappa=2, initial_training=1, validation=1, test=1)
 
 
 def _world_doc(tmp_path_factory):
@@ -100,6 +103,8 @@ READERS = {
     "column": ("column.csv", _write_csv, _read_column, True),
     "pool": ("pool.txt", _write_lines, _read_pool, True),
     "state": ("state/iter_1.json", _write_state, lambda p: load_state(p.parent.parent, 1), False),
+    "skill": ("sim/skill_iter_1.json", _write_state,
+              lambda p: SimulatorDetectorAdapter(SKILL_WORLD, p.parent.parent).load_skill(1), False),
 }
 JUNK = [math.nan, math.inf, -math.inf, None, True, False, 0, -3, 1.5, 50.7, 10**30, 10**400,
         "", "abc", "15", [], [1], {}, {"x": 1}]
@@ -220,7 +225,16 @@ PROBES = [
     ("state", ("record", "metrics", "map"), "0.5"),
     ("state", ("record", "sampled", 0), ["p1"]),
     ("state", ("record", "f1_remaining", 0), None),
+    ("state", ("iteration",), 7),
+    ("skill", ("exposures",), [1]),
+    ("skill", ("exposures", 0), -1),
+    ("skill", ("exposures", 0), 1.5),
+    ("skill", ("exposures", 0), True),
 ]
+
+
+def _probe_id(probe):
+    return f"{probe[0]}-{'-'.join(map(str, probe[1]))}"
 
 
 def _probe(probe, valid, tmp_path):
@@ -234,7 +248,7 @@ def _probe(probe, valid, tmp_path):
     return target
 
 
-@pytest.mark.parametrize("probe", PROBES, ids=lambda p: f"{p[0]}-{'-'.join(map(str, p[1]))}")
+@pytest.mark.parametrize("probe", PROBES, ids=_probe_id)
 def test_probe_rejected_with_location(probe, valid, tmp_path):
     _probe(probe, valid, tmp_path)
 
@@ -260,10 +274,10 @@ def _cli(tmp_path, valid, name, target):
     return ["init", "--manifest", files["manifest"], "--config", target, "--out", tmp_path / "run"]
 
 
-CLI_PROBES = [p for p in PROBES if p[0] != "detections"]
+CLI_PROBES = [p for p in PROBES if p[0] not in ("detections", "skill")]
 
 
-@pytest.mark.parametrize("probe", CLI_PROBES, ids=lambda p: f"{p[0]}-{'-'.join(map(str, p[1]))}")
+@pytest.mark.parametrize("probe", CLI_PROBES, ids=_probe_id)
 def test_cli_exits_2_on_probe(probe, valid, tmp_path, capsys):
     target = _probe(probe, valid, tmp_path)
     capsys.readouterr()
@@ -277,6 +291,44 @@ def test_cli_accepts_valid_input(name, valid, tmp_path):
     target = tmp_path / READERS[name][0]
     READERS[name][1](target, valid[name])
     assert main([str(a) for a in _cli(tmp_path, valid, name, target)]) == 0
+
+
+@pytest.fixture(scope="module")
+def skill_run(tmp_path_factory):
+    """A finished one-iteration simulate-run on a 2-category world, as the skill probes' template."""
+    run_dir = tmp_path_factory.mktemp("skill") / "run"
+    assert main([str(a) for a in [
+        "simulate-run", "--out", run_dir, "--images", 30, "--categories", 2, "--initial-training", 5,
+        "--validation", 2, "--test", 4, "--passes-n", 3, "--batch-size", 5, "--iterations", 1,
+    ]]) == 0
+    return run_dir
+
+
+def _loop_with_skill(skill_run, tmp_path, doc):
+    """``boxal loop --iterations 0`` on a copy of ``skill_run`` whose last skill file holds ``doc``."""
+    run_dir = shutil.copytree(skill_run, tmp_path / "run")
+    target = run_dir / READERS["skill"][0]
+    _write_json(target, doc)
+    return main(["loop", "--run", str(run_dir), "--iterations", "0"]), run_dir, target
+
+
+@pytest.mark.parametrize("probe", [p for p in PROBES if p[0] == "skill"], ids=_probe_id)
+def test_cli_loop_exits_2_on_skill_probe(probe, valid, skill_run, tmp_path, capsys):
+    _, path, value = probe
+    doc = _mutated(valid["skill"], path, "replace", value)
+    code, _, target = _loop_with_skill(skill_run, tmp_path, doc)
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith(f"error: {target}: "), err
+
+
+def test_skill_file_keys_besides_exposures_are_ignored(skill_run, tmp_path):
+    # the noise parameters that skill files used to hold, plus a key no version wrote
+    doc = json.loads((skill_run / READERS["skill"][0]).read_text())
+    doc.update(half_saturation=20.0, jitter_sigma=0.05, fp_rate=0.3, p_lo=0.45, p_hi=1.0,
+               noise_concentration=0.5, fp_concentration=10.0, note="x")
+    code, run_dir, _ = _loop_with_skill(skill_run, tmp_path, doc)
+    assert code == 0
+    assert (run_dir / "log.csv").read_bytes() == (skill_run / "log.csv").read_bytes()
 
 
 def test_cli_missing_file_exits_2(valid, tmp_path, capsys):

@@ -36,8 +36,9 @@ class TestMinCertaintySampling:
         assert sample_min_certainty(self.RANKING, 5) == ["a", "b", "c", "d", "e"]
 
     def test_oversampling_rejected(self):
-        with pytest.raises(ValidationError):
-            sample_min_certainty(self.RANKING, 6)
+        for n in (6, -1):
+            with pytest.raises(ValidationError):
+                sample_min_certainty(self.RANKING, n)
 
     def test_ranks_unordered_input(self):
         scores = [("d", 0.4), ("b", 0.1), ("a", 0.2), ("c", 0.1)]
@@ -72,8 +73,9 @@ class TestRandomSampling:
         assert sample_random(self.POOL, 30, seed=1, iteration=0) == sorted(self.POOL)
 
     def test_oversampling_rejected(self):
-        with pytest.raises(ValidationError):
-            sample_random(self.POOL, 31, seed=1, iteration=0)
+        for n in (31, -1):
+            with pytest.raises(ValidationError):
+                sample_random(self.POOL, n, seed=1, iteration=0)
 
     def test_duplicate_free_subset_sorted(self):
         out = sample_random(self.POOL, 12, seed=9, iteration=4)

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from boxal.certainty import image_certainty
+from boxal import simulator
+from boxal.certainty import image_certainty, set_certainty
 from boxal.data_io import CategoryCatalog, DatasetManifest, GroundTruthImage
 from boxal.errors import ValidationError
 from boxal.evaluation import consolidate, f1_image
@@ -135,17 +136,17 @@ class TestSimulatePasses:
         preds = consolidate(group_passes(passes))
         assert f1_image(preds, img.ground_truth) == 1.0
 
-    def test_zero_skill_semantic_certainty_low(self):
+    def test_zero_skill_semantic_certainty_low(self, monkeypatch):
         # alpha = 0 (no exposures): scores are pure Dirichlet noise. At
         # kappa=2 a flatter concentration keeps survivors past the 0.5
         # confidence threshold while their entropy stays near maximal.
+        monkeypatch.setattr(simulator, "NOISE_CONCENTRATION", 4.0)
         world = generate_world(seed=6, image_count=100, kappa=2, objects_per_image=(2, 4))
-        skill = SkillState.fresh(2, noise_concentration=4.0)
+        skill = SkillState.fresh(2)
         sems = []
         for image_id in world.images:
             passes = simulate_passes(world, skill, image_id, n=10, pass_seed=13)
-            ic = image_certainty(image_id, group_passes(passes), 2, 10)
-            sems.extend(t.c_sem for t in ic.triples)
+            sems.extend(set_certainty(s, 2, 10).c_sem for s in group_passes(passes))
         assert len(sems) >= 500
         assert sum(sems) / len(sems) < 0.2
 
@@ -198,13 +199,13 @@ class TestSimulatePasses:
 
 class TestSkillState:
     def test_skill_saturates(self):
-        s = SkillState(exposures=(0, 20, 10**9), half_saturation=20.0)
+        s = SkillState(exposures=(0, 20, 10**9))
         assert s.skill(0) == 0.0
         assert s.skill(1) == pytest.approx(0.5)
         assert 0.999 < s.skill(2) < 1.0
 
     def test_round_trip(self):
-        s = SkillState(exposures=(3, 1, 4), jitter_sigma=0.07)
+        s = SkillState(exposures=(3, 1, 4))
         assert SkillState.from_dict(s.to_dict()) == s
 
     def test_train_update_counts_instances(self):
