@@ -111,7 +111,7 @@ def _read_pool(path: str) -> list[str]:
 
 def _make_adapter(args: argparse.Namespace, run_dir: Path):
     if args.adapter == "simulator":
-        return SimulatorDetectorAdapter(load_world(run_dir / "world.json"), run_dir)
+        return SimulatorDetectorAdapter(load_world(run_dir), run_dir)
     return FileWaitAdapter(timeout=args.adapter_timeout)
 
 

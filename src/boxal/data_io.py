@@ -187,13 +187,13 @@ def _box_field(record) -> BoundingBox:
     return BoundingBox(*coords)
 
 
-def _labeled_box(record, kappa: int | None) -> tuple[BoundingBox, int]:
-    """``record``'s box and category; the category is nonnegative, and below ``kappa`` when given."""
+def _labeled_box(record, kappa: int) -> tuple[BoundingBox, int]:
+    """``record``'s box and category; the category is nonnegative and below ``kappa``."""
     box = _box_field(record)
     category = _field(record, "category", int)
     if category < 0:
         raise FormatError(f"category must be a nonnegative integer, got {category}")
-    if kappa is not None and category >= kappa:
+    if category >= kappa:
         raise ValidationError(f"category index {category} outside [0, {kappa})")
     return box, category
 
@@ -354,14 +354,10 @@ def apply_thresholds(img: ImagePasses, confidence: float = 0.5, nms_iou: float =
 # ground truth
 
 
-def _parse_objects(raw_objects: list, kappa: int | None) -> tuple[tuple[BoundingBox, int], ...]:
-    """(box, category) pairs; categories are nonnegative, and below ``kappa`` when given."""
-    return tuple(_labeled_box(raw, kappa) for raw in raw_objects)
-
-
-def load_ground_truth(path: str | Path, kappa: int | None = None) -> dict[str, GroundTruthImage]:
+def load_ground_truth(path: str | Path, kappa: int) -> dict[str, GroundTruthImage]:
+    """Load a ground-truth file; categories are nonnegative and below ``kappa``."""
     return _load_by_image(path, lambda image_id, record: GroundTruthImage(
-        image_id, _parse_objects(_field(record, "objects", list), kappa)
+        image_id, tuple(_labeled_box(raw, kappa) for raw in _field(record, "objects", list))
     ))
 
 

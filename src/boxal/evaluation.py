@@ -209,7 +209,7 @@ def coco_map(
 # {"image_id": str, "predictions": [{"bbox": [x1,y1,x2,y2], "category": int, "score": f}]}
 
 
-def _parse_prediction(raw, kappa: int | None) -> FinalPrediction:
+def _parse_prediction(raw, kappa: int) -> FinalPrediction:
     box, category = _labeled_box(raw, kappa)
     score = _field(raw, "score", float)
     if not 0.0 <= score <= 1.0:
@@ -217,8 +217,8 @@ def _parse_prediction(raw, kappa: int | None) -> FinalPrediction:
     return FinalPrediction(box, category, float(score))
 
 
-def load_predictions(path: str | Path, kappa: int | None = None) -> dict[str, list[FinalPrediction]]:
-    """Load a predictions file; categories are nonnegative, and below ``kappa`` when given."""
+def load_predictions(path: str | Path, kappa: int) -> dict[str, list[FinalPrediction]]:
+    """Load a predictions file; categories are nonnegative and below ``kappa``."""
     return _load_by_image(path, lambda _, record: [
         _parse_prediction(raw, kappa) for raw in _field(record, "predictions", list)
     ])

@@ -22,6 +22,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+import re
 import socket
 import time
 from abc import ABC, abstractmethod
@@ -329,7 +330,10 @@ def load_state(run_dir: str | Path, iteration: int | None = None) -> ActiveLearn
         files = sorted((run_dir / "state").glob("iter_*.json"))
         if not files:
             raise BoxalError(f"no persisted state under {run_dir / 'state'}")
-        iteration = max(int(f.stem.split("_")[1]) for f in files)
+        stray = [f for f in files if not re.fullmatch(r"iter_(0|[1-9][0-9]*)", f.stem)]
+        if stray:
+            raise FormatError(f"{stray[0]}: not a state file name; state files are named iter_<N>.json")
+        iteration = max(int(f.stem[len("iter_"):]) for f in files)
     path = state_path(run_dir, iteration)
     state = _load_json(path, ActiveLearningState.from_dict)
     if state.iteration != iteration:
@@ -575,6 +579,8 @@ def run_loop(
     that iteration) plus a final row evaluating the model after the last
     retraining.
     """
+    if iterations is not None and not 0 <= iterations:
+        raise ValidationError(f"cannot run {iterations} iterations")
     run_dir = Path(run_dir)
     with run_lock(run_dir):
         state = load_state(run_dir)

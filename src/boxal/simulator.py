@@ -7,7 +7,10 @@ category saturates hyperbolically with annotated-instance exposure,
 ``skill(c) = e_c / (e_c + k)``, so performance plateaus as the training set
 grows. Detection probability, box jitter, and score sharpness all improve
 with skill and degrade with image difficulty; false positives decay as mean
-skill rises. Everything is reproducible from explicit seeds.
+skill rises. Everything is reproducible from explicit seeds. A run stores
+its world once: ``world.json`` holds only ``{"difficulty": {image_id: d}}``,
+and the partitions and objects are the run's ``manifest.json`` and
+``ground_truth.jsonl``.
 
 The noise model's parameters are module constants: ``HALF_SATURATION`` (k),
 ``JITTER_SIGMA``, ``FP_RATE``, ``P_LO`` and ``P_HI`` (the detection
@@ -28,18 +31,17 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .data_io import (
+    _NUMBER_TYPES,
     CategoryCatalog,
-    PARTITIONS,
     DatasetManifest,
     Detection,
     GroundTruthImage,
     ImagePasses,
     _field,
     _load_json,
-    _located,
-    _parse_manifest,
-    _parse_objects,
     apply_thresholds,
+    load_ground_truth,
+    load_manifest,
 )
 from .errors import FormatError, ValidationError
 from .geometry import BoundingBox, iou
@@ -59,8 +61,6 @@ FP_CONCENTRATION = 10.0  # Dirichlet concentration of false-positive scores
 @dataclass(frozen=True)
 class WorldImage:
     image_id: str
-    width: int
-    height: int
     difficulty: float
     objects: tuple[tuple[BoundingBox, int], ...]
 
@@ -71,10 +71,12 @@ class WorldImage:
 
 @dataclass(frozen=True)
 class SyntheticWorld:
-    catalog: CategoryCatalog
     images: dict[str, WorldImage]
     manifest: DatasetManifest
-    seed: int
+
+    @property
+    def catalog(self) -> CategoryCatalog:
+        return self.manifest.catalog
 
     def ground_truth(self) -> dict[str, GroundTruthImage]:
         return {image_id: img.ground_truth for image_id, img in self.images.items()}
@@ -161,7 +163,7 @@ def generate_world(
                 box = _place_box(rng, width, height)
             category = int(rng.choice(kappa, p=weights))
             objects.append((box, category))
-        images[image_id] = WorldImage(image_id, width, height, difficulty, tuple(objects))
+        images[image_id] = WorldImage(image_id, difficulty, tuple(objects))
 
     ids = list(images)
     rng.shuffle(ids)
@@ -181,59 +183,33 @@ def generate_world(
         test=tuple(ids[n_init + n_val : n_init + n_val + n_test]),
         pool=tuple(ids[n_init + n_val + n_test :]),
     )
-    return SyntheticWorld(catalog, images, manifest, seed)
+    return SyntheticWorld(images, manifest)
 
 
 def save_world(world: SyntheticWorld, path: str | Path) -> None:
-    doc = {
-        "seed": world.seed,
-        "categories": list(world.catalog.names),
-        "manifest": {name: list(getattr(world.manifest, name)) for name in PARTITIONS},
-        "images": [
-            {
-                "image_id": img.image_id,
-                "width": img.width,
-                "height": img.height,
-                "difficulty": img.difficulty,
-                "objects": [
-                    {"bbox": list(box.as_tuple()), "category": cat} for box, cat in img.objects
-                ],
-            }
-            for img in world.images.values()
-        ],
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+    """Write what only the world knows, each image's difficulty; the run's files hold the rest."""
+    doc = {"difficulty": {image_id: img.difficulty for image_id, img in world.images.items()}}
+    Path(path).write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
 
 
-def _parse_world(doc) -> SyntheticWorld:
-    manifest_doc = {**_field(doc, "manifest", dict), "categories": _field(doc, "categories", list)}
-    manifest = _parse_manifest(manifest_doc)
+def load_world(run_dir: str | Path) -> SyntheticWorld:
+    """Rebuild a simulator run's world; every manifest id needs a difficulty and objects."""
+    run_dir = Path(run_dir)
+    world_path, gt_path = run_dir / "world.json", run_dir / "ground_truth.jsonl"
+    difficulty = _load_json(world_path, lambda doc: _field(doc, "difficulty", dict))
+    manifest = load_manifest(run_dir / "manifest.json")
+    gt = load_ground_truth(gt_path, len(manifest.catalog))
     images = {}
-    for raw in _field(doc, "images", list):
-        image_id = _field(raw, "image_id", str)
-        with _located(f"image {image_id!r}"):
-            if image_id in images:
-                raise ValidationError("duplicate image_id")
-            width = _field(raw, "width", int)
-            height = _field(raw, "height", int)
-            difficulty = _field(raw, "difficulty", float)
-            if width <= 0 or height <= 0 or not 0.0 <= difficulty <= 1.0:
-                raise ValidationError(
-                    f"size must be positive and difficulty in [0, 1], got {width}x{height}, {difficulty}"
-                )
-            objects = _parse_objects(_field(raw, "objects", list), len(manifest.catalog))
-        images[image_id] = WorldImage(image_id, width, height, float(difficulty), objects)
-    missing = manifest.all_ids - images.keys()
-    if missing:
-        raise ValidationError(f"{len(missing)} manifest ids have no image, e.g. {sorted(missing)[:3]}")
-    return SyntheticWorld(manifest.catalog, images, manifest, _field(doc, "seed", int))
-
-
-def load_world(path: str | Path) -> SyntheticWorld:
-    """Load a world file; object categories must lie in its catalog."""
-    return _load_json(path, _parse_world)
+    for image_id in sorted(manifest.all_ids):
+        d = difficulty.get(image_id)
+        if type(d) not in _NUMBER_TYPES or not 0 <= d <= 1:  # None when missing; NaN fails too
+            raise ValidationError(
+                f"{world_path}: image {image_id!r} needs a difficulty in [0, 1], got {d!r:.80}"
+            )
+        if image_id not in gt:
+            raise ValidationError(f"{gt_path}: image {image_id!r} of the manifest has no record")
+        images[image_id] = WorldImage(image_id, float(d), gt[image_id].objects)
+    return SyntheticWorld(images, manifest)
 
 
 def _pass_rng(pass_seed: int, image_id: str, pass_index: int) -> np.random.Generator:
@@ -266,6 +242,7 @@ def simulate_passes(
     returned passes already have the confidence and NMS thresholds applied.
     """
     img = world.images[image_id]
+    width, height = IMAGE_SIZE
     kappa = len(world.catalog)
     d = img.difficulty
     passes = []
@@ -285,8 +262,8 @@ def simulate_passes(
                 continue
             x0 = max(0.0, box.x_min + jitter[0])
             y0 = max(0.0, box.y_min + jitter[1])
-            x1 = min(float(img.width), box.x_max + jitter[2])
-            y1 = min(float(img.height), box.y_max + jitter[3])
+            x1 = min(float(width), box.x_max + jitter[2])
+            y1 = min(float(height), box.y_max + jitter[3])
             if x1 - x0 < 1e-6 or y1 - y0 < 1e-6:
                 continue  # jitter collapsed the box: counts as a miss
             alpha = effective
@@ -296,12 +273,12 @@ def simulate_passes(
             dets.append(Detection(BoundingBox(x0, y0, x1, y1), tuple(float(v) for v in scores)))
         fp_count = int(rng.poisson(FP_RATE * (1.0 - skill.mean_skill)))
         for _ in range(fp_count):
-            fp_box = _place_box(rng, img.width, img.height)
+            fp_box = _place_box(rng, width, height)
             fp_scores = _dirichlet(rng, FP_CONCENTRATION, kappa)
             fp_scores /= fp_scores.sum()
             dets.append(Detection(fp_box, tuple(float(v) for v in fp_scores)))
         passes.append(tuple(dets))
-    raw = ImagePasses(image_id, img.width, img.height, tuple(passes))
+    raw = ImagePasses(image_id, width, height, tuple(passes))
     return apply_thresholds(raw, confidence, nms_iou)
 
 

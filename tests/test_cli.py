@@ -135,6 +135,16 @@ class TestInitIterateLoop:
         with open(run_dir / "log.csv", newline="") as fh:
             assert [row["iteration"] for row in csv.DictReader(fh)] == ["0", "1", "2", "3"]
 
+    def test_loop_on_the_saved_world_continues_the_run(self, tmp_path):
+        # `boxal loop` rebuilds the world from world.json, manifest.json and ground_truth.jsonl;
+        # it must simulate what simulate-run's in-memory world does
+        flags = ["--images", 300, "--categories", 4, "--passes-n", 5, "--batch-size", 20, "--seed", 3]
+        whole, split = tmp_path / "whole", tmp_path / "split"
+        assert run_cli("simulate-run", "--out", whole, *flags, "--iterations", 3) == 0
+        assert run_cli("simulate-run", "--out", split, *flags, "--iterations", 1) == 0
+        assert run_cli("loop", "--run", split, "--iterations", 2) == 0
+        assert (split / "log.csv").read_bytes() == (whole / "log.csv").read_bytes()
+
     def test_missing_world_is_reported(self, tmp_path, capsys):
         world = generate_world(seed=2, image_count=30, kappa=3,
                                initial_training=5, validation=3, test=4)
@@ -204,6 +214,17 @@ class TestRankSampleEvaluateTtest:
             assert run_cli("sample", *flags, "--n", -1) == 2
             out, err = capsys.readouterr()
             assert out == "" and err.startswith("error: cannot sample -1 images"), err
+
+    def test_negative_iterations_exits_2(self, tmp_path, capsys):
+        run_dir = simulate(tmp_path)
+        written = [run_dir / "log.csv", *sorted((run_dir / "requests").iterdir())]
+        before = {path: path.read_bytes() for path in written}
+        capsys.readouterr()
+        assert run_cli("loop", "--run", run_dir, "--iterations", -1) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: cannot run -1 iterations"), err
+        assert sorted((run_dir / "requests").iterdir()) == written[1:]
+        assert {path: path.read_bytes() for path in written} == before
 
     def test_rank_scores_as_the_loop_samples(self, tmp_path):
         # boxal rank and the loop share one scoring path: ranking iteration 0's detections

@@ -197,7 +197,7 @@ class TestGroundTruthFile:
         }
         p = tmp_path / "gt.jsonl"
         save_ground_truth(gt, p)
-        assert load_ground_truth(p) == gt
+        assert load_ground_truth(p, kappa=2) == gt
 
     def test_category_out_of_range(self, tmp_path):
         gt = {"a": GroundTruthImage("a", ((BoundingBox(0, 0, 10, 10), 7),))}
@@ -210,7 +210,7 @@ class TestGroundTruthFile:
         p = tmp_path / "gt.jsonl"
         p.write_text(json.dumps({"image_id": "a", "objects": [{"bbox": [0, 0, 1, 1], "category": -1}]}) + "\n")
         with pytest.raises(FormatError):
-            load_ground_truth(p)
+            load_ground_truth(p, kappa=2)
 
 
 class TestManifest:

@@ -213,14 +213,14 @@ class TestPredictionsFile:
         }
         path = tmp_path / "preds.jsonl"
         write_predictions(preds, path)
-        assert load_predictions(path) == preds
+        assert load_predictions(path, kappa=2) == preds
 
     def test_duplicate_image_rejected(self, tmp_path):
         path = tmp_path / "preds.jsonl"
         line = '{"image_id": "a", "predictions": []}\n'
         path.write_text(line + line)
         with pytest.raises(ValidationError, match="duplicate"):
-            load_predictions(path)
+            load_predictions(path, kappa=2)
 
 
 def reference_p_value(df: int, t: float) -> float:

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -38,7 +39,7 @@ def assert_readers_reject_box(tmp_path, coords, message):
                                     "passes": [[{"bbox": coords, "scores": [1.0, 0.0]}]]}) + "\n")
     gt_path = tmp_path / "gt.jsonl"
     gt_path.write_text(json.dumps({"image_id": "a", "objects": [{"bbox": coords, "category": 0}]}) + "\n")
-    for path, load in ((det_path, load_image_passes), (gt_path, load_ground_truth)):
+    for path, load in ((det_path, load_image_passes), (gt_path, partial(load_ground_truth, kappa=2))):
         with pytest.raises(ValidationError, match=re.escape(message)) as excinfo:
             load(path)
         assert str(excinfo.value).startswith(f"{path}:1: "), excinfo.value

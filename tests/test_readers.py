@@ -20,8 +20,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boxal.cli import _read_column, _read_pool, _read_ranking, main
-from boxal.data_io import load_ground_truth, load_image_passes, load_manifest
-from boxal.errors import BoxalError
+from boxal.data_io import (
+    load_ground_truth,
+    load_image_passes,
+    load_manifest,
+    save_ground_truth,
+    save_manifest,
+)
+from boxal.errors import BoxalError, FormatError
 from boxal.evaluation import load_predictions
 from boxal.orchestrator import RunConfig, SimulatorDetectorAdapter, load_config, load_state
 from boxal.simulator import generate_world, load_world, save_world
@@ -60,12 +66,13 @@ VALID = {
     "skill": {"exposures": [3, 0]},
 }
 SKILL_WORLD = generate_world(seed=1, image_count=6, kappa=2, initial_training=1, validation=1, test=1)
+# a world file in the layout earlier versions wrote: the world's own copy of the run's files
+OLD_WORLD = {"seed": 1, "categories": ["cat_00", "cat_01"], "manifest": {}, "images": []}
 
 
 def _world_doc(tmp_path_factory):
     path = tmp_path_factory.mktemp("world") / "world.json"
-    save_world(generate_world(seed=1, image_count=6, kappa=2, initial_training=1,
-                              validation=1, test=1), path)
+    save_world(SKILL_WORLD, path)
     return json.loads(path.read_text())
 
 
@@ -78,8 +85,15 @@ def _write_json(path, doc):
 
 
 def _write_state(path, doc):
-    path.parent.mkdir(exist_ok=True)
+    path.parent.mkdir(parents=True, exist_ok=True)
     _write_json(path, doc)
+
+
+def _write_world(path, doc):
+    """``doc`` as world.json, beside the manifest.json and ground_truth.jsonl of ``SKILL_WORLD``."""
+    _write_json(path, doc)
+    save_manifest(SKILL_WORLD.manifest, path.parent / "manifest.json")
+    save_ground_truth(SKILL_WORLD.ground_truth(), path.parent / "ground_truth.jsonl")
 
 
 def _write_lines(path, lines):
@@ -97,7 +111,7 @@ READERS = {
     "ground_truth": ("gt.jsonl", _write_jsonl, lambda p: load_ground_truth(p, kappa=2), True),
     "predictions": ("preds.jsonl", _write_jsonl, lambda p: load_predictions(p, kappa=2), True),
     "manifest": ("manifest.json", _write_json, load_manifest, False),
-    "world": ("world.json", _write_json, load_world, False),
+    "world": ("world.json", _write_world, lambda p: load_world(p.parent), False),
     "config": ("config.json", _write_json, lambda p: load_config(p.parent), False),
     "ranking": ("ranking.csv", _write_csv, _read_ranking, True),
     "column": ("column.csv", _write_csv, _read_column, True),
@@ -212,6 +226,9 @@ PROBES = [
     ("predictions", (1, "predictions", 0, "category"), -3),
     ("predictions", (1, "predictions", 0, "score"), math.inf),
     ("predictions", (1, "predictions", 0, "category"), 7),
+    ("world", ("difficulty", "img_00003"), 1.5),
+    ("world", ("difficulty", "img_00000"), DELETE),
+    ("world", (), OLD_WORLD),
     ("config", ("passes_n",), "15"),
     ("config", ("passes_n",), 15.5),
     ("config", ("seed",), "x"),
@@ -271,6 +288,8 @@ def _cli(tmp_path, valid, name, target):
         return ["sample", "--strategy", "random", "--pool", target, "--n", 1]
     if name == "state":
         return ["loop", "--run", target.parent.parent, "--adapter", "file"]
+    if name == "world":
+        return ["loop", "--run", target.parent]
     return ["init", "--manifest", files["manifest"], "--config", target, "--out", tmp_path / "run"]
 
 
@@ -329,6 +348,21 @@ def test_skill_file_keys_besides_exposures_are_ignored(skill_run, tmp_path):
     code, run_dir, _ = _loop_with_skill(skill_run, tmp_path, doc)
     assert code == 0
     assert (run_dir / "log.csv").read_bytes() == (skill_run / "log.csv").read_bytes()
+
+
+@pytest.mark.parametrize("name", ["iter_x.json", "iter_01.json", "iter_.json", "iter_2.bak.json"])
+def test_stray_state_file_is_named(name, valid, tmp_path, capsys):
+    # a copy or backup left beside the state files is not read as, or instead of, a state file
+    run_dir = tmp_path / "run"
+    _write_state(run_dir / READERS["state"][0], valid["state"])
+    stray = run_dir / "state" / name
+    shutil.copy(run_dir / READERS["state"][0], stray)
+    with pytest.raises(FormatError) as excinfo:
+        load_state(run_dir)
+    assert str(excinfo.value).startswith(f"{stray}: "), excinfo.value
+    assert main(["loop", "--run", str(run_dir), "--adapter", "file"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {stray}: "), err
 
 
 def test_cli_missing_file_exits_2(valid, tmp_path, capsys):

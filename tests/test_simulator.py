@@ -5,7 +5,13 @@ import pytest
 
 from boxal import simulator
 from boxal.certainty import image_certainty, set_certainty
-from boxal.data_io import CategoryCatalog, DatasetManifest, GroundTruthImage
+from boxal.data_io import (
+    CategoryCatalog,
+    DatasetManifest,
+    GroundTruthImage,
+    save_ground_truth,
+    save_manifest,
+)
 from boxal.errors import ValidationError
 from boxal.evaluation import consolidate, f1_image
 from boxal.geometry import BoundingBox
@@ -22,20 +28,26 @@ from boxal.simulator import (
 )
 
 
-def hand_world(images, kappa=2, seed=0):
-    catalog = CategoryCatalog(tuple(f"cat_{i}" for i in range(kappa)))
+def hand_world(images, kappa=2):
     manifest = DatasetManifest(
-        catalog=catalog,
+        catalog=CategoryCatalog(tuple(f"cat_{i}" for i in range(kappa))),
         initial_training=(images[0].image_id,),
         pool=tuple(img.image_id for img in images[1:]),
         validation=(),
         test=(),
     )
-    return SyntheticWorld(catalog, {img.image_id: img for img in images}, manifest, seed)
+    return SyntheticWorld({img.image_id: img for img in images}, manifest)
 
 
 def world_image(image_id, difficulty, objects):
-    return WorldImage(image_id, 640, 480, difficulty, tuple(objects))
+    return WorldImage(image_id, difficulty, tuple(objects))
+
+
+def save_run_world(world, run_dir):
+    """The files a simulator run holds its world in: world.json, manifest.json, ground_truth.jsonl."""
+    save_world(world, run_dir / "world.json")
+    save_manifest(world.manifest, run_dir / "manifest.json")
+    save_ground_truth(world.ground_truth(), run_dir / "ground_truth.jsonl")
 
 
 class TestGenerateWorld:
@@ -85,22 +97,38 @@ class TestGenerateWorld:
 
     def test_save_load_round_trip(self, tmp_path):
         world = generate_world(seed=21, image_count=30, kappa=5)
-        path = tmp_path / "world.json"
-        save_world(world, path)
-        loaded = load_world(path)
+        save_run_world(world, tmp_path)
+        assert json.loads((tmp_path / "world.json").read_text()) == {
+            "difficulty": {image_id: img.difficulty for image_id, img in world.images.items()}
+        }
+        loaded = load_world(tmp_path)
         assert loaded.images == world.images
+        assert list(loaded.images) == list(world.images)
         assert loaded.manifest == world.manifest
-        assert loaded.seed == world.seed
 
     def test_load_world_bad_category(self, tmp_path):
-        path = tmp_path / "world.json"
-        save_world(generate_world(seed=21, image_count=10, kappa=2), path)
-        doc = json.loads(path.read_text())
-        doc["images"][3]["objects"] = [{"bbox": [0, 0, 10, 10], "category": 5}]
-        path.write_text(json.dumps(doc))
+        save_run_world(generate_world(seed=21, image_count=10, kappa=2), tmp_path)
+        path = tmp_path / "ground_truth.jsonl"
+        lines = path.read_text().splitlines(keepends=True)
+        record = json.loads(lines[3])
+        record["objects"] = [{"bbox": [0, 0, 10, 10], "category": 5}]
+        lines[3] = json.dumps(record) + "\n"
+        path.write_text("".join(lines))
         with pytest.raises(ValidationError, match="category index 5") as excinfo:
-            load_world(path)
-        assert str(excinfo.value).startswith(f"{path}: image ")
+            load_world(tmp_path)
+        assert str(excinfo.value).startswith(f"{path}:4: "), excinfo.value
+
+    def test_manifest_id_without_ground_truth_is_named(self, tmp_path):
+        world = generate_world(seed=21, image_count=10, kappa=2)
+        save_run_world(world, tmp_path)
+        dropped = world.manifest.pool[0]
+        gt = {i: g for i, g in world.ground_truth().items() if i != dropped}
+        save_ground_truth(gt, tmp_path / "ground_truth.jsonl")
+        with pytest.raises(ValidationError) as excinfo:
+            load_world(tmp_path)
+        assert str(excinfo.value) == (
+            f"{tmp_path / 'ground_truth.jsonl'}: image {dropped!r} of the manifest has no record"
+        )
 
 
 class TestSimulatePasses:
