@@ -27,7 +27,6 @@ from .orchestrator import (
     _predict,
     _read_detections,
     init_run,
-    run_iteration,
     run_loop,
 )
 from .sampling import rank, sample_min_certainty, sample_random
@@ -127,15 +126,6 @@ def _cmd_init(args) -> int:
     return 0
 
 
-def _cmd_iterate(args) -> int:
-    run_dir = Path(args.run)
-    adapter = _make_adapter(args, run_dir)
-    state = run_iteration(run_dir, adapter)
-    print(f"iteration complete: now at iteration {state.iteration}, "
-          f"|T|={len(state.training_ids)}, |P|={len(state.pool_ids)}")
-    return 0
-
-
 def _cmd_loop(args) -> int:
     run_dir = Path(args.run)
     adapter = _make_adapter(args, run_dir)
@@ -177,6 +167,9 @@ def _cmd_evaluate(args) -> int:
     manifest = load_manifest(args.manifest)
     gt = load_ground_truth(args.ground_truth, kappa=len(manifest.catalog))
     preds = load_predictions(args.predictions, kappa=len(manifest.catalog))
+    unknown = sorted(preds.keys() - gt.keys())
+    if unknown:
+        raise ValidationError(f"{args.predictions}: image {unknown[0]!r} is not in the ground truth")
     result = coco_map(preds, gt, manifest.catalog)
     report = {
         "map": result.map_score,
@@ -252,14 +245,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p)
     p.set_defaults(func=_cmd_init)
 
-    for name, func in (("iterate", _cmd_iterate), ("loop", _cmd_loop)):
-        p = sub.add_parser(name, help=f"{name} an existing run")
+    for name, iterations, summary in (("iterate", 1, "run one iteration: loop --iterations 1"),
+                                      ("loop", None, "run an existing run's iterations")):
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--run", required=True)
         p.add_argument("--adapter", choices=["simulator", "file"], default="simulator")
         p.add_argument("--adapter-timeout", type=float, default=3600.0)
         if name == "loop":
             p.add_argument("--iterations", type=int, default=None)
-        p.set_defaults(func=func)
+        p.set_defaults(func=_cmd_loop, iterations=iterations)
 
     p = sub.add_parser("rank", help="rank a detections file by ascending c_min")
     p.add_argument("--detections", required=True)

@@ -4,7 +4,9 @@ A run lives in a directory whose layout the README's "Run directory layout"
 section describes. The detector adapter is a file contract, not an in-process
 interface: the orchestrator writes a JSON request naming the images (and, for
 training, the epoch budget), and the adapter must produce a detections file in
-the documented format plus a ``<file>.done`` sentinel. The built-in simulator
+the documented format plus a ``<file>.done`` sentinel (for training, the
+request's own ``.done``). ``_ask`` makes every request, so a request already
+answered with the same bytes is not asked again. The built-in simulator
 adapter fulfils the contract in-process; ``FileWaitAdapter`` waits for an
 external trainer to do the same.
 
@@ -30,7 +32,7 @@ from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from . import sampling
 from .certainty import ImageCertainty, image_certainty
@@ -175,7 +177,10 @@ class DetectorAdapter(ABC):
 
     @abstractmethod
     def fulfill_training_request(self, request_path: Path) -> None:
-        """Retrain on the request's training set with its epoch budget."""
+        """Retrain on the request's training set with its epoch budget.
+
+        Must touch ``request_path.done`` on success.
+        """
 
 
 class SimulatorDetectorAdapter(DetectorAdapter):
@@ -235,6 +240,7 @@ class SimulatorDetectorAdapter(DetectorAdapter):
         # the epoch budget is recorded in the request for real trainers; the
         # simulator's skill update does not depend on it
         self.save_skill(skill, iteration)
+        Path(str(request_path) + ".done").touch()
 
 
 class FileWaitAdapter(DetectorAdapter):
@@ -305,6 +311,8 @@ def run_lock(run_dir: Path):
             if attempt or not _lock_is_stale(lock_path):
                 raise BoxalError(f"run directory is locked by another process: {lock_path}") from None
             lock_path.unlink(missing_ok=True)
+        except FileNotFoundError:
+            raise BoxalError(f"{run_dir}: no such run directory") from None
     try:
         os.write(fd, f"{os.getpid()} {socket.gethostname()}\n".encode())
         os.close(fd)
@@ -383,6 +391,22 @@ def _read_detections(path: str | Path, config: RunConfig, kappa: int) -> dict[st
     }
 
 
+def _ask(doc: dict, request_path: Path, done: Path, fulfill: Callable[[], None]) -> None:
+    """Write the request ``doc`` and have ``fulfill`` call the adapter, which must create ``done``.
+
+    A request already on disk with these exact bytes and a ``done`` is answered, so the
+    adapter is not called again; otherwise a ``done`` left by another request is removed first.
+    """
+    text = json.dumps(doc, indent=1) + "\n"
+    if done.exists() and request_path.exists() and request_path.read_bytes() == text.encode():
+        return
+    done.unlink(missing_ok=True)
+    _atomic_write(text, request_path)
+    fulfill()
+    if not done.exists():
+        raise AdapterError(f"adapter did not signal completion: {done} is missing")
+
+
 def _request_detections(
     run_dir: Path,
     adapter: DetectorAdapter,
@@ -390,26 +414,22 @@ def _request_detections(
     kappa: int,
     iteration: int,
     image_ids: Sequence[str],
-    tag: str,
+    split: str,
 ) -> dict[str, ImagePasses]:
-    """Ask the adapter for detections of ``image_ids``, then read its output."""
-    request_path = run_dir / "requests" / f"{tag}.json"
-    output_path = run_dir / "detections" / f"{tag}.jsonl"
-    _atomic_write_json(
-        {
-            "iteration": iteration,
-            "image_ids": list(image_ids),
-            "passes": config.passes_n,
-            "dropout_p": config.dropout_p,
-            "confidence": config.confidence,
-            "nms_iou": config.nms_iou,
-            "pass_seed": sampling.substream_seed(config.seed, iteration),
-        },
-        request_path,
-    )
-    adapter.fulfill_detection_request(request_path, output_path)
-    if not Path(str(output_path) + ".done").exists():
-        raise AdapterError(f"adapter did not signal completion for {output_path}")
+    """Ask the adapter for detections of ``image_ids`` as ``iter_<iteration>_<split>``, then read them."""
+    request_path = run_dir / "requests" / f"iter_{iteration}_{split}.json"
+    output_path = run_dir / "detections" / f"iter_{iteration}_{split}.jsonl"
+    doc = {
+        "iteration": iteration,
+        "image_ids": list(image_ids),
+        "passes": config.passes_n,
+        "dropout_p": config.dropout_p,
+        "confidence": config.confidence,
+        "nms_iou": config.nms_iou,
+        "pass_seed": sampling.substream_seed(config.seed, iteration),
+    }
+    _ask(doc, request_path, Path(str(output_path) + ".done"),
+         lambda: adapter.fulfill_detection_request(request_path, output_path))
     images = _read_detections(output_path, config, kappa)
     requested = set(image_ids)
     for image_id in images:
@@ -453,26 +473,22 @@ def _fmt(value) -> str:
     return format(value, ".9g")
 
 
-def _evaluate_test_set(
-    preds: Mapping[str, Sequence[FinalPrediction]],
+def _test_map(
+    run_dir: Path,
+    adapter: DetectorAdapter,
+    config: RunConfig,
     manifest: DatasetManifest,
     gt: Mapping[str, GroundTruthImage],
+    iteration: int,
 ) -> float | None:
+    """The test split's mAP for the model entering ``iteration``, from the request ``iter_<N>_test``."""
     if not manifest.test:
         return None
-    preds_by_image = {image_id: preds[image_id] for image_id in manifest.test}
-    gt_by_image = {image_id: gt[image_id] for image_id in manifest.test}
-    return coco_map(preds_by_image, gt_by_image, manifest.catalog).map_score
-
-
-def _load_run_inputs(
-    run_dir: Path,
-) -> tuple[RunConfig, DatasetManifest, dict[str, GroundTruthImage]]:
-    """The run's config, manifest and ground truth, which no iteration changes."""
-    config = load_config(run_dir)
-    manifest = load_manifest(run_dir / "manifest.json")
-    gt = load_ground_truth(run_dir / "ground_truth.jsonl", kappa=len(manifest.catalog))
-    return config, manifest, gt
+    kappa = len(manifest.catalog)
+    detections = _request_detections(run_dir, adapter, config, kappa, iteration, manifest.test, "test")
+    preds, _ = _predict(detections, config, kappa)
+    gt_test = {image_id: gt[image_id] for image_id in manifest.test}
+    return coco_map(preds, gt_test, manifest.catalog).map_score
 
 
 def _run_iteration_locked(
@@ -491,8 +507,7 @@ def _run_iteration_locked(
         )
     kappa = len(manifest.catalog)
 
-    wanted = state.pool_ids + manifest.test
-    detections = _request_detections(run_dir, adapter, config, kappa, i, wanted, f"iter_{i}")
+    detections = _request_detections(run_dir, adapter, config, kappa, i, state.pool_ids, "pool")
     preds, certainties = _predict(detections, config, kappa, state.pool_ids)
 
     if config.strategy == "min_certainty":
@@ -513,7 +528,7 @@ def _run_iteration_locked(
         ttest = ttest_two_sided([f for s, f in per_image_f1.items() if s in sampled_set], remaining_f1)
     else:
         ttest = None
-    map_score = _evaluate_test_set(preds, manifest, gt)
+    map_score = _test_map(run_dir, adapter, config, manifest, gt, i)
 
     metrics = dict(zip(LOG_COLUMNS, (
         i,
@@ -540,16 +555,14 @@ def _run_iteration_locked(
 
     _write_id_file(new_state.training_ids, run_dir / f"trainset_iter_{i + 1}.txt")
     train_request = run_dir / "requests" / f"train_iter_{i + 1}.json"
-    _atomic_write_json(
-        {
-            "iteration": i + 1,
-            "epochs": config.epoch_budget(i + 1),
-            "trainset_file": f"trainset_iter_{i + 1}.txt",
-            "new_image_ids": list(sampled),
-        },
-        train_request,
-    )
-    adapter.fulfill_training_request(train_request)
+    doc = {
+        "iteration": i + 1,
+        "epochs": config.epoch_budget(i + 1),
+        "trainset_file": f"trainset_iter_{i + 1}.txt",
+        "new_image_ids": list(sampled),
+    }
+    _ask(doc, train_request, Path(str(train_request) + ".done"),
+         lambda: adapter.fulfill_training_request(train_request))
 
     _atomic_write_json(new_state.to_dict(), state_path(run_dir, i + 1))
     _log_event(
@@ -558,14 +571,6 @@ def _run_iteration_locked(
         f"|T_{i + 1}|={len(new_state.training_ids)} |P_{i + 1}|={len(new_state.pool_ids)}",
     )
     return new_state
-
-
-def run_iteration(run_dir: str | Path, adapter: DetectorAdapter) -> ActiveLearningState:
-    """Run one sample-annotate-retrain iteration from the latest persisted state."""
-    run_dir = Path(run_dir)
-    with run_lock(run_dir):
-        state = load_state(run_dir)
-        return _run_iteration_locked(run_dir, adapter, state, *_load_run_inputs(run_dir))
 
 
 def run_loop(
@@ -577,26 +582,24 @@ def run_loop(
     up to ``config.iterations`` in all. The report carries one row per
     completed iteration (metrics measured with the model as trained entering
     that iteration) plus a final row evaluating the model after the last
-    retraining.
+    retraining. That evaluation is the next iteration's test request, so a
+    later loop reuses its answer.
     """
     if iterations is not None and not 0 <= iterations:
         raise ValidationError(f"cannot run {iterations} iterations")
     run_dir = Path(run_dir)
     with run_lock(run_dir):
         state = load_state(run_dir)
-        config, manifest, gt = _load_run_inputs(run_dir)
+        config = load_config(run_dir)
+        manifest = load_manifest(run_dir / "manifest.json")
+        gt = load_ground_truth(run_dir / "ground_truth.jsonl", kappa=len(manifest.catalog))
         if iterations is None:
             iterations = max(0, config.iterations - state.iteration)
         for _ in range(iterations):
             state = _run_iteration_locked(run_dir, adapter, state, config, manifest, gt)
 
         final_iter = state.iteration
-        kappa = len(manifest.catalog)
-        detections = _request_detections(
-            run_dir, adapter, config, kappa, final_iter, manifest.test, f"iter_{final_iter}_eval"
-        )
-        preds, _ = _predict(detections, config, kappa)
-        final_map = _evaluate_test_set(preds, manifest, gt)
+        final_map = _test_map(run_dir, adapter, config, manifest, gt, final_iter)
 
         with open(run_dir / "log.csv", "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)

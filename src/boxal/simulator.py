@@ -170,6 +170,8 @@ def generate_world(
     n_init = initial_training if initial_training is not None else max(1, image_count // 10)
     n_val = validation if validation is not None else max(1, image_count // 10)
     n_test = test if test is not None else max(1, (image_count * 15) // 100)
+    if min(n_init, n_val, n_test) < 0:
+        raise ValidationError(f"partition sizes must be >= 0, got {n_init}, {n_val}, {n_test}")
     if image_count == 0:
         n_init = n_val = n_test = 0
     if n_init + n_val + n_test > image_count:

@@ -24,7 +24,6 @@ from boxal.orchestrator import (
     SimulatorDetectorAdapter,
     init_run,
     load_state,
-    run_iteration,
     run_loop,
 )
 from boxal.data_io import CategoryCatalog, GroundTruthImage
@@ -268,7 +267,7 @@ def test_criterion_7_loop_bookkeeping(tmp_path):
     for i in range(10):
         # a fresh adapter each iteration: everything needed must come from
         # the persisted run directory (reload-resume)
-        state = run_iteration(run_dir, SimulatorDetectorAdapter(world, run_dir))
+        state = run_loop(run_dir, SimulatorDetectorAdapter(world, run_dir), 1)
         assert state.iteration == i + 1
         assert len(state.training_ids) == 100 + 100 * (i + 1)
         training, pool = set(state.training_ids), set(state.pool_ids)

@@ -124,6 +124,8 @@ class TestInitIterateLoop:
         run_dir = init_simulated(tmp_path)
         assert run_cli("iterate", "--run", run_dir) == 0
         assert "iteration 1" in capsys.readouterr().out
+        with open(run_dir / "log.csv", newline="") as fh:  # iterate is loop --iterations 1
+            assert [row["iteration"] for row in csv.DictReader(fh)] == ["0", "1"]
         assert run_cli("loop", "--run", run_dir, "--iterations", 1) == 0
         assert load_state(run_dir).iteration == 2
 
@@ -166,13 +168,27 @@ class TestInitIterateLoop:
         assert capsys.readouterr().err.startswith(f"error: {run_dir / 'ground_truth.jsonl'}: ")
 
 
+    def test_missing_run_directory_is_named(self, tmp_path, capsys):
+        run_dir = tmp_path / "does-not-exist"
+        for command in ("loop", "iterate"):
+            assert run_cli(command, "--run", run_dir, "--adapter", "file", "--adapter-timeout", 0.01) == 2
+            assert capsys.readouterr().err == f"error: {run_dir}: no such run directory\n"
+        assert not run_dir.exists()
+
+    def test_negative_partition_size_exits_2(self, tmp_path, capsys):
+        for flag in ("initial-training", "test"):
+            simulate(tmp_path, name=flag, expect=2, **{flag: -1})
+            assert capsys.readouterr().err.startswith("error: partition sizes must be >= 0"), flag
+            assert not (tmp_path / flag).exists()
+
+
 class TestRankSampleEvaluateTtest:
     def test_rank_sample_round_trip(self, tmp_path):
         run_dir = simulate(tmp_path)
         manifest_path = run_dir / "manifest.json"
         ranking_path = tmp_path / "ranking.csv"
         assert run_cli(
-            "rank", "--detections", run_dir / "detections" / "iter_0.jsonl",
+            "rank", "--detections", run_dir / "detections" / "iter_0_pool.jsonl",
             "--manifest", manifest_path, "--passes-n", 5, "--out", ranking_path,
         ) == 0
         with open(ranking_path, newline="") as fh:
@@ -232,7 +248,7 @@ class TestRankSampleEvaluateTtest:
         run_dir = simulate(tmp_path)
         ranking_path = tmp_path / "ranking.csv"
         assert run_cli(
-            "rank", "--detections", run_dir / "detections" / "iter_0.jsonl",
+            "rank", "--detections", run_dir / "detections" / "iter_0_pool.jsonl",
             "--manifest", run_dir / "manifest.json", "--config", run_dir / "config.json",
             "--out", ranking_path,
         ) == 0
@@ -247,7 +263,7 @@ class TestRankSampleEvaluateTtest:
     def test_evaluate(self, tmp_path):
         run_dir = simulate(tmp_path)
         manifest = load_manifest(run_dir / "manifest.json")
-        detections = load_image_passes(run_dir / "detections" / "iter_2_eval.jsonl")
+        detections = load_image_passes(run_dir / "detections" / "iter_2_test.jsonl")
         preds_path = tmp_path / "preds.jsonl"
         with open(preds_path, "w", encoding="utf-8") as fh:
             for img in detections:
@@ -269,6 +285,22 @@ class TestRankSampleEvaluateTtest:
         with open(f1_path, newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert all(0.0 <= float(r["f1"]) <= 1.0 for r in rows)
+
+    def test_evaluate_rejects_an_image_the_ground_truth_lacks(self, tmp_path, capsys):
+        run_dir = simulate(tmp_path)
+        image_id = load_manifest(run_dir / "manifest.json").test[0]
+        preds_path = tmp_path / "preds.jsonl"
+        prediction = {"bbox": [1, 1, 5, 5], "category": 0, "score": 0.9}
+        with open(preds_path, "w", encoding="utf-8") as fh:
+            for name in (image_id, image_id + "_typo"):
+                fh.write(json.dumps({"image_id": name, "predictions": [prediction]}) + "\n")
+        capsys.readouterr()
+        assert run_cli(
+            "evaluate", "--predictions", preds_path,
+            "--ground-truth", run_dir / "ground_truth.jsonl", "--manifest", run_dir / "manifest.json",
+        ) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: {preds_path}: image '{image_id}_typo' "), err
 
     def test_ttest(self, tmp_path, capsys):
         x = tmp_path / "x.csv"

@@ -1,9 +1,11 @@
 import csv
 import json
 import os
+import re
 import socket
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +25,6 @@ from boxal.orchestrator import (
     init_run,
     load_config,
     load_state,
-    run_iteration,
     run_lock,
     run_loop,
     state_path,
@@ -143,7 +144,7 @@ class TestRunIteration:
     def test_bookkeeping(self, tmp_path):
         run_dir, adapter, world = start_run(tmp_path)
         before = load_state(run_dir)
-        after = run_iteration(run_dir, adapter)
+        after = run_loop(run_dir, adapter, 1)
         assert after.iteration == 1
         assert len(after.training_ids) == len(before.training_ids) + 10
         assert len(after.pool_ids) == len(before.pool_ids) - 10
@@ -153,10 +154,10 @@ class TestRunIteration:
     def test_min_certainty_takes_lowest_ranked(self, tmp_path):
         run_dir, adapter, world = start_run(tmp_path)
         state0 = load_state(run_dir)
-        after = run_iteration(run_dir, adapter)
+        after = run_loop(run_dir, adapter, 1)
         sampled = sorted(set(after.training_ids) - set(state0.training_ids))
         config = load_config(run_dir)
-        detections = load_image_passes(run_dir / "detections" / "iter_0.jsonl")
+        detections = load_image_passes(run_dir / "detections" / "iter_0_pool.jsonl")
         pool = [img for img in detections if img.image_id in set(state0.pool_ids)]
         ranking = rank(
             (img.image_id, image_certainty(
@@ -169,7 +170,7 @@ class TestRunIteration:
     def test_random_strategy(self, tmp_path):
         run_dir, adapter, _ = start_run(tmp_path, config=small_config(strategy="random"))
         state0 = load_state(run_dir)
-        after = run_iteration(run_dir, adapter)
+        after = run_loop(run_dir, adapter, 1)
         sampled = set(after.training_ids) - set(state0.training_ids)
         assert len(sampled) == 10
         assert sampled <= set(state0.pool_ids)
@@ -178,7 +179,7 @@ class TestRunIteration:
         world = small_world(images=20)  # pool = 20 - 8 - 4 - 8 = 0
         run_dir, adapter, _ = start_run(tmp_path, world=world)
         with pytest.raises(ValidationError, match="pool"):
-            run_iteration(run_dir, adapter)
+            run_loop(run_dir, adapter, 1)
 
     def test_crash_before_persist_preserves_state(self, tmp_path):
         run_dir, adapter, world = start_run(tmp_path)
@@ -190,11 +191,11 @@ class TestRunIteration:
 
         crasher = CrashingAdapter(world, run_dir)
         with pytest.raises(AdapterError, match="injected"):
-            run_iteration(run_dir, crasher)
+            run_loop(run_dir, crasher, 1)
         assert not state_path(run_dir, 1).exists()
         assert load_state(run_dir) == before
         # the run recovers with a working adapter
-        after = run_iteration(run_dir, adapter)
+        after = run_loop(run_dir, adapter, 1)
         assert after.iteration == 1
 
     def test_ledger_conservation(self, tmp_path):
@@ -202,7 +203,7 @@ class TestRunIteration:
         m = world.manifest
         fixed = set(m.validation) | set(m.test)
         for _ in range(3):
-            state = run_iteration(run_dir, adapter)
+            state = run_loop(run_dir, adapter, 1)
             t, p = set(state.training_ids), set(state.pool_ids)
             assert t | p | fixed == m.all_ids
             assert not (t & p) and not (t & fixed) and not (p & fixed)
@@ -212,19 +213,19 @@ class TestRunIteration:
         config = small_config()
         # run A: two iterations within one process
         dir_a, adapter_a, _ = start_run(tmp_path, world, config, name="a")
-        run_iteration(dir_a, adapter_a)
-        state_a = run_iteration(dir_a, adapter_a)
+        run_loop(dir_a, adapter_a, 1)
+        state_a = run_loop(dir_a, adapter_a, 1)
         # run B: iterate, then resume from persisted state with a fresh adapter
         dir_b, adapter_b, _ = start_run(tmp_path, world, config, name="b")
-        run_iteration(dir_b, adapter_b)
+        run_loop(dir_b, adapter_b, 1)
         fresh_adapter = SimulatorDetectorAdapter(world, dir_b)
-        state_b = run_iteration(dir_b, fresh_adapter)
+        state_b = run_loop(dir_b, fresh_adapter, 1)
         assert state_a.training_ids == state_b.training_ids
         assert state_a.pool_ids == state_b.pool_ids
 
     def test_training_request_carries_epoch_budget(self, tmp_path):
         run_dir, adapter, _ = start_run(tmp_path)
-        run_iteration(run_dir, adapter)
+        run_loop(run_dir, adapter, 1)
         with open(run_dir / "requests" / "train_iter_1.json") as fh:
             request = json.load(fh)
         assert request["epochs"] == small_config().epoch_budget(1)
@@ -232,34 +233,34 @@ class TestRunIteration:
 
 
 class TamperingAdapter(SimulatorDetectorAdapter):
-    """Simulator adapter whose detections file is rewritten by ``tamper`` before completion."""
+    """Simulator adapter whose detections file ``target`` is rewritten by ``tamper`` before completion."""
 
-    def __init__(self, world, run_dir, tamper):
+    def __init__(self, world, run_dir, target, tamper):
         super().__init__(world, run_dir)
-        self.tamper = tamper
+        self.target, self.tamper = target, tamper
 
     def fulfill_detection_request(self, request_path, output_path):
         super().fulfill_detection_request(request_path, output_path)
-        records = [json.loads(line) for line in output_path.read_text().splitlines()]
-        self.tamper(records)
-        output_path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        if output_path.name == self.target:
+            records = [json.loads(line) for line in output_path.read_text().splitlines()]
+            self.tamper(records)
+            output_path.write_text("".join(json.dumps(r) + "\n" for r in records))
 
 
 class TestAdapterOutputValidation:
     def test_wrong_score_length_on_test_image_rejected(self, tmp_path):
         run_dir, _, world = start_run(tmp_path)
-        test_ids = set(world.manifest.test)
 
         def widen_scores(records):
             # a fourth score of 0 keeps each sum at 1; only the length (kappa=3) is wrong
-            record = next(r for r in records if r["image_id"] in test_ids and any(r["passes"]))
+            record = next(r for r in records if any(r["passes"]))
             for pass_dets in record["passes"]:
                 for det in pass_dets:
                     det["scores"].append(0.0)
 
         before = load_state(run_dir)
-        with pytest.raises(BoxalError, match="iter_0.jsonl") as excinfo:
-            run_iteration(run_dir, TamperingAdapter(world, run_dir, widen_scores))
+        with pytest.raises(BoxalError, match="iter_0_test.jsonl") as excinfo:
+            run_loop(run_dir, TamperingAdapter(world, run_dir, "iter_0_test.jsonl", widen_scores), 1)
         assert "expected 3 scores" in str(excinfo.value)
         assert load_state(run_dir) == before
 
@@ -269,8 +270,8 @@ class TestAdapterOutputValidation:
         def add_extra(records):
             records.append(dict(records[0], image_id="not_requested"))
 
-        with pytest.raises(AdapterError, match="iter_0.jsonl") as excinfo:
-            run_iteration(run_dir, TamperingAdapter(world, run_dir, add_extra))
+        with pytest.raises(AdapterError, match="iter_0_pool.jsonl") as excinfo:
+            run_loop(run_dir, TamperingAdapter(world, run_dir, "iter_0_pool.jsonl", add_extra), 1)
         assert "not_requested" in str(excinfo.value)
 
 
@@ -332,6 +333,20 @@ class CrashingAdapter(DetectorAdapter):
         self._visit("after_training")
 
 
+class CountingAdapter(DetectorAdapter):
+    """Delegates to ``inner`` and counts in ``counts`` how often each image is detected."""
+
+    def __init__(self, inner, counts):
+        self.inner, self.counts = inner, counts
+
+    def fulfill_detection_request(self, request_path, output_path):
+        self.counts.update(json.loads(request_path.read_text())["image_ids"])
+        self.inner.fulfill_detection_request(request_path, output_path)
+
+    def fulfill_training_request(self, request_path):
+        self.inner.fulfill_training_request(request_path)
+
+
 def dead_pid():
     child = subprocess.run([sys.executable, "-c", "import os; print(os.getpid())"],
                            capture_output=True, text=True, check=True)
@@ -342,38 +357,81 @@ class TestCrashResume:
     ITERATIONS = 3
 
     @pytest.fixture(scope="class")
-    def reference_log(self, tmp_path_factory):
+    def reference(self, tmp_path_factory):
+        """The uninterrupted loop's log.csv and how often it detected each image."""
         run_dir, adapter, _ = start_run(tmp_path_factory.mktemp("ref"))
-        run_loop(run_dir, adapter, self.ITERATIONS)
-        return (run_dir / "log.csv").read_bytes()
+        counts = Counter()
+        run_loop(run_dir, CountingAdapter(adapter, counts), self.ITERATIONS)
+        return (run_dir / "log.csv").read_bytes(), counts
 
     def test_split_loop_equals_one_loop(self, tmp_path):
+        # the split loop's final evaluation is iteration 2's test request, which the second call reuses
         world = small_world()
         whole, adapter, _ = start_run(tmp_path, world, name="whole")
-        run_loop(whole, adapter, 4)
+        whole_counts = Counter()
+        run_loop(whole, CountingAdapter(adapter, whole_counts), 4)
         split, adapter, _ = start_run(tmp_path, world, name="split")
-        run_loop(split, adapter, 2)
-        run_loop(split, SimulatorDetectorAdapter(world, split), 2)
+        split_counts = Counter()
+        run_loop(split, CountingAdapter(adapter, split_counts), 2)
+        run_loop(split, CountingAdapter(SimulatorDetectorAdapter(world, split), split_counts), 2)
         assert (split / "log.csv").read_bytes() == (whole / "log.csv").read_bytes()
+        assert split_counts == whole_counts
 
+    # detection visits: iteration k's pool request is visit 2k+1 and its test request 2k+2;
+    # the final evaluation, iteration 3's test request, is visit 7
     @pytest.mark.parametrize("point, at, stale_lock", [
-        ("after_detections", 1, False),
-        ("after_detections", 2, False),
+        ("after_detections", 1, False),  # iteration 0's pool request
+        ("after_detections", 2, False),  # iteration 0's test request
+        ("after_detections", 3, False),  # iteration 1's pool request
         ("before_training", 2, False),
         ("after_training", 2, False),
-        ("before_detections", 2, False),  # right after state/iter_1.json
-        ("after_detections", 4, False),  # in the final evaluation, after state/iter_3.json
+        ("before_detections", 3, False),  # right after state/iter_1.json
+        ("after_detections", 7, False),  # in the final evaluation, after state/iter_3.json
         ("before_training", 3, True),  # and the killed process's LOCK is left behind
     ])
-    def test_resume_after_crash_gives_same_report(self, tmp_path, reference_log, point, at, stale_lock):
+    def test_resume_after_crash_gives_same_report(self, tmp_path, reference, point, at, stale_lock):
         run_dir, adapter, world = start_run(tmp_path)
+        counts = Counter()
         with pytest.raises(InjectedCrash):
-            run_loop(run_dir, CrashingAdapter(adapter, point, at), self.ITERATIONS)
+            run_loop(run_dir, CrashingAdapter(CountingAdapter(adapter, counts), point, at), self.ITERATIONS)
         if stale_lock:
             (run_dir / "LOCK").write_text(f"{dead_pid()} {socket.gethostname()}\n")
         done = load_state(run_dir).iteration
-        run_loop(run_dir, SimulatorDetectorAdapter(world, run_dir), self.ITERATIONS - done)
-        assert (run_dir / "log.csv").read_bytes() == reference_log
+        resumed = CountingAdapter(SimulatorDetectorAdapter(world, run_dir), counts)
+        run_loop(run_dir, resumed, self.ITERATIONS - done)
+        assert (run_dir / "log.csv").read_bytes() == reference[0]
+        assert counts == reference[1]  # an answered request is not asked again
+
+    def test_done_of_another_request_is_removed_and_asked_again(self, tmp_path):
+        run_dir, adapter, world = start_run(tmp_path)
+        run_loop(run_dir, adapter, 1)
+        log = (run_dir / "log.csv").read_bytes()
+        waiting = FileWaitAdapter(timeout=0.05, poll_interval=0.01)
+        run_loop(run_dir, waiting, 0)  # iter_1_test is answered, so there is nothing to wait for
+        request = run_dir / "requests" / "iter_1_test.json"
+        done = run_dir / "detections" / "iter_1_test.jsonl.done"
+        asked = request.read_bytes()
+        request.write_bytes(asked.replace(b'"passes": 5', b'"passes": 6'))  # as after a config edit
+        with pytest.raises(AdapterError, match="timed out"):
+            run_loop(run_dir, waiting, 0)
+        assert request.read_bytes() == asked and not done.exists()
+        counts = Counter()
+        run_loop(run_dir, CountingAdapter(adapter, counts), 0)
+        assert counts == Counter(world.manifest.test)
+        assert (run_dir / "log.csv").read_bytes() == log
+
+    def test_training_without_done_is_named(self, tmp_path):
+        run_dir, _, world = start_run(tmp_path)
+
+        class NoTrainingDone(SimulatorDetectorAdapter):
+            def fulfill_training_request(self, request_path):
+                super().fulfill_training_request(request_path)
+                Path(str(request_path) + ".done").unlink()
+
+        done = run_dir / "requests" / "train_iter_1.json.done"
+        with pytest.raises(AdapterError, match=re.escape(str(done))):
+            run_loop(run_dir, NoTrainingDone(world, run_dir), 1)
+        assert load_state(run_dir).iteration == 0
 
     def test_each_state_file_holds_its_own_record(self, tmp_path):
         run_dir, adapter, _ = start_run(tmp_path)

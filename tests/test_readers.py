@@ -324,8 +324,12 @@ def skill_run(tmp_path_factory):
 
 
 def _loop_with_skill(skill_run, tmp_path, doc):
-    """``boxal loop --iterations 0`` on a copy of ``skill_run`` whose last skill file holds ``doc``."""
+    """``boxal loop --iterations 0`` on a copy of ``skill_run`` whose last skill file holds ``doc``.
+
+    The copy's final test request loses its ``.done``, so the loop asks for it again and reads the skill.
+    """
     run_dir = shutil.copytree(skill_run, tmp_path / "run")
+    (run_dir / "detections" / "iter_1_test.jsonl.done").unlink()
     target = run_dir / READERS["skill"][0]
     _write_json(target, doc)
     return main(["loop", "--run", str(run_dir), "--iterations", "0"]), run_dir, target

@@ -90,6 +90,9 @@ class TestGenerateWorld:
     def test_oversized_partitions_rejected(self):
         with pytest.raises(ValidationError):
             generate_world(seed=0, image_count=10, kappa=3, initial_training=20)
+        for size in ("initial_training", "validation", "test"):
+            with pytest.raises(ValidationError, match=">= 0"):
+                generate_world(seed=0, image_count=40, kappa=3, **{size: -1})
 
     def test_difficulties_in_unit_interval(self):
         world = generate_world(seed=9, image_count=50, kappa=3)
