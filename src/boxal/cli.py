@@ -16,7 +16,7 @@ from contextlib import nullcontext
 from dataclasses import astuple, replace
 from pathlib import Path
 
-from .data_io import _load_json, _open_input, load_ground_truth, load_manifest
+from .data_io import _load_json, _open_input, load_ground_truth, load_id_list, load_manifest
 from .errors import BoxalError, FormatError, ValidationError
 from .evaluation import coco_map, load_predictions, ttest_two_sided
 from .orchestrator import (
@@ -92,22 +92,6 @@ def _read_ranking(path: str) -> list[tuple[str, float]]:
     return list(ranking.items())
 
 
-def _read_pool(path: str) -> list[str]:
-    """The image ids of a pool file, one per nonblank line; an id may appear once."""
-    pool_ids: dict[str, None] = {}  # insertion-ordered set
-    with _open_input(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            try:
-                image_id = line.decode("utf-8").strip()
-            except UnicodeDecodeError as exc:
-                raise FormatError(f"{path}:{lineno}: not UTF-8: {exc}") from None
-            if image_id in pool_ids:
-                raise ValidationError(f"{path}:{lineno}: duplicate image_id {image_id!r}")
-            if image_id:
-                pool_ids[image_id] = None
-    return list(pool_ids)
-
-
 def _make_adapter(args: argparse.Namespace, run_dir: Path):
     if args.adapter == "simulator":
         return SimulatorDetectorAdapter(load_world(run_dir), run_dir)
@@ -157,7 +141,7 @@ def _cmd_sample(args) -> int:
     else:
         if not args.pool:
             raise BoxalError("random sampling needs --pool (one image_id per line)")
-        chosen = sample_random(_read_pool(args.pool), args.n, args.seed, args.iteration)
+        chosen = sample_random(load_id_list(args.pool), args.n, args.seed, args.iteration)
     with _output(args.out) as out:
         out.writelines(image_id + "\n" for image_id in chosen)
     return 0
@@ -225,9 +209,7 @@ def _cmd_simulate_run(args) -> int:
     # init_run refuses a directory that already holds a run, so it goes before save_world
     init_run(world.manifest, config, run_dir, world.ground_truth())
     save_world(world, run_dir / "world.json")
-    adapter = SimulatorDetectorAdapter(world, run_dir)
-    adapter.initialize(world.manifest.initial_training)
-    state = run_loop(run_dir, adapter)
+    state = run_loop(run_dir, SimulatorDetectorAdapter(world, run_dir))
     print(f"simulate-run complete: iteration {state.iteration}, "
           f"|T|={len(state.training_ids)}; report at {run_dir / 'log.csv'}")
     return 0

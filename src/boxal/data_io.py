@@ -42,7 +42,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Container, Iterable, Mapping, Sequence
 
 from .errors import BoxalError, FormatError, ValidationError
 from .geometry import BoundingBox, iou
@@ -242,6 +242,25 @@ def _load_by_image(path: str | Path, parse: Callable) -> dict:
                 raise ValidationError(f"duplicate image_id {image_id!r}")
             out[image_id] = parse(image_id, record)
     return out
+
+
+def load_id_list(path: str | Path, known: Container[str] | None = None) -> list[str]:
+    """The ids of an id-list file, one per nonblank line; each appears once and, given ``known``, is in it."""
+    ids: dict[str, None] = {}  # insertion-ordered set
+    with _open_input(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                image_id = line.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                raise FormatError(f"{path}:{lineno}: not UTF-8: {exc}") from None
+            if not image_id:
+                continue
+            if image_id in ids:
+                raise ValidationError(f"{path}:{lineno}: duplicate image_id {image_id!r}")
+            if known is not None and image_id not in known:
+                raise ValidationError(f"{path}:{lineno}: unknown image_id {image_id!r}")
+            ids[image_id] = None
+    return list(ids)
 
 
 def _save_jsonl(records: Iterable[dict], path: str | Path) -> None:

@@ -47,6 +47,7 @@ from .data_io import (
     _string_list,
     apply_thresholds,
     load_ground_truth,
+    load_id_list,
     load_image_passes,
     load_manifest,
     save_ground_truth,
@@ -184,38 +185,29 @@ class DetectorAdapter(ABC):
 
 
 class SimulatorDetectorAdapter(DetectorAdapter):
-    """Fulfils the adapter contract in-process with the synthetic detector."""
+    """Fulfils the adapter contract in-process with the synthetic detector.
+
+    It keeps no file of its own: the detector answering iteration N is a fresh
+    one trained on ``trainset_iter_N.txt``, the file a real trainer reads as its
+    request's ``trainset_file``.
+    """
 
     def __init__(self, world: SyntheticWorld, run_dir: str | Path):
         self.world = world
-        self.sim_dir = Path(run_dir) / "sim"
-        self.sim_dir.mkdir(parents=True, exist_ok=True)
-
-    def _skill_path(self, iteration: int) -> Path:
-        return self.sim_dir / f"skill_iter_{iteration}.json"
-
-    def load_skill(self, iteration: int) -> SkillState:
-        """The skill after ``iteration``; it must hold one exposure count per category of the world."""
-        path = self._skill_path(iteration)
-        skill = _load_json(path, SkillState.from_dict)
-        kappa = len(self.world.catalog)
-        if len(skill.exposures) != kappa:
-            raise FormatError(f"{path}: exposures must hold {kappa} counts, got {len(skill.exposures)}")
-        return skill
-
-    def save_skill(self, skill: SkillState, iteration: int) -> None:
-        _atomic_write_json(skill.to_dict(), self._skill_path(iteration))
+        self.run_dir = Path(run_dir)
 
     def initialize(self, initial_training_ids: Sequence[str]) -> None:
-        """Emulate step 1: train a fresh model on the initial training set."""
-        skill = SkillState.fresh(len(self.world.catalog))
+        """Nothing to do: the step-1 model is the one trained on ``trainset_iter_0.txt``."""
+
+    def skill(self, iteration: int) -> SkillState:
+        """The detector after ``iteration``; every id of its training set is an image of the world."""
         gt = self.world.ground_truth()
-        skill = train_update(skill, (gt[i] for i in initial_training_ids))
-        self.save_skill(skill, 0)
+        ids = load_id_list(self.run_dir / f"trainset_iter_{iteration}.txt", gt)
+        return train_update(SkillState.fresh(len(self.world.catalog)), (gt[i] for i in ids))
 
     def fulfill_detection_request(self, request_path: Path, output_path: Path) -> None:
         request = json.loads(request_path.read_text(encoding="utf-8"))
-        skill = self.load_skill(request["iteration"])
+        skill = self.skill(request["iteration"])
         images = [
             simulate_passes(
                 self.world,
@@ -232,14 +224,7 @@ class SimulatorDetectorAdapter(DetectorAdapter):
         Path(str(output_path) + ".done").touch()
 
     def fulfill_training_request(self, request_path: Path) -> None:
-        request = json.loads(request_path.read_text(encoding="utf-8"))
-        iteration = request["iteration"]
-        skill = self.load_skill(iteration - 1)
-        gt = self.world.ground_truth()
-        skill = train_update(skill, (gt[i] for i in request["new_image_ids"]))
-        # the epoch budget is recorded in the request for real trainers; the
-        # simulator's skill update does not depend on it
-        self.save_skill(skill, iteration)
+        # the next detection request counts the skill from the request's trainset_file
         Path(str(request_path) + ".done").touch()
 
 
@@ -247,6 +232,8 @@ class FileWaitAdapter(DetectorAdapter):
     """Waits for an external process to fulfil requests via the file contract."""
 
     def __init__(self, timeout: float = 3600.0, poll_interval: float = 0.5):
+        if not timeout >= 0:  # NaN fails too; inf waits without end
+            raise ValidationError(f"adapter timeout must be >= 0 seconds, got {timeout!r}")
         self.timeout = timeout
         self.poll_interval = poll_interval
 
@@ -363,14 +350,16 @@ def init_run(
     run_dir = Path(run_dir)
     if any((run_dir / "state").glob("iter_*.json")):
         raise BoxalError(f"{run_dir} already holds a run (state/ has state files); use a fresh directory")
+    missing = manifest.all_ids - ground_truth.keys() if ground_truth is not None else None
+    if missing:
+        raise ValidationError(
+            f"ground truth missing for {len(missing)} manifest images, e.g. {sorted(missing)[:3]}"
+        )
     for sub in ("state", "requests", "detections"):
         (run_dir / sub).mkdir(parents=True, exist_ok=True)
     _atomic_write_json(config.to_dict(), run_dir / "config.json")
     save_manifest(manifest, run_dir / "manifest.json")
     if ground_truth is not None:
-        missing = manifest.all_ids - set(ground_truth)
-        if missing:
-            raise ValidationError(f"ground truth missing for {len(missing)} manifest images")
         save_ground_truth(ground_truth, run_dir / "ground_truth.jsonl")
     state = ActiveLearningState(
         iteration=0,

@@ -10,14 +10,14 @@ with skill and degrade with image difficulty; false positives decay as mean
 skill rises. Everything is reproducible from explicit seeds. A run stores
 its world once: ``world.json`` holds only ``{"difficulty": {image_id: d}}``,
 and the partitions and objects are the run's ``manifest.json`` and
-``ground_truth.jsonl``.
+``ground_truth.jsonl``. The skill is not stored at all: it is counted from
+the training set, ``train_update(SkillState.fresh(kappa), ...)``.
 
 The noise model's parameters are module constants: ``HALF_SATURATION`` (k),
 ``JITTER_SIGMA``, ``FP_RATE``, ``P_LO`` and ``P_HI`` (the detection
 probability at zero and full skill), ``NOISE_CONCENTRATION`` and
 ``FP_CONCENTRATION`` (the Dirichlet concentrations of true- and
-false-positive scores). A skill file, ``SkillState.to_dict``, holds only the
-exposures.
+false-positive scores).
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -43,7 +43,7 @@ from .data_io import (
     load_ground_truth,
     load_manifest,
 )
-from .errors import FormatError, ValidationError
+from .errors import ValidationError
 from .geometry import BoundingBox, iou
 
 IMAGE_SIZE = (640, 480)  # (width, height) of every generated image
@@ -59,19 +59,11 @@ FP_CONCENTRATION = 10.0  # Dirichlet concentration of false-positive scores
 
 
 @dataclass(frozen=True)
-class WorldImage:
-    image_id: str
-    difficulty: float
-    objects: tuple[tuple[BoundingBox, int], ...]
-
-    @property
-    def ground_truth(self) -> GroundTruthImage:
-        return GroundTruthImage(self.image_id, self.objects)
-
-
-@dataclass(frozen=True)
 class SyntheticWorld:
-    images: dict[str, WorldImage]
+    """Each image's difficulty in [0, 1] beside its ground truth, and the dataset partitions."""
+
+    difficulty: dict[str, float]
+    gt: dict[str, GroundTruthImage]
     manifest: DatasetManifest
 
     @property
@@ -79,7 +71,7 @@ class SyntheticWorld:
         return self.manifest.catalog
 
     def ground_truth(self) -> dict[str, GroundTruthImage]:
-        return {image_id: img.ground_truth for image_id, img in self.images.items()}
+        return self.gt
 
 
 @dataclass(frozen=True)
@@ -95,17 +87,6 @@ class SkillState:
     @property
     def mean_skill(self) -> float:
         return sum(self.skill(c) for c in range(len(self.exposures))) / len(self.exposures)
-
-    def to_dict(self) -> dict:
-        return {"exposures": list(self.exposures)}
-
-    @classmethod
-    def from_dict(cls, doc) -> "SkillState":
-        """The skill in a skill file: nonnegative integer exposures; other keys are ignored."""
-        exposures = _field(doc, "exposures", list)
-        if not all(type(e) is int and e >= 0 for e in exposures):
-            raise FormatError(f"exposures must be an array of integers >= 0, got {exposures!r:.80}")
-        return cls(tuple(exposures))
 
     @classmethod
     def fresh(cls, kappa: int) -> "SkillState":
@@ -149,7 +130,8 @@ def generate_world(
     rng = np.random.Generator(np.random.PCG64(seed))
     weights = _category_weights(kappa)
 
-    images: dict[str, WorldImage] = {}
+    difficulties: dict[str, float] = {}
+    gt: dict[str, GroundTruthImage] = {}
     for i in range(image_count):
         image_id = f"img_{i:05d}"
         difficulty = float(rng.uniform(0.0, 1.0))
@@ -163,9 +145,10 @@ def generate_world(
                 box = _place_box(rng, width, height)
             category = int(rng.choice(kappa, p=weights))
             objects.append((box, category))
-        images[image_id] = WorldImage(image_id, difficulty, tuple(objects))
+        difficulties[image_id] = difficulty
+        gt[image_id] = GroundTruthImage(image_id, tuple(objects))
 
-    ids = list(images)
+    ids = list(gt)
     rng.shuffle(ids)
     n_init = initial_training if initial_training is not None else max(1, image_count // 10)
     n_val = validation if validation is not None else max(1, image_count // 10)
@@ -185,12 +168,12 @@ def generate_world(
         test=tuple(ids[n_init + n_val : n_init + n_val + n_test]),
         pool=tuple(ids[n_init + n_val + n_test :]),
     )
-    return SyntheticWorld(images, manifest)
+    return SyntheticWorld(difficulties, gt, manifest)
 
 
 def save_world(world: SyntheticWorld, path: str | Path) -> None:
     """Write what only the world knows, each image's difficulty; the run's files hold the rest."""
-    doc = {"difficulty": {image_id: img.difficulty for image_id, img in world.images.items()}}
+    doc = {"difficulty": world.difficulty}
     Path(path).write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
 
 
@@ -201,7 +184,7 @@ def load_world(run_dir: str | Path) -> SyntheticWorld:
     difficulty = _load_json(world_path, lambda doc: _field(doc, "difficulty", dict))
     manifest = load_manifest(run_dir / "manifest.json")
     gt = load_ground_truth(gt_path, len(manifest.catalog))
-    images = {}
+    difficulties = {}
     for image_id in sorted(manifest.all_ids):
         d = difficulty.get(image_id)
         if type(d) not in _NUMBER_TYPES or not 0 <= d <= 1:  # None when missing; NaN fails too
@@ -210,8 +193,8 @@ def load_world(run_dir: str | Path) -> SyntheticWorld:
             )
         if image_id not in gt:
             raise ValidationError(f"{gt_path}: image {image_id!r} of the manifest has no record")
-        images[image_id] = WorldImage(image_id, float(d), gt[image_id].objects)
-    return SyntheticWorld(images, manifest)
+        difficulties[image_id] = float(d)
+    return SyntheticWorld(difficulties, gt, manifest)
 
 
 def _pass_rng(pass_seed: int, image_id: str, pass_index: int) -> np.random.Generator:
@@ -243,15 +226,14 @@ def simulate_passes(
     Each pass is deterministic given (pass_seed, image_id, pass index). The
     returned passes already have the confidence and NMS thresholds applied.
     """
-    img = world.images[image_id]
     width, height = IMAGE_SIZE
     kappa = len(world.catalog)
-    d = img.difficulty
+    d = world.difficulty[image_id]
     passes = []
     for pass_index in range(n):
         rng = _pass_rng(pass_seed, image_id, pass_index)
         dets: list[Detection] = []
-        for box, category in img.objects:
+        for box, category in world.gt[image_id].objects:
             s = skill.skill(category)
             effective = s * (1.0 - d)
             p_det = min(max(P_LO + (P_HI - P_LO) * effective, 0.0), 1.0)

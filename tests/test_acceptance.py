@@ -175,9 +175,7 @@ def _qualitative_runs(tmp_path, seeds=5, images=500, batch=50, iterations=8):
             )
             run_dir = tmp_path / f"{strategy}_{seed}"
             init_run(world.manifest, config, run_dir, world.ground_truth())
-            adapter = SimulatorDetectorAdapter(world, run_dir)
-            adapter.initialize(world.manifest.initial_training)
-            run_loop(run_dir, adapter, iterations)
+            run_loop(run_dir, SimulatorDetectorAdapter(world, run_dir), iterations)
             records_by_seed.append([load_state(run_dir, k).record for k in range(1, iterations + 1)])
             with open(run_dir / "log.csv", newline="") as fh:
                 reports.append(list(csv.DictReader(fh)))
@@ -260,8 +258,6 @@ def test_criterion_7_loop_bookkeeping(tmp_path):
     config = RunConfig(passes_n=4, batch_size=100, iterations=10, seed=1)
     run_dir = tmp_path / "run"
     init_run(world.manifest, config, run_dir, world.ground_truth())
-    adapter = SimulatorDetectorAdapter(world, run_dir)
-    adapter.initialize(world.manifest.initial_training)
 
     fixed = set(world.manifest.validation) | set(world.manifest.test)
     for i in range(10):

@@ -6,7 +6,7 @@ from boxal.cli import main
 from boxal.data_io import load_image_passes, load_manifest, save_ground_truth, save_manifest
 from boxal.evaluation import consolidate
 from boxal.grouping import group_passes
-from boxal.orchestrator import SimulatorDetectorAdapter, _fmt, load_config, load_state
+from boxal.orchestrator import _fmt, load_config, load_state
 from boxal.simulator import generate_world, save_world
 
 
@@ -85,7 +85,7 @@ class TestSimulateRun:
 
 
 def init_simulated(tmp_path, *flags):
-    """``boxal init`` with ground truth, plus the simulator's world and initial training."""
+    """``boxal init`` with ground truth, plus the simulator's world."""
     world = generate_world(seed=2, image_count=40, kappa=3,
                            initial_training=5, validation=3, test=4)
     manifest_path = tmp_path / "manifest.json"
@@ -98,7 +98,6 @@ def init_simulated(tmp_path, *flags):
         "--out", run_dir, "--passes-n", 4, "--batch-size", 5, "--seed", 1, *flags,
     ) == 0
     save_world(world, run_dir / "world.json")
-    SimulatorDetectorAdapter(world, run_dir).initialize(world.manifest.initial_training)
     return run_dir
 
 
@@ -174,6 +173,26 @@ class TestInitIterateLoop:
             assert run_cli(command, "--run", run_dir, "--adapter", "file", "--adapter-timeout", 0.01) == 2
             assert capsys.readouterr().err == f"error: {run_dir}: no such run directory\n"
         assert not run_dir.exists()
+
+    def test_incomplete_ground_truth_writes_nothing(self, tmp_path, capsys):
+        world = generate_world(seed=2, image_count=30, kappa=3,
+                               initial_training=5, validation=3, test=4)
+        manifest_path, gt_path = tmp_path / "manifest.json", tmp_path / "gt.jsonl"
+        save_manifest(world.manifest, manifest_path)
+        dropped = sorted(world.manifest.pool)[:3]
+        save_ground_truth({i: g for i, g in world.ground_truth().items() if i not in dropped}, gt_path)
+        run_dir = tmp_path / "run"
+        assert run_cli("init", "--manifest", manifest_path, "--ground-truth", gt_path, "--out", run_dir) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ground truth missing for 3 manifest images") and dropped[0] in err, err
+        assert not run_dir.exists()
+
+    def test_nan_adapter_timeout_exits_2(self, tmp_path, capsys):
+        # the timeout is checked before the run directory is opened, so a NaN never waits
+        run_dir = tmp_path / "does-not-exist"
+        assert run_cli("loop", "--run", run_dir, "--adapter", "file", "--adapter-timeout", "nan") == 2
+        err = capsys.readouterr().err
+        assert err == "error: adapter timeout must be >= 0 seconds, got nan\n", err
 
     def test_negative_partition_size_exits_2(self, tmp_path, capsys):
         for flag in ("initial-training", "test"):

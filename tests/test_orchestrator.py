@@ -52,9 +52,7 @@ def start_run(tmp_path, world=None, config=None, name="run"):
     config = config or small_config()
     run_dir = tmp_path / name
     init_run(world.manifest, config, run_dir, world.ground_truth())
-    adapter = SimulatorDetectorAdapter(world, run_dir)
-    adapter.initialize(world.manifest.initial_training)
-    return run_dir, adapter, world
+    return run_dir, SimulatorDetectorAdapter(world, run_dir), world
 
 
 class TestRunConfig:

@@ -19,9 +19,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boxal.cli import _read_column, _read_pool, _read_ranking, main
+from boxal.cli import _read_column, _read_ranking, main
 from boxal.data_io import (
     load_ground_truth,
+    load_id_list,
     load_image_passes,
     load_manifest,
     save_ground_truth,
@@ -63,9 +64,10 @@ VALID = {
             "f1_remaining": [0.75],
         },
     },
-    "skill": {"exposures": [3, 0]},
 }
 SKILL_WORLD = generate_world(seed=1, image_count=6, kappa=2, initial_training=1, validation=1, test=1)
+# a training set of SKILL_WORLD, as trainset_iter_N.txt holds it
+VALID["trainset"] = [*SKILL_WORLD.manifest.initial_training, *SKILL_WORLD.manifest.pool]
 # a world file in the layout earlier versions wrote: the world's own copy of the run's files
 OLD_WORLD = {"seed": 1, "categories": ["cat_00", "cat_01"], "manifest": {}, "images": []}
 
@@ -115,10 +117,10 @@ READERS = {
     "config": ("config.json", _write_json, lambda p: load_config(p.parent), False),
     "ranking": ("ranking.csv", _write_csv, _read_ranking, True),
     "column": ("column.csv", _write_csv, _read_column, True),
-    "pool": ("pool.txt", _write_lines, _read_pool, True),
+    "pool": ("pool.txt", _write_lines, load_id_list, True),
     "state": ("state/iter_1.json", _write_state, lambda p: load_state(p.parent.parent, 1), False),
-    "skill": ("sim/skill_iter_1.json", _write_state,
-              lambda p: SimulatorDetectorAdapter(SKILL_WORLD, p.parent.parent).load_skill(1), False),
+    "trainset": ("trainset_iter_1.txt", _write_lines,
+                 lambda p: SimulatorDetectorAdapter(SKILL_WORLD, p.parent).skill(1), True),
 }
 JUNK = [math.nan, math.inf, -math.inf, None, True, False, 0, -3, 1.5, 50.7, 10**30, 10**400,
         "", "abc", "15", [], [1], {}, {"x": 1}]
@@ -243,10 +245,8 @@ PROBES = [
     ("state", ("record", "sampled", 0), ["p1"]),
     ("state", ("record", "f1_remaining", 0), None),
     ("state", ("iteration",), 7),
-    ("skill", ("exposures",), [1]),
-    ("skill", ("exposures", 0), -1),
-    ("skill", ("exposures", 0), 1.5),
-    ("skill", ("exposures", 0), True),
+    ("trainset", (1,), "img_99999"),
+    ("trainset", (1,), VALID["trainset"][0]),
 ]
 
 
@@ -293,7 +293,7 @@ def _cli(tmp_path, valid, name, target):
     return ["init", "--manifest", files["manifest"], "--config", target, "--out", tmp_path / "run"]
 
 
-CLI_PROBES = [p for p in PROBES if p[0] not in ("detections", "skill")]
+CLI_PROBES = [p for p in PROBES if p[0] not in ("detections", "trainset")]
 
 
 @pytest.mark.parametrize("probe", CLI_PROBES, ids=_probe_id)
@@ -312,10 +312,19 @@ def test_cli_accepts_valid_input(name, valid, tmp_path):
     assert main([str(a) for a in _cli(tmp_path, valid, name, target)]) == 0
 
 
+@pytest.mark.parametrize("name", ["pool", "trainset"])
+def test_id_list_line_that_is_not_utf8_is_named(name, valid, tmp_path):
+    target = tmp_path / READERS[name][0]
+    target.write_bytes(f"{valid[name][0]}\n".encode() + b"\xff\n")
+    with pytest.raises(FormatError) as excinfo:
+        READERS[name][2](target)
+    assert str(excinfo.value).startswith(f"{target}:2: not UTF-8"), excinfo.value
+
+
 @pytest.fixture(scope="module")
-def skill_run(tmp_path_factory):
-    """A finished one-iteration simulate-run on a 2-category world, as the skill probes' template."""
-    run_dir = tmp_path_factory.mktemp("skill") / "run"
+def sim_run(tmp_path_factory):
+    """A finished one-iteration simulate-run on a 2-category world."""
+    run_dir = tmp_path_factory.mktemp("sim") / "run"
     assert main([str(a) for a in [
         "simulate-run", "--out", run_dir, "--images", 30, "--categories", 2, "--initial-training", 5,
         "--validation", 2, "--test", 4, "--passes-n", 3, "--batch-size", 5, "--iterations", 1,
@@ -323,35 +332,33 @@ def skill_run(tmp_path_factory):
     return run_dir
 
 
-def _loop_with_skill(skill_run, tmp_path, doc):
-    """``boxal loop --iterations 0`` on a copy of ``skill_run`` whose last skill file holds ``doc``.
+def _loop_again(sim_run, tmp_path, trainset=None):
+    """``boxal loop --iterations 0`` on a copy of ``sim_run`` whose final test request lost its ``.done``.
 
-    The copy's final test request loses its ``.done``, so the loop asks for it again and reads the skill.
+    Given ``trainset``, the copy's last training-set file holds those lines.
     """
-    run_dir = shutil.copytree(skill_run, tmp_path / "run")
+    run_dir = shutil.copytree(sim_run, tmp_path / "run")
     (run_dir / "detections" / "iter_1_test.jsonl.done").unlink()
-    target = run_dir / READERS["skill"][0]
-    _write_json(target, doc)
-    return main(["loop", "--run", str(run_dir), "--iterations", "0"]), run_dir, target
+    if trainset is not None:
+        _write_lines(run_dir / READERS["trainset"][0], trainset)
+    return main(["loop", "--run", str(run_dir), "--iterations", "0"]), run_dir
 
 
-@pytest.mark.parametrize("probe", [p for p in PROBES if p[0] == "skill"], ids=_probe_id)
-def test_cli_loop_exits_2_on_skill_probe(probe, valid, skill_run, tmp_path, capsys):
-    _, path, value = probe
-    doc = _mutated(valid["skill"], path, "replace", value)
-    code, _, target = _loop_with_skill(skill_run, tmp_path, doc)
-    err = capsys.readouterr().err
-    assert code == 2 and err.startswith(f"error: {target}: "), err
-
-
-def test_skill_file_keys_besides_exposures_are_ignored(skill_run, tmp_path):
-    # the noise parameters that skill files used to hold, plus a key no version wrote
-    doc = json.loads((skill_run / READERS["skill"][0]).read_text())
-    doc.update(half_saturation=20.0, jitter_sigma=0.05, fp_rate=0.3, p_lo=0.45, p_hi=1.0,
-               noise_concentration=0.5, fp_concentration=10.0, note="x")
-    code, run_dir, _ = _loop_with_skill(skill_run, tmp_path, doc)
+def test_simulator_counts_its_skill_from_the_training_set_file(sim_run, tmp_path):
+    assert not (sim_run / "sim").exists()
+    code, run_dir = _loop_again(sim_run, tmp_path)
     assert code == 0
-    assert (run_dir / "log.csv").read_bytes() == (skill_run / "log.csv").read_bytes()
+    for name in ("detections/iter_1_test.jsonl", "log.csv"):
+        assert (run_dir / name).read_bytes() == (sim_run / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("duplicate", [False, True], ids=["unknown", "duplicate"])
+def test_cli_loop_exits_2_on_a_bad_training_set_file(duplicate, sim_run, tmp_path, capsys):
+    ids = (sim_run / READERS["trainset"][0]).read_text().split()
+    ids[1] = ids[0] if duplicate else "img_99999"
+    code, run_dir = _loop_again(sim_run, tmp_path, ids)
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith(f"error: {run_dir / READERS['trainset'][0]}:2: "), err
 
 
 @pytest.mark.parametrize("name", ["iter_x.json", "iter_01.json", "iter_.json", "iter_2.bak.json"])

@@ -1,6 +1,5 @@
 import json
 
-import numpy as np
 import pytest
 
 from boxal import simulator
@@ -19,7 +18,6 @@ from boxal.grouping import group_passes
 from boxal.simulator import (
     SkillState,
     SyntheticWorld,
-    WorldImage,
     generate_world,
     load_world,
     save_world,
@@ -28,19 +26,17 @@ from boxal.simulator import (
 )
 
 
-def hand_world(images, kappa=2):
+def hand_world(difficulty, objects, kappa=2):
+    """A world whose images, the keys of ``difficulty``, all hold ``objects``."""
+    ids = list(difficulty)
     manifest = DatasetManifest(
         catalog=CategoryCatalog(tuple(f"cat_{i}" for i in range(kappa))),
-        initial_training=(images[0].image_id,),
-        pool=tuple(img.image_id for img in images[1:]),
+        initial_training=ids[:1],
+        pool=tuple(ids[1:]),
         validation=(),
         test=(),
     )
-    return SyntheticWorld({img.image_id: img for img in images}, manifest)
-
-
-def world_image(image_id, difficulty, objects):
-    return WorldImage(image_id, difficulty, tuple(objects))
+    return SyntheticWorld(difficulty, {i: GroundTruthImage(i, objects) for i in ids}, manifest)
 
 
 def save_run_world(world, run_dir):
@@ -65,17 +61,17 @@ class TestGenerateWorld:
 
     def test_empty_world_valid_manifest(self):
         world = generate_world(seed=0, image_count=0, kappa=3)
-        assert world.images == {}
+        assert world.difficulty == {} and world.ground_truth() == {}
         assert world.manifest.all_ids == frozenset()
 
     def test_fixed_object_count(self):
         world = generate_world(seed=3, image_count=25, kappa=3, objects_per_image=(3, 3))
-        assert all(len(img.objects) == 3 for img in world.images.values())
+        assert all(len(gt.objects) == 3 for gt in world.ground_truth().values())
 
     def test_partitions_cover_world(self):
         world = generate_world(seed=5, image_count=100, kappa=4)
         m = world.manifest
-        assert m.all_ids == set(world.images)
+        assert m.all_ids == set(world.difficulty) == set(world.ground_truth())
         assert len(m.initial_training) == 10
         assert len(m.validation) == 10
         assert len(m.test) == 15
@@ -96,17 +92,16 @@ class TestGenerateWorld:
 
     def test_difficulties_in_unit_interval(self):
         world = generate_world(seed=9, image_count=50, kappa=3)
-        assert all(0.0 <= img.difficulty <= 1.0 for img in world.images.values())
+        assert all(0.0 <= d <= 1.0 for d in world.difficulty.values())
 
     def test_save_load_round_trip(self, tmp_path):
         world = generate_world(seed=21, image_count=30, kappa=5)
         save_run_world(world, tmp_path)
-        assert json.loads((tmp_path / "world.json").read_text()) == {
-            "difficulty": {image_id: img.difficulty for image_id, img in world.images.items()}
-        }
+        assert json.loads((tmp_path / "world.json").read_text()) == {"difficulty": world.difficulty}
         loaded = load_world(tmp_path)
-        assert loaded.images == world.images
-        assert list(loaded.images) == list(world.images)
+        assert loaded.difficulty == world.difficulty
+        assert list(loaded.difficulty) == list(world.difficulty)
+        assert loaded.ground_truth() == world.ground_truth()
         assert loaded.manifest == world.manifest
 
     def test_load_world_bad_category(self, tmp_path):
@@ -137,7 +132,7 @@ class TestGenerateWorld:
 class TestSimulatePasses:
     def test_deterministic(self):
         world = generate_world(seed=4, image_count=5, kappa=3)
-        image_id = next(iter(world.images))
+        image_id = next(iter(world.difficulty))
         skill = SkillState.fresh(3)
         a = simulate_passes(world, skill, image_id, n=6, pass_seed=77)
         b = simulate_passes(world, skill, image_id, n=6, pass_seed=77)
@@ -145,7 +140,7 @@ class TestSimulatePasses:
 
     def test_different_pass_seeds_differ(self):
         world = generate_world(seed=4, image_count=5, kappa=3)
-        image_id = next(iter(world.images))
+        image_id = next(iter(world.difficulty))
         skill = train_update(
             SkillState.fresh(3), world.ground_truth().values()
         )
@@ -157,15 +152,14 @@ class TestSimulatePasses:
         # e_c = 10^6 >> k and d = 0: detections collapse onto the gt boxes
         # with near-one-hot scores, so every certainty approaches 1
         objects = ((BoundingBox(100, 100, 220, 200), 0), (BoundingBox(400, 250, 520, 380), 1))
-        img = world_image("easy", 0.0, objects)
-        world = hand_world([img])
+        world = hand_world({"easy": 0.0}, objects)
         skill = SkillState(exposures=(10**6, 10**6))
         passes = simulate_passes(world, skill, "easy", n=10, pass_seed=5)
         ic = image_certainty(passes.image_id, group_passes(passes), kappa=2, n=10)
         assert ic.set_count == 2
         assert ic.c_min > 0.98
         preds = consolidate(group_passes(passes))
-        assert f1_image(preds, img.ground_truth) == 1.0
+        assert f1_image(preds, world.ground_truth()["easy"]) == 1.0
 
     def test_zero_skill_semantic_certainty_low(self, monkeypatch):
         # alpha = 0 (no exposures): scores are pure Dirichlet noise. At
@@ -175,7 +169,7 @@ class TestSimulatePasses:
         world = generate_world(seed=6, image_count=100, kappa=2, objects_per_image=(2, 4))
         skill = SkillState.fresh(2)
         sems = []
-        for image_id in world.images:
+        for image_id in world.difficulty:
             passes = simulate_passes(world, skill, image_id, n=10, pass_seed=13)
             sems.extend(set_certainty(s, 2, 10).c_sem for s in group_passes(passes))
         assert len(sems) >= 500
@@ -185,7 +179,7 @@ class TestSimulatePasses:
         # mean c_min over a fixed evaluation set is nondecreasing across
         # three increasing skill levels (1% slack)
         world = generate_world(seed=8, image_count=40, kappa=3)
-        image_ids = sorted(world.images)
+        image_ids = sorted(world.difficulty)
         means = []
         for exposures in (0, 30, 400):
             skill = SkillState(exposures=(exposures,) * 3)
@@ -202,17 +196,17 @@ class TestSimulatePasses:
         # same gt layout, same skill: hard images (d >= 0.8) score strictly
         # lower mean F1 than easy images (d <= 0.2)
         objects = ((BoundingBox(100, 100, 220, 200), 0), (BoundingBox(400, 250, 520, 380), 1))
-        easy = [world_image(f"easy_{i}", 0.1, objects) for i in range(25)]
-        hard = [world_image(f"hard_{i}", 0.9, objects) for i in range(25)]
-        world = hand_world(easy + hard)
+        easy = [f"easy_{i}" for i in range(25)]
+        hard = [f"hard_{i}" for i in range(25)]
+        world = hand_world({**dict.fromkeys(easy, 0.1), **dict.fromkeys(hard, 0.9)}, objects)
         skill = SkillState(exposures=(60, 60))
 
-        def mean_f1(images):
+        def mean_f1(image_ids):
             scores = []
-            for img in images:
-                passes = simulate_passes(world, skill, img.image_id, n=8, pass_seed=31)
+            for image_id in image_ids:
+                passes = simulate_passes(world, skill, image_id, n=8, pass_seed=31)
                 preds = consolidate(group_passes(passes))
-                scores.append(f1_image(preds, img.ground_truth))
+                scores.append(f1_image(preds, world.ground_truth()[image_id]))
             return sum(scores) / len(scores)
 
         assert mean_f1(hard) < mean_f1(easy)
@@ -220,7 +214,7 @@ class TestSimulatePasses:
     def test_passes_respect_run_thresholds(self):
         world = generate_world(seed=10, image_count=10, kappa=3)
         skill = SkillState.fresh(3)
-        for image_id in world.images:
+        for image_id in world.difficulty:
             passes = simulate_passes(world, skill, image_id, n=5, pass_seed=3, confidence=0.5)
             assert len(passes.passes) == 5
             for pass_dets in passes.passes:
@@ -234,10 +228,6 @@ class TestSkillState:
         assert s.skill(0) == 0.0
         assert s.skill(1) == pytest.approx(0.5)
         assert 0.999 < s.skill(2) < 1.0
-
-    def test_round_trip(self):
-        s = SkillState(exposures=(3, 1, 4))
-        assert SkillState.from_dict(s.to_dict()) == s
 
     def test_train_update_counts_instances(self):
         s = SkillState.fresh(5)
