@@ -5,7 +5,9 @@ score-descending matching against the highest-IoU unmatched ground-truth
 object, 101-point interpolated average precision, at most 100 detections per
 image, and the mean taken over categories with at least one ground-truth
 instance. Area/maxDets breakdowns are out of scope; only the headline mAP and
-per-category APs are produced.
+per-category APs are produced. Each image's prediction-to-ground-truth IoUs
+are computed once, in score order, and the greedy matching at all ten
+thresholds (and at ``F1_IOU`` for per-image F1) reads that one list.
 
 The t-test is the classic pooled-variance (equal-variance) two-sample Student
 test. The two-sided p-value is computed from the regularized incomplete beta
@@ -68,39 +70,57 @@ def consolidate(sets: Sequence[InstanceSet]) -> list[FinalPrediction]:
     preds = []
     for instance_set in sets:
         box = instance_set.mean_box
-        kappa = len(instance_set.members[0][1].scores)
-        mean_scores = [
-            sum(det.scores[j] for _, det in instance_set.members) / instance_set.size
-            for j in range(kappa)
-        ]
-        category = max(range(kappa), key=lambda j: mean_scores[j])
+        size = instance_set.size
+        # one column of member scores per category, each summed left to right in member order
+        columns = zip(*(det.scores for _, det in instance_set.members))
+        mean_scores = [sum(column) / size for column in columns]
+        category = max(range(len(mean_scores)), key=mean_scores.__getitem__)
         preds.append(FinalPrediction(box, category, min(mean_scores[category], 1.0)))
     preds.sort(key=_score_order)
     return preds
 
 
-def _greedy_match(
+def _match_candidates(
     preds: Sequence[FinalPrediction],
     gt_objects: Sequence[tuple[BoundingBox, int]],
+) -> list[tuple[int, list[tuple[int, float]]]]:
+    """In score order, each prediction that can match: its index and its (j, IoU) pairs.
+
+    A pair is a ground-truth object j of the prediction's category with IoU at
+    least ``F1_IOU``, the lowest threshold matching uses. Matching reads these
+    pairs at every threshold, so each image's IoUs are computed once.
+    """
+    candidates = []
+    for i in sorted(range(len(preds)), key=lambda i: _score_order(preds[i])):
+        box, category = preds[i].box, preds[i].category
+        pairs = []
+        for j, (gt_box, gt_cat) in enumerate(gt_objects):
+            if gt_cat == category:
+                value = iou(box, gt_box)
+                if value >= F1_IOU:
+                    pairs.append((j, value))
+        if pairs:
+            candidates.append((i, pairs))
+    return candidates
+
+
+def _greedy_match(
+    candidates: Sequence[tuple[int, Sequence[tuple[int, float]]]],
+    n_preds: int,
     iou_thr: float,
 ) -> list[bool]:
-    """Per-prediction TP flags under greedy score-descending matching."""
-    order = sorted(range(len(preds)), key=lambda i: _score_order(preds[i]))
-    gt_used = [False] * len(gt_objects)
-    flags = [False] * len(preds)
-    for i in order:
-        pred = preds[i]
+    """Per-prediction TP flags under greedy score-descending matching of ``_match_candidates``."""
+    gt_used: set[int] = set()
+    flags = [False] * n_preds
+    for i, pairs in candidates:
         best_j = -1
         best_iou = 0.0
-        for j, (gt_box, gt_cat) in enumerate(gt_objects):
-            if gt_used[j] or gt_cat != pred.category:
-                continue
-            value = iou(pred.box, gt_box)
-            if value >= iou_thr and value > best_iou:
+        for j, value in pairs:
+            if value >= iou_thr and value > best_iou and j not in gt_used:
                 best_iou = value
                 best_j = j
         if best_j >= 0:
-            gt_used[best_j] = True
+            gt_used.add(best_j)
             flags[i] = True
     return flags
 
@@ -122,7 +142,7 @@ def f1_image(preds: Sequence[FinalPrediction], gt: GroundTruthImage) -> float:
     ground-truth object of the same category with IoU >= F1_IOU. Both-empty
     images score 1 so blanks do not read as failures.
     """
-    tp = sum(_greedy_match(preds, gt.objects, F1_IOU))
+    tp = sum(_greedy_match(_match_candidates(preds, gt.objects), len(preds), F1_IOU))
     return _f1(tp, len(preds), len(gt.objects))
 
 
@@ -162,13 +182,15 @@ def coco_map(
 
     # Matching is per image: a prediction only competes for ground truth of
     # its own image and category, so one greedy pass per image and threshold
-    # yields every category's TP flags at once.
+    # yields every category's TP flags at once. The IoUs those passes read are
+    # computed once per image, for all thresholds.
     capped: dict[str, list[FinalPrediction]] = {}
     flags: dict[str, list[list[bool]]] = {}  # image -> threshold index -> per-prediction flag
     for image_id, gt in gt_by_image.items():
         preds = sorted(preds_by_image.get(image_id, ()), key=_score_order)[:MAX_DETECTIONS_PER_IMAGE]
         capped[image_id] = preds
-        flags[image_id] = [_greedy_match(preds, gt.objects, thr) for thr in COCO_IOU_THRESHOLDS]
+        candidates = _match_candidates(preds, gt.objects)
+        flags[image_id] = [_greedy_match(candidates, len(preds), thr) for thr in COCO_IOU_THRESHOLDS]
 
     per_category_ap: dict[int, float] = {}
     for category in range(len(catalog)):

@@ -1,4 +1,4 @@
-"""Axis-aligned bounding-box primitives: IoU and mean box.
+"""Axis-aligned bounding-box primitives: IoU, the pairwise IoU matrix and mean box.
 
 Boxes use the corner convention (x_min, y_min, x_max, y_max) with continuous
 coordinates, so areas are exact products and no pixel rasterization is involved.
@@ -6,12 +6,21 @@ coordinates, so areas are exact products and no pixel rasterization is involved.
 rules (four finite coordinates, positive area) on every box that comes from a
 file, and the boxes the package builds itself are trusted. All operations are
 pure and check nothing.
+
+``iou_matrix`` is the numpy form of ``iou`` over every pair of two box lists.
+It performs the same float operations in the same order, so each entry equals
+the scalar ``iou`` bit for bit; ``tests/test_geometry.py::TestIoUMatrix`` pins
+this. Grouping reads one such matrix for each image with enough detections
+to repay its fixed cost.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Sequence
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -38,6 +47,37 @@ def iou(a: BoundingBox, b: BoundingBox) -> float:
     inter = ix * iy
     union = a.area + b.area - inter
     return inter / union
+
+
+_corners = attrgetter("x_min", "y_min", "x_max", "y_max")
+
+
+def _corner_rows(boxes: Sequence[BoundingBox]) -> np.ndarray:
+    """A (4, N) array: the x_min, y_min, x_max and y_max of every box."""
+    return np.array(list(map(_corners, boxes)), dtype=np.float64).reshape(-1, 4).T.copy()
+
+
+def iou_matrix(a: Sequence[BoundingBox], b: Sequence[BoundingBox]) -> np.ndarray:
+    """The (len(a), len(b)) float64 array whose [i, j] entry is ``iou(a[i], b[j])``, bit for bit.
+
+    The union is ``(area_a + area_b) - inter``, as in ``iou``, and pairs whose
+    intersection has no positive width or height are 0.0 without being divided.
+    """
+    cb = _corner_rows(b)
+    ca = cb if a is b else _corner_rows(a)
+    ax0, ay0, ax1, ay1 = ca[:, :, None]
+    bx0, by0, bx1, by1 = cb
+    # the intersection's width and height, nonpositive when the boxes do not overlap; the
+    # arithmetic runs in place, so the largest images allocate few (len(a), len(b)) temporaries
+    ix = np.minimum(ax1, bx1)
+    ix -= np.maximum(ax0, bx0)
+    iy = np.minimum(ay1, by1)
+    iy -= np.maximum(ay0, by0)
+    overlap = np.minimum(ix, iy) > 0.0
+    inter = np.multiply(ix, iy, out=ix)
+    union = np.add((ax1 - ax0) * (ay1 - ay0), (bx1 - bx0) * (by1 - by0), out=iy)
+    union -= inter
+    return np.divide(inter, union, out=np.zeros_like(inter), where=overlap)
 
 
 def mean_box(boxes: Sequence[BoundingBox]) -> BoundingBox:

@@ -229,13 +229,15 @@ def simulate_passes(
     width, height = IMAGE_SIZE
     kappa = len(world.catalog)
     d = world.difficulty[image_id]
+    objects = world.gt[image_id].objects
+    skills = {category: skill.skill(category) for _, category in objects}  # fixed for the call
+    fp_rate = FP_RATE * (1.0 - skill.mean_skill)
     passes = []
     for pass_index in range(n):
         rng = _pass_rng(pass_seed, image_id, pass_index)
         dets: list[Detection] = []
-        for box, category in world.gt[image_id].objects:
-            s = skill.skill(category)
-            effective = s * (1.0 - d)
+        for box, category in objects:
+            effective = skills[category] * (1.0 - d)
             p_det = min(max(P_LO + (P_HI - P_LO) * effective, 0.0), 1.0)
             detected = rng.random() < p_det
             diag = ((box.x_max - box.x_min) ** 2 + (box.y_max - box.y_min) ** 2) ** 0.5
@@ -255,7 +257,7 @@ def simulate_passes(
             scores[category] += alpha
             scores /= scores.sum()
             dets.append(Detection(BoundingBox(x0, y0, x1, y1), tuple(float(v) for v in scores)))
-        fp_count = int(rng.poisson(FP_RATE * (1.0 - skill.mean_skill)))
+        fp_count = int(rng.poisson(fp_rate))
         for _ in range(fp_count):
             fp_box = _place_box(rng, width, height)
             fp_scores = _dirichlet(rng, FP_CONCENTRATION, kappa)

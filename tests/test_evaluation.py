@@ -166,6 +166,19 @@ class TestCocoMap:
             for c, ap in want_aps.items():
                 assert got.per_category_ap[c] == pytest.approx(ap, abs=1e-9), f"case {case} cat {c}"
 
+    def test_per_image_f1_matches_f1_image(self):
+        # coco_map reads its F1 off the matches at COCO_IOU_THRESHOLDS[0]; f1_image matches alone
+        rng = np.random.Generator(np.random.PCG64(20240818))
+        for case in range(50):
+            preds_by_image, gt_by_image = random_scene(rng)
+            if all(not g.objects for g in gt_by_image.values()):
+                continue
+            got = coco_map(preds_by_image, gt_by_image, CATALOG3).per_image_f1
+            assert got == {
+                image_id: f1_image(preds_by_image.get(image_id, []), gt)
+                for image_id, gt in gt_by_image.items()
+            }, f"case {case}"
+
     def test_duplicate_tp_cannot_raise_map(self):
         rng = np.random.Generator(np.random.PCG64(1))
         for _ in range(10):

@@ -3,13 +3,14 @@ import math
 import re
 from functools import partial
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from boxal.data_io import Detection, ImagePasses, apply_thresholds, load_ground_truth, load_image_passes
 from boxal.errors import ValidationError
-from boxal.geometry import BoundingBox, iou, mean_box
+from boxal.geometry import BoundingBox, iou, iou_matrix, mean_box
 
 from oracles import brute_force_nms, rasterized_iou
 
@@ -102,6 +103,50 @@ class TestIoU:
     def test_matches_rasterized_oracle(self, a, b):
         # integer coordinates, so a unit-pitch grid rasterizes exactly
         assert iou(a, b) == pytest.approx(rasterized_iou(a, b, pitch=1.0), abs=1e-9)
+
+
+@st.composite
+def float_boxes(draw):
+    # unquantized corners, so the rounding of every step of IoU is exercised
+    x0 = draw(st.floats(min_value=0.0, max_value=1000.0))
+    y0 = draw(st.floats(min_value=0.0, max_value=1000.0))
+    w = draw(st.floats(min_value=1e-6, max_value=500.0))
+    h = draw(st.floats(min_value=1e-6, max_value=500.0))
+    return BoundingBox(x0, y0, x0 + w, y0 + h)
+
+
+TOUCHING = [box(0, 0, 10, 10), box(10, 0, 20, 10), box(0, 10, 10, 20), box(10, 10, 20, 20)]
+NESTED = [box(0, 0, 40, 40), box(10, 10, 20, 20), box(12, 11, 13, 19), box(0, 0, 40, 40)]
+
+
+class TestIoUMatrix:
+    """``iou_matrix`` is pinned to the scalar ``iou``: every entry equal, no floating-point warning."""
+
+    @staticmethod
+    def assert_pinned(a, b):
+        with np.errstate(all="raise"):
+            got = iou_matrix(a, b)
+        assert got.shape == (len(a), len(b))
+        assert got.dtype == np.float64
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                assert got[i, j] == iou(x, y), (i, j, x, y)
+
+    @settings(max_examples=200)
+    @given(st.lists(boxes() | float_boxes(), max_size=9), st.lists(boxes() | float_boxes(), max_size=9))
+    @example(TOUCHING, TOUCHING)
+    @example(NESTED, NESTED)
+    @example(NESTED, TOUCHING[:1])
+    @example([], TOUCHING)
+    @example(NESTED, [])
+    @example([], [])
+    def test_equals_scalar_iou(self, a, b):
+        self.assert_pinned(a, b)
+
+    @given(st.lists(boxes() | float_boxes(), min_size=1, max_size=12))
+    def test_same_list_on_both_sides(self, a):
+        # grouping passes one list as both arguments
+        self.assert_pinned(a, a)
 
 
 class TestMeanBox:

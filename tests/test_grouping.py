@@ -70,12 +70,15 @@ class TestExamples:
 
 
 class TestInvariants:
-    def test_oracle_equivalence_500_instances(self):
+    # 0.0 and 1.0 decide the ``>=`` rule and the earliest-set tie rule; about a third of the
+    # images reach MATRIX_MIN_DETECTIONS, so both ways of reading the IoUs are compared
+    @pytest.mark.parametrize("match_iou", [0.0, 0.3, 0.5, 1.0])
+    def test_oracle_equivalence_500_instances(self, match_iou):
         rng = np.random.Generator(np.random.PCG64(20240817))
         for i in range(500):
             img = random_passes(rng, image_id=f"case_{i}")
-            got = members_of(group_passes(img, 0.5))
-            want = brute_force_grouping(img, 0.5, iou)
+            got = members_of(group_passes(img, match_iou))
+            want = brute_force_grouping(img, match_iou, iou)
             assert got == want, f"case {i} diverged"
 
     @pytest.mark.parametrize("seed", range(40))
