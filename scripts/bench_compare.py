@@ -3,15 +3,16 @@
     python3 scripts/bench_compare.py --parent ../parent --change . --out BENCH_10.json
 
 For each workload of ``BENCHMARK.json``, pair i runs ``bench/run.py --seed i``
-once in each checkout, with the parent first in even pairs and the change
-first in odd ones. Each side of a pair uses its own checkout's ``bench/``, so
-the two sides must hold the same benchmark code. Per end-to-end metric, the
-file records each side's median and quartiles and the pairs the change won
-(ties count for neither side). Then it makes ``--traced`` alternating pairs
-of traced runs (seed 0) for the per-layer metrics, and times
-``test_criterion_6`` in each checkout as often. Every finished run is
-appended to ``<out>.runs.jsonl`` as it ends, so an interrupted comparison
-keeps what it measured.
+for the benchmark's ``run_seconds`` once in each checkout, with the parent
+first in even pairs and the change first in odd ones. Each side of a pair
+uses its own checkout's ``bench/``, so the two sides must hold the same
+benchmark code. Per workload, the file records each run's ``correct``,
+``attempted`` and ``failed``; per end-to-end metric, each side's median and
+quartiles and the pairs the change won (ties count for neither side). Then
+it makes ``TRACED`` alternating pairs of traced runs (seed 0) for the
+per-layer metrics, and times ``test_criterion_6`` in each checkout as often.
+Every finished run is appended to ``<out>.runs.jsonl`` as it ends, so an
+interrupted comparison keeps what it measured.
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ import time
 from pathlib import Path
 
 CRITERION_6 = "tests/test_acceptance.py::test_criterion_6_qualitative_reproduction"
+PAIRS = 10  # untraced pairs per workload, as a gain claim is judged on
+TRACED = 3  # traced pairs per workload, and test_criterion_6 timings per side
 
 
 def _bench(checkout: Path, workload: str, seed: int, seconds: float, trace: bool) -> dict:
@@ -66,51 +69,18 @@ def _sides(pair: int) -> tuple[str, str]:
     return ("parent", "change") if pair % 2 == 0 else ("change", "parent")
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--parent", type=Path, required=True)
-    parser.add_argument("--change", type=Path, required=True)
-    parser.add_argument("--out", type=Path, required=True)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--traced", type=int, default=2)
-    parser.add_argument("--seconds", type=float, default=40.0)
-    parser.add_argument("--workloads", nargs="*")
-    args = parser.parse_args(argv)
-    checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    spec = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
-    workloads = args.workloads or [w["name"] for w in spec["workloads"]]
+def report(runs: list[dict], spec: dict) -> dict:
+    """The BENCH document of the runs recorded in ``<out>.runs.jsonl``."""
+    sides = ("parent", "change")
     lower_is_better = {m["name"]: m["better"] == "lower" for m in spec["end_to_end"]}
-    log = args.out.with_name(args.out.name + ".runs.jsonl")
-
-    runs = []
-
-    def record(entry: dict) -> None:
-        runs.append(entry)
-        with open(log, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(entry) + "\n")
-        print(json.dumps(entry)[:300], file=sys.stderr, flush=True)
-
-    for workload in workloads:
-        for pair in range(args.pairs):
-            for side in _sides(pair):
-                result = _bench(checkouts[side], workload, pair, args.seconds, trace=False)
-                record({"kind": "untraced", "workload": workload, "pair": pair, "side": side, **result})
-        for pair in range(args.traced):
-            for side in _sides(pair):
-                result = _bench(checkouts[side], workload, 0, args.seconds, trace=True)
-                record({"kind": "traced", "workload": workload, "pair": pair, "side": side, **result})
-    for pair in range(args.traced):
-        for side in _sides(pair):
-            record({"kind": "criterion_6", "pair": pair, "side": side,
-                    "seconds": _criterion_6_s(checkouts[side])})
-
-    report = {"host": _host(), "pairs": args.pairs, "seconds": args.seconds, "workloads": {}}
-    for workload in workloads:
+    doc = {"host": _host(), "pairs": PAIRS, "seconds": spec["run_seconds"], "workloads": {}}
+    for workload in (w["name"] for w in spec["workloads"]):
         untraced = {side: sorted((r for r in runs if r["kind"] == "untraced" and r["workload"] == workload
                                   and r["side"] == side), key=lambda r: r["pair"])
-                    for side in checkouts}
-        row = {"correct": {side: [r["correct"] for r in untraced[side]] for side in checkouts},
-               "end_to_end": {}, "traced": {}}
+                    for side in sides}
+        row = {key: {side: [r.get(key) for r in untraced[side]] for side in sides}
+               for key in ("correct", "attempted", "failed")}
+        row["end_to_end"], row["traced"] = {}, {}
         # pairs in which both sides measured the loop
         measured = [(p, c) for p, c in zip(untraced["parent"], untraced["change"])
                     if "metrics" in p and "metrics" in c]
@@ -123,10 +93,46 @@ def main(argv=None) -> int:
         for r in runs:
             if r["kind"] == "traced" and r["workload"] == workload and "metrics" in r:
                 row["traced"].setdefault(r["side"], []).append(r["metrics"])
-        report["workloads"][workload] = row
-    report["criterion_6_s"] = {side: [r["seconds"] for r in runs if r["kind"] == "criterion_6"
-                                      and r["side"] == side] for side in checkouts}
-    args.out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
+        doc["workloads"][workload] = row
+    doc["criterion_6_s"] = {side: [r["seconds"] for r in runs if r["kind"] == "criterion_6"
+                                   and r["side"] == side] for side in sides}
+    return doc
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", type=Path, required=True)
+    parser.add_argument("--change", type=Path, required=True)
+    parser.add_argument("--out", type=Path, required=True)
+    args = parser.parse_args(argv)
+    checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    spec = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
+    seconds = spec["run_seconds"]
+    log = args.out.with_name(args.out.name + ".runs.jsonl")
+
+    runs = []
+
+    def record(entry: dict) -> None:
+        runs.append(entry)
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(entry) + "\n")
+        print(json.dumps(entry)[:300], file=sys.stderr, flush=True)
+
+    for workload in (w["name"] for w in spec["workloads"]):
+        for pair in range(PAIRS):
+            for side in _sides(pair):
+                result = _bench(checkouts[side], workload, pair, seconds, trace=False)
+                record({"kind": "untraced", "workload": workload, "pair": pair, "side": side, **result})
+        for pair in range(TRACED):
+            for side in _sides(pair):
+                result = _bench(checkouts[side], workload, 0, seconds, trace=True)
+                record({"kind": "traced", "workload": workload, "pair": pair, "side": side, **result})
+    for pair in range(TRACED):
+        for side in _sides(pair):
+            record({"kind": "criterion_6", "pair": pair, "side": side,
+                    "seconds": _criterion_6_s(checkouts[side])})
+
+    args.out.write_text(json.dumps(report(runs, spec), indent=1) + "\n", encoding="utf-8")
     return 0
 
 

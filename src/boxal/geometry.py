@@ -10,8 +10,7 @@ pure and check nothing.
 ``iou_matrix`` is the numpy form of ``iou`` over every pair of two box lists.
 It performs the same float operations in the same order, so each entry equals
 the scalar ``iou`` bit for bit; ``tests/test_geometry.py::TestIoUMatrix`` pins
-this. Grouping reads one such matrix for each image with enough detections
-to repay its fixed cost.
+this. Grouping reads one such matrix for each image.
 """
 
 from __future__ import annotations

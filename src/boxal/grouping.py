@@ -13,13 +13,14 @@ holds more than one member per pass (so set sizes never exceed n).
 
 A set that gains a member is closed for the rest of the pass, so each open
 set's max-member IoU with the pass's detections is fixed when the pass
-begins. An image with at least ``MATRIX_MIN_DETECTIONS`` detections reads
-these values from one ``geometry.iou_matrix`` over all its detections (in pass
-order, canonical order within a pass): each set keeps the running maximum of
-its members' matrix rows, and a pass reads only its block of those rows.
-Smaller images, where the matrix's fixed cost exceeds the few scalar calls,
-compute the same values with ``iou``. Both give the same floats, so the
-grouping does not depend on the path.
+begins. Grouping reads these values from one ``geometry.iou_matrix`` over all
+the image's detections (in pass order, canonical order within a pass): each
+set keeps the running maximum of its members' matrix rows, and a pass reads
+only its block of those rows. The matrix holds the same floats as ``iou``, so
+the sets are those of scalar ``iou`` calls. Memory grows with the square of
+the image's detection count D, because the matrix, the sets' rows and the
+kernel's temporaries are D x D float64: the peak is about 25 * D**2 bytes
+(25 MB at D = 1,000, about 0.4 GB at D = 4,000).
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 
 from . import geometry
 from .data_io import Detection, ImagePasses, canonical_order
-from .geometry import BoundingBox, iou
+from .geometry import BoundingBox
 
 
 @dataclass(frozen=True)
@@ -54,32 +55,19 @@ class InstanceSet:
         return geometry.mean_box(self.boxes)
 
 
-# below this many detections in an image, scalar ``iou`` calls beat the matrix's fixed cost
-# (measured on a 2-core Xeon VM at 2.1 GHz, numpy 2.4.6: the two cross at about 8 detections)
-MATRIX_MIN_DETECTIONS = 8
-
-
 def group_passes(img: ImagePasses, match_iou: float = 0.5) -> list[InstanceSet]:
     """Partition an image's detections into instance sets, in creation order."""
     passes = [canonical_order(pass_dets) for pass_dets in img.passes]
-    use_matrix = sum(map(len, passes)) >= MATRIX_MIN_DETECTIONS
-    if use_matrix:
-        boxes = [det.box for pass_dets in passes for det in pass_dets]
-        pairwise = geometry.iou_matrix(boxes, boxes)
-        set_iou = np.empty_like(pairwise)  # row s: the max of set s's members' rows of pairwise
+    boxes = [det.box for pass_dets in passes for det in pass_dets]
+    pairwise = geometry.iou_matrix(boxes, boxes)
+    set_iou = np.empty_like(pairwise)  # row s: the max of set s's members' rows of pairwise
     sets: list[list[tuple[int, Detection]]] = []
     start = 0
     for pass_index, pass_dets in enumerate(passes):
         if not pass_dets:
             continue
         # values[i][s]: the i-th detection's max-member IoU with set s, for the sets open to this pass
-        if use_matrix:
-            values = set_iou[: len(sets), start : start + len(pass_dets)].T.tolist()
-        else:
-            values = [
-                [max(iou(det.box, member.box) for _, member in members) for members in sets]
-                for det in pass_dets
-            ]
+        values = set_iou[: len(sets), start : start + len(pass_dets)].T.tolist()
         matched_this_pass: set[int] = set()
         for k, (det, row) in enumerate(zip(pass_dets, values), start):
             best_index = -1
@@ -91,11 +79,9 @@ def group_passes(img: ImagePasses, match_iou: float = 0.5) -> list[InstanceSet]:
             if best_index >= 0:
                 sets[best_index].append((pass_index, det))
                 matched_this_pass.add(best_index)
-                if use_matrix:
-                    np.maximum(set_iou[best_index], pairwise[k], out=set_iou[best_index])
+                np.maximum(set_iou[best_index], pairwise[k], out=set_iou[best_index])
             else:
-                if use_matrix:
-                    set_iou[len(sets)] = pairwise[k]
+                set_iou[len(sets)] = pairwise[k]
                 sets.append([(pass_index, det)])
         start += len(pass_dets)
     return [InstanceSet(tuple(members)) for members in sets]

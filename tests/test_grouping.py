@@ -70,8 +70,7 @@ class TestExamples:
 
 
 class TestInvariants:
-    # 0.0 and 1.0 decide the ``>=`` rule and the earliest-set tie rule; about a third of the
-    # images reach MATRIX_MIN_DETECTIONS, so both ways of reading the IoUs are compared
+    # 0.0 and 1.0 decide the ``>=`` rule and the earliest-set tie rule
     @pytest.mark.parametrize("match_iou", [0.0, 0.3, 0.5, 1.0])
     def test_oracle_equivalence_500_instances(self, match_iou):
         rng = np.random.Generator(np.random.PCG64(20240817))
