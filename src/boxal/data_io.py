@@ -361,6 +361,9 @@ def apply_thresholds(img: ImagePasses, confidence: float = 0.5, nms_iou: float =
     new_passes = []
     for pass_dets in img.passes:
         survivors = [d for d in pass_dets if d.max_score >= confidence]
+        if len(survivors) < 2:  # NMS keeps one detection, in any order
+            new_passes.append(tuple(survivors))
+            continue
         kept: list[Detection] = []
         for det in canonical_order(survivors):
             if all(iou(det.box, k.box) < nms_iou for k in kept):

@@ -17,6 +17,7 @@ function, implemented here with a Lentz-style continued fraction.
 from __future__ import annotations
 
 import math
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -184,31 +185,33 @@ def coco_map(
     # its own image and category, so one greedy pass per image and threshold
     # yields every category's TP flags at once. The IoUs those passes read are
     # computed once per image, for all thresholds.
+    # The same pass buckets each category's ground-truth count and detections,
+    # in image order.
     capped: dict[str, list[FinalPrediction]] = {}
     flags: dict[str, list[list[bool]]] = {}  # image -> threshold index -> per-prediction flag
+    gt_count: Counter[int] = Counter()
+    by_category: dict[int, list] = defaultdict(list)
     for image_id, gt in gt_by_image.items():
         preds = sorted(preds_by_image.get(image_id, ()), key=_score_order)[:MAX_DETECTIONS_PER_IMAGE]
         capped[image_id] = preds
         candidates = _match_candidates(preds, gt.objects)
-        flags[image_id] = [_greedy_match(candidates, len(preds), thr) for thr in COCO_IOU_THRESHOLDS]
+        image_flags = [_greedy_match(candidates, len(preds), thr) for thr in COCO_IOU_THRESHOLDS]
+        flags[image_id] = image_flags
+        gt_count.update(c for _, c in gt.objects)
+        for k, p in enumerate(preds):
+            by_category[p.category].append(
+                (p.score, image_id, p.box.as_tuple(), [f[k] for f in image_flags])
+            )
 
     per_category_ap: dict[int, float] = {}
     for category in range(len(catalog)):
-        gt_count = sum(
-            sum(1 for _, c in gt.objects if c == category) for gt in gt_by_image.values()
-        )
-        if gt_count == 0:
+        if gt_count[category] == 0:
             continue
-        detections = [
-            (p.score, image_id, p.box.as_tuple(), [f[k] for f in flags[image_id]])
-            for image_id, preds in capped.items()
-            for k, p in enumerate(preds)
-            if p.category == category
-        ]
+        detections = by_category[category]
         detections.sort(key=lambda d: (-d[0], d[1], d[2]))
         ap_sum = 0.0
         for t in range(len(COCO_IOU_THRESHOLDS)):
-            ap_sum += _average_precision([d[3][t] for d in detections], gt_count)
+            ap_sum += _average_precision([d[3][t] for d in detections], gt_count[category])
         per_category_ap[category] = ap_sum / len(COCO_IOU_THRESHOLDS)
 
     map_score = sum(per_category_ap.values()) / len(per_category_ap)

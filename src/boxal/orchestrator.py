@@ -63,7 +63,7 @@ from .evaluation import (
     ttest_two_sided,
 )
 from .grouping import group_passes
-from .simulator import SkillState, SyntheticWorld, simulate_passes, train_update
+from .simulator import SkillState, SyntheticWorld, pass_states, simulate_passes, train_update
 
 
 @dataclass(frozen=True)
@@ -208,17 +208,19 @@ class SimulatorDetectorAdapter(DetectorAdapter):
     def fulfill_detection_request(self, request_path: Path, output_path: Path) -> None:
         request = json.loads(request_path.read_text(encoding="utf-8"))
         skill = self.skill(request["iteration"])
+        image_ids, n, pass_seed = request["image_ids"], request["passes"], request["pass_seed"]
         images = [
             simulate_passes(
                 self.world,
                 skill,
                 image_id,
-                request["passes"],
-                request["pass_seed"],
+                n,
+                pass_seed,
                 request["confidence"],
                 request["nms_iou"],
+                states=states,
             )
-            for image_id in request["image_ids"]
+            for image_id, states in zip(image_ids, pass_states(pass_seed, image_ids, n))
         ]
         save_image_passes(images, output_path)
         Path(str(output_path) + ".done").touch()

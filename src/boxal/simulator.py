@@ -18,6 +18,14 @@ The noise model's parameters are module constants: ``HALF_SATURATION`` (k),
 probability at zero and full skill), ``NOISE_CONCENTRATION`` and
 ``FP_CONCENTRATION`` (the Dirichlet concentrations of true- and
 false-positive scores).
+
+The passes' random numbers follow one contract. Pass k of an image draws
+from a PCG64 generator seeded as ``np.random.PCG64(s)`` seeds it, where s is
+the little-endian int of the 8-byte blake2b digest of
+``"{pass_seed}|{image_id}|{k}"``, and each pass makes its draws in the order
+``simulate_passes`` documents. ``pass_states`` computes the initial states of
+a whole request's generators at once, with numpy's SeedSequence arithmetic
+on arrays, so only the draws are left per pass.
 """
 
 from __future__ import annotations
@@ -25,8 +33,9 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -56,6 +65,7 @@ P_LO = 0.45  # detection probability floor (zero skill)
 P_HI = 1.0  # detection probability ceiling (full skill)
 NOISE_CONCENTRATION = 0.5  # Dirichlet concentration of score noise
 FP_CONCENTRATION = 10.0  # Dirichlet concentration of false-positive scores
+_STATE_BLOCK = 64  # images whose pass generators are seeded together
 
 
 @dataclass(frozen=True)
@@ -99,12 +109,18 @@ def _category_weights(kappa: int) -> np.ndarray:
     return weights / weights.sum()
 
 
-def _place_box(rng: np.random.Generator, width: int, height: int) -> BoundingBox:
-    bw = rng.uniform(0.10, 0.28) * width
-    bh = rng.uniform(0.10, 0.28) * height
-    x0 = rng.uniform(0.0, width - bw)
-    y0 = rng.uniform(0.0, height - bh)
-    return BoundingBox(x0, y0, x0 + bw, y0 + bh)
+def _place_box(u0, u1, u2, u3, width: int, height: int):
+    """Corners of a box from four uniforms in [0, 1), as floats or as arrays of them.
+
+    Each side spans 10–28 % of the image's, and the box lies inside the image.
+    The arithmetic is numpy's ``uniform(low, high)``, ``low + (high - low) * u``,
+    so four ``random()`` draws give the box that four ``uniform`` draws did.
+    """
+    bw = (0.10 + (0.28 - 0.10) * u0) * width
+    bh = (0.10 + (0.28 - 0.10) * u1) * height
+    x0 = (width - bw) * u2  # low = 0.0 adds nothing to a value >= +0.0
+    y0 = (height - bh) * u3
+    return x0, y0, x0 + bw, y0 + bh
 
 
 def generate_world(
@@ -138,11 +154,11 @@ def generate_world(
         count = int(rng.integers(lo, hi + 1))
         objects: list[tuple[BoundingBox, int]] = []
         for _ in range(count):
-            box = _place_box(rng, width, height)
+            box = BoundingBox(*_place_box(*rng.random(4).tolist(), width, height))
             for _ in range(50):  # bounded-overlap rejection sampling, best effort
                 if all(iou(box, other) <= MAX_GT_OVERLAP for other, _ in objects):
                     break
-                box = _place_box(rng, width, height)
+                box = BoundingBox(*_place_box(*rng.random(4).tolist(), width, height))
             category = int(rng.choice(kappa, p=weights))
             objects.append((box, category))
         difficulties[image_id] = difficulty
@@ -197,19 +213,102 @@ def load_world(run_dir: str | Path) -> SyntheticWorld:
     return SyntheticWorld(difficulties, gt, manifest)
 
 
-def _pass_rng(pass_seed: int, image_id: str, pass_index: int) -> np.random.Generator:
-    digest = hashlib.blake2b(
-        f"{pass_seed}|{image_id}|{pass_index}".encode(), digest_size=8
-    ).digest()
-    return np.random.Generator(np.random.PCG64(int.from_bytes(digest, "little")))
+_MASK32 = 0xFFFFFFFF
+_PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
 
 
-def _dirichlet(rng: np.random.Generator, concentration: float, kappa: int) -> np.ndarray:
-    draw = rng.gamma(concentration, size=kappa)
-    total = draw.sum()
-    if total <= 0.0:
-        return np.full(kappa, 1.0 / kappa)
-    return draw / total
+def _mul_add_128(a: list, m: int, c: list) -> list:
+    """``(a * m + c) mod 2**128`` on little-endian 32-bit limbs, each limb a uint64 array.
+
+    Each limb product is below 2**64, and its halves are summed apart, so
+    nothing wraps.
+    """
+    m_limbs = [(m >> (32 * k)) & _MASK32 for k in range(4)]
+    out, carry = [], 0
+    for k in range(4):
+        low, high = c[k] + carry, 0
+        for i in range(k + 1):
+            product = a[i] * m_limbs[k - i]
+            low = low + (product & _MASK32)
+            high = high + (product >> 32)
+        out.append(low & _MASK32)
+        carry = (low >> 32) + high
+    return out
+
+
+def _pcg64_states(seeds: np.ndarray) -> np.ndarray:
+    """``np.random.PCG64(s).state`` for each uint64 seed s, as rows of four uint64 words.
+
+    A row is ``[state >> 64, state mod 2**64, inc >> 64, inc mod 2**64]``.
+    numpy seeds PCG64 with ``SeedSequence(s).generate_state(4, np.uint64)``:
+    s's two 32-bit words are hashed into a pool of four words, the pool is
+    mixed, and eight output words are drawn from it. PCG64 then reads them as
+    a 128-bit seed and stream, and takes its two seeding LCG steps. This runs
+    the same uint32 and 128-bit arithmetic on whole arrays; array arithmetic
+    wraps without a warning.
+    """
+    hash_a = 0x43B0D7E5
+
+    def hashmix(value):
+        nonlocal hash_a
+        value = value ^ hash_a
+        hash_a = (hash_a * 0x931E8875) & _MASK32
+        value = value * hash_a
+        return value ^ (value >> 16)
+
+    zero = np.zeros(seeds.shape, dtype=np.uint32)
+    low, high = (seeds & _MASK32).astype(np.uint32), (seeds >> 32).astype(np.uint32)
+    pool = [hashmix(word) for word in (low, high, zero, zero)]  # a seed below 2**32 has a zero high word
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                mixed = pool[dst] * 0xCA01F9DD - hashmix(pool[src]) * 0x4973F715
+                pool[dst] = mixed ^ (mixed >> 16)
+    hash_b = 0x8B51F9DD
+    words = []
+    for k in range(8):
+        value = pool[k % 4] ^ hash_b
+        hash_b = (hash_b * 0x58F38DED) & _MASK32
+        value = value * hash_b
+        words.append((value ^ (value >> 16)).astype(np.uint64))
+    # the uint64 outputs are word pairs (0, 1) ... (6, 7); seed = out0·2**64 + out1, stream likewise
+    seed = [words[2], words[3], words[0], words[1]]
+    stream = [words[6], words[7], words[4], words[5]]
+    inc = [((stream[k] << 1) & _MASK32) | (stream[k - 1] >> 31 if k else 1) for k in range(4)]
+    # from state 0, one LCG step gives inc; add the seed, then step again
+    state = _mul_add_128(_mul_add_128(seed, 1, inc), _PCG64_MULTIPLIER, inc)
+    return np.stack(
+        [state[3] << 32 | state[2], state[1] << 32 | state[0], inc[3] << 32 | inc[2], inc[1] << 32 | inc[0]],
+        axis=-1,
+    )
+
+
+def pass_states(pass_seed: int, image_ids: Sequence[str], n: int) -> np.ndarray:
+    """Each image's n initial pass generators, a ``(len(image_ids), n, 4)`` uint64 array.
+
+    Pass k of an image draws from ``PCG64(s)``, where s is the little-endian
+    int of the 8-byte blake2b of ``"{pass_seed}|{image_id}|{k}"``; its row is
+    ``_pcg64_states`` of s. Blocks of ``_STATE_BLOCK`` images bound the
+    temporaries' memory.
+    """
+    states = np.empty((len(image_ids), n, 4), dtype=np.uint64)
+    for start in range(0, len(image_ids), _STATE_BLOCK):
+        block = image_ids[start : start + _STATE_BLOCK]
+        digests = b"".join(
+            hashlib.blake2b(f"{pass_seed}|{image_id}|{k}".encode(), digest_size=8).digest()
+            for image_id in block
+            for k in range(n)
+        )
+        seeds = np.frombuffer(digests, dtype="<u8").astype(np.uint64)
+        states[start : start + len(block)] = _pcg64_states(seeds).reshape(len(block), n, 4)
+    return states
+
+
+def _dirichlet(gamma: np.ndarray) -> np.ndarray:
+    """Rows of gamma draws divided by their sums; a row summing to 0 is uniform."""
+    total = gamma.sum(axis=-1, keepdims=True)
+    uniform = np.full_like(gamma, 1.0 / gamma.shape[-1])
+    return np.divide(gamma, total, out=uniform, where=total > 0.0)
 
 
 def simulate_passes(
@@ -220,51 +319,79 @@ def simulate_passes(
     pass_seed: int,
     confidence: float = 0.5,
     nms_iou: float = 0.3,
+    *,
+    states: np.ndarray | None = None,
 ) -> ImagePasses:
     """Run n stochastic forward passes over one image.
 
-    Each pass is deterministic given (pass_seed, image_id, pass index). The
-    returned passes already have the confidence and NMS thresholds applied.
+    Pass k draws from its own PCG64 generator, whose initial state is row k
+    of ``states``, ``pass_states(pass_seed, [image_id], n)[0]`` when not
+    given. Per pass, the draws come in this order: for each ground-truth
+    object, one uniform (detected or missed), four standard normals (corner
+    jitter) and κ standard gammas (score noise), drawn for a missed object
+    too; then the Poisson count of false positives; then for each false
+    positive four uniforms (its box) and κ gammas (its scores). The passes
+    returned already have the confidence and NMS thresholds applied.
     """
+    if states is None:
+        states = pass_states(pass_seed, [image_id], n)[0]
     width, height = IMAGE_SIZE
     kappa = len(world.catalog)
     d = world.difficulty[image_id]
     objects = world.gt[image_id].objects
-    skills = {category: skill.skill(category) for _, category in objects}  # fixed for the call
+    m = len(objects)
     fp_rate = FP_RATE * (1.0 - skill.mean_skill)
-    passes = []
-    for pass_index in range(n):
-        rng = _pass_rng(pass_seed, image_id, pass_index)
-        dets: list[Detection] = []
-        for box, category in objects:
-            effective = skills[category] * (1.0 - d)
-            p_det = min(max(P_LO + (P_HI - P_LO) * effective, 0.0), 1.0)
-            detected = rng.random() < p_det
-            diag = ((box.x_max - box.x_min) ** 2 + (box.y_max - box.y_min) ** 2) ** 0.5
-            sigma = JITTER_SIGMA * (1.0 - effective) * diag
-            jitter = rng.normal(0.0, 1.0, size=4) * sigma
-            noise = _dirichlet(rng, NOISE_CONCENTRATION, kappa)
-            if not detected:
-                continue
-            x0 = max(0.0, box.x_min + jitter[0])
-            y0 = max(0.0, box.y_min + jitter[1])
-            x1 = min(float(width), box.x_max + jitter[2])
-            y1 = min(float(height), box.y_max + jitter[3])
-            if x1 - x0 < 1e-6 or y1 - y0 < 1e-6:
-                continue  # jitter collapsed the box: counts as a miss
-            alpha = effective
-            scores = (1.0 - alpha) * noise
-            scores[category] += alpha
-            scores /= scores.sum()
-            dets.append(Detection(BoundingBox(x0, y0, x1, y1), tuple(float(v) for v in scores)))
-        fp_count = int(rng.poisson(fp_rate))
-        for _ in range(fp_count):
-            fp_box = _place_box(rng, width, height)
-            fp_scores = _dirichlet(rng, FP_CONCENTRATION, kappa)
-            fp_scores /= fp_scores.sum()
-            dets.append(Detection(fp_box, tuple(float(v) for v in fp_scores)))
-        passes.append(tuple(dets))
-    raw = ImagePasses(image_id, width, height, tuple(passes))
+
+    uniform, normal, gamma = np.empty((n, m)), np.empty((n, m, 4)), np.empty((n, m, kappa))
+    fp_pass, fp_uniform, fp_gamma = [], [], []
+    rng = np.random.Generator(np.random.PCG64(0))  # every pass sets its own state
+    bit_generator = rng.bit_generator
+    random, standard_normal, standard_gamma = rng.random, rng.standard_normal, rng.standard_gamma
+    for p, (state_high, state_low, inc_high, inc_low) in enumerate(states.tolist()):
+        bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state_high << 64 | state_low, "inc": inc_high << 64 | inc_low},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        for j in range(m):
+            uniform[p, j] = random()
+            standard_normal(out=normal[p, j])
+            standard_gamma(NOISE_CONCENTRATION, out=gamma[p, j])
+        for _ in range(rng.poisson(fp_rate)):
+            fp_pass.append(p)
+            fp_uniform.append(random(4))
+            fp_gamma.append(standard_gamma(FP_CONCENTRATION, kappa))
+
+    # true positives: every (pass, object) at once, with the scalar rules' float operations
+    effective = [skill.skill(category) * (1.0 - d) for _, category in objects]
+    p_det = [min(max(P_LO + (P_HI - P_LO) * e, 0.0), 1.0) for e in effective]
+    sigma = [
+        JITTER_SIGMA * (1.0 - e) * ((box.x_max - box.x_min) ** 2 + (box.y_max - box.y_min) ** 2) ** 0.5
+        for e, (box, _) in zip(effective, objects)
+    ]
+    corners = np.array([box.as_tuple() for box, _ in objects]).reshape(m, 4)
+    jittered = corners + normal * np.array(sigma).reshape(m, 1)
+    low, high, limit = jittered[..., :2], jittered[..., 2:], (float(width), float(height))
+    boxes = np.concatenate([np.where(low > 0.0, low, 0.0), np.where(high < limit, high, limit)], axis=-1)
+    collapsed = (boxes[..., 2:] - boxes[..., :2] < 1e-6).any(axis=-1)  # counts as a miss
+    kept = (uniform < p_det) & ~collapsed
+    alpha = np.array(effective)
+    scores = (1.0 - alpha)[:, None] * _dirichlet(gamma)
+    scores[:, np.arange(m), [category for _, category in objects]] += alpha
+    scores /= scores.sum(axis=-1, keepdims=True)
+    detections = zip(np.nonzero(kept)[0].tolist(), boxes[kept].tolist(), scores[kept].tolist())
+
+    if fp_pass:  # false positives, all passes' at once, after each pass's true positives
+        fp_boxes = np.stack(_place_box(*np.array(fp_uniform).T, width, height), axis=-1)
+        fp_scores = _dirichlet(np.array(fp_gamma))
+        fp_scores /= fp_scores.sum(axis=-1, keepdims=True)
+        detections = chain(detections, zip(fp_pass, fp_boxes.tolist(), fp_scores.tolist()))
+
+    passes: list[list[Detection]] = [[] for _ in range(n)]
+    for p, box, row in detections:
+        passes[p].append(Detection(BoundingBox(*box), tuple(row)))
+    raw = ImagePasses(image_id, width, height, tuple(tuple(dets) for dets in passes))
     return apply_thresholds(raw, confidence, nms_iou)
 
 

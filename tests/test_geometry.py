@@ -194,6 +194,15 @@ class TestNms:
         assert got == [(a, 0.9), (c, 0.7)]
         assert got == brute_force_nms([(a, 0.9), (b, 0.8), (c, 0.7)], 0.3, iou)
 
+    @pytest.mark.parametrize("survivors", [0, 1, 2])
+    def test_confidence_survivors_match_brute_force(self, survivors):
+        # overlapping detections below a 0.75 cut, then 0, 1 or 2 above it that overlap too
+        low = [(box(0, 0, 10, 10), 0.6), (box(1, 0, 11, 10), 0.7), (box(2, 0, 12, 10), 0.55)]
+        high = [(box(3, 0, 13, 10), 0.8), (box(0, 1, 10, 11), 0.9)][:survivors]
+        img = ImagePasses("x", 100, 100, (tuple(Detection(b, (s, 1.0 - s)) for b, s in low + high),))
+        got = [(d.box, d.max_score) for d in apply_thresholds(img, 0.75, 0.3).passes[0]]
+        assert got == brute_force_nms(high, 0.3, iou)
+
     @settings(max_examples=100)
     @given(
         st.lists(st.tuples(boxes(), st.integers(50, 100)), max_size=8),

@@ -1,6 +1,10 @@
+import hashlib
 import json
 
+import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from boxal import simulator
 from boxal.certainty import image_certainty, set_certainty
@@ -9,17 +13,20 @@ from boxal.data_io import (
     DatasetManifest,
     GroundTruthImage,
     save_ground_truth,
+    save_image_passes,
     save_manifest,
 )
 from boxal.errors import ValidationError
 from boxal.evaluation import consolidate, f1_image
 from boxal.geometry import BoundingBox
 from boxal.grouping import group_passes
+from boxal.orchestrator import SimulatorDetectorAdapter
 from boxal.simulator import (
     SkillState,
     SyntheticWorld,
     generate_world,
     load_world,
+    pass_states,
     save_world,
     simulate_passes,
     train_update,
@@ -220,6 +227,145 @@ class TestSimulatePasses:
             for pass_dets in passes.passes:
                 for d in pass_dets:
                     assert d.max_score >= 0.5
+
+
+def generator_at(row):
+    """A generator set to a ``pass_states`` row."""
+    state_high, state_low, inc_high, inc_low = row
+    generator = np.random.Generator(np.random.PCG64(0))
+    generator.bit_generator.state = {
+        "bit_generator": "PCG64",
+        "state": {"state": state_high << 64 | state_low, "inc": inc_high << 64 | inc_low},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return generator
+
+
+def first_draws(generator):
+    return (
+        generator.random(3).tolist(),
+        generator.standard_normal(3).tolist(),
+        generator.standard_gamma(0.5, 3).tolist(),
+    )
+
+
+class TestPassStates:
+    """The bulk seeding equals numpy's own, and the pass seed rule is the documented one."""
+
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=40))
+    @example([0, 1, 2**32 - 1, 2**32, 2**64 - 1])
+    def test_equals_pcg64_seeding(self, seeds):
+        rows = simulator._pcg64_states(np.array(seeds, dtype=np.uint64)).tolist()
+        for seed, row in zip(seeds, rows):
+            expected = np.random.PCG64(seed)
+            state_high, state_low, inc_high, inc_low = row
+            assert expected.state["state"] == {
+                "state": state_high << 64 | state_low,
+                "inc": inc_high << 64 | inc_low,
+            }
+            assert first_draws(generator_at(row)) == first_draws(np.random.Generator(expected))
+
+    def test_blake2b_seed_per_image_and_pass(self):
+        pass_seed = 2**40 + 3
+        ids = [f"img_{i}" for i in range(simulator._STATE_BLOCK + 6)]  # more than one block
+        states = pass_states(pass_seed, ids, 3)
+        assert states.shape == (len(ids), 3, 4) and states.dtype == np.uint64
+        for i, image_id in enumerate(ids):
+            assert states[i].tolist() == pass_states(pass_seed, [image_id], 3)[0].tolist()
+            for k in range(3):
+                digest = hashlib.blake2b(f"{pass_seed}|{image_id}|{k}".encode(), digest_size=8).digest()
+                seed = int.from_bytes(digest, "little")
+                assert first_draws(generator_at(states[i, k].tolist())) == first_draws(
+                    np.random.Generator(np.random.PCG64(seed))
+                )
+        assert pass_states(pass_seed, [], 3).shape == (0, 3, 4)
+
+
+class TestArrayForms:
+    """The array forms ``simulate_passes`` draws and computes with equal the scalar calls."""
+
+    def test_out_draws_equal_sized_draws(self):
+        a, b = np.random.Generator(np.random.PCG64(5)), np.random.Generator(np.random.PCG64(5))
+        for kappa in (2, 9, 33):
+            normal = np.empty(4)
+            a.standard_normal(out=normal)
+            assert normal.tolist() == b.normal(0.0, 1.0, size=4).tolist()
+            for shape in (simulator.NOISE_CONCENTRATION, simulator.FP_CONCENTRATION):
+                gamma = np.empty(kappa)
+                a.standard_gamma(shape, out=gamma)
+                assert gamma.tolist() == b.gamma(shape, size=kappa).tolist()
+
+    def test_row_sums_equal_vector_sums(self):
+        rng = np.random.Generator(np.random.PCG64(7))
+        for kappa in range(2, 34):
+            gamma = rng.gamma(0.5, size=(20, 5, kappa))
+            sums = gamma.sum(axis=-1, keepdims=True)
+            assert sums.ravel().tolist() == [row.sum() for row in gamma.reshape(-1, kappa)]
+
+    def test_place_box_equals_uniform_draws(self):
+        a, b = np.random.Generator(np.random.PCG64(11)), np.random.Generator(np.random.PCG64(11))
+        width, height = simulator.IMAGE_SIZE
+        u = b.random((2000, 4))
+        rows = np.stack(simulator._place_box(*u.T, width, height), axis=-1).tolist()
+        for row, draws in zip(rows, u.tolist()):
+            bw = a.uniform(0.10, 0.28) * width
+            bh = a.uniform(0.10, 0.28) * height
+            x0 = a.uniform(0.0, width - bw)
+            y0 = a.uniform(0.0, height - bh)
+            assert simulator._place_box(*draws, width, height) == (x0, y0, x0 + bw, y0 + bh)
+            assert tuple(row) == (x0, y0, x0 + bw, y0 + bh)
+
+
+# sha256 of save_image_passes over pinned_passes(), recorded before the simulator drew
+# its passes into arrays; any change to a draw, its order or the arithmetic moves it
+PINNED_PASSES_SHA256 = "ebcd5cb5284f20db7474995ef81ca2bbb287fbf6857af5d35f8a8f7206b5033c"
+
+
+def pinned_passes():
+    """κ = 2 and 12, object-free images, zero to high skill, a pass seed past 2**32, raw and cut passes."""
+    images = []
+    for kappa, seed in ((2, 2), (12, 9)):
+        world = generate_world(seed=seed, image_count=8, kappa=kappa, objects_per_image=(0, 5))
+        assert any(not gt.objects for gt in world.gt.values())
+        skills = (
+            SkillState.fresh(kappa),
+            train_update(SkillState.fresh(kappa), world.gt.values()),
+            SkillState((10**6,) * kappa),
+        )
+        for skill in skills:
+            for pass_seed in (3, 2**32 + 17):
+                for confidence, nms_iou in ((0.5, 0.3), (0.0, 1.0)):
+                    images.extend(
+                        simulate_passes(world, skill, i, 7, pass_seed, confidence, nms_iou)
+                        for i in sorted(world.gt)
+                    )
+    return images
+
+
+class TestPinnedOutput:
+    def test_pinned_digest(self, tmp_path):
+        path = tmp_path / "passes.jsonl"
+        save_image_passes(pinned_passes(), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_PASSES_SHA256
+
+    def test_adapter_request_equals_per_image_calls(self, tmp_path):
+        world = generate_world(
+            seed=9, image_count=simulator._STATE_BLOCK + 16, kappa=12, objects_per_image=(0, 5)
+        )
+        ids = sorted(world.gt)
+        (tmp_path / "trainset_iter_0.txt").write_text("".join(f"{i}\n" for i in world.manifest.initial_training))
+        request = {
+            "iteration": 0, "image_ids": ids, "passes": 7, "pass_seed": 2**32 + 17,
+            "confidence": 0.5, "nms_iou": 0.3,
+        }
+        (tmp_path / "request.json").write_text(json.dumps(request))
+        adapter = SimulatorDetectorAdapter(world, tmp_path)
+        adapter.fulfill_detection_request(tmp_path / "request.json", tmp_path / "out.jsonl")
+        skill = adapter.skill(0)
+        expected = [simulate_passes(world, skill, i, 7, 2**32 + 17, 0.5, 0.3) for i in ids]
+        save_image_passes(expected, tmp_path / "expected.jsonl")
+        assert (tmp_path / "out.jsonl").read_bytes() == (tmp_path / "expected.jsonl").read_bytes()
 
 
 class TestSkillState:
