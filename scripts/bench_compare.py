@@ -59,7 +59,10 @@ def _host() -> dict:
             "numpy": numpy.__version__}
 
 
-def _spread(values: list[float]) -> dict:
+def _spread(values: list[float]) -> dict | None:
+    """Median and quartiles of a side's runs; None when no pair measured the metric."""
+    if not values:
+        return None
     q1, median, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
     return {"median": median, "q1": q1, "q3": q3, "runs": values}
 

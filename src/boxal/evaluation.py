@@ -7,7 +7,12 @@ image, and the mean taken over categories with at least one ground-truth
 instance. Area/maxDets breakdowns are out of scope; only the headline mAP and
 per-category APs are produced. Each image's prediction-to-ground-truth IoUs
 are computed once, in score order, and the greedy matching at all ten
-thresholds (and at ``F1_IOU`` for per-image F1) reads that one list.
+thresholds (and at ``F1_IOU`` for per-image F1) reads that one list. AP is
+accumulated as in pycocotools' ``COCOeval.accumulate``, on a category's
+score-ordered ``(D, 10)`` TP flags: cumulative sums give precision and
+recall, the precision envelope is a running max from the right, a
+``searchsorted`` finds the 101 recall points, and every total is a
+cumulative sum, which adds left to right.
 
 The t-test is the classic pooled-variance (equal-variance) two-sample Student
 test. The two-sided p-value is computed from the regularized incomplete beta
@@ -21,6 +26,8 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
+
+import numpy as np
 
 from .data_io import CategoryCatalog, GroundTruthImage, _field, _labeled_box, _load_by_image
 from .errors import ValidationError
@@ -85,15 +92,16 @@ def _match_candidates(
     preds: Sequence[FinalPrediction],
     gt_objects: Sequence[tuple[BoundingBox, int]],
 ) -> list[tuple[int, list[tuple[int, float]]]]:
-    """In score order, each prediction that can match: its index and its (j, IoU) pairs.
+    """Each prediction that can match: its index and its (j, IoU) pairs.
 
-    A pair is a ground-truth object j of the prediction's category with IoU at
-    least ``F1_IOU``, the lowest threshold matching uses. Matching reads these
-    pairs at every threshold, so each image's IoUs are computed once.
+    ``preds`` are in ``_score_order`` already. A pair is a ground-truth object
+    j of the prediction's category with IoU at least ``F1_IOU``, the lowest
+    threshold matching uses. Matching reads these pairs at every threshold, so
+    each image's IoUs are computed once.
     """
     candidates = []
-    for i in sorted(range(len(preds)), key=lambda i: _score_order(preds[i])):
-        box, category = preds[i].box, preds[i].category
+    for i, pred in enumerate(preds):
+        box, category = pred.box, pred.category
         pairs = []
         for j, (gt_box, gt_cat) in enumerate(gt_objects):
             if gt_cat == category:
@@ -143,33 +151,25 @@ def f1_image(preds: Sequence[FinalPrediction], gt: GroundTruthImage) -> float:
     ground-truth object of the same category with IoU >= F1_IOU. Both-empty
     images score 1 so blanks do not read as failures.
     """
-    tp = sum(_greedy_match(_match_candidates(preds, gt.objects), len(preds), F1_IOU))
+    ordered = sorted(preds, key=_score_order)
+    tp = sum(_greedy_match(_match_candidates(ordered, gt.objects), len(preds), F1_IOU))
     return _f1(tp, len(preds), len(gt.objects))
 
 
-def _average_precision(tp_flags: Sequence[bool], n_gt: int) -> float:
-    """101-point interpolated AP from a score-ordered TP/FP sequence."""
-    if n_gt == 0:
-        return 0.0
-    precisions = []
-    recalls = []
-    tp = 0
-    for i, flag in enumerate(tp_flags, start=1):
-        tp += int(flag)
-        precisions.append(tp / i)
-        recalls.append(tp / n_gt)
-    # envelope: precision at recall >= r is the running max from the right
-    for i in range(len(precisions) - 2, -1, -1):
-        precisions[i] = max(precisions[i], precisions[i + 1])
-    total = 0.0
-    j = 0
-    for k in range(101):
-        r = k / 100.0
-        while j < len(recalls) and recalls[j] < r - 1e-12:
-            j += 1
-        if j < len(precisions):
-            total += precisions[j]
-    return total / 101.0
+def _average_precision(flags: np.ndarray, n_gt: int) -> float:
+    """A category's AP: 101-point interpolated AP averaged over ``COCO_IOU_THRESHOLDS``.
+
+    ``flags`` holds the category's score-ordered TP flags, one column per
+    threshold, and ``n_gt`` > 0 its ground-truth count. Recall point r reads
+    the envelope at the first recall >= r - 1e-12, or 0 past the last.
+    """
+    tp = np.cumsum(flags, axis=0)
+    precision = tp / np.arange(1, len(flags) + 1)[:, None]
+    envelope = np.maximum.accumulate(precision[::-1], axis=0)[::-1]
+    envelope = np.vstack([envelope, np.zeros(flags.shape[1])])  # read by recall points past the last
+    recall_points = np.arange(101) / 100.0 - 1e-12
+    points = [envelope[np.searchsorted(recall, recall_points), t] for t, recall in enumerate((tp / n_gt).T)]
+    return float(np.cumsum(np.cumsum(points, axis=1)[:, -1] / 101.0)[-1] / flags.shape[1])
 
 
 def coco_map(
@@ -186,22 +186,25 @@ def coco_map(
     # yields every category's TP flags at once. The IoUs those passes read are
     # computed once per image, for all thresholds.
     # The same pass buckets each category's ground-truth count and detections,
-    # in image order.
-    capped: dict[str, list[FinalPrediction]] = {}
-    flags: dict[str, list[list[bool]]] = {}  # image -> threshold index -> per-prediction flag
+    # in image order, and counts the image's F1 matches.
     gt_count: Counter[int] = Counter()
     by_category: dict[int, list] = defaultdict(list)
+    per_image_f1 = {}
+    tp = fp = fn = 0
     for image_id, gt in gt_by_image.items():
         preds = sorted(preds_by_image.get(image_id, ()), key=_score_order)[:MAX_DETECTIONS_PER_IMAGE]
-        capped[image_id] = preds
         candidates = _match_candidates(preds, gt.objects)
         image_flags = [_greedy_match(candidates, len(preds), thr) for thr in COCO_IOU_THRESHOLDS]
-        flags[image_id] = image_flags
         gt_count.update(c for _, c in gt.objects)
         for k, p in enumerate(preds):
             by_category[p.category].append(
                 (p.score, image_id, p.box.as_tuple(), [f[k] for f in image_flags])
             )
+        image_tp = sum(image_flags[0])  # the flags at COCO_IOU_THRESHOLDS[0], F1_IOU
+        per_image_f1[image_id] = _f1(image_tp, len(preds), len(gt.objects))
+        tp += image_tp
+        fp += len(preds) - image_tp
+        fn += len(gt.objects) - image_tp
 
     per_category_ap: dict[int, float] = {}
     for category in range(len(catalog)):
@@ -209,23 +212,10 @@ def coco_map(
             continue
         detections = by_category[category]
         detections.sort(key=lambda d: (-d[0], d[1], d[2]))
-        ap_sum = 0.0
-        for t in range(len(COCO_IOU_THRESHOLDS)):
-            ap_sum += _average_precision([d[3][t] for d in detections], gt_count[category])
-        per_category_ap[category] = ap_sum / len(COCO_IOU_THRESHOLDS)
+        ranked = np.array([d[3] for d in detections], dtype=bool).reshape(-1, len(COCO_IOU_THRESHOLDS))
+        per_category_ap[category] = _average_precision(ranked, gt_count[category])
 
     map_score = sum(per_category_ap.values()) / len(per_category_ap)
-
-    per_image_f1 = {}
-    tp = fp = fn = 0
-    for image_id, gt in gt_by_image.items():
-        n_preds = len(capped[image_id])
-        image_tp = sum(flags[image_id][0])  # the flags at COCO_IOU_THRESHOLDS[0], F1_IOU
-        per_image_f1[image_id] = _f1(image_tp, n_preds, len(gt.objects))
-        tp += image_tp
-        fp += n_preds - image_tp
-        fn += len(gt.objects) - image_tp
-
     return EvalResult(per_category_ap, map_score, per_image_f1, tp, fp, fn)
 
 

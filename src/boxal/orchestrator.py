@@ -302,6 +302,8 @@ def run_lock(run_dir: Path):
             lock_path.unlink(missing_ok=True)
         except FileNotFoundError:
             raise BoxalError(f"{run_dir}: no such run directory") from None
+        except NotADirectoryError:
+            raise BoxalError(f"{run_dir}: not a directory") from None
     try:
         os.write(fd, f"{os.getpid()} {socket.gethostname()}\n".encode())
         os.close(fd)
@@ -357,8 +359,11 @@ def init_run(
         raise ValidationError(
             f"ground truth missing for {len(missing)} manifest images, e.g. {sorted(missing)[:3]}"
         )
-    for sub in ("state", "requests", "detections"):
-        (run_dir / sub).mkdir(parents=True, exist_ok=True)
+    try:
+        for sub in ("state", "requests", "detections"):
+            (run_dir / sub).mkdir(parents=True, exist_ok=True)
+    except NotADirectoryError:  # raised by the first mkdir, so nothing is written
+        raise BoxalError(f"{run_dir}: not a directory") from None
     _atomic_write_json(config.to_dict(), run_dir / "config.json")
     save_manifest(manifest, run_dir / "manifest.json")
     if ground_truth is not None:

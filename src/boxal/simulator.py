@@ -23,9 +23,10 @@ The passes' random numbers follow one contract. Pass k of an image draws
 from a PCG64 generator seeded as ``np.random.PCG64(s)`` seeds it, where s is
 the little-endian int of the 8-byte blake2b digest of
 ``"{pass_seed}|{image_id}|{k}"``, and each pass makes its draws in the order
-``simulate_passes`` documents. ``pass_states`` computes the initial states of
-a whole request's generators at once, with numpy's SeedSequence arithmetic
-on arrays, so only the draws are left per pass.
+``simulate_passes`` documents. ``pass_states`` computes the SeedSequence
+words of a whole request's generators at once, with numpy's SeedSequence
+arithmetic on arrays; each pass hands its words to ``PCG64`` through numpy's
+``ISeedSequence`` interface, and PCG64 seeds itself from them.
 """
 
 from __future__ import annotations
@@ -214,38 +215,15 @@ def load_world(run_dir: str | Path) -> SyntheticWorld:
 
 
 _MASK32 = 0xFFFFFFFF
-_PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
 
 
-def _mul_add_128(a: list, m: int, c: list) -> list:
-    """``(a * m + c) mod 2**128`` on little-endian 32-bit limbs, each limb a uint64 array.
+def _seed_words(seeds: np.ndarray) -> np.ndarray:
+    """``np.random.SeedSequence(s).generate_state(4, np.uint64)`` for each uint64 seed s, one row each.
 
-    Each limb product is below 2**64, and its halves are summed apart, so
-    nothing wraps.
-    """
-    m_limbs = [(m >> (32 * k)) & _MASK32 for k in range(4)]
-    out, carry = [], 0
-    for k in range(4):
-        low, high = c[k] + carry, 0
-        for i in range(k + 1):
-            product = a[i] * m_limbs[k - i]
-            low = low + (product & _MASK32)
-            high = high + (product >> 32)
-        out.append(low & _MASK32)
-        carry = (low >> 32) + high
-    return out
-
-
-def _pcg64_states(seeds: np.ndarray) -> np.ndarray:
-    """``np.random.PCG64(s).state`` for each uint64 seed s, as rows of four uint64 words.
-
-    A row is ``[state >> 64, state mod 2**64, inc >> 64, inc mod 2**64]``.
-    numpy seeds PCG64 with ``SeedSequence(s).generate_state(4, np.uint64)``:
-    s's two 32-bit words are hashed into a pool of four words, the pool is
-    mixed, and eight output words are drawn from it. PCG64 then reads them as
-    a 128-bit seed and stream, and takes its two seeding LCG steps. This runs
-    the same uint32 and 128-bit arithmetic on whole arrays; array arithmetic
-    wraps without a warning.
+    SeedSequence hashes s's two 32-bit words into a pool of four words, mixes
+    the pool, and draws eight uint32 output words from it; the four uint64
+    words are those paired, low word first. This runs the same uint32
+    arithmetic on whole arrays; array arithmetic wraps without a warning.
     """
     hash_a = 0x43B0D7E5
 
@@ -271,25 +249,32 @@ def _pcg64_states(seeds: np.ndarray) -> np.ndarray:
         hash_b = (hash_b * 0x58F38DED) & _MASK32
         value = value * hash_b
         words.append((value ^ (value >> 16)).astype(np.uint64))
-    # the uint64 outputs are word pairs (0, 1) ... (6, 7); seed = out0·2**64 + out1, stream likewise
-    seed = [words[2], words[3], words[0], words[1]]
-    stream = [words[6], words[7], words[4], words[5]]
-    inc = [((stream[k] << 1) & _MASK32) | (stream[k - 1] >> 31 if k else 1) for k in range(4)]
-    # from state 0, one LCG step gives inc; add the seed, then step again
-    state = _mul_add_128(_mul_add_128(seed, 1, inc), _PCG64_MULTIPLIER, inc)
-    return np.stack(
-        [state[3] << 32 | state[2], state[1] << 32 | state[0], inc[3] << 32 | inc[2], inc[1] << 32 | inc[0]],
-        axis=-1,
-    )
+    return np.stack([words[k] | words[k + 1] << 32 for k in range(0, 8, 2)], axis=-1)
+
+
+class _SeedWords(np.random.bit_generator.ISeedSequence):
+    """One ``pass_states`` row as ``np.random.PCG64``'s seed sequence.
+
+    PCG64 reads the array it gets as raw memory, so only its request,
+    ``generate_state(4, np.uint64)``, is answered.
+    """
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValidationError(f"a pass's seed is 4 uint64 words, not {n_words} {np.dtype(dtype)}")
+        return self.words
 
 
 def pass_states(pass_seed: int, image_ids: Sequence[str], n: int) -> np.ndarray:
-    """Each image's n initial pass generators, a ``(len(image_ids), n, 4)`` uint64 array.
+    """The seed words of each image's n pass generators, a ``(len(image_ids), n, 4)`` uint64 array.
 
     Pass k of an image draws from ``PCG64(s)``, where s is the little-endian
     int of the 8-byte blake2b of ``"{pass_seed}|{image_id}|{k}"``; its row is
-    ``_pcg64_states`` of s. Blocks of ``_STATE_BLOCK`` images bound the
-    temporaries' memory.
+    ``_seed_words`` of s, the SeedSequence words PCG64 seeds itself from.
+    Blocks of ``_STATE_BLOCK`` images bound the temporaries' memory.
     """
     states = np.empty((len(image_ids), n, 4), dtype=np.uint64)
     for start in range(0, len(image_ids), _STATE_BLOCK):
@@ -300,7 +285,7 @@ def pass_states(pass_seed: int, image_ids: Sequence[str], n: int) -> np.ndarray:
             for k in range(n)
         )
         seeds = np.frombuffer(digests, dtype="<u8").astype(np.uint64)
-        states[start : start + len(block)] = _pcg64_states(seeds).reshape(len(block), n, 4)
+        states[start : start + len(block)] = _seed_words(seeds).reshape(len(block), n, 4)
     return states
 
 
@@ -324,17 +309,21 @@ def simulate_passes(
 ) -> ImagePasses:
     """Run n stochastic forward passes over one image.
 
-    Pass k draws from its own PCG64 generator, whose initial state is row k
-    of ``states``, ``pass_states(pass_seed, [image_id], n)[0]`` when not
-    given. Per pass, the draws come in this order: for each ground-truth
-    object, one uniform (detected or missed), four standard normals (corner
-    jitter) and κ standard gammas (score noise), drawn for a missed object
-    too; then the Poisson count of false positives; then for each false
-    positive four uniforms (its box) and κ gammas (its scores). The passes
-    returned already have the confidence and NMS thresholds applied.
+    Pass k draws from its own PCG64 generator, seeded from row k of the
+    ``(n, 4)`` seed words ``states``, ``pass_states(pass_seed, [image_id],
+    n)[0]`` when not given. Per pass, the draws come in this order: for each
+    ground-truth object, one uniform (detected or missed), four standard
+    normals (corner jitter) and κ standard gammas (score noise), drawn for a
+    missed object too; then the Poisson count of false positives; then for
+    each false positive four uniforms (its box) and κ gammas (its scores).
+    The passes returned already have the confidence and NMS thresholds
+    applied.
     """
     if states is None:
         states = pass_states(pass_seed, [image_id], n)[0]
+    states = np.ascontiguousarray(states, dtype=np.uint64)  # PCG64 reads each row's memory
+    if states.shape != (n, 4):
+        raise ValidationError(f"{image_id}: pass states must have shape ({n}, 4), got {states.shape}")
     width, height = IMAGE_SIZE
     kappa = len(world.catalog)
     d = world.difficulty[image_id]
@@ -344,24 +333,16 @@ def simulate_passes(
 
     uniform, normal, gamma = np.empty((n, m)), np.empty((n, m, 4)), np.empty((n, m, kappa))
     fp_pass, fp_uniform, fp_gamma = [], [], []
-    rng = np.random.Generator(np.random.PCG64(0))  # every pass sets its own state
-    bit_generator = rng.bit_generator
-    random, standard_normal, standard_gamma = rng.random, rng.standard_normal, rng.standard_gamma
-    for p, (state_high, state_low, inc_high, inc_low) in enumerate(states.tolist()):
-        bit_generator.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state_high << 64 | state_low, "inc": inc_high << 64 | inc_low},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
+    for p, words in enumerate(states):
+        rng = np.random.Generator(np.random.PCG64(_SeedWords(words)))
         for j in range(m):
-            uniform[p, j] = random()
-            standard_normal(out=normal[p, j])
-            standard_gamma(NOISE_CONCENTRATION, out=gamma[p, j])
+            uniform[p, j] = rng.random()
+            rng.standard_normal(out=normal[p, j])
+            rng.standard_gamma(NOISE_CONCENTRATION, out=gamma[p, j])
         for _ in range(rng.poisson(fp_rate)):
             fp_pass.append(p)
-            fp_uniform.append(random(4))
-            fp_gamma.append(standard_gamma(FP_CONCENTRATION, kappa))
+            fp_uniform.append(rng.random(4))
+            fp_gamma.append(rng.standard_gamma(FP_CONCENTRATION, kappa))
 
     # true positives: every (pass, object) at once, with the scalar rules' float operations
     effective = [skill.skill(category) * (1.0 - d) for _, category in objects]

@@ -2,6 +2,8 @@ import csv
 import hashlib
 import json
 
+import pytest
+
 from boxal.cli import main
 from boxal.data_io import load_image_passes, load_manifest, save_ground_truth, save_manifest
 from boxal.evaluation import consolidate
@@ -173,6 +175,22 @@ class TestInitIterateLoop:
             assert run_cli(command, "--run", run_dir, "--adapter", "file", "--adapter-timeout", 0.01) == 2
             assert capsys.readouterr().err == f"error: {run_dir}: no such run directory\n"
         assert not run_dir.exists()
+
+    @pytest.mark.parametrize("command", ["init", "simulate-run", "loop"])
+    def test_run_directory_that_is_a_file_is_named(self, tmp_path, capsys, command):
+        world = generate_world(seed=2, image_count=30, kappa=3, initial_training=5, validation=3, test=4)
+        save_manifest(world.manifest, tmp_path / "manifest.json")
+        run_file = tmp_path / "run"
+        run_file.write_text("not a run\n")
+        argv = {
+            "init": ["init", "--manifest", tmp_path / "manifest.json", "--out", run_file],
+            "simulate-run": ["simulate-run", "--out", run_file, "--images", 30, "--categories", 3],
+            "loop": ["loop", "--run", run_file, "--adapter", "file", "--adapter-timeout", 0.01],
+        }[command]
+        assert run_cli(*argv) == 2
+        assert capsys.readouterr().err == f"error: {run_file}: not a directory\n"
+        assert run_file.read_text() == "not a run\n"
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["manifest.json", "run"]
 
     def test_incomplete_ground_truth_writes_nothing(self, tmp_path, capsys):
         world = generate_world(seed=2, image_count=30, kappa=3,

@@ -9,6 +9,7 @@ from boxal.data_io import CategoryCatalog, Detection, GroundTruthImage
 from boxal.errors import ValidationError
 from boxal.evaluation import (
     COCO_IOU_THRESHOLDS,
+    MAX_DETECTIONS_PER_IMAGE,
     FinalPrediction,
     coco_map,
     consolidate,
@@ -41,6 +42,39 @@ def write_predictions(preds_by_image, path):
         ]}) + "\n"
         for image_id, preds in preds_by_image.items()
     ))
+
+
+def assert_matches_brute_force(preds_by_image, gt_by_image, label):
+    got = coco_map(preds_by_image, gt_by_image, CATALOG3)
+    want_map, want_aps = brute_force_map(preds_by_image, gt_by_image, CATALOG3, iou)
+    assert got.map_score == pytest.approx(want_map, abs=1e-9), label
+    assert set(got.per_category_ap) == set(want_aps)
+    for c, ap in want_aps.items():
+        assert got.per_category_ap[c] == pytest.approx(ap, abs=1e-9), f"{label} cat {c}"
+    return got
+
+
+def crowded_scene(rng):
+    """Three images with 4-10 objects each and 40-130 predictions, scored from five values."""
+    gt_by_image, preds_by_image = {}, {}
+    scores = [0.2, 0.4, 0.5, 0.7, 0.9]
+    for i in range(3):
+        image_id = f"im{i}"
+        objects = []
+        for _ in range(int(rng.integers(4, 11))):
+            x0, y0, w, h = (float(v) for v in rng.integers((0, 0, 10, 10), (160, 160, 40, 40)))
+            objects.append((BoundingBox(x0, y0, x0 + w, y0 + h), int(rng.integers(0, 3))))
+        gt_by_image[image_id] = GroundTruthImage(image_id, tuple(objects))
+        preds = []
+        for _ in range(int(rng.integers(40, 131))):
+            base, category = objects[int(rng.integers(0, len(objects)))]
+            dx, dy = (float(v) for v in rng.integers(-8, 9, size=2))
+            if rng.random() < 0.15:
+                category = int(rng.integers(0, 3))
+            box = BoundingBox(base.x_min + dx, base.y_min + dy, base.x_max + dx, base.y_max + dy)
+            preds.append(FinalPrediction(box, category, scores[int(rng.integers(0, len(scores)))]))
+        preds_by_image[image_id] = preds
+    return preds_by_image, gt_by_image
 
 
 class TestConsolidate:
@@ -159,12 +193,22 @@ class TestCocoMap:
             preds_by_image, gt_by_image = random_scene(rng)
             if all(not g.objects for g in gt_by_image.values()):
                 continue
-            got = coco_map(preds_by_image, gt_by_image, CATALOG3)
-            want_map, want_aps = brute_force_map(preds_by_image, gt_by_image, CATALOG3, iou)
-            assert got.map_score == pytest.approx(want_map, abs=1e-9), f"case {case}"
-            assert set(got.per_category_ap) == set(want_aps)
-            for c, ap in want_aps.items():
-                assert got.per_category_ap[c] == pytest.approx(ap, abs=1e-9), f"case {case} cat {c}"
+            assert_matches_brute_force(preds_by_image, gt_by_image, f"case {case}")
+
+    def test_long_ranked_lists_match_brute_force(self):
+        # dozens of predictions per category and a handful of distinct scores, so the
+        # ranked lists are long, full of ties, and cut at the 100-detection cap
+        rng = np.random.Generator(np.random.PCG64(7))
+        for case in range(8):
+            preds_by_image, gt_by_image = crowded_scene(rng)
+            got = assert_matches_brute_force(preds_by_image, gt_by_image, f"case {case}")
+            capped = {  # coco_map scores each image's 100 best predictions
+                image_id: sorted(preds, key=lambda p: (-p.score, p.box.as_tuple()))[:MAX_DETECTIONS_PER_IMAGE]
+                for image_id, preds in preds_by_image.items()
+            }
+            assert got.per_image_f1 == {
+                image_id: f1_image(capped[image_id], gt) for image_id, gt in gt_by_image.items()
+            }, f"case {case}"
 
     def test_per_image_f1_matches_f1_image(self):
         # coco_map reads its F1 off the matches at COCO_IOU_THRESHOLDS[0]; f1_image matches alone

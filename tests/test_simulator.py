@@ -230,16 +230,9 @@ class TestSimulatePasses:
 
 
 def generator_at(row):
-    """A generator set to a ``pass_states`` row."""
-    state_high, state_low, inc_high, inc_low = row
-    generator = np.random.Generator(np.random.PCG64(0))
-    generator.bit_generator.state = {
-        "bit_generator": "PCG64",
-        "state": {"state": state_high << 64 | state_low, "inc": inc_high << 64 | inc_low},
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    return generator
+    """A generator seeded from a ``pass_states`` row."""
+    words = np.ascontiguousarray(row, dtype=np.uint64)
+    return np.random.Generator(np.random.PCG64(simulator._SeedWords(words)))
 
 
 def first_draws(generator):
@@ -251,20 +244,27 @@ def first_draws(generator):
 
 
 class TestPassStates:
-    """The bulk seeding equals numpy's own, and the pass seed rule is the documented one."""
+    """The bulk seed words equal numpy's own, and the pass seed rule is the documented one."""
 
     @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=40))
     @example([0, 1, 2**32 - 1, 2**32, 2**64 - 1])
     def test_equals_pcg64_seeding(self, seeds):
-        rows = simulator._pcg64_states(np.array(seeds, dtype=np.uint64)).tolist()
+        rows = simulator._seed_words(np.array(seeds, dtype=np.uint64))
+        assert rows.shape == (len(seeds), 4) and rows.dtype == np.uint64
         for seed, row in zip(seeds, rows):
+            assert row.tolist() == np.random.SeedSequence(seed).generate_state(4, np.uint64).tolist()
             expected = np.random.PCG64(seed)
-            state_high, state_low, inc_high, inc_low = row
-            assert expected.state["state"] == {
-                "state": state_high << 64 | state_low,
-                "inc": inc_high << 64 | inc_low,
-            }
+            assert np.random.PCG64(simulator._SeedWords(row)).state == expected.state
             assert first_draws(generator_at(row)) == first_draws(np.random.Generator(expected))
+
+    @pytest.mark.parametrize(
+        "n_words, dtype", [(2, np.uint64), (8, np.uint64), (4, np.uint32), (4, np.float64)]
+    )
+    def test_seed_words_answer_only_pcg64s_request(self, n_words, dtype):
+        words = simulator._SeedWords(np.zeros(4, dtype=np.uint64))
+        assert words.generate_state(4, np.uint64).tolist() == [0, 0, 0, 0]
+        with pytest.raises(ValidationError):
+            words.generate_state(n_words, dtype)
 
     def test_blake2b_seed_per_image_and_pass(self):
         pass_seed = 2**40 + 3
@@ -280,6 +280,18 @@ class TestPassStates:
                     np.random.Generator(np.random.PCG64(seed))
                 )
         assert pass_states(pass_seed, [], 3).shape == (0, 3, 4)
+
+    def test_simulate_passes_takes_any_layout_of_n_rows_only(self):
+        world = generate_world(seed=4, image_count=4, kappa=3, objects_per_image=(2, 4))
+        skill, image_id = SkillState.fresh(3), sorted(world.gt)[0]
+        states = pass_states(5, [image_id], 6)[0]
+        reversed_view = states[::-1]  # not contiguous: its rows are read through a copy
+        assert simulate_passes(world, skill, image_id, 6, 5, states=reversed_view) == simulate_passes(
+            world, skill, image_id, 6, 5, states=states[::-1].copy()
+        )
+        for bad in (states[:5], states[:, :2], states.reshape(3, 8), states[None]):
+            with pytest.raises(ValidationError, match=r"shape \(6, 4\)"):
+                simulate_passes(world, skill, image_id, 6, 5, states=bad)
 
 
 class TestArrayForms:
