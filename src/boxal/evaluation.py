@@ -5,9 +5,10 @@ score-descending matching against the highest-IoU unmatched ground-truth
 object, 101-point interpolated average precision, at most 100 detections per
 image, and the mean taken over categories with at least one ground-truth
 instance. Area/maxDets breakdowns are out of scope; only the headline mAP and
-per-category APs are produced. Each image's prediction-to-ground-truth IoUs
-are computed once, in score order, and the greedy matching at all ten
-thresholds (and at ``F1_IOU`` for per-image F1) reads that one list. AP is
+per-category APs are produced. Each image's 100 best predictions are
+matched once per threshold by ``geometry.greedy_match``, the one greedy rule,
+which grouping also uses; the IoUs are computed once, and per-image F1 reads
+the matches at ``F1_IOU``, so it scores the predictions mAP scores. AP is
 accumulated as in pycocotools' ``COCOeval.accumulate``, on a category's
 score-ordered ``(D, 10)`` TP flags: cumulative sums give precision and
 recall, the precision envelope is a running max from the right, a
@@ -31,7 +32,7 @@ import numpy as np
 
 from .data_io import CategoryCatalog, GroundTruthImage, _field, _labeled_box, _load_by_image
 from .errors import ValidationError
-from .geometry import BoundingBox, iou
+from .geometry import BoundingBox, greedy_match, iou
 from .grouping import InstanceSet
 
 COCO_IOU_THRESHOLDS = tuple((50 + 5 * i) / 100.0 for i in range(10))
@@ -88,50 +89,26 @@ def consolidate(sets: Sequence[InstanceSet]) -> list[FinalPrediction]:
     return preds
 
 
-def _match_candidates(
-    preds: Sequence[FinalPrediction],
+def _ranked(preds: Sequence[FinalPrediction]) -> list[FinalPrediction]:
+    """An image's ``MAX_DETECTIONS_PER_IMAGE`` best predictions, in ``_score_order``."""
+    return sorted(preds, key=_score_order)[:MAX_DETECTIONS_PER_IMAGE]
+
+
+def _match_rows(
+    ranked: Sequence[FinalPrediction],
     gt_objects: Sequence[tuple[BoundingBox, int]],
-) -> list[tuple[int, list[tuple[int, float]]]]:
-    """Each prediction that can match: its index and its (j, IoU) pairs.
+) -> list[list[tuple[int, float]]]:
+    """One ``greedy_match`` row per ranked prediction: its (j, IoU) pairs.
 
-    ``preds`` are in ``_score_order`` already. A pair is a ground-truth object
-    j of the prediction's category with IoU at least ``F1_IOU``, the lowest
-    threshold matching uses. Matching reads these pairs at every threshold, so
-    each image's IoUs are computed once.
+    A pair is a ground-truth object j of the prediction's category with IoU
+    at least ``F1_IOU``, the lowest threshold matching uses, so each image's
+    IoUs are computed once for every threshold.
     """
-    candidates = []
-    for i, pred in enumerate(preds):
-        box, category = pred.box, pred.category
-        pairs = []
-        for j, (gt_box, gt_cat) in enumerate(gt_objects):
-            if gt_cat == category:
-                value = iou(box, gt_box)
-                if value >= F1_IOU:
-                    pairs.append((j, value))
-        if pairs:
-            candidates.append((i, pairs))
-    return candidates
-
-
-def _greedy_match(
-    candidates: Sequence[tuple[int, Sequence[tuple[int, float]]]],
-    n_preds: int,
-    iou_thr: float,
-) -> list[bool]:
-    """Per-prediction TP flags under greedy score-descending matching of ``_match_candidates``."""
-    gt_used: set[int] = set()
-    flags = [False] * n_preds
-    for i, pairs in candidates:
-        best_j = -1
-        best_iou = 0.0
-        for j, value in pairs:
-            if value >= iou_thr and value > best_iou and j not in gt_used:
-                best_iou = value
-                best_j = j
-        if best_j >= 0:
-            gt_used.add(best_j)
-            flags[i] = True
-    return flags
+    return [
+        [(j, value) for j, (box, category) in enumerate(gt_objects)
+         if category == pred.category and (value := iou(pred.box, box)) >= F1_IOU]
+        for pred in ranked
+    ]
 
 
 def _f1(tp: int, n_preds: int, n_gt: int) -> float:
@@ -147,13 +124,14 @@ def _f1(tp: int, n_preds: int, n_gt: int) -> float:
 def f1_image(preds: Sequence[FinalPrediction], gt: GroundTruthImage) -> float:
     """Detection F1 for one image at IoU ``F1_IOU``.
 
-    A prediction counts as a true positive if it greedily matches an unmatched
-    ground-truth object of the same category with IoU >= F1_IOU. Both-empty
-    images score 1 so blanks do not read as failures.
+    The image's ``MAX_DETECTIONS_PER_IMAGE`` best predictions are scored, as
+    in ``coco_map``. A prediction counts as a true positive if it greedily
+    matches an unmatched ground-truth object of the same category with IoU
+    >= F1_IOU. Both-empty images score 1 so blanks do not read as failures.
     """
-    ordered = sorted(preds, key=_score_order)
-    tp = sum(_greedy_match(_match_candidates(ordered, gt.objects), len(preds), F1_IOU))
-    return _f1(tp, len(preds), len(gt.objects))
+    ranked = _ranked(preds)
+    tp = sum(j >= 0 for j in greedy_match(_match_rows(ranked, gt.objects), F1_IOU))
+    return _f1(tp, len(ranked), len(gt.objects))
 
 
 def _average_precision(flags: np.ndarray, n_gt: int) -> float:
@@ -183,23 +161,20 @@ def coco_map(
 
     # Matching is per image: a prediction only competes for ground truth of
     # its own image and category, so one greedy pass per image and threshold
-    # yields every category's TP flags at once. The IoUs those passes read are
-    # computed once per image, for all thresholds.
-    # The same pass buckets each category's ground-truth count and detections,
-    # in image order, and counts the image's F1 matches.
+    # yields every category's TP flags at once. The same pass buckets each
+    # category's ground-truth count and detections, in image order, and counts
+    # the image's F1 matches.
     gt_count: Counter[int] = Counter()
     by_category: dict[int, list] = defaultdict(list)
     per_image_f1 = {}
     tp = fp = fn = 0
     for image_id, gt in gt_by_image.items():
-        preds = sorted(preds_by_image.get(image_id, ()), key=_score_order)[:MAX_DETECTIONS_PER_IMAGE]
-        candidates = _match_candidates(preds, gt.objects)
-        image_flags = [_greedy_match(candidates, len(preds), thr) for thr in COCO_IOU_THRESHOLDS]
+        preds = _ranked(preds_by_image.get(image_id, ()))
+        rows = _match_rows(preds, gt.objects)
+        image_flags = [[j >= 0 for j in greedy_match(rows, thr)] for thr in COCO_IOU_THRESHOLDS]
         gt_count.update(c for _, c in gt.objects)
-        for k, p in enumerate(preds):
-            by_category[p.category].append(
-                (p.score, image_id, p.box.as_tuple(), [f[k] for f in image_flags])
-            )
+        for p, flags in zip(preds, zip(*image_flags)):
+            by_category[p.category].append((p.score, image_id, p.box.as_tuple(), flags))
         image_tp = sum(image_flags[0])  # the flags at COCO_IOU_THRESHOLDS[0], F1_IOU
         per_image_f1[image_id] = _f1(image_tp, len(preds), len(gt.objects))
         tp += image_tp

@@ -1,4 +1,4 @@
-"""Axis-aligned bounding-box primitives: IoU, the pairwise IoU matrix and mean box.
+"""Axis-aligned bounding-box primitives: IoU, the pairwise IoU matrix, mean box and greedy matching.
 
 Boxes use the corner convention (x_min, y_min, x_max, y_max) with continuous
 coordinates, so areas are exact products and no pixel rasterization is involved.
@@ -10,14 +10,15 @@ pure and check nothing.
 ``iou_matrix`` is the numpy form of ``iou`` over every pair of two box lists.
 It performs the same float operations in the same order, so each entry equals
 the scalar ``iou`` bit for bit; ``tests/test_geometry.py::TestIoUMatrix`` pins
-this. Grouping reads one such matrix for each image.
+this. Grouping reads one such matrix for each image. ``greedy_match`` is the
+one greedy assignment rule, which grouping and evaluation both use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -88,3 +89,22 @@ def mean_box(boxes: Sequence[BoundingBox]) -> BoundingBox:
         sum(b.x_max for b in boxes) / k,
         sum(b.y_max for b in boxes) / k,
     )
+
+
+def greedy_match(rows: Iterable[Iterable[tuple[int, float]]], threshold: float) -> list[int]:
+    """For each row in order, the column it takes, or -1 if it takes none.
+
+    A row is its ``(column, value)`` pairs. It takes the column of its highest
+    value >= ``threshold`` among the columns no earlier row took; ties go to
+    the pair listed first.
+    """
+    taken: set[int] = set()
+    matches = []
+    for row in rows:
+        best, best_value = -1, -1.0
+        for column, value in row:
+            if value >= threshold and value > best_value and column not in taken:
+                best, best_value = column, value
+        taken.add(best)  # -1 is no column, so adding it takes nothing
+        matches.append(best)
+    return matches

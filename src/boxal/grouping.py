@@ -6,10 +6,11 @@ pass 1 each seed a set. For every later pass, detections are processed in
 canonical order (descending max score, then lexicographic box corners); a
 detection joins the existing set with the highest max-member IoU, provided
 that value reaches the match threshold and the set has not already received a
-member from the current pass. Ties go to the earliest-created set. Unmatched
-detections seed new sets, which are closed to further members from the same
-pass. Every detection therefore lands in exactly one set, and no set ever
-holds more than one member per pass (so set sizes never exceed n).
+member from the current pass. Ties go to the earliest-created set. This is
+``geometry.greedy_match``, the one greedy rule, which evaluation also matches
+with. Unmatched detections seed new sets, which are closed to further members
+from the same pass. Every detection therefore lands in exactly one set, and no
+set ever holds more than one member per pass (so set sizes never exceed n).
 
 A set that gains a member is closed for the rest of the pass, so each open
 set's max-member IoU with the pass's detections is fixed when the pass
@@ -68,18 +69,11 @@ def group_passes(img: ImagePasses, match_iou: float = 0.5) -> list[InstanceSet]:
             continue
         # values[i][s]: the i-th detection's max-member IoU with set s, for the sets open to this pass
         values = set_iou[: len(sets), start : start + len(pass_dets)].T.tolist()
-        matched_this_pass: set[int] = set()
-        for k, (det, row) in enumerate(zip(pass_dets, values), start):
-            best_index = -1
-            best_value = -1.0
-            for set_index, value in enumerate(row):
-                if value >= match_iou and value > best_value and set_index not in matched_this_pass:
-                    best_value = value
-                    best_index = set_index
-            if best_index >= 0:
-                sets[best_index].append((pass_index, det))
-                matched_this_pass.add(best_index)
-                np.maximum(set_iou[best_index], pairwise[k], out=set_iou[best_index])
+        matches = geometry.greedy_match(map(enumerate, values), match_iou)
+        for k, (det, set_index) in enumerate(zip(pass_dets, matches), start):
+            if set_index >= 0:
+                sets[set_index].append((pass_index, det))
+                np.maximum(set_iou[set_index], pairwise[k], out=set_iou[set_index])
             else:
                 set_iou[len(sets)] = pairwise[k]
                 sets.append([(pass_index, det)])

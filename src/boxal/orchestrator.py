@@ -352,6 +352,10 @@ def init_run(
 ) -> ActiveLearningState:
     """Create the run directory and persist iteration-0 state; a directory holding a run is refused."""
     run_dir = Path(run_dir)
+    subdirs = [run_dir / sub for sub in ("state", "requests", "detections")]
+    for path in (*reversed(run_dir.parents), run_dir, *subdirs):  # all before any mkdir
+        if path.exists() and not path.is_dir():
+            raise BoxalError(f"{path}: not a directory")
     if any((run_dir / "state").glob("iter_*.json")):
         raise BoxalError(f"{run_dir} already holds a run (state/ has state files); use a fresh directory")
     missing = manifest.all_ids - ground_truth.keys() if ground_truth is not None else None
@@ -359,11 +363,8 @@ def init_run(
         raise ValidationError(
             f"ground truth missing for {len(missing)} manifest images, e.g. {sorted(missing)[:3]}"
         )
-    try:
-        for sub in ("state", "requests", "detections"):
-            (run_dir / sub).mkdir(parents=True, exist_ok=True)
-    except NotADirectoryError:  # raised by the first mkdir, so nothing is written
-        raise BoxalError(f"{run_dir}: not a directory") from None
+    for subdir in subdirs:
+        subdir.mkdir(parents=True, exist_ok=True)
     _atomic_write_json(config.to_dict(), run_dir / "config.json")
     save_manifest(manifest, run_dir / "manifest.json")
     if ground_truth is not None:

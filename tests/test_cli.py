@@ -192,6 +192,33 @@ class TestInitIterateLoop:
         assert run_file.read_text() == "not a run\n"
         assert sorted(f.name for f in tmp_path.iterdir()) == ["manifest.json", "run"]
 
+    @pytest.mark.parametrize("command", ["init", "simulate-run"])
+    @pytest.mark.parametrize("subdir", ["state", "requests", "detections"])
+    def test_run_subdirectory_that_is_a_file_is_named(self, tmp_path, capsys, command, subdir):
+        # every subdirectory is checked before the first is made, so nothing is written
+        world = generate_world(seed=2, image_count=30, kappa=3, initial_training=5, validation=3, test=4)
+        save_manifest(world.manifest, tmp_path / "manifest.json")
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        (run_dir / subdir).write_text("not a directory\n")
+        argv = {
+            "init": ["init", "--manifest", tmp_path / "manifest.json", "--out", run_dir],
+            "simulate-run": ["simulate-run", "--out", run_dir, "--images", 30, "--categories", 3],
+        }[command]
+        assert run_cli(*argv) == 2
+        assert capsys.readouterr().err == f"error: {run_dir / subdir}: not a directory\n"
+        assert [f.name for f in run_dir.iterdir()] == [subdir]
+        assert (run_dir / subdir).read_text() == "not a directory\n"
+
+    def test_run_directory_inside_a_file_is_named(self, tmp_path, capsys):
+        world = generate_world(seed=2, image_count=30, kappa=3, initial_training=5, validation=3, test=4)
+        save_manifest(world.manifest, tmp_path / "manifest.json")
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory\n")
+        assert run_cli("init", "--manifest", tmp_path / "manifest.json", "--out", blocker / "run") == 2
+        assert capsys.readouterr().err == f"error: {blocker}: not a directory\n"
+        assert blocker.read_text() == "not a directory\n"
+
     def test_incomplete_ground_truth_writes_nothing(self, tmp_path, capsys):
         world = generate_world(seed=2, image_count=30, kappa=3,
                                initial_training=5, validation=3, test=4)

@@ -9,7 +9,6 @@ from boxal.data_io import CategoryCatalog, Detection, GroundTruthImage
 from boxal.errors import ValidationError
 from boxal.evaluation import (
     COCO_IOU_THRESHOLDS,
-    MAX_DETECTIONS_PER_IMAGE,
     FinalPrediction,
     coco_map,
     consolidate,
@@ -202,12 +201,9 @@ class TestCocoMap:
         for case in range(8):
             preds_by_image, gt_by_image = crowded_scene(rng)
             got = assert_matches_brute_force(preds_by_image, gt_by_image, f"case {case}")
-            capped = {  # coco_map scores each image's 100 best predictions
-                image_id: sorted(preds, key=lambda p: (-p.score, p.box.as_tuple()))[:MAX_DETECTIONS_PER_IMAGE]
-                for image_id, preds in preds_by_image.items()
-            }
+            # f1_image scores the same 100 best predictions per image as coco_map
             assert got.per_image_f1 == {
-                image_id: f1_image(capped[image_id], gt) for image_id, gt in gt_by_image.items()
+                image_id: f1_image(preds_by_image[image_id], gt) for image_id, gt in gt_by_image.items()
             }, f"case {case}"
 
     def test_per_image_f1_matches_f1_image(self):
@@ -260,6 +256,7 @@ class TestCocoMap:
         preds.append(pred(0, 0, 10, 10, 0, 0.1))
         result = coco_map({"i1": preds}, gt, CATALOG3)
         assert result.map_score == 0.0
+        assert result.per_image_f1["i1"] == f1_image(preds, gt["i1"]) == 0.0
 
 
 class TestPredictionsFile:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from boxal.data_io import Detection, ImagePasses, apply_thresholds, load_ground_truth, load_image_passes
 from boxal.errors import ValidationError
-from boxal.geometry import BoundingBox, iou, iou_matrix, mean_box
+from boxal.geometry import BoundingBox, greedy_match, iou, iou_matrix, mean_box
 
 from oracles import brute_force_nms, rasterized_iou
 
@@ -165,6 +165,17 @@ class TestMeanBox:
     @given(boxes(), st.integers(min_value=1, max_value=8))
     def test_mean_of_copies_is_identity(self, b, k):
         assert mean_box([b] * k) == b
+
+
+class TestGreedyMatch:
+    ROWS = [[(0, 0.5), (1, 0.5)], [(0, 0.9), (1, 0.4)], [(1, 0.7)], [(2, 0.0)]]
+
+    def test_each_column_taken_once_and_ties_to_the_first_pair(self):
+        assert greedy_match(self.ROWS, 0.5) == [0, -1, 1, -1]
+
+    def test_a_zero_value_matches_at_threshold_zero(self):
+        # grouping matches at IoU 0, so the running best starts below every value
+        assert greedy_match(self.ROWS, 0.0) == [0, 1, -1, 2]
 
 
 class TestNms:

@@ -1,9 +1,12 @@
-"""No module imports a name that it never uses.
+"""No module imports a name that it never uses, and no package name is dead.
 
-``__init__.py`` is exempt: its imports are the package's re-exports.
+``__init__.py`` is exempt from the first check: its imports are the package's
+re-exports. The second check counts a use only in the package, ``bench/`` or
+``scripts/``: a name that only tests need is dead code.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -13,6 +16,8 @@ MODULES = sorted(
     p for p in [*(ROOT / "src" / "boxal").glob("*.py"), *(ROOT / "tests").glob("*.py")]
     if p.name != "__init__.py"
 )
+PACKAGE = sorted((ROOT / "src" / "boxal").glob("*.py"))
+USERS = sorted(p for d in ("src/boxal", "bench", "scripts") for p in (ROOT / d).glob("*.py"))
 
 
 def _imported(tree):
@@ -55,3 +60,65 @@ def test_every_import_is_used(path):
     assert not unused, f"{path.name}: imported but never used: " + ", ".join(
         f"{name} (line {line})" for name, line in sorted(unused.items(), key=lambda kv: kv[1])
     )
+
+
+def _definitions(tree):
+    """(name, definition node, class name or None) for each definition the dead-name check covers.
+
+    These are the module's top-level functions, classes and constants, and its classes' methods.
+    """
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.name, node, None
+        elif isinstance(node, ast.ClassDef):
+            yield node.name, node, None
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield item.name, item, node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        yield name.id, node, None
+
+
+def _references(tree):
+    """(name, node) for every ``ast.Name``, ``ast.Attribute`` and import alias."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node
+        elif isinstance(node, ast.alias):
+            yield node.name.rpartition(".")[2], node
+
+
+def _overrides(module, class_name, name):
+    """Whether the method ``name`` of ``class_name`` overrides an attribute of a base class."""
+    cls = getattr(importlib.import_module(f"boxal.{module}"), class_name)
+    return any(hasattr(base, name) for base in cls.__mro__[1:])
+
+
+@pytest.fixture(scope="module")
+def refs():
+    return {user: list(_references(ast.parse(user.read_text(encoding="utf-8")))) for user in USERS}
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_every_package_name_is_used_outside_tests(path, refs):
+    dead = []
+    for name, definition, class_name in _definitions(ast.parse(path.read_text(encoding="utf-8"))):
+        if name.startswith("__") and name.endswith("__"):
+            continue
+        if class_name is not None and _overrides(path.stem, class_name, name):
+            continue
+        used = any(
+            ref_name == name and not (
+                user == path and definition.lineno <= node.lineno <= definition.end_lineno
+            )
+            for user, nodes in refs.items()
+            for ref_name, node in nodes
+        )
+        if not used:
+            dead.append(f"{class_name}.{name}" if class_name else name)
+    assert not dead, f"{path.name}: used by nothing outside tests: " + ", ".join(dead)
