@@ -3,6 +3,9 @@
 Semantic certainty is one minus the normalized Shannon entropy of each
 member's category-probability vector, averaged over the set (0*log(0) := 0;
 the normalizer is log(kappa), so the value is independent of the log base).
+Each detection's entropy is computed once, for its whole batch, by
+``DetectionBatch.entropies``: ``math.log`` of each positive score, summed left
+to right.
 Spatial certainty is the mean IoU between each member box and the set's mean
 box. Occurrence certainty is the fraction of passes that contributed a
 member. The combined certainty is the product of the three, and an image is
@@ -45,23 +48,21 @@ class ImageCertainty:
         return self.min_triple.c_h
 
 
-def _entropy(scores: Sequence[float]) -> float:
-    return -sum(s * math.log(s) for s in scores if s > 0.0)
-
-
 def semantic_certainty(instance_set: InstanceSet, kappa: int) -> float:
     """Mean over members of 1 - H(scores)/log(kappa); the readers ensure kappa >= 2 scores each."""
     h_max = math.log(kappa)
+    entropies = instance_set.batch.entropies
     total = 0.0
-    for _, det in instance_set.members:
-        total += 1.0 - _entropy(det.scores) / h_max
+    for row in instance_set.rows:
+        total += 1.0 - entropies[row] / h_max
     return total / instance_set.size
 
 
 def spatial_certainty(instance_set: InstanceSet) -> float:
     """Mean IoU between each member box and the set's mean box."""
     center = instance_set.mean_box
-    return sum(iou(center, b) for b in instance_set.boxes) / instance_set.size
+    boxes = instance_set.batch.box_records
+    return sum(iou(center, boxes[row]) for row in instance_set.rows) / instance_set.size
 
 
 def occurrence_certainty(instance_set: InstanceSet, n: int) -> float:

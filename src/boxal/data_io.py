@@ -24,9 +24,25 @@ that breaks a rule), and each message starts with the file and, for
 line-delimited files, the line. Each rule has one implementation here:
 ``_box_field`` holds the box rules (four finite coordinates, positive area)
 for every file that carries boxes, and ``_parse_detection`` the score rules.
-``BoundingBox``, ``Detection`` and ``ImagePasses`` are plain records, so the
-objects the package builds itself (simulated passes, mean boxes) are trusted:
-the detector boundary is the file contract, and the readers guard it.
+``BoundingBox``, ``Detection`` and ``GroundTruthImage`` are plain records, so
+the objects the package builds itself (simulated passes, mean boxes) are
+trusted: the detector boundary is the file contract, and the readers guard it.
+
+Detections travel as columns. ``load_image_passes`` decodes a detections file
+line by line into flat ``array("d")`` buffers, so the file's JSON is never
+held at once, and makes them one ``DetectionBatch``: boxes ``(D, 4)``, scores
+``(D, κ)``, each row's max score and pass. The rules are then whole-array
+tests, and one ``np.lexsort`` ranks every pass of the file in canonical order.
+A file that fails a test, or that holds anything the buffers could misread
+(JSON ``true`` or ``false``, an integer beyond the float range), is read again
+by the record reader (``_parse_image_passes``), whose error names the first
+bad line; the whole-array tests are never looser than the record rules.
+``ImagePasses`` holds an image's rows of its batch, ``apply_thresholds`` cuts
+them, and ``grouping.InstanceSet`` holds a set's rows. Their ``passes`` and
+``members`` are record views, built only when read, and ``ImagePasses(
+image_id, width, height, passes)`` and ``InstanceSet(members)`` still build
+them from records. A pass holds at most ``MAX_DETECTIONS_PER_IMAGE``
+detections, which bounds grouping's memory.
 
 Score vectors cover the foreground categories only, each score lies in
 [0, 1], and they must sum to 1 within ``SCORE_SUM_TOLERANCE``; invalid sums
@@ -38,16 +54,24 @@ from __future__ import annotations
 
 import json
 import math
+from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
+from itertools import accumulate, chain, pairwise, repeat
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Container, Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .errors import BoxalError, FormatError, ValidationError
 from .geometry import BoundingBox, iou
 
 SCORE_SUM_TOLERANCE = 1e-6
+# the most detections a pass of an image may hold, and the most predictions per image that
+# mAP and F1 score (COCO's maxDets); grouping's memory is quadratic in an image's detections
+MAX_DETECTIONS_PER_IMAGE = 100
 PARTITIONS = ("initial_training", "pool", "validation", "test")
 
 
@@ -81,14 +105,127 @@ class Detection:
         return max(self.scores)
 
 
-@dataclass(frozen=True)
-class ImagePasses:
-    """All detections for one image, grouped per Monte-Carlo forward pass (checked on loading)."""
+def _row_sums(columns: np.ndarray) -> np.ndarray:
+    """Each row's sum, added left to right from 0.0 as Python's ``sum`` adds floats."""
+    if columns.shape[1] == 0:
+        return np.zeros(len(columns))
+    return np.cumsum(columns, axis=1)[:, -1] + 0.0  # + 0.0 turns a -0.0 sum into sum's 0.0
 
-    image_id: str
-    width: int
-    height: int
-    passes: tuple[tuple[Detection, ...], ...]
+
+class DetectionBatch:
+    """Detections as columns: row i of each column belongs to detection i.
+
+    ``boxes`` holds the (D, 4) corners and ``scores`` the (D, κ) score
+    vectors, both float64; ``max_scores`` holds each row's max score and
+    ``pass_index`` the pass of its image that it came from. A detections file
+    is read into one batch; ``ImagePasses`` and ``InstanceSet`` hold rows of
+    it, and build records only when their record views are read.
+    """
+
+    def __init__(self, boxes: np.ndarray, scores: np.ndarray, max_scores: np.ndarray, pass_index: np.ndarray):
+        self.boxes = boxes
+        self.scores = scores
+        self.max_scores = max_scores
+        self.pass_index = pass_index
+
+    @classmethod
+    def of_records(cls, detections: Sequence[Detection], pass_index: Sequence[int]) -> DetectionBatch:
+        return cls(
+            np.array([d.box for d in detections], dtype=np.float64).reshape(-1, 4),
+            np.array([d.scores for d in detections], dtype=np.float64).reshape(len(detections), -1)
+            if detections else np.empty((0, 0)),
+            np.array([d.max_score for d in detections], dtype=np.float64),
+            np.array(pass_index, dtype=np.intp),
+        )
+
+    @cached_property
+    def box_records(self) -> list[BoundingBox]:
+        """Each row's box as a record, built on first read (straight from its corner list, as ``_make`` would)."""
+        return list(map(tuple.__new__, repeat(BoundingBox), self.boxes.tolist()))
+
+    @cached_property
+    def entropies(self) -> list[float]:
+        """Each row's Shannon entropy, -sum(s * math.log(s)) over its positive scores, in score order."""
+        flat = self.scores.ravel()
+        positive = flat > 0.0
+        logs = np.zeros_like(flat)
+        # a memoryview hands math.log one float at a time, so no list of every score is built
+        logs[positive] = np.fromiter(map(math.log, memoryview(flat[positive])), np.float64)
+        # a zero score adds a zero term, which leaves every left-to-right sum as it was
+        return (-_row_sums((flat * logs).reshape(self.scores.shape))).tolist()
+
+    def detections(self, rows: Sequence[int]) -> list[Detection]:
+        """The records of ``rows``."""
+        boxes = self.box_records
+        return [Detection(boxes[r], tuple(s)) for r, s in zip(rows, self.scores[list(rows)].tolist())]
+
+
+class ImagePasses:
+    """All detections for one image, grouped per Monte-Carlo forward pass, as rows of a batch.
+
+    ``rows`` holds the image's batch rows pass after pass, each pass in the
+    order its detections were read or given; ``ranked`` holds the same rows in
+    canonical order within each pass: descending max score, then the box
+    corners, then that order. Pass p is ``rows[bounds[p]:bounds[p + 1]]``,
+    and likewise in ``ranked``. ``ImagePasses(image_id, width, height,
+    passes)`` builds an image from records, and ``passes`` is the record view,
+    built when it is first read. Images compare by their records.
+    """
+
+    def __init__(self, image_id: str, width: int, height: int, passes: Sequence[Sequence[Detection]]):
+        passes = tuple(map(tuple, passes))
+        counts = list(map(len, passes))
+        batch = DetectionBatch.of_records(
+            [d for dets in passes for d in dets], np.repeat(np.arange(len(passes)), counts)
+        )
+        (view,) = _image_views(batch, batch.pass_index, [(image_id, width, height, counts)])
+        self.__dict__.update(view.__dict__, passes=passes)
+
+    @classmethod
+    def _view(cls, image_id: str, width: int, height: int, batch: DetectionBatch,
+              rows: np.ndarray, ranked: np.ndarray, bounds: tuple[int, ...]) -> ImagePasses:
+        img = object.__new__(cls)
+        img.image_id, img.width, img.height = image_id, width, height
+        img.batch, img.rows, img.ranked, img.bounds = batch, rows, ranked, bounds
+        return img
+
+    @cached_property
+    def passes(self) -> tuple[tuple[Detection, ...], ...]:
+        dets = self.batch.detections(self.rows.tolist())
+        return tuple(tuple(dets[start:stop]) for start, stop in pairwise(self.bounds))
+
+    def _key(self) -> tuple:
+        return self.image_id, self.width, self.height, self.passes
+
+    def __eq__(self, other) -> bool:
+        return type(other) is ImagePasses and self._key() == other._key()
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return (f"ImagePasses(image_id={self.image_id!r}, width={self.width!r}, "
+                f"height={self.height!r}, passes={self.passes!r})")
+
+
+def _image_views(
+    batch: DetectionBatch, pass_key: np.ndarray, images: Iterable[tuple[str, int, int, Sequence[int]]]
+) -> list[ImagePasses]:
+    """``ImagePasses`` over consecutive rows of ``batch``, one per (image_id, width, height, pass counts).
+
+    ``pass_key`` numbers each row's pass, increasing from pass to pass and
+    image to image, so one ``lexsort`` ranks every pass of the batch.
+    """
+    x_min, y_min, x_max, y_max = batch.boxes.T
+    ranked = np.lexsort((y_max, x_max, y_min, x_min, -batch.max_scores, pass_key))
+    rows = np.arange(len(ranked))
+    views = []
+    start = 0
+    for image_id, width, height, counts in images:
+        bounds = tuple(accumulate(counts, initial=0))
+        stop = start + bounds[-1]
+        views.append(ImagePasses._view(image_id, width, height, batch, rows[start:stop], ranked[start:stop], bounds))
+        start = stop
+    return views
 
 
 @dataclass(frozen=True)
@@ -296,9 +433,13 @@ def _parse_image_passes(image_id: str, record, expected_n: int | None, kappa: in
         if expected_n is not None and len(raw_passes) != expected_n:
             raise ValidationError(f"expected {expected_n} passes, got {len(raw_passes)}")
         passes = []
-        for raw_pass in raw_passes:
+        for p, raw_pass in enumerate(raw_passes):
             if type(raw_pass) is not list:
                 raise FormatError(f"each pass must be an array, got {raw_pass!r:.80}")
+            if len(raw_pass) > MAX_DETECTIONS_PER_IMAGE:
+                raise ValidationError(
+                    f"pass {p} holds {len(raw_pass)} detections, more than {MAX_DETECTIONS_PER_IMAGE}"
+                )
             dets = tuple(map(_parse_detection, raw_pass))
             for det in dets:
                 b = det.box
@@ -314,6 +455,81 @@ def _parse_image_passes(image_id: str, record, expected_n: int | None, kappa: in
     return ImagePasses(image_id, width, height, tuple(passes))
 
 
+class _Recheck(Exception):
+    """The batch reader cannot vouch for a file, so the record reader decides on it."""
+
+
+_bbox, _scores = itemgetter("bbox"), itemgetter("scores")
+_EXACT_SIZE = 2**53  # image sizes up to here compare with float coordinates exactly as floats
+_SUM_SLACK = 1e-12  # more than any summation order moves a sum of scores; nearer sums are rechecked
+
+
+def _read_batch(path: Path, expected_n: int | None, kappa: int | None) -> list[ImagePasses]:
+    """The images of a detections file over one batch, or ``_Recheck`` if any line may break a rule.
+
+    Each line's numbers go straight into flat ``array("d")`` buffers, so the
+    file's JSON is never held at once; the rules are then whole-array tests.
+    Every test is at least as strict as the record rules, so a file that
+    passes them is one that ``_parse_image_passes`` accepts.
+    """
+    boxes, scores = array("d"), array("d")
+    counts: list[int] = []  # detections per pass, over every pass of the file
+    images = []  # (image_id, width, height, its slice of counts, its detection count)
+    with _open_input(path) as fh:
+        try:
+            for line in fh:
+                if b"true" in line or b"false" in line:
+                    raise _Recheck  # array("d") would read JSON true and false as 1.0 and 0.0
+                if not line.strip():
+                    continue
+                record = json.loads(line)
+                image_id, width, height = record["image_id"], record["width"], record["height"]
+                raw_passes = record["passes"]
+                if not (type(image_id) is str and type(width) is int and type(height) is int
+                        and 0 < width <= _EXACT_SIZE and 0 < height <= _EXACT_SIZE
+                        and type(raw_passes) is list
+                        and list(map(type, raw_passes)).count(list) == len(raw_passes)
+                        and (expected_n is None or len(raw_passes) == expected_n)):
+                    raise _Recheck
+                dets = list(chain.from_iterable(raw_passes))
+                raw_boxes, raw_scores = list(map(_bbox, dets)), list(map(_scores, dets))
+                lengths = list(map(len, raw_scores))
+                if kappa is None and lengths:
+                    kappa = lengths[0]  # the file's first vector sets the length of all
+                if list(map(len, raw_boxes)).count(4) != len(dets) or lengths.count(kappa) != len(dets):
+                    raise _Recheck
+                boxes.extend(chain.from_iterable(raw_boxes))
+                scores.extend(chain.from_iterable(raw_scores))
+                first = len(counts)
+                counts.extend(map(len, raw_passes))
+                images.append((image_id, width, height, counts[first:], len(dets)))
+        except (LookupError, TypeError, ValueError, OverflowError):
+            raise _Recheck from None
+    if not images:
+        return []
+    sizes = [image[4] for image in images]
+    box_cols = np.frombuffer(boxes, dtype=np.float64).reshape(-1, 4)
+    score_cols = np.frombuffer(scores, dtype=np.float64).reshape(len(box_cols), kappa or 0)
+    x_min, y_min, x_max, y_max = box_cols.T
+    if not (
+        len({image[0] for image in images}) == len(images)
+        and max(counts, default=0) <= MAX_DETECTIONS_PER_IMAGE
+        and np.isfinite(box_cols).all()
+        and (x_max > x_min).all() and (y_max > y_min).all()
+        and (x_min >= 0.0).all() and (y_min >= 0.0).all()
+        and (x_max <= np.repeat([image[1] for image in images], sizes)).all()
+        and (y_max <= np.repeat([image[2] for image in images], sizes)).all()
+        and ((score_cols >= 0.0) & (score_cols <= 1.0)).all()
+        and (abs(_row_sums(score_cols) - 1.0) <= SCORE_SUM_TOLERANCE - _SUM_SLACK).all()
+    ):
+        raise _Recheck
+    # each pass of the file gets an ordinal; a detection's pass index counts from its image's first
+    ordinal = np.repeat(np.arange(len(counts)), counts)
+    first_pass = np.repeat(np.cumsum([0] + [len(image[3]) for image in images[:-1]]), sizes)
+    batch = DetectionBatch(box_cols, score_cols, score_cols.max(axis=1, initial=0.0), ordinal - first_pass)
+    return _image_views(batch, ordinal, [image[:4] for image in images])
+
+
 def load_image_passes(
     path: str | Path,
     expected_n: int | None = None,
@@ -322,54 +538,73 @@ def load_image_passes(
     """Load and check a line-delimited detections file.
 
     Every image needs a positive integer size, unique id, boxes inside the
-    image and score vectors of one length. When given, ``expected_n``
-    enforces the run's pass count and ``kappa`` the score-vector length.
+    image, score vectors of one length and at most ``MAX_DETECTIONS_PER_IMAGE``
+    detections per pass. When given, ``expected_n`` enforces the run's pass
+    count and ``kappa`` the score-vector length. The file is read into one
+    batch; a file that fails a whole-array test is read again record by
+    record, whose error names the first bad line.
     """
-    parse = partial(_parse_image_passes, expected_n=expected_n, kappa=kappa)
-    return list(_load_by_image(path, parse).values())
+    try:
+        return _read_batch(Path(path), expected_n, kappa)
+    except _Recheck:
+        parse = partial(_parse_image_passes, expected_n=expected_n, kappa=kappa)
+        return list(_load_by_image(path, parse).values())
 
 
 def save_image_passes(images: Sequence[ImagePasses], path: str | Path) -> None:
-    _save_jsonl((
-        {
+    def record(img: ImagePasses) -> dict:
+        dets = [
+            {"bbox": box, "scores": scores}
+            for box, scores in zip(img.batch.boxes[img.rows].tolist(), img.batch.scores[img.rows].tolist())
+        ]
+        return {
             "image_id": img.image_id,
             "width": img.width,
             "height": img.height,
-            "passes": [
-                [{"bbox": list(d.box.as_tuple()), "scores": list(d.scores)} for d in p]
-                for p in img.passes
-            ],
+            "passes": [dets[start:stop] for start, stop in pairwise(img.bounds)],
         }
-        for img in images
-    ), path)
+
+    _save_jsonl(map(record, images), path)
 
 
-def canonical_order(detections: Iterable[Detection]) -> list[Detection]:
-    """Descending max score; ties broken by the lexicographic order of the box corners."""
-    return sorted(detections, key=lambda d: (-d.max_score, d.box.as_tuple()))
+def _nms(rows: list[int], boxes: Sequence[BoundingBox], nms_iou: float) -> list[int]:
+    """Greedy NMS over ``rows`` in order: a row is kept iff its IoU with every kept row is below ``nms_iou``."""
+    kept: list[int] = []
+    for row in rows:
+        box = boxes[row]
+        if all(iou(box, boxes[k]) < nms_iou for k in kept):
+            kept.append(row)
+    return kept
 
 
 def apply_thresholds(img: ImagePasses, confidence: float = 0.5, nms_iou: float = 0.3) -> ImagePasses:
     """Per pass: drop detections with max score below ``confidence``, then greedy NMS.
 
-    NMS visits detections in ``canonical_order`` and keeps one iff its IoU
-    with every already-kept detection is below ``nms_iou``; kept detections
-    stay in that visiting order. The pass count is unchanged and the
+    NMS visits detections in canonical order (``ImagePasses.ranked``) and
+    keeps one iff its IoU with every already-kept detection is below
+    ``nms_iou``; kept detections stay in that visiting order. The confidence
+    cut is one array test over the image, and NMS runs only on the passes
+    that keep two or more detections. The pass count is unchanged and the
     operation is idempotent. Both thresholds lie in [0, 1], which
     ``RunConfig`` checks.
     """
-    new_passes = []
-    for pass_dets in img.passes:
-        survivors = [d for d in pass_dets if d.max_score >= confidence]
-        if len(survivors) < 2:  # NMS keeps one detection, in any order
-            new_passes.append(tuple(survivors))
-            continue
-        kept: list[Detection] = []
-        for det in canonical_order(survivors):
-            if all(iou(det.box, k.box) < nms_iou for k in kept):
-                kept.append(det)
-        new_passes.append(tuple(kept))
-    return ImagePasses(img.image_id, img.width, img.height, tuple(new_passes))
+    batch = img.batch
+    kept, bounds = img.ranked, img.bounds
+    confident = batch.max_scores[kept] >= confidence
+    if not confident.all():
+        kept = kept[confident]
+        bounds = tuple(np.concatenate(([0], np.cumsum(confident)))[list(bounds)].tolist())
+    rows = kept.tolist()
+    passes = [rows[start:stop] for start, stop in pairwise(bounds)]
+    suppressed = False
+    for p, survivors in enumerate(passes):
+        if len(survivors) > 1:
+            passes[p] = _nms(survivors, batch.box_records, nms_iou)
+            suppressed |= len(passes[p]) < len(survivors)
+    if suppressed:
+        kept = np.array([row for survivors in passes for row in survivors], dtype=np.intp)
+        bounds = tuple(accumulate(map(len, passes), initial=0))
+    return ImagePasses._view(img.image_id, img.width, img.height, batch, kept, kept, bounds)
 
 
 # ---------------------------------------------------------------------------

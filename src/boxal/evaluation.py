@@ -30,14 +30,20 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .data_io import CategoryCatalog, GroundTruthImage, _field, _labeled_box, _load_by_image
+from .data_io import (
+    MAX_DETECTIONS_PER_IMAGE,
+    CategoryCatalog,
+    GroundTruthImage,
+    _field,
+    _labeled_box,
+    _load_by_image,
+)
 from .errors import ValidationError
 from .geometry import BoundingBox, greedy_match, iou
 from .grouping import InstanceSet
 
 COCO_IOU_THRESHOLDS = tuple((50 + 5 * i) / 100.0 for i in range(10))
 F1_IOU = COCO_IOU_THRESHOLDS[0]  # 0.5, the IoU of per-image F1 in f1_image and coco_map
-MAX_DETECTIONS_PER_IMAGE = 100
 
 
 @dataclass(frozen=True)
@@ -81,7 +87,7 @@ def consolidate(sets: Sequence[InstanceSet]) -> list[FinalPrediction]:
         box = instance_set.mean_box
         size = instance_set.size
         # one column of member scores per category, each summed left to right in member order
-        columns = zip(*(det.scores for _, det in instance_set.members))
+        columns = zip(*instance_set.batch.scores[list(instance_set.rows)].tolist())
         mean_scores = [sum(column) / size for column in columns]
         category = max(range(len(mean_scores)), key=mean_scores.__getitem__)
         preds.append(FinalPrediction(box, category, min(mean_scores[category], 1.0)))

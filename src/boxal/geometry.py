@@ -2,7 +2,8 @@
 
 Boxes use the corner convention (x_min, y_min, x_max, y_max) with continuous
 coordinates, so areas are exact products and no pixel rasterization is involved.
-``BoundingBox`` is a plain record: the readers in ``data_io`` check the box
+``BoundingBox`` is a plain record, a named 4-tuple, so a list of boxes is
+also an (N, 4) array of corners: the readers in ``data_io`` check the box
 rules (four finite coordinates, positive area) on every box that comes from a
 file, and the boxes the package builds itself are trusted. All operations are
 pure and check nothing.
@@ -16,15 +17,12 @@ one greedy assignment rule, which grouping and evaluation both use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from operator import attrgetter
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 
-@dataclass(frozen=True)
-class BoundingBox:
+class BoundingBox(NamedTuple):
     x_min: float
     y_min: float
     x_max: float
@@ -35,7 +33,7 @@ class BoundingBox:
         return (self.x_max - self.x_min) * (self.y_max - self.y_min)
 
     def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.x_min, self.y_min, self.x_max, self.y_max)
+        return tuple(self)
 
 
 def iou(a: BoundingBox, b: BoundingBox) -> float:
@@ -49,16 +47,15 @@ def iou(a: BoundingBox, b: BoundingBox) -> float:
     return inter / union
 
 
-_corners = attrgetter("x_min", "y_min", "x_max", "y_max")
-
-
-def _corner_rows(boxes: Sequence[BoundingBox]) -> np.ndarray:
+def _corner_rows(boxes: Sequence[BoundingBox] | np.ndarray) -> np.ndarray:
     """A (4, N) array: the x_min, y_min, x_max and y_max of every box."""
-    return np.array(list(map(_corners, boxes)), dtype=np.float64).reshape(-1, 4).T.copy()
+    return np.asarray(boxes, dtype=np.float64).reshape(-1, 4).T
 
 
-def iou_matrix(a: Sequence[BoundingBox], b: Sequence[BoundingBox]) -> np.ndarray:
+def iou_matrix(a: Sequence[BoundingBox] | np.ndarray, b: Sequence[BoundingBox] | np.ndarray) -> np.ndarray:
     """The (len(a), len(b)) float64 array whose [i, j] entry is ``iou(a[i], b[j])``, bit for bit.
+
+    ``a`` and ``b`` are box lists or (N, 4) corner arrays.
 
     The union is ``(area_a + area_b) - inter``, as in ``iou``, and pairs whose
     intersection has no positive width or height are 0.0 without being divided.
@@ -77,18 +74,13 @@ def iou_matrix(a: Sequence[BoundingBox], b: Sequence[BoundingBox]) -> np.ndarray
     inter = np.multiply(ix, iy, out=ix)
     union = np.add((ax1 - ax0) * (ay1 - ay0), (bx1 - bx0) * (by1 - by0), out=iy)
     union -= inter
-    return np.divide(inter, union, out=np.zeros_like(inter), where=overlap)
+    return np.divide(inter, union, out=np.zeros(inter.shape), where=overlap)
 
 
 def mean_box(boxes: Sequence[BoundingBox]) -> BoundingBox:
-    """Coordinate-wise arithmetic mean of a nonempty sequence of boxes."""
+    """Coordinate-wise arithmetic mean of a nonempty sequence of boxes, each sum taken in box order."""
     k = len(boxes)
-    return BoundingBox(
-        sum(b.x_min for b in boxes) / k,
-        sum(b.y_min for b in boxes) / k,
-        sum(b.x_max for b in boxes) / k,
-        sum(b.y_max for b in boxes) / k,
-    )
+    return BoundingBox(*(sum(corner) / k for corner in zip(*boxes)))
 
 
 def greedy_match(rows: Iterable[Iterable[tuple[int, float]]], threshold: float) -> list[int]:

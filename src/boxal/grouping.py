@@ -15,67 +15,98 @@ set ever holds more than one member per pass (so set sizes never exceed n).
 A set that gains a member is closed for the rest of the pass, so each open
 set's max-member IoU with the pass's detections is fixed when the pass
 begins. Grouping reads these values from one ``geometry.iou_matrix`` over all
-the image's detections (in pass order, canonical order within a pass): each
-set keeps the running maximum of its members' matrix rows, and a pass reads
-only its block of those rows. The matrix holds the same floats as ``iou``, so
-the sets are those of scalar ``iou`` calls. Memory grows with the square of
-the image's detection count D, because the matrix, the sets' rows and the
-kernel's temporaries are D x D float64: the peak is about 25 * D**2 bytes
-(25 MB at D = 1,000, about 0.4 GB at D = 4,000).
+the image's detections, taken from its batch in ``ImagePasses.ranked`` order
+(pass order, canonical order within a pass), so nothing is re-sorted and no
+box record is built: each set keeps the running maximum of its members'
+matrix rows, and a pass reads only its block of those rows. The matrix holds
+the same floats as ``iou``, so the sets are those of scalar ``iou`` calls.
+Sets hold their members' batch rows; ``InstanceSet.members`` builds records
+only when read. Memory grows with the square of the image's detection count
+D, because the matrix, the sets' rows and the kernel's temporaries are D x D
+float64: the peak is about 25 * D**2 bytes. The readers allow at most
+``MAX_DETECTIONS_PER_IMAGE`` (100) detections per pass, so D <= 100 * n and
+the peak is at most about 56 MB at n = 15.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
+from itertools import pairwise
+from typing import Sequence
 
 import numpy as np
 
 from . import geometry
-from .data_io import Detection, ImagePasses, canonical_order
+from .data_io import Detection, DetectionBatch, ImagePasses
 from .geometry import BoundingBox
 
 
-@dataclass(frozen=True)
 class InstanceSet:
-    """Detections across passes attributed to one physical object."""
+    """Detections across passes attributed to one physical object, as rows of a batch.
 
-    members: tuple[tuple[int, Detection], ...]  # (pass index, detection)
+    ``rows`` holds the members' batch rows in pass order. ``members`` is the
+    record view, (pass index, detection) pairs built when it is first read;
+    ``InstanceSet(members)`` builds a set from records. Sets compare by their
+    records.
+    """
+
+    def __init__(self, members: Sequence[tuple[int, Detection]]):
+        members = tuple(members)
+        self.batch = DetectionBatch.of_records([d for _, d in members], [p for p, _ in members])
+        self.rows = tuple(range(len(members)))
+        self.members = members
+
+    @classmethod
+    def _of(cls, batch: DetectionBatch, rows: tuple[int, ...]) -> InstanceSet:
+        instance_set = object.__new__(cls)
+        instance_set.batch, instance_set.rows = batch, rows
+        return instance_set
 
     @property
     def size(self) -> int:
-        return len(self.members)
+        return len(self.rows)
 
-    @property
-    def boxes(self):
-        return tuple(det.box for _, det in self.members)
+    @cached_property
+    def members(self) -> tuple[tuple[int, Detection], ...]:
+        passes = self.batch.pass_index[list(self.rows)].tolist()
+        return tuple(zip(passes, self.batch.detections(self.rows)))
 
     @cached_property
     def mean_box(self) -> BoundingBox:
         """The members' mean box, computed once and read by spatial certainty and consolidation."""
-        return geometry.mean_box(self.boxes)
+        boxes = self.batch.box_records
+        return geometry.mean_box([boxes[r] for r in self.rows])
+
+    def __eq__(self, other) -> bool:
+        return type(other) is InstanceSet and self.members == other.members
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"InstanceSet(members={self.members!r})"
 
 
 def group_passes(img: ImagePasses, match_iou: float = 0.5) -> list[InstanceSet]:
     """Partition an image's detections into instance sets, in creation order."""
-    passes = [canonical_order(pass_dets) for pass_dets in img.passes]
-    boxes = [det.box for pass_dets in passes for det in pass_dets]
-    pairwise = geometry.iou_matrix(boxes, boxes)
-    set_iou = np.empty_like(pairwise)  # row s: the max of set s's members' rows of pairwise
-    sets: list[list[tuple[int, Detection]]] = []
-    start = 0
-    for pass_index, pass_dets in enumerate(passes):
-        if not pass_dets:
+    ranked = img.ranked
+    boxes = img.batch.boxes[ranked]
+    pairwise_iou = geometry.iou_matrix(boxes, boxes)
+    set_iou = np.empty_like(pairwise_iou)  # row s: the max of set s's members' rows of pairwise_iou
+    sets: list[list[int]] = []  # each set's members, as positions in ranked
+    for start, stop in pairwise(img.bounds):
+        if not sets:  # the first pass with detections seeds a set with each
+            set_iou[: stop - start] = pairwise_iou[start:stop]
+            sets.extend([k] for k in range(start, stop))
             continue
         # values[i][s]: the i-th detection's max-member IoU with set s, for the sets open to this pass
-        values = set_iou[: len(sets), start : start + len(pass_dets)].T.tolist()
+        values = set_iou[: len(sets), start:stop].T.tolist()
         matches = geometry.greedy_match(map(enumerate, values), match_iou)
-        for k, (det, set_index) in enumerate(zip(pass_dets, matches), start):
+        for k, set_index in enumerate(matches, start):
             if set_index >= 0:
-                sets[set_index].append((pass_index, det))
-                np.maximum(set_iou[set_index], pairwise[k], out=set_iou[set_index])
+                sets[set_index].append(k)
+                np.maximum(set_iou[set_index], pairwise_iou[k], out=set_iou[set_index])
             else:
-                set_iou[len(sets)] = pairwise[k]
-                sets.append([(pass_index, det)])
-        start += len(pass_dets)
-    return [InstanceSet(tuple(members)) for members in sets]
+                set_iou[len(sets)] = pairwise_iou[k]
+                sets.append([k])
+    rows = ranked.tolist()
+    return [InstanceSet._of(img.batch, tuple(rows[k] for k in members)) for members in sets]

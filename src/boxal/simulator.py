@@ -34,7 +34,6 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -44,10 +43,11 @@ from .data_io import (
     _NUMBER_TYPES,
     CategoryCatalog,
     DatasetManifest,
-    Detection,
+    DetectionBatch,
     GroundTruthImage,
     ImagePasses,
     _field,
+    _image_views,
     _load_json,
     apply_thresholds,
     load_ground_truth,
@@ -361,18 +361,21 @@ def simulate_passes(
     scores = (1.0 - alpha)[:, None] * _dirichlet(gamma)
     scores[:, np.arange(m), [category for _, category in objects]] += alpha
     scores /= scores.sum(axis=-1, keepdims=True)
-    detections = zip(np.nonzero(kept)[0].tolist(), boxes[kept].tolist(), scores[kept].tolist())
+    det_pass, det_boxes, det_scores = np.nonzero(kept)[0], boxes[kept], scores[kept]
 
     if fp_pass:  # false positives, all passes' at once, after each pass's true positives
         fp_boxes = np.stack(_place_box(*np.array(fp_uniform).T, width, height), axis=-1)
         fp_scores = _dirichlet(np.array(fp_gamma))
         fp_scores /= fp_scores.sum(axis=-1, keepdims=True)
-        detections = chain(detections, zip(fp_pass, fp_boxes.tolist(), fp_scores.tolist()))
+        det_pass = np.concatenate([det_pass, fp_pass])
+        order = np.argsort(det_pass, kind="stable")
+        det_pass = det_pass[order]
+        det_boxes = np.concatenate([det_boxes, fp_boxes])[order]
+        det_scores = np.concatenate([det_scores, fp_scores])[order]
 
-    passes: list[list[Detection]] = [[] for _ in range(n)]
-    for p, box, row in detections:
-        passes[p].append(Detection(BoundingBox(*box), tuple(row)))
-    raw = ImagePasses(image_id, width, height, tuple(tuple(dets) for dets in passes))
+    batch = DetectionBatch(det_boxes, det_scores, det_scores.max(axis=1, initial=0.0), det_pass)
+    counts = np.bincount(det_pass, minlength=n).tolist()
+    (raw,) = _image_views(batch, det_pass, [(image_id, width, height, counts)])
     return apply_thresholds(raw, confidence, nms_iou)
 
 

@@ -215,6 +215,7 @@ PROBES = [
     ("detections", (1, "passes", 1, 0, "scores"), [0.7, 0.3, 0.0]),
     ("detections", (1, "passes", 1, 0, "scores"), [math.nan, math.nan]),
     ("detections", (1, "image_id"), "x1"),
+    ("detections", (1, "passes", 1), [DET] * 101),  # one more than MAX_DETECTIONS_PER_IMAGE
     ("ground_truth", (1, "objects", 0), "x"),
     ("ground_truth", (1, "objects"), 3),
     ("ground_truth", (1, "objects", 0, "category"), True),
