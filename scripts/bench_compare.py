@@ -6,7 +6,8 @@ For each workload of ``BENCHMARK.json``, pair i runs ``bench/run.py --seed i``
 for the benchmark's ``run_seconds`` once in each checkout, with the parent
 first in even pairs and the change first in odd ones. Each side of a pair
 uses its own checkout's ``bench/``, so the two sides must hold the same
-benchmark code. Per workload, the file records each run's ``correct``,
+benchmark code: the script refuses two checkouts whose ``bench/`` trees or
+``BENCHMARK.json`` differ, naming the first differing file. Per workload, the file records each run's ``correct``,
 ``attempted`` and ``failed``; per end-to-end metric, each side's median and
 quartiles and the pairs the change won (ties count for neither side). Then
 it makes ``TRACED`` alternating pairs of traced runs (seed 0) for the
@@ -42,6 +43,24 @@ def _bench(checkout: Path, workload: str, seed: int, seconds: float, trace: bool
     doc = json.loads(lines[-1])
     return {"correct": doc["correct"], "attempted": doc["attempted"], "failed": doc["failed"],
             "metrics": {name: m["value"] for name, m in doc["metrics"].items()}}
+
+
+def _benchmark_difference(parent: Path, change: Path) -> str | None:
+    """The first of ``BENCHMARK.json`` and the files under ``bench/`` whose bytes differ between two checkouts.
+
+    A file that only one checkout holds differs too; ``__pycache__`` holds no benchmark code.
+    """
+    def files(root: Path) -> set[str]:
+        return {"BENCHMARK.json"} | {
+            path.relative_to(root).as_posix() for path in (root / "bench").rglob("*")
+            if path.is_file() and "__pycache__" not in path.relative_to(root).parts
+        }
+
+    for name in sorted(files(parent) | files(change)):
+        ours, theirs = parent / name, change / name
+        if not (ours.is_file() and theirs.is_file() and ours.read_bytes() == theirs.read_bytes()):
+            return name
+    return None
 
 
 def _criterion_6_s(checkout: Path) -> float:
@@ -109,6 +128,10 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    differing = _benchmark_difference(checkouts["parent"], checkouts["change"])
+    if differing is not None:
+        print(f"error: the checkouts hold different benchmark code: {differing} differs", file=sys.stderr)
+        return 2
     spec = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
     log = args.out.with_name(args.out.name + ".runs.jsonl")

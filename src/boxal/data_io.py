@@ -22,27 +22,20 @@ checked again. A reader raises only ``FormatError`` (invalid JSON, a missing
 field or a value of the wrong JSON type) and ``ValidationError`` (a value
 that breaks a rule), and each message starts with the file and, for
 line-delimited files, the line. Each rule has one implementation here:
-``_box_field`` holds the box rules (four finite coordinates, positive area)
-for every file that carries boxes, and ``_parse_detection`` the score rules.
+``_checked_box`` holds the box rules (finite coordinates, positive area)
+for every file that carries boxes, and ``_check_scores`` the score rules.
 ``BoundingBox``, ``Detection`` and ``GroundTruthImage`` are plain records, so
 the objects the package builds itself (simulated passes, mean boxes) are
 trusted: the detector boundary is the file contract, and the readers guard it.
 
-Detections travel as columns. ``load_image_passes`` decodes a detections file
-line by line into flat ``array("d")`` buffers, so the file's JSON is never
-held at once, and makes them one ``DetectionBatch``: boxes ``(D, 4)``, scores
-``(D, κ)``, each row's max score and pass. The rules are then whole-array
-tests, and one ``np.lexsort`` ranks every pass of the file in canonical order.
-A file that fails a test, or that holds anything the buffers could misread
-(JSON ``true`` or ``false``, an integer beyond the float range), is read again
-by the record reader (``_parse_image_passes``), whose error names the first
-bad line; the whole-array tests are never looser than the record rules.
-``ImagePasses`` holds an image's rows of its batch, ``apply_thresholds`` cuts
-them, and ``grouping.InstanceSet`` holds a set's rows. Their ``passes`` and
-``members`` are record views, built only when read, and ``ImagePasses(
-image_id, width, height, passes)`` and ``InstanceSet(members)`` still build
-them from records. A pass holds at most ``MAX_DETECTIONS_PER_IMAGE``
-detections, which bounds grouping's memory.
+Detections travel as columns. ``load_image_passes``, the one detections
+reader, decodes a file line by line into one ``DetectionBatch`` (through flat
+``array("d")`` buffers, so the file's JSON is never held at once); its numeric
+rules are whole-array screens whose flagged rows the rule functions judge.
+``ImagePasses`` and ``grouping.InstanceSet`` hold rows of a batch, and their
+``passes`` and ``members`` are record views, built only when read. A pass
+holds at most ``MAX_DETECTIONS_PER_IMAGE`` detections, which bounds grouping's
+memory.
 
 Score vectors cover the foreground categories only, each score lies in
 [0, 1], and they must sum to 1 within ``SCORE_SUM_TOLERANCE``; invalid sums
@@ -55,9 +48,10 @@ from __future__ import annotations
 import json
 import math
 from array import array
+from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import accumulate, chain, pairwise, repeat
 from operator import itemgetter
 from pathlib import Path
@@ -100,10 +94,6 @@ class Detection:
     box: BoundingBox
     scores: tuple[float, ...]
 
-    @property
-    def max_score(self) -> float:
-        return max(self.scores)
-
 
 def _row_sums(columns: np.ndarray) -> np.ndarray:
     """Each row's sum, added left to right from 0.0 as Python's ``sum`` adds floats."""
@@ -112,31 +102,20 @@ def _row_sums(columns: np.ndarray) -> np.ndarray:
     return np.cumsum(columns, axis=1)[:, -1] + 0.0  # + 0.0 turns a -0.0 sum into sum's 0.0
 
 
+@dataclass(eq=False)
 class DetectionBatch:
     """Detections as columns: row i of each column belongs to detection i.
 
     ``boxes`` holds the (D, 4) corners and ``scores`` the (D, κ) score
     vectors, both float64; ``max_scores`` holds each row's max score and
     ``pass_index`` the pass of its image that it came from. A detections file
-    is read into one batch; ``ImagePasses`` and ``InstanceSet`` hold rows of
-    it, and build records only when their record views are read.
+    is read into one batch, and the simulator builds one per image.
     """
 
-    def __init__(self, boxes: np.ndarray, scores: np.ndarray, max_scores: np.ndarray, pass_index: np.ndarray):
-        self.boxes = boxes
-        self.scores = scores
-        self.max_scores = max_scores
-        self.pass_index = pass_index
-
-    @classmethod
-    def of_records(cls, detections: Sequence[Detection], pass_index: Sequence[int]) -> DetectionBatch:
-        return cls(
-            np.array([d.box for d in detections], dtype=np.float64).reshape(-1, 4),
-            np.array([d.scores for d in detections], dtype=np.float64).reshape(len(detections), -1)
-            if detections else np.empty((0, 0)),
-            np.array([d.max_score for d in detections], dtype=np.float64),
-            np.array(pass_index, dtype=np.intp),
-        )
+    boxes: np.ndarray
+    scores: np.ndarray
+    max_scores: np.ndarray
+    pass_index: np.ndarray
 
     @cached_property
     def box_records(self) -> list[BoundingBox]:
@@ -167,27 +146,14 @@ class ImagePasses:
     order its detections were read or given; ``ranked`` holds the same rows in
     canonical order within each pass: descending max score, then the box
     corners, then that order. Pass p is ``rows[bounds[p]:bounds[p + 1]]``,
-    and likewise in ``ranked``. ``ImagePasses(image_id, width, height,
-    passes)`` builds an image from records, and ``passes`` is the record view,
-    built when it is first read. Images compare by their records.
+    and likewise in ``ranked``. ``passes`` is the record view, built when it
+    is first read; images compare by their records.
     """
 
-    def __init__(self, image_id: str, width: int, height: int, passes: Sequence[Sequence[Detection]]):
-        passes = tuple(map(tuple, passes))
-        counts = list(map(len, passes))
-        batch = DetectionBatch.of_records(
-            [d for dets in passes for d in dets], np.repeat(np.arange(len(passes)), counts)
-        )
-        (view,) = _image_views(batch, batch.pass_index, [(image_id, width, height, counts)])
-        self.__dict__.update(view.__dict__, passes=passes)
-
-    @classmethod
-    def _view(cls, image_id: str, width: int, height: int, batch: DetectionBatch,
-              rows: np.ndarray, ranked: np.ndarray, bounds: tuple[int, ...]) -> ImagePasses:
-        img = object.__new__(cls)
-        img.image_id, img.width, img.height = image_id, width, height
-        img.batch, img.rows, img.ranked, img.bounds = batch, rows, ranked, bounds
-        return img
+    def __init__(self, image_id: str, width: int, height: int, batch: DetectionBatch,
+                 rows: np.ndarray, ranked: np.ndarray, bounds: tuple[int, ...]):
+        self.image_id, self.width, self.height = image_id, width, height
+        self.batch, self.rows, self.ranked, self.bounds = batch, rows, ranked, bounds
 
     @cached_property
     def passes(self) -> tuple[tuple[Detection, ...], ...]:
@@ -203,8 +169,7 @@ class ImagePasses:
     __hash__ = None
 
     def __repr__(self) -> str:
-        return (f"ImagePasses(image_id={self.image_id!r}, width={self.width!r}, "
-                f"height={self.height!r}, passes={self.passes!r})")
+        return f"ImagePasses{self._key()!r}"
 
 
 def _image_views(
@@ -223,7 +188,7 @@ def _image_views(
     for image_id, width, height, counts in images:
         bounds = tuple(accumulate(counts, initial=0))
         stop = start + bounds[-1]
-        views.append(ImagePasses._view(image_id, width, height, batch, rows[start:stop], ranked[start:stop], bounds))
+        views.append(ImagePasses(image_id, width, height, batch, rows[start:stop], ranked[start:stop], bounds))
         start = stop
     return views
 
@@ -309,11 +274,8 @@ def _floats(record, key: str) -> tuple[float, ...]:
     raise FormatError(f"{key} must be an array of numbers, got {values!r:.80}")
 
 
-def _box_field(record) -> BoundingBox:
-    """``record``'s box: four finite coordinates with x_max > x_min and y_max > y_min."""
-    coords = _floats(record, "bbox")
-    if len(coords) != 4:
-        raise FormatError(f"bbox must hold 4 numbers, got {len(coords)}")
+def _checked_box(coords: tuple[float, ...]) -> BoundingBox:
+    """The box of four coordinates, which must be finite with x_max > x_min and y_max > y_min."""
     if not all(map(math.isfinite, coords)):
         raise ValidationError(f"box coordinates must be finite numbers, got {coords}")
     x_min, y_min, x_max, y_max = coords
@@ -322,6 +284,14 @@ def _box_field(record) -> BoundingBox:
             f"box must have strictly positive area (x_max > x_min, y_max > y_min), got {coords}"
         )
     return BoundingBox(*coords)
+
+
+def _box_field(record) -> BoundingBox:
+    """``record``'s box: four numbers that ``_checked_box`` accepts."""
+    coords = _floats(record, "bbox")
+    if len(coords) != 4:
+        raise FormatError(f"bbox must hold 4 numbers, got {len(coords)}")
+    return _checked_box(coords)
 
 
 def _labeled_box(record, kappa: int) -> tuple[BoundingBox, int]:
@@ -343,17 +313,12 @@ def _open_input(path: str | Path, mode: str = "rb", **kwargs):
         raise FormatError(f"{path}: cannot open: {exc.strerror or exc}") from exc
 
 
-def _iter_jsonl(path: Path) -> Iterable[tuple[int, object]]:
-    """(line number, JSON value) for each nonblank line of ``path``."""
-    with _open_input(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError as exc:  # also bytes that are not UTF-8
-                raise FormatError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-            yield lineno, record
+def _json_value(text):
+    """The JSON value that ``text`` holds; invalid JSON is a FormatError."""
+    try:
+        return json.loads(text)
+    except ValueError as exc:  # also bytes that are not UTF-8
+        raise FormatError(f"invalid JSON: {exc}") from exc
 
 
 def _load_json(path: str | Path, parse: Callable):
@@ -361,23 +326,21 @@ def _load_json(path: str | Path, parse: Callable):
     with _open_input(path) as fh:
         text = fh.read()
     with _located(str(path)):
-        try:
-            doc = json.loads(text)
-        except ValueError as exc:
-            raise FormatError(f"invalid JSON: {exc}") from exc
-        return parse(doc)
+        return parse(_json_value(text))
 
 
 def _load_by_image(path: str | Path, parse: Callable) -> dict:
     """``{image_id: parse(image_id, record)}`` over a line-delimited file of unique image ids."""
-    path = Path(path)
     out = {}
-    for lineno, record in _iter_jsonl(path):
-        with _located(f"{path}:{lineno}"):
-            image_id = _field(record, "image_id", str)
-            if image_id in out:
-                raise ValidationError(f"duplicate image_id {image_id!r}")
-            out[image_id] = parse(image_id, record)
+    with _open_input(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if line.strip():
+                with _located(f"{path}:{lineno}"):
+                    record = _json_value(line)
+                    image_id = _field(record, "image_id", str)
+                    if image_id in out:
+                        raise ValidationError(f"duplicate image_id {image_id!r}")
+                    out[image_id] = parse(image_id, record)
     return out
 
 
@@ -410,124 +373,101 @@ def _save_jsonl(records: Iterable[dict], path: str | Path) -> None:
 # detections
 
 
-def _parse_detection(raw) -> Detection:
-    """``raw``'s box and scores; each score lies in [0, 1] and they sum to 1 within the tolerance."""
-    box = _box_field(raw)
-    scores = _floats(raw, "scores")
+def _check_scores(scores: tuple[float, ...]) -> None:
+    """Each score lies in [0, 1], and the scores sum to 1 within ``SCORE_SUM_TOLERANCE``."""
     # written so that NaN fails the range test too
     if any(not 0.0 <= s <= 1.0 for s in scores):
         raise ValidationError(f"scores must be finite and lie in [0, 1], got {scores}")
     total = sum(scores)
     if abs(total - 1.0) > SCORE_SUM_TOLERANCE:
         raise ValidationError(f"scores must sum to 1 within {SCORE_SUM_TOLERANCE}, got {total}")
-    return Detection(box, scores)
 
 
-def _parse_image_passes(image_id: str, record, expected_n: int | None, kappa: int | None) -> ImagePasses:
-    width = _field(record, "width", int)
-    height = _field(record, "height", int)
-    raw_passes = _field(record, "passes", list)
-    with _located(f"image {image_id!r}"):
-        if width <= 0 or height <= 0:
-            raise ValidationError(f"width/height must be positive, got {width}x{height}")
-        if expected_n is not None and len(raw_passes) != expected_n:
-            raise ValidationError(f"expected {expected_n} passes, got {len(raw_passes)}")
-        passes = []
-        for p, raw_pass in enumerate(raw_passes):
-            if type(raw_pass) is not list:
-                raise FormatError(f"each pass must be an array, got {raw_pass!r:.80}")
-            if len(raw_pass) > MAX_DETECTIONS_PER_IMAGE:
-                raise ValidationError(
-                    f"pass {p} holds {len(raw_pass)} detections, more than {MAX_DETECTIONS_PER_IMAGE}"
-                )
-            dets = tuple(map(_parse_detection, raw_pass))
-            for det in dets:
-                b = det.box
-                if b.x_min < 0 or b.y_min < 0 or b.x_max > width or b.y_max > height:
-                    raise ValidationError(
-                        f"box {b.as_tuple()} outside image bounds [0,{width}]x[0,{height}]"
-                    )
-                if kappa is None:
-                    kappa = len(det.scores)  # the image's first vector sets the length
-                elif len(det.scores) != kappa:
-                    raise ValidationError(f"expected {kappa} scores, got {len(det.scores)}")
-            passes.append(dets)
-    return ImagePasses(image_id, width, height, tuple(passes))
-
-
-class _Recheck(Exception):
-    """The batch reader cannot vouch for a file, so the record reader decides on it."""
+def _check_detection(box: BoundingBox, scores: tuple[float, ...], width: int, height: int) -> None:
+    """The score rules, then ``box`` inside the image."""
+    _check_scores(scores)
+    if box.x_min < 0 or box.y_min < 0 or box.x_max > width or box.y_max > height:
+        raise ValidationError(f"box {box.as_tuple()} outside image bounds [0,{width}]x[0,{height}]")
 
 
 _bbox, _scores = itemgetter("bbox"), itemgetter("scores")
 _EXACT_SIZE = 2**53  # image sizes up to here compare with float coordinates exactly as floats
-_SUM_SLACK = 1e-12  # more than any summation order moves a sum of scores; nearer sums are rechecked
+_SUM_SLACK = 1e-12  # more than any summation order moves a sum of scores; nearer sums are judged by the rule
 
 
-def _read_batch(path: Path, expected_n: int | None, kappa: int | None) -> list[ImagePasses]:
-    """The images of a detections file over one batch, or ``_Recheck`` if any line may break a rule.
+def _append_passes(raw_passes: list, width: int, height: int, kappa: int | None, line: bytes,
+                   boxes: array, scores: array) -> tuple[int | None, list[int]]:
+    """Append one image's detections to the buffers; the file's κ and the image's pass sizes.
 
-    Each line's numbers go straight into flat ``array("d")`` buffers, so the
-    file's JSON is never held at once; the rules are then whole-array tests.
-    Every test is at least as strict as the record rules, so a file that
-    passes them is one that ``_parse_image_passes`` accepts.
+    The screen checks a line in whole-list steps: each pass an array of at most
+    ``MAX_DETECTIONS_PER_IMAGE`` detections, each box 4 numbers and each score
+    vector κ numbers (the file's first vector sets κ). A line that fails it, or
+    holds JSON ``true`` or ``false`` (read as 1.0 and 0.0 by the buffers), is
+    walked detection by detection under every rule, raising its first fault.
     """
-    boxes, scores = array("d"), array("d")
-    counts: list[int] = []  # detections per pass, over every pass of the file
-    images = []  # (image_id, width, height, its slice of counts, its detection count)
-    with _open_input(path) as fh:
-        try:
-            for line in fh:
-                if b"true" in line or b"false" in line:
-                    raise _Recheck  # array("d") would read JSON true and false as 1.0 and 0.0
-                if not line.strip():
-                    continue
-                record = json.loads(line)
-                image_id, width, height = record["image_id"], record["width"], record["height"]
-                raw_passes = record["passes"]
-                if not (type(image_id) is str and type(width) is int and type(height) is int
-                        and 0 < width <= _EXACT_SIZE and 0 < height <= _EXACT_SIZE
-                        and type(raw_passes) is list
-                        and list(map(type, raw_passes)).count(list) == len(raw_passes)
-                        and (expected_n is None or len(raw_passes) == expected_n)):
-                    raise _Recheck
-                dets = list(chain.from_iterable(raw_passes))
-                raw_boxes, raw_scores = list(map(_bbox, dets)), list(map(_scores, dets))
-                lengths = list(map(len, raw_scores))
-                if kappa is None and lengths:
-                    kappa = lengths[0]  # the file's first vector sets the length of all
-                if list(map(len, raw_boxes)).count(4) != len(dets) or lengths.count(kappa) != len(dets):
-                    raise _Recheck
+    marks = len(boxes), len(scores)
+    try:
+        if (b"true" not in line and b"false" not in line
+                and list(map(type, raw_passes)).count(list) == len(raw_passes)
+                and max(counts := list(map(len, raw_passes)), default=0) <= MAX_DETECTIONS_PER_IMAGE):
+            dets = list(chain.from_iterable(raw_passes))
+            raw_boxes, raw_scores = list(map(_bbox, dets)), list(map(_scores, dets))
+            lengths = list(map(len, raw_scores))
+            line_kappa = lengths[0] if kappa is None and lengths else kappa
+            # a length of 0 is walked: an empty string or object has it too
+            if list(map(len, raw_boxes)).count(4) == len(dets) and lengths.count(line_kappa or -1) == len(dets):
                 boxes.extend(chain.from_iterable(raw_boxes))
                 scores.extend(chain.from_iterable(raw_scores))
-                first = len(counts)
-                counts.extend(map(len, raw_passes))
-                images.append((image_id, width, height, counts[first:], len(dets)))
-        except (LookupError, TypeError, ValueError, OverflowError):
-            raise _Recheck from None
-    if not images:
-        return []
-    sizes = [image[4] for image in images]
-    box_cols = np.frombuffer(boxes, dtype=np.float64).reshape(-1, 4)
-    score_cols = np.frombuffer(scores, dtype=np.float64).reshape(len(box_cols), kappa or 0)
+                return line_kappa, counts
+    except (LookupError, TypeError, ValueError, OverflowError):
+        pass
+    del boxes[marks[0]:], scores[marks[1]:]
+    for p, raw_pass in enumerate(raw_passes):
+        if type(raw_pass) is not list:
+            raise FormatError(f"each pass must be an array, got {raw_pass!r:.80}")
+        if len(raw_pass) > MAX_DETECTIONS_PER_IMAGE:
+            raise ValidationError(
+                f"pass {p} holds {len(raw_pass)} detections, more than {MAX_DETECTIONS_PER_IMAGE}"
+            )
+        for raw in raw_pass:
+            box, values = _box_field(raw), _floats(raw, "scores")
+            _check_detection(box, values, width, height)
+            kappa = len(values) if kappa is None else kappa
+            if len(values) != kappa:
+                raise ValidationError(f"expected {kappa} scores, got {len(values)}")
+            boxes.extend(box)
+            scores.extend(values)
+    return kappa, list(map(len, raw_passes))
+
+
+def _checked_rows(path: Path, boxes: array, scores: array, kappa: int | None,
+                  images: list[tuple]) -> tuple[np.ndarray, np.ndarray]:
+    """The box and score columns of ``images``' rows, once each row has passed the numeric rules.
+
+    The rules are first whole-array screens; each row a screen flags is judged
+    by the rule functions, so a row is rejected exactly when a rule rejects
+    it, and the first rejected row's fault is raised, naming its line and image.
+    """
+    ends = [image[5] for image in images]
+    rows, kappa = (ends[-1] if ends else 0), kappa or 0
+    box_cols = np.frombuffer(boxes, dtype=np.float64, count=4 * rows).reshape(rows, 4)
+    score_cols = np.frombuffer(scores, dtype=np.float64, count=rows * kappa).reshape(rows, kappa)
+    sizes = np.diff([0, *ends])
     x_min, y_min, x_max, y_max = box_cols.T
-    if not (
-        len({image[0] for image in images}) == len(images)
-        and max(counts, default=0) <= MAX_DETECTIONS_PER_IMAGE
-        and np.isfinite(box_cols).all()
-        and (x_max > x_min).all() and (y_max > y_min).all()
-        and (x_min >= 0.0).all() and (y_min >= 0.0).all()
-        and (x_max <= np.repeat([image[1] for image in images], sizes)).all()
-        and (y_max <= np.repeat([image[2] for image in images], sizes)).all()
-        and ((score_cols >= 0.0) & (score_cols <= 1.0)).all()
-        and (abs(_row_sums(score_cols) - 1.0) <= SCORE_SUM_TOLERANCE - _SUM_SLACK).all()
-    ):
-        raise _Recheck
-    # each pass of the file gets an ordinal; a detection's pass index counts from its image's first
-    ordinal = np.repeat(np.arange(len(counts)), counts)
-    first_pass = np.repeat(np.cumsum([0] + [len(image[3]) for image in images[:-1]]), sizes)
-    batch = DetectionBatch(box_cols, score_cols, score_cols.max(axis=1, initial=0.0), ordinal - first_pass)
-    return _image_views(batch, ordinal, [image[:4] for image in images])
+    passed = (
+        np.isfinite(box_cols).all(axis=1) & (x_max > x_min) & (y_max > y_min)
+        & (x_min >= 0.0) & (y_min >= 0.0)
+        & (x_max <= np.repeat([min(image[2], _EXACT_SIZE) for image in images], sizes))
+        & (y_max <= np.repeat([min(image[3], _EXACT_SIZE) for image in images], sizes))
+        & ((score_cols >= 0.0) & (score_cols <= 1.0)).all(axis=1)
+        & (abs(_row_sums(score_cols) - 1.0) <= SCORE_SUM_TOLERANCE - _SUM_SLACK)
+    )
+    for row in np.flatnonzero(~passed).tolist():
+        lineno, image_id, width, height = images[bisect_right(ends, row)][:4]
+        with _located(f"{path}:{lineno}: image {image_id!r}"):
+            coords, values = tuple(box_cols[row].tolist()), tuple(score_cols[row].tolist())
+            _check_detection(_checked_box(coords), values, width, height)
+    return box_cols, score_cols
 
 
 def load_image_passes(
@@ -541,14 +481,46 @@ def load_image_passes(
     image, score vectors of one length and at most ``MAX_DETECTIONS_PER_IMAGE``
     detections per pass. When given, ``expected_n`` enforces the run's pass
     count and ``kappa`` the score-vector length. The file is read into one
-    batch; a file that fails a whole-array test is read again record by
-    record, whose error names the first bad line.
+    batch. The error names the first bad line: before a line's fault is
+    raised, the rows of the lines above it are checked.
     """
-    try:
-        return _read_batch(Path(path), expected_n, kappa)
-    except _Recheck:
-        parse = partial(_parse_image_passes, expected_n=expected_n, kappa=kappa)
-        return list(_load_by_image(path, parse).values())
+    path = Path(path)
+    boxes, scores = array("d"), array("d")
+    images: list[tuple] = []  # (line, image_id, width, height, its pass counts, its last row + 1)
+    ids: set[str] = set()
+    with _open_input(path) as fh:
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                image_id = None  # set once the header is read: a later fault names the image too
+                record = _json_value(line)
+                if (name := _field(record, "image_id", str)) in ids:
+                    raise ValidationError(f"duplicate image_id {name!r}")
+                width, height = _field(record, "width", int), _field(record, "height", int)
+                raw_passes = _field(record, "passes", list)
+                image_id = name
+                if width <= 0 or height <= 0:
+                    raise ValidationError(f"width/height must be positive, got {width}x{height}")
+                if expected_n is not None and len(raw_passes) != expected_n:
+                    raise ValidationError(f"expected {expected_n} passes, got {len(raw_passes)}")
+                kappa, counts = _append_passes(raw_passes, width, height, kappa, line, boxes, scores)
+                ids.add(image_id)
+                images.append((lineno, image_id, width, height, counts, len(boxes) // 4))
+        except BoxalError as exc:
+            _checked_rows(path, boxes, scores, kappa, images)  # a fault on an earlier line comes first
+            where = f"{path}:{lineno}" if image_id is None else f"{path}:{lineno}: image {image_id!r}"
+            raise type(exc)(f"{where}: {exc}") from exc
+    if not images:
+        return []
+    box_cols, score_cols = _checked_rows(path, boxes, scores, kappa, images)
+    counts = np.fromiter(chain.from_iterable(image[4] for image in images), np.intp)  # detections per pass
+    pass_numbers = np.fromiter(chain.from_iterable(range(len(image[4])) for image in images), np.intp)
+    pass_index = np.repeat(pass_numbers, counts)
+    batch = DetectionBatch(box_cols, score_cols, score_cols.max(axis=1, initial=0.0), pass_index)
+    # each pass of the file gets an ordinal, so one lexsort ranks them all
+    ordinal = np.repeat(np.arange(len(counts)), counts)
+    return _image_views(batch, ordinal, [image[1:5] for image in images])
 
 
 def save_image_passes(images: Sequence[ImagePasses], path: str | Path) -> None:
@@ -604,7 +576,7 @@ def apply_thresholds(img: ImagePasses, confidence: float = 0.5, nms_iou: float =
     if suppressed:
         kept = np.array([row for survivors in passes for row in survivors], dtype=np.intp)
         bounds = tuple(accumulate(map(len, passes), initial=0))
-    return ImagePasses._view(img.image_id, img.width, img.height, batch, kept, kept, bounds)
+    return ImagePasses(img.image_id, img.width, img.height, batch, kept, kept, bounds)
 
 
 # ---------------------------------------------------------------------------

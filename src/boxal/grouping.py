@@ -20,10 +20,9 @@ the image's detections, taken from its batch in ``ImagePasses.ranked`` order
 box record is built: each set keeps the running maximum of its members'
 matrix rows, and a pass reads only its block of those rows. The matrix holds
 the same floats as ``iou``, so the sets are those of scalar ``iou`` calls.
-Sets hold their members' batch rows; ``InstanceSet.members`` builds records
-only when read. Memory grows with the square of the image's detection count
-D, because the matrix, the sets' rows and the kernel's temporaries are D x D
-float64: the peak is about 25 * D**2 bytes. The readers allow at most
+Memory grows with the square of the image's detection count D, because the
+matrix, the sets' rows and the kernel's temporaries are D x D float64: the
+peak is about 25 * D**2 bytes. The detections reader allows at most
 ``MAX_DETECTIONS_PER_IMAGE`` (100) detections per pass, so D <= 100 * n and
 the peak is at most about 56 MB at n = 15.
 """
@@ -32,7 +31,6 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import pairwise
-from typing import Sequence
 
 import numpy as np
 
@@ -44,23 +42,13 @@ from .geometry import BoundingBox
 class InstanceSet:
     """Detections across passes attributed to one physical object, as rows of a batch.
 
-    ``rows`` holds the members' batch rows in pass order. ``members`` is the
-    record view, (pass index, detection) pairs built when it is first read;
-    ``InstanceSet(members)`` builds a set from records. Sets compare by their
-    records.
+    ``rows`` holds the members' batch rows in pass order; ``group_passes``
+    makes every set. ``members`` is the record view, (pass index, detection)
+    pairs built when it is first read, and sets compare by their records.
     """
 
-    def __init__(self, members: Sequence[tuple[int, Detection]]):
-        members = tuple(members)
-        self.batch = DetectionBatch.of_records([d for _, d in members], [p for p, _ in members])
-        self.rows = tuple(range(len(members)))
-        self.members = members
-
-    @classmethod
-    def _of(cls, batch: DetectionBatch, rows: tuple[int, ...]) -> InstanceSet:
-        instance_set = object.__new__(cls)
-        instance_set.batch, instance_set.rows = batch, rows
-        return instance_set
+    def __init__(self, batch: DetectionBatch, rows: tuple[int, ...]):
+        self.batch, self.rows = batch, rows
 
     @property
     def size(self) -> int:
@@ -109,4 +97,4 @@ def group_passes(img: ImagePasses, match_iou: float = 0.5) -> list[InstanceSet]:
                 set_iou[len(sets)] = pairwise_iou[k]
                 sets.append([k])
     rows = ranked.tolist()
-    return [InstanceSet._of(img.batch, tuple(rows[k] for k in members)) for members in sets]
+    return [InstanceSet(img.batch, tuple(rows[k] for k in members)) for members in sets]

@@ -498,10 +498,6 @@ def _run_iteration_locked(
 ) -> ActiveLearningState:
     i = state.iteration
     n_sample = config.batch_size
-    if len(state.pool_ids) < n_sample:
-        raise ValidationError(
-            f"pool has {len(state.pool_ids)} images, cannot sample {n_sample}"
-        )
     kappa = len(manifest.catalog)
 
     detections = _request_detections(run_dir, adapter, config, kappa, i, state.pool_ids, "pool")
@@ -592,6 +588,10 @@ def run_loop(
         gt = load_ground_truth(run_dir / "ground_truth.jsonl", kappa=len(manifest.catalog))
         if iterations is None:
             iterations = max(0, config.iterations - state.iteration)
+        needed = iterations * config.batch_size
+        if len(state.pool_ids) < needed:
+            raise ValidationError(f"pool has {len(state.pool_ids)} images, cannot sample {needed} "
+                                  f"({iterations} iterations of {config.batch_size})")
         for _ in range(iterations):
             state = _run_iteration_locked(run_dir, adapter, state, config, manifest, gt)
 

@@ -1,7 +1,9 @@
 """Independently coded reference implementations used as test oracles.
 
 These deliberately avoid reusing the library's internals beyond the plain
-data types, so that agreement between the two is meaningful.
+data types, so that agreement between the two is meaningful. The builders
+``image_passes`` and ``instance_set`` put records into a batch, as the
+readers do, for tests that state their detections as records.
 """
 
 from __future__ import annotations
@@ -10,9 +12,41 @@ import math
 
 import numpy as np
 
-from boxal.data_io import CategoryCatalog, Detection, GroundTruthImage, ImagePasses
+from boxal.data_io import CategoryCatalog, Detection, DetectionBatch, GroundTruthImage, ImagePasses, _image_views
 from boxal.evaluation import FinalPrediction
 from boxal.geometry import BoundingBox
+from boxal.grouping import InstanceSet
+
+
+# ---------------------------------------------------------------------------
+# records into batches
+
+
+def _batch(detections, pass_index) -> DetectionBatch:
+    """One batch row per detection record, in order."""
+    kappa = len(detections[0].scores) if detections else 0
+    scores = np.array([d.scores for d in detections], dtype=np.float64).reshape(len(detections), kappa)
+    return DetectionBatch(
+        np.array([d.box for d in detections], dtype=np.float64).reshape(-1, 4),
+        scores,
+        scores.max(axis=1, initial=0.0),
+        np.array(pass_index, dtype=np.intp),
+    )
+
+
+def image_passes(image_id: str, width: int, height: int, passes) -> ImagePasses:
+    """The image whose passes hold the detection records ``passes``."""
+    counts = [len(dets) for dets in passes]
+    pass_index = np.repeat(np.arange(len(passes)), counts)
+    batch = _batch([d for dets in passes for d in dets], pass_index)
+    (img,) = _image_views(batch, pass_index, [(image_id, width, height, counts)])
+    return img
+
+
+def instance_set(members) -> InstanceSet:
+    """The set of the (pass index, detection record) pairs ``members``, in their order."""
+    batch = _batch([d for _, d in members], [p for p, _ in members])
+    return InstanceSet(batch, tuple(range(len(members))))
 
 
 # ---------------------------------------------------------------------------
@@ -206,4 +240,4 @@ def random_passes(rng: np.random.Generator, image_id: str = "img", kappa: int = 
             scores = tuple(float(v) for v in raw / raw.sum())
             dets.append(Detection(BoundingBox(x0, y0, min(x0 + w, 100.0), min(y0 + h, 100.0)), scores))
         passes.append(tuple(dets))
-    return ImagePasses(image_id, 100, 100, tuple(passes))
+    return image_passes(image_id, 100, 100, passes)

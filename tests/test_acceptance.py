@@ -15,10 +15,10 @@ import pytest
 
 from boxal.certainty import image_certainty, semantic_certainty
 from boxal.cli import main as cli_main
-from boxal.data_io import Detection, ImagePasses
+from boxal.data_io import Detection
 from boxal.evaluation import FinalPrediction, coco_map, regularized_incomplete_beta, ttest_two_sided
 from boxal.geometry import BoundingBox, iou
-from boxal.grouping import InstanceSet, group_passes
+from boxal.grouping import group_passes
 from boxal.orchestrator import (
     RunConfig,
     SimulatorDetectorAdapter,
@@ -29,7 +29,7 @@ from boxal.orchestrator import (
 from boxal.data_io import CategoryCatalog, GroundTruthImage
 from boxal.simulator import generate_world
 
-from oracles import brute_force_grouping, brute_force_map, random_passes, random_scene
+from oracles import brute_force_grouping, brute_force_map, image_passes, instance_set, random_passes, random_scene
 
 
 def test_criterion_1_scale_statement():
@@ -46,7 +46,7 @@ def test_criterion_2_certainty_math_under_one_second():
         return Detection(BoundingBox(*(float(c) for c in box)), tuple(scores))
 
     def single(scores, kappa):
-        return semantic_certainty(InstanceSet(((0, det(scores)),)), kappa)
+        return semantic_certainty(instance_set(((0, det(scores)),)), kappa)
 
     # semantic certainty examples
     assert single((1.0, 0.0, 0.0), 3) == pytest.approx(1.0, abs=1e-9)
@@ -61,18 +61,18 @@ def test_criterion_2_certainty_math_under_one_second():
     from boxal.certainty import CertaintyTriple, occurrence_certainty, spatial_certainty
     from boxal.sampling import rank
 
-    pair = InstanceSet(
+    pair = instance_set(
         ((0, det((1.0, 0.0), (0, 0, 10, 10))), (1, det((1.0, 0.0), (2, 0, 12, 10))))
     )
     assert spatial_certainty(pair) == pytest.approx(90.0 / 110.0, abs=1e-9)
-    solo = InstanceSet(((0, det((1.0, 0.0))),))
+    solo = instance_set(((0, det((1.0, 0.0))),))
     assert spatial_certainty(solo) == pytest.approx(1.0, abs=1e-9)
-    fifteen = InstanceSet(tuple((p, det((1.0, 0.0))) for p in range(15)))
+    fifteen = instance_set(tuple((p, det((1.0, 0.0))) for p in range(15)))
     assert occurrence_certainty(fifteen, 15) == pytest.approx(1.0, abs=1e-9)
     assert occurrence_certainty(solo, 15) == pytest.approx(1.0 / 15.0, abs=1e-9)
     assert CertaintyTriple(0.5, 0.8, 0.2).c_h == pytest.approx(0.08, abs=1e-9)
 
-    blank = ImagePasses("blank", 10, 10, ((), ()))
+    blank = image_passes("blank", 10, 10, ((), ()))
     ic = image_certainty("blank", group_passes(blank), 2, 2)
     assert (ic.c_min, ic.set_count) == (1.0, 0)
     ranking = rank([(ic.image_id, ic.c_min)])

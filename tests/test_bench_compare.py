@@ -1,7 +1,10 @@
-"""``scripts/bench_compare.py`` writes its report when a workload has no pair both sides measured."""
+"""``scripts/bench_compare.py`` writes its report when a workload has no pair both sides measured,
+and refuses two checkouts that hold different benchmark code."""
 
 import importlib.util
 from pathlib import Path
+
+import pytest
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_compare.py"
 
@@ -44,3 +47,34 @@ def test_a_workload_failed_on_one_side_reports_no_pairs():
     steady = doc["workloads"]["steady"]["end_to_end"]["loop_s"]
     assert steady["pairs"] == 2 and steady["change_wins"] == 2
     assert steady["parent"]["runs"] == [2.0, 4.0] and steady["change"]["median"] == 2.0
+
+
+def checkout(root, files):
+    """A checkout holding ``files``, {relative path: text}."""
+    for name, text in files.items():
+        (root / name).parent.mkdir(parents=True, exist_ok=True)
+        (root / name).write_text(text)
+    return root
+
+
+BENCH_FILES = {"BENCHMARK.json": "{}", "bench/run.py": "run", "bench/workloads.py": "workloads"}
+
+
+@pytest.mark.parametrize("changed, name", [
+    ({"bench/workloads.py": "other workloads"}, "bench/workloads.py"),
+    ({"bench/extra.py": "extra"}, "bench/extra.py"),
+    ({"BENCHMARK.json": '{"run_seconds": 1}'}, "BENCHMARK.json"),
+], ids=["edited", "added", "spec"])
+def test_checkouts_with_different_benchmark_code_are_refused(tmp_path, capsys, changed, name):
+    parent = checkout(tmp_path / "parent", BENCH_FILES)
+    change = checkout(tmp_path / "change", {**BENCH_FILES, **changed})
+    out = tmp_path / "BENCH.json"
+    assert load_script().main(["--parent", str(parent), "--change", str(change), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: the checkouts hold different benchmark code: {name} differs\n"
+    assert sorted(tmp_path.iterdir()) == [change, parent]  # no report and no runs file
+
+
+def test_same_benchmark_code_with_different_bytecode_is_one_benchmark(tmp_path):
+    parent = checkout(tmp_path / "parent", {**BENCH_FILES, "bench/__pycache__/run.pyc": "a"})
+    change = checkout(tmp_path / "change", {**BENCH_FILES, "bench/__pycache__/run.pyc": "b"})
+    assert load_script()._benchmark_difference(parent, change) is None

@@ -11,12 +11,12 @@ from boxal.certainty import (
     set_certainty,
     spatial_certainty,
 )
-from boxal.data_io import Detection, ImagePasses
+from boxal.data_io import Detection
 from boxal.geometry import BoundingBox
-from boxal.grouping import InstanceSet, group_passes
+from boxal.grouping import group_passes
 from boxal.sampling import rank
 
-from oracles import random_passes
+from oracles import image_passes, instance_set, random_passes
 
 # frozen high-precision value for 1 - H(0.9, 0.1)/log(2), computed with a
 # 50-digit arbitrary-precision evaluation
@@ -28,7 +28,7 @@ def det(x0, y0, x1, y1, scores):
 
 
 def make_set(*members):
-    return InstanceSet(tuple(members))
+    return instance_set(members)
 
 
 def certainty_of(img, kappa, n):
@@ -124,7 +124,7 @@ class TestImageCertainty:
             (det(0, 0, 10, 10, (1.0, 0.0)), det(40, 40, 50, 50, (0.6, 0.4))),
             (det(0, 0, 10, 10, (1.0, 0.0)),),
         )
-        img = ImagePasses("x", 100, 100, passes)
+        img = image_passes("x", 100, 100, passes)
         ic = certainty_of(img, kappa=2, n=2)
         triples = set_triples(img, kappa=2, n=2)
         assert ic.set_count == len(triples) == 2
@@ -132,13 +132,13 @@ class TestImageCertainty:
         assert ic.min_triple.c_h == ic.c_min
 
     def test_single_set(self):
-        img = ImagePasses("x", 100, 100, ((det(0, 0, 10, 10, (0.8, 0.2)),), ()))
+        img = image_passes("x", 100, 100, ((det(0, 0, 10, 10, (0.8, 0.2)),), ()))
         ic = certainty_of(img, kappa=2, n=2)
         assert ic.set_count == 1
         assert ic.c_min == pytest.approx(set_triples(img, kappa=2, n=2)[0].c_h, abs=1e-15)
 
     def test_no_detections_certainty_one(self):
-        img = ImagePasses("blank", 100, 100, ((), (), ()))
+        img = image_passes("blank", 100, 100, ((), (), ()))
         ic = certainty_of(img, kappa=2, n=3)
         assert ic.set_count == 0
         assert ic.c_min == 1.0
@@ -165,7 +165,7 @@ class TestImageCertainty:
             ic = certainty_of(img, kappa=3, n=len(img.passes))
             # append an extra detection far from the 100x100 content grid
             extra = det(110, 110, 118, 118, (0.5, 0.3, 0.2))
-            bigger = ImagePasses(
+            bigger = image_passes(
                 img.image_id, 120, 120,
                 (img.passes[0] + (extra,),) + img.passes[1:],
             )
@@ -187,10 +187,10 @@ class TestImageCertainty:
 
 class TestRankPool:
     def blank(self, image_id):
-        return ImagePasses(image_id, 10, 10, ((), ()))
+        return image_passes(image_id, 10, 10, ((), ()))
 
     def one_set(self, image_id, scores):
-        return ImagePasses(image_id, 100, 100, ((det(0, 0, 10, 10, scores),), ()))
+        return image_passes(image_id, 100, 100, ((det(0, 0, 10, 10, scores),), ()))
 
     def rank_pool(self, pool):
         return rank((img.image_id, certainty_of(img, kappa=2, n=2).c_min) for img in pool)

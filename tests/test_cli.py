@@ -306,6 +306,19 @@ class TestRankSampleEvaluateTtest:
         assert sorted((run_dir / "requests").iterdir()) == written[1:]
         assert {path: path.read_bytes() for path in written} == before
 
+    def test_pool_too_small_for_every_iteration_exits_2_before_any_request(self, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        assert run_cli(
+            "simulate-run", "--out", run_dir, "--images", 100, "--batch-size", 30,
+            "--iterations", 5, "--passes-n", 3,
+        ) == 2
+        pool = len(load_state(run_dir, 0).pool_ids)
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: pool has {pool} images, cannot sample 150 (5 iterations of 30)"), err
+        assert sorted(p.name for p in (run_dir / "state").iterdir()) == ["iter_0.json"]
+        assert list((run_dir / "requests").iterdir()) == []
+        assert not (run_dir / "log.csv").exists()
+
     def test_rank_scores_as_the_loop_samples(self, tmp_path):
         # boxal rank and the loop share one scoring path: ranking iteration 0's detections
         # with the run's config and keeping the pool images gives the loop's sampled batch

@@ -1,39 +1,26 @@
-"""The detections reader's batch: exact against the oracles, and its record fallback.
+"""The detections reader's batch: exact against the oracles, and the faults it names.
 
 ``load_image_passes`` reads a valid file into one ``DetectionBatch``; these
 tests read seeded random files through it, with ties everywhere (equal max
 scores, equal corners, exact 0.0 scores) and passes left with 0, 1 and 2 or
 more survivors, and hold thresholds and grouping to the brute-force oracles.
-A file the batch reader cannot vouch for is read again record by record, and
-the error is the record reader's.
+A line the reader's screen cannot vouch for is walked detection by detection;
+the error names the first bad line, even when a later line fails its screen.
 """
 
 import json
-from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from boxal.certainty import image_certainty
-from boxal.data_io import (
-    MAX_DETECTIONS_PER_IMAGE,
-    ImagePasses,
-    _load_by_image,
-    _parse_image_passes,
-    _read_batch,
-    _Recheck,
-    apply_thresholds,
-    load_image_passes,
-)
+from boxal.data_io import MAX_DETECTIONS_PER_IMAGE, apply_thresholds, load_image_passes
 from boxal.errors import FormatError, ValidationError
 from boxal.evaluation import consolidate
 from boxal.geometry import iou
 from boxal.grouping import group_passes
 
-from oracles import brute_force_grouping, brute_force_nms
-from test_readers import DELETE, JUNK, VALID, _mutated, _paths, _write_jsonl
+from oracles import brute_force_grouping, brute_force_nms, image_passes
 
 KAPPA = 3
 PASSES = 4
@@ -108,7 +95,7 @@ def test_grouping_equals_brute_force_grouping(images, match_iou):
 def test_certainty_and_consolidation_equal_those_of_the_record_view(images, match_iou):
     for img in images:
         kept = apply_thresholds(img, CONFIDENCE, 0.3)
-        rebuilt = ImagePasses(kept.image_id, kept.width, kept.height, kept.passes)
+        rebuilt = image_passes(kept.image_id, kept.width, kept.height, kept.passes)
         assert rebuilt == kept and rebuilt.batch is not kept.batch
         sets, rebuilt_sets = group_passes(kept, match_iou), group_passes(rebuilt, match_iou)
         assert image_certainty(img.image_id, sets, KAPPA, PASSES) == image_certainty(
@@ -118,9 +105,10 @@ def test_certainty_and_consolidation_equal_those_of_the_record_view(images, matc
 
 
 # ---------------------------------------------------------------------------
-# the record fallback
+# the faults the reader names
 
 DET = {"bbox": [1.0, 2.0, 11.0, 12.0], "scores": [0.7, 0.3]}
+OUTSIDE = [1.0, 2.0, 60.0, 12.0]  # x_max beyond the 50-wide image
 
 
 def _line(image_id: str, bbox=DET["bbox"], passes=None) -> str:
@@ -128,30 +116,30 @@ def _line(image_id: str, bbox=DET["bbox"], passes=None) -> str:
     return json.dumps({"image_id": image_id, "width": 50, "height": 40, "passes": passes})
 
 
-def _record_error(path) -> str:
-    """The message of the record reader's error on ``path``."""
+def _rejected(path, lines, kappa=2) -> str:
+    """The message of the error ``load_image_passes`` raises on ``lines``."""
+    path.write_text("".join(line + "\n" for line in lines))
     with pytest.raises((FormatError, ValidationError)) as excinfo:
-        _load_by_image(path, partial(_parse_image_passes, expected_n=2, kappa=2))
-    return str(excinfo.value)
-
-
-def _rejected(path, text: str) -> str:
-    """``text`` written to ``path`` is handed to the record reader, whose error load_image_passes raises."""
-    path.write_text(text)
-    with pytest.raises(_Recheck):
-        _read_batch(path, 2, 2)
-    with pytest.raises((FormatError, ValidationError)) as excinfo:
-        load_image_passes(path, 2, 2)
-    assert str(excinfo.value) == _record_error(path)
+        load_image_passes(path, 2, kappa)
     return str(excinfo.value)
 
 
 def test_first_bad_line_after_valid_lines_is_named(tmp_path):
     path = tmp_path / "d.jsonl"
-    text = "\n".join([_line("a"), _line("b"), _line("c", bbox=[1.0, 2.0, 60.0, 12.0]), _line("d")]) + "\n"
-    message = _rejected(path, text)
+    message = _rejected(path, [_line("a"), _line("b"), _line("c", bbox=OUTSIDE), _line("d")])
     assert message == (
         f"{path}:3: image 'c': box (1.0, 2.0, 60.0, 12.0) outside image bounds [0,50]x[0,40]"
+    )
+
+
+@pytest.mark.parametrize(
+    "line3", ["{not json", _line("c", bbox=[1.0, 2.0, True, 12.0])], ids=["invalid-json", "true-coordinate"]
+)
+def test_bad_box_is_named_before_a_later_line_that_fails_the_screen(tmp_path, line3):
+    path = tmp_path / "d.jsonl"
+    message = _rejected(path, [_line("a"), _line("b", bbox=OUTSIDE), line3])
+    assert message == (
+        f"{path}:2: image 'b': box (1.0, 2.0, 60.0, 12.0) outside image bounds [0,50]x[0,40]"
     )
 
 
@@ -165,10 +153,10 @@ def test_first_bad_line_after_valid_lines_is_named(tmp_path):
     ids=["true", "beyond-float", "three-numbers"],
 )
 def test_values_the_buffers_could_misread_take_the_record_reader(tmp_path, bbox, message):
-    # array("d") reads true as 1.0, a 3-number bbox would shift every later box, and
-    # an integer beyond float range overflows: each goes to the record reader instead
+    # array("d") reads true as 1.0, a 3-number bbox would shift every later box, and an integer
+    # beyond float range overflows: each such line is walked record by record, detection by detection
     path = tmp_path / "d.jsonl"
-    got = _rejected(path, _line("a") + "\n" + _line("b", bbox=bbox) + "\n")
+    got = _rejected(path, [_line("a"), _line("b", bbox=bbox)])
     assert got.startswith(f"{path}:2: image 'b': {message}"), got
 
 
@@ -178,32 +166,33 @@ def test_pass_with_one_detection_too_many_is_named(tmp_path):
     path.write_text(_line("a", passes=full) + "\n")
     (img,) = load_image_passes(path, 2, 2)
     assert [len(p) for p in img.passes] == [MAX_DETECTIONS_PER_IMAGE, 0]
-    message = _rejected(path, _line("a", passes=full) + "\n" + _line("b", passes=[[], [DET] * 101]) + "\n")
+    message = _rejected(path, [_line("a", passes=full), _line("b", passes=[[], [DET] * 101])])
     assert message == f"{path}:2: image 'b': pass 1 holds 101 detections, more than 100"
 
 
-def test_valid_file_whose_id_contains_true_reads_by_records(tmp_path):
-    # the word true in a string sends the file to the record reader, which accepts it
+def test_score_vectors_of_another_length_on_a_later_line_are_named(tmp_path):
+    # without kappa, the file's first score vector sets the length of all
     path = tmp_path / "d.jsonl"
-    path.write_text(_line("true-positive") + "\n")
-    with pytest.raises(_Recheck):
-        _read_batch(path, 2, 2)
-    (img,) = load_image_passes(path, 2, 2)
-    assert img.image_id == "true-positive" and [len(p) for p in img.passes] == [1, 1]
+    wider = {"bbox": DET["bbox"], "scores": [0.5, 0.25, 0.25]}
+    message = _rejected(path, [_line("a"), _line("b", passes=[[wider], []])], kappa=None)
+    assert message.startswith(f"{path}:2: image 'b': expected 2 scores, got 3"), message
 
 
-@settings(max_examples=300, deadline=None)
-@given(data=st.data())
-def test_batch_reader_accepts_only_what_the_record_reader_accepts(tmp_path_factory, data):
-    doc = VALID["detections"]
-    path = data.draw(st.sampled_from([p for p in _paths(doc) if p]), label="path")
-    action = data.draw(st.sampled_from(["replace", "duplicate", DELETE]), label="action")
-    mutated = _mutated(doc, path, action, data.draw(st.sampled_from(JUNK), label="junk"))
-    target = tmp_path_factory.mktemp("mutated") / "d.jsonl"
-    _write_jsonl(target, mutated)
-    try:
-        batch_images = _read_batch(target, 2, 2)
-    except _Recheck:
-        return
-    record_images = list(_load_by_image(target, partial(_parse_image_passes, expected_n=2, kappa=2)).values())
-    assert batch_images == record_images
+@pytest.mark.parametrize("scores", ["", {}], ids=["string", "object"])
+def test_empty_string_or_object_as_the_first_score_vector_is_named(tmp_path, scores):
+    # without kappa the first vector sets the length; an empty string or object has length 0 too
+    path = tmp_path / "d.jsonl"
+    message = _rejected(path, [_line("a", passes=[[dict(DET, scores=scores)], []])], kappa=None)
+    assert message.startswith(f"{path}:1: image 'a': scores must be an array, got "), message
+
+
+def test_valid_file_whose_id_contains_true_reads_by_records(tmp_path):
+    # the word true in a string sends its line past the screen, to be walked record by record;
+    # the walk reads the same values into the same batch
+    walked, screened = tmp_path / "walked.jsonl", tmp_path / "screened.jsonl"
+    walked.write_text(_line("a") + "\n" + _line("true-positive") + "\n")
+    screened.write_text(_line("a") + "\n" + _line("b") + "\n")
+    got, want = load_image_passes(walked, 2, 2), load_image_passes(screened, 2, 2)
+    assert [img.image_id for img in got] == ["a", "true-positive"]
+    assert [img.passes for img in got] == [img.passes for img in want]
+    assert got[1].batch is got[0].batch and got[1].rows.tolist() == want[1].rows.tolist()

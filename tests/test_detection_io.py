@@ -12,7 +12,6 @@ from boxal.data_io import (
     DatasetManifest,
     Detection,
     GroundTruthImage,
-    ImagePasses,
     apply_thresholds,
     load_ground_truth,
     load_image_passes,
@@ -24,7 +23,7 @@ from boxal.data_io import (
 from boxal.errors import FormatError, ValidationError
 from boxal.geometry import BoundingBox, iou
 
-from oracles import random_passes
+from oracles import image_passes, random_passes
 
 
 def det(x0, y0, x1, y1, scores):
@@ -58,9 +57,9 @@ class TestDetection:
             load_scores(tmp_path, scores)
         assert str(excinfo.value).startswith(f"{tmp_path / 'd.jsonl'}:1: "), excinfo.value
 
-    def test_valid(self):
-        d = det(0, 0, 10, 10, (0.7, 0.3))
-        assert d.max_score == 0.7
+    def test_valid(self, tmp_path):
+        (img,) = load_scores(tmp_path, (0.7, 0.3))
+        assert img.passes[0][0].scores == (0.7, 0.3) and img.batch.max_scores.tolist() == [0.7]
 
     def test_scores_must_sum_to_one(self, tmp_path):
         self.rejected(tmp_path, (0.5, 0.3), f"scores must sum to 1 within 1e-06, got {0.5 + 0.3}")
@@ -180,7 +179,7 @@ class TestDetectionsFile:
 
     def test_float_serialization_is_lossless(self, tmp_path):
         scores = (1.0 / 3.0, 1.0 - 1.0 / 3.0)
-        img = ImagePasses("a", 50, 50, ((det(0.1, 0.2, 10.3, 10.7, scores),),))
+        img = image_passes("a", 50, 50, ((det(0.1, 0.2, 10.3, 10.7, scores),),))
         p = tmp_path / "d.jsonl"
         save_image_passes([img], p)
         (loaded,) = load_image_passes(p)
@@ -266,12 +265,12 @@ class TestManifest:
 
 class TestApplyThresholds:
     def test_no_op_when_nothing_filtered(self):
-        img = ImagePasses("a", 100, 100, ((det(0, 0, 10, 10, (0.9, 0.1)),),
-                                          (det(50, 50, 60, 60, (0.6, 0.4)),)))
+        img = image_passes("a", 100, 100, ((det(0, 0, 10, 10, (0.9, 0.1)),),
+                                           (det(50, 50, 60, 60, (0.6, 0.4)),)))
         assert apply_thresholds(img, 0.5, 0.3) == img
 
     def test_low_confidence_removed(self):
-        img = ImagePasses("a", 100, 100, ((det(0, 0, 10, 10, (0.4, 0.6 / 2, 0.3)),),))
+        img = image_passes("a", 100, 100, ((det(0, 0, 10, 10, (0.4, 0.6 / 2, 0.3)),),))
         out = apply_thresholds(img, 0.5, 0.3)
         assert out.passes == ((),)
         assert len(out.passes) == 1
@@ -280,7 +279,7 @@ class TestApplyThresholds:
         a = det(0, 0, 10, 10, (0.9, 0.1))
         b = det(0, 2, 10, 12, (0.8, 0.2))  # IoU 2/3 with a
         assert iou(a.box, b.box) > 0.3
-        out = apply_thresholds(ImagePasses("a", 100, 100, ((a, b),)), 0.5, 0.3)
+        out = apply_thresholds(image_passes("a", 100, 100, ((a, b),)), 0.5, 0.3)
         assert out.passes == ((a,),)
 
     @settings(max_examples=60)
@@ -295,4 +294,4 @@ class TestApplyThresholds:
         assert len(once.passes) == len(img.passes)
         for pass_dets in once.passes:
             for d in pass_dets:
-                assert d.max_score >= confidence
+                assert max(d.scores) >= confidence

@@ -18,9 +18,8 @@ from boxal.evaluation import (
     ttest_two_sided,
 )
 from boxal.geometry import BoundingBox, iou
-from boxal.grouping import InstanceSet
 
-from oracles import brute_force_map, random_scene
+from oracles import brute_force_map, instance_set, random_scene
 
 CATALOG3 = CategoryCatalog(("a", "b", "c"))
 
@@ -79,7 +78,7 @@ def crowded_scene(rng):
 class TestConsolidate:
     def test_one_hot_set(self):
         d = det(0, 0, 10, 10, (0.0, 1.0))
-        (p,) = consolidate([InstanceSet(((0, d), (1, d)))])
+        (p,) = consolidate([instance_set(((0, d), (1, d)))])
         assert p.box == d.box
         assert p.category == 1
         assert p.score == 1.0
@@ -87,7 +86,7 @@ class TestConsolidate:
     def test_mean_scores_and_argmax(self):
         a = det(0, 0, 10, 10, (0.8, 0.2))
         b = det(2, 2, 12, 12, (0.6, 0.4))
-        (p,) = consolidate([InstanceSet(((0, a), (1, b)))])
+        (p,) = consolidate([instance_set(((0, a), (1, b)))])
         assert p.box == BoundingBox(1, 1, 11, 11)
         assert p.category == 0
         assert p.score == pytest.approx(0.7, abs=1e-12)
@@ -96,8 +95,8 @@ class TestConsolidate:
         assert consolidate([]) == []
 
     def test_ordered_by_descending_score(self):
-        lo = InstanceSet(((0, det(0, 0, 10, 10, (0.6, 0.4))),))
-        hi = InstanceSet(((0, det(30, 30, 40, 40, (0.9, 0.1))),))
+        lo = instance_set(((0, det(0, 0, 10, 10, (0.6, 0.4))),))
+        hi = instance_set(((0, det(30, 30, 40, 40, (0.9, 0.1))),))
         out = consolidate([lo, hi])
         assert [p.score for p in out] == [0.9, 0.6]
 

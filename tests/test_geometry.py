@@ -8,11 +8,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from boxal.data_io import Detection, ImagePasses, apply_thresholds, load_ground_truth, load_image_passes
+from boxal.data_io import Detection, apply_thresholds, load_ground_truth, load_image_passes
 from boxal.errors import ValidationError
 from boxal.geometry import BoundingBox, greedy_match, iou, iou_matrix, mean_box
 
-from oracles import brute_force_nms, rasterized_iou
+from oracles import brute_force_nms, image_passes, rasterized_iou
 
 
 def box(*coords):
@@ -184,8 +184,8 @@ class TestNms:
     @staticmethod
     def nms(dets, threshold):
         # scores >= 0.5 make the first of the two categories the max score
-        img = ImagePasses("x", 100, 100, (tuple(Detection(b, (s, 1.0 - s)) for b, s in dets),))
-        return [(d.box, d.max_score) for d in apply_thresholds(img, 0.0, threshold).passes[0]]
+        img = image_passes("x", 100, 100, (tuple(Detection(b, (s, 1.0 - s)) for b, s in dets),))
+        return [(d.box, max(d.scores)) for d in apply_thresholds(img, 0.0, threshold).passes[0]]
 
     def test_single_detection_kept(self):
         dets = [(box(0, 0, 10, 10), 0.7)]
@@ -210,8 +210,8 @@ class TestNms:
         # overlapping detections below a 0.75 cut, then 0, 1 or 2 above it that overlap too
         low = [(box(0, 0, 10, 10), 0.6), (box(1, 0, 11, 10), 0.7), (box(2, 0, 12, 10), 0.55)]
         high = [(box(3, 0, 13, 10), 0.8), (box(0, 1, 10, 11), 0.9)][:survivors]
-        img = ImagePasses("x", 100, 100, (tuple(Detection(b, (s, 1.0 - s)) for b, s in low + high),))
-        got = [(d.box, d.max_score) for d in apply_thresholds(img, 0.75, 0.3).passes[0]]
+        img = image_passes("x", 100, 100, (tuple(Detection(b, (s, 1.0 - s)) for b, s in low + high),))
+        got = [(d.box, max(d.scores)) for d in apply_thresholds(img, 0.75, 0.3).passes[0]]
         assert got == brute_force_nms(high, 0.3, iou)
 
     @settings(max_examples=100)

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from boxal.data_io import Detection, ImagePasses
+from boxal.data_io import Detection
 from boxal.geometry import BoundingBox, iou
 from boxal.grouping import group_passes
 
-from oracles import brute_force_grouping, random_passes
+from oracles import brute_force_grouping, image_passes, random_passes
 
 
 def det(x0, y0, x1, y1, scores=(1.0, 0.0)):
@@ -21,7 +21,7 @@ class TestExamples:
         a = det(0, 0, 10, 10)
         b = det(1, 0, 11, 10)
         assert iou(a.box, b.box) >= 0.5  # ~0.818
-        img = ImagePasses("x", 100, 100, ((a,), (b,)))
+        img = image_passes("x", 100, 100, ((a,), (b,)))
         (s,) = group_passes(img)
         assert s.members == ((0, a), (1, b))
         assert s.size == 2
@@ -29,13 +29,13 @@ class TestExamples:
     def test_two_passes_disjoint_two_sets(self):
         a = det(0, 0, 10, 10)
         b = det(50, 50, 60, 60)
-        img = ImagePasses("x", 100, 100, ((a,), (b,)))
+        img = image_passes("x", 100, 100, ((a,), (b,)))
         sets = group_passes(img)
         assert [s.size for s in sets] == [1, 1]
         assert [s.members for s in sets] == [((0, a),), ((1, b),)]  # creation order
 
     def test_all_passes_empty(self):
-        img = ImagePasses("x", 100, 100, ((), (), ()))
+        img = image_passes("x", 100, 100, ((), (), ()))
         assert group_passes(img) == []
 
     def test_one_member_per_pass(self):
@@ -44,7 +44,7 @@ class TestExamples:
         a = det(0, 0, 10, 10, (0.9, 0.1))
         b1 = det(0, 0, 10, 10, (0.8, 0.2))
         b2 = det(1, 0, 11, 10, (0.7, 0.3))
-        img = ImagePasses("x", 100, 100, ((a,), (b1, b2)))
+        img = image_passes("x", 100, 100, ((a,), (b1, b2)))
         sets = group_passes(img)
         assert [s.size for s in sets] == [2, 1]
         assert sets[0].members == ((0, a), (1, b1))
@@ -56,7 +56,7 @@ class TestExamples:
         b = det(4, 0, 24, 10, (0.8, 0.2))
         c = det(3, 0, 23, 10, (0.9, 0.1))  # IoU 17/23 with a, 19/21 with b
         assert iou(c.box, a.box) >= 0.5 and iou(c.box, b.box) > iou(c.box, a.box)
-        img = ImagePasses("x", 100, 100, ((a, b), (c,)))
+        img = image_passes("x", 100, 100, ((a, b), (c,)))
         sets = group_passes(img)
         assert sets[1].members == ((0, b), (1, c))
 
@@ -65,7 +65,7 @@ class TestExamples:
         # never share a set
         a = det(0, 0, 10, 10, (0.9, 0.1))
         b = det(1, 0, 11, 10, (0.8, 0.2))
-        img = ImagePasses("x", 100, 100, ((a, b),))
+        img = image_passes("x", 100, 100, ((a, b),))
         assert [s.size for s in group_passes(img)] == [1, 1]
 
 

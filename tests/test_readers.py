@@ -201,7 +201,11 @@ def test_mutated_input_raises_only_boxal_errors(name, valid, tmp_path_factory, d
     if is_csv and len(path) == 1 and action == "replace":
         junk = [junk]  # a row is a list of cells
     target = tmp_path_factory.mktemp(name) / READERS[name][0]
-    _check(name, target, _mutated(doc, path, action, junk))
+    message = _check(name, target, _mutated(doc, path, action, junk))
+    if name == "detections" and message is not None:
+        # the mutated record's line, or the copy's line after a duplicated record
+        line = path[0] + 1 + (action == "duplicate" and len(path) == 1)
+        assert message.startswith(f"{target}:{line}: "), message
 
 
 # (reader, path into the valid input, new value or DELETE)

@@ -226,7 +226,7 @@ class TestSimulatePasses:
             assert len(passes.passes) == 5
             for pass_dets in passes.passes:
                 for d in pass_dets:
-                    assert d.max_score >= 0.5
+                    assert max(d.scores) >= 0.5
 
 
 def generator_at(row):
