@@ -13,7 +13,10 @@ quartiles and the pairs the change won (ties count for neither side). Then
 it makes ``TRACED`` alternating pairs of traced runs (seed 0) for the
 per-layer metrics, and times ``test_criterion_6`` in each checkout as often.
 Every finished run is appended to ``<out>.runs.jsonl`` as it ends, so an
-interrupted comparison keeps what it measured.
+interrupted comparison keeps what it measured. Each child runs in a session
+of its own; on ``SIGTERM`` or ``SIGINT`` the script kills the running child's
+process group, waits for it and exits with status 1, so no benchmark is
+left running.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import argparse
 import json
 import os
 import platform
+import signal
 import statistics
 import subprocess
 import sys
@@ -33,10 +37,23 @@ PAIRS = 10  # untraced pairs per workload, as a gain claim is judged on
 TRACED = 3  # traced pairs per workload, and test_criterion_6 timings per side
 
 
+def _run(cmd: list[str], checkout: Path, env: dict | None = None) -> subprocess.CompletedProcess:
+    """``cmd`` run in ``checkout`` in a session of its own; if interrupted, its process group is killed first."""
+    with subprocess.Popen(cmd, cwd=checkout, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          text=True, start_new_session=True) as proc:
+        try:
+            stdout, stderr = proc.communicate()
+        except BaseException:
+            os.killpg(proc.pid, signal.SIGKILL)  # the child leads its group, which holds its own children
+            proc.wait()
+            raise
+    return subprocess.CompletedProcess(cmd, proc.returncode, stdout, stderr)
+
+
 def _bench(checkout: Path, workload: str, seed: int, seconds: float, trace: bool) -> dict:
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(int(trace))]
-    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    proc = _run(cmd, checkout)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         return {"correct": False, "error": proc.stderr[-2000:]}
@@ -65,8 +82,8 @@ def _benchmark_difference(parent: Path, change: Path) -> str | None:
 
 def _criterion_6_s(checkout: Path) -> float:
     start = time.perf_counter()
-    subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", CRITERION_6],
-                   cwd=checkout, check=True, capture_output=True, env=dict(os.environ, PYTHONPATH="src"))
+    _run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", CRITERION_6],
+         checkout, env=dict(os.environ, PYTHONPATH="src")).check_returncode()
     return time.perf_counter() - start
 
 
@@ -144,19 +161,26 @@ def main(argv=None) -> int:
             fh.write(json.dumps(entry) + "\n")
         print(json.dumps(entry)[:300], file=sys.stderr, flush=True)
 
-    for workload in (w["name"] for w in spec["workloads"]):
-        for pair in range(PAIRS):
-            for side in _sides(pair):
-                result = _bench(checkouts[side], workload, pair, seconds, trace=False)
-                record({"kind": "untraced", "workload": workload, "pair": pair, "side": side, **result})
+    on_sigterm = signal.signal(signal.SIGTERM, signal.default_int_handler)  # SIGTERM stops it as SIGINT does
+    try:
+        for workload in (w["name"] for w in spec["workloads"]):
+            for pair in range(PAIRS):
+                for side in _sides(pair):
+                    result = _bench(checkouts[side], workload, pair, seconds, trace=False)
+                    record({"kind": "untraced", "workload": workload, "pair": pair, "side": side, **result})
+            for pair in range(TRACED):
+                for side in _sides(pair):
+                    result = _bench(checkouts[side], workload, 0, seconds, trace=True)
+                    record({"kind": "traced", "workload": workload, "pair": pair, "side": side, **result})
         for pair in range(TRACED):
             for side in _sides(pair):
-                result = _bench(checkouts[side], workload, 0, seconds, trace=True)
-                record({"kind": "traced", "workload": workload, "pair": pair, "side": side, **result})
-    for pair in range(TRACED):
-        for side in _sides(pair):
-            record({"kind": "criterion_6", "pair": pair, "side": side,
-                    "seconds": _criterion_6_s(checkouts[side])})
+                record({"kind": "criterion_6", "pair": pair, "side": side,
+                        "seconds": _criterion_6_s(checkouts[side])})
+    except KeyboardInterrupt:
+        print(f"stopped; the {len(runs)} finished runs are in {log}", file=sys.stderr)
+        return 1
+    finally:
+        signal.signal(signal.SIGTERM, on_sigterm)
 
     args.out.write_text(json.dumps(report(runs, spec), indent=1) + "\n", encoding="utf-8")
     return 0

@@ -7,9 +7,10 @@ Each detection's entropy is computed once, for its whole batch, by
 ``DetectionBatch.entropies``: ``math.log`` of each positive score, summed left
 to right.
 Spatial certainty is the mean IoU between each member box and the set's mean
-box. Occurrence certainty is the fraction of passes that contributed a
-member. The combined certainty is the product of the three, and an image is
-summarized by the minimum combined certainty over its instance sets.
+box, both read from the corner lists that grouping hands each set. Occurrence
+certainty is the fraction of passes that contributed a member. The combined
+certainty is the product of the three, and an image is summarized by the
+minimum combined certainty over its instance sets.
 
 Images with no instance sets get certainty 1.0: content the detector never
 fires on cannot be prioritized by this method, and treating blanks as
@@ -61,8 +62,7 @@ def semantic_certainty(instance_set: InstanceSet, kappa: int) -> float:
 def spatial_certainty(instance_set: InstanceSet) -> float:
     """Mean IoU between each member box and the set's mean box."""
     center = instance_set.mean_box
-    boxes = instance_set.batch.box_records
-    return sum(iou(center, boxes[row]) for row in instance_set.rows) / instance_set.size
+    return sum(iou(center, box) for box in instance_set.boxes) / instance_set.size
 
 
 def occurrence_certainty(instance_set: InstanceSet, n: int) -> float:

@@ -32,10 +32,12 @@ Detections travel as columns. ``load_image_passes``, the one detections
 reader, decodes a file line by line into one ``DetectionBatch`` (through flat
 ``array("d")`` buffers, so the file's JSON is never held at once); its numeric
 rules are whole-array screens whose flagged rows the rule functions judge.
-``ImagePasses`` and ``grouping.InstanceSet`` hold rows of a batch, and their
-``passes`` and ``members`` are record views, built only when read. A pass
-holds at most ``MAX_DETECTIONS_PER_IMAGE`` detections, which bounds grouping's
-memory.
+Boxes live only in the batch's (D, 4) corner column: NMS and grouping gather
+an image's corners as plain lists, once per image, and build no box record.
+``ImagePasses`` holds an image's rows in one order, the canonical one, and
+``grouping.InstanceSet`` its members' rows; their ``passes`` and ``members``
+are record views, built only when read. A pass holds at most
+``MAX_DETECTIONS_PER_IMAGE`` detections, which bounds grouping's memory.
 
 Score vectors cover the foreground categories only, each score lies in
 [0, 1], and they must sum to 1 within ``SCORE_SUM_TOLERANCE``; invalid sums
@@ -52,7 +54,7 @@ from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, chain, pairwise, repeat
+from itertools import accumulate, chain, pairwise
 from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Container, Iterable, Mapping, Sequence
@@ -118,11 +120,6 @@ class DetectionBatch:
     pass_index: np.ndarray
 
     @cached_property
-    def box_records(self) -> list[BoundingBox]:
-        """Each row's box as a record, built on first read (straight from its corner list, as ``_make`` would)."""
-        return list(map(tuple.__new__, repeat(BoundingBox), self.boxes.tolist()))
-
-    @cached_property
     def entropies(self) -> list[float]:
         """Each row's Shannon entropy, -sum(s * math.log(s)) over its positive scores, in score order."""
         flat = self.scores.ravel()
@@ -135,41 +132,30 @@ class DetectionBatch:
 
     def detections(self, rows: Sequence[int]) -> list[Detection]:
         """The records of ``rows``."""
-        boxes = self.box_records
-        return [Detection(boxes[r], tuple(s)) for r, s in zip(rows, self.scores[list(rows)].tolist())]
+        rows = list(rows)
+        return [Detection(BoundingBox._make(b), tuple(s))
+                for b, s in zip(self.boxes[rows].tolist(), self.scores[rows].tolist())]
 
 
 class ImagePasses:
     """All detections for one image, grouped per Monte-Carlo forward pass, as rows of a batch.
 
-    ``rows`` holds the image's batch rows pass after pass, each pass in the
-    order its detections were read or given; ``ranked`` holds the same rows in
-    canonical order within each pass: descending max score, then the box
-    corners, then that order. Pass p is ``rows[bounds[p]:bounds[p + 1]]``,
-    and likewise in ``ranked``. ``passes`` is the record view, built when it
-    is first read; images compare by their records.
+    ``rows`` holds the image's batch rows pass after pass, each pass in
+    canonical order: descending max score, then the box corners, then the
+    order its detections were read or given. Pass p is
+    ``rows[bounds[p]:bounds[p + 1]]``. ``passes`` is the record view, built
+    when it is first read.
     """
 
     def __init__(self, image_id: str, width: int, height: int, batch: DetectionBatch,
-                 rows: np.ndarray, ranked: np.ndarray, bounds: tuple[int, ...]):
+                 rows: np.ndarray, bounds: tuple[int, ...]):
         self.image_id, self.width, self.height = image_id, width, height
-        self.batch, self.rows, self.ranked, self.bounds = batch, rows, ranked, bounds
+        self.batch, self.rows, self.bounds = batch, rows, bounds
 
     @cached_property
     def passes(self) -> tuple[tuple[Detection, ...], ...]:
         dets = self.batch.detections(self.rows.tolist())
         return tuple(tuple(dets[start:stop]) for start, stop in pairwise(self.bounds))
-
-    def _key(self) -> tuple:
-        return self.image_id, self.width, self.height, self.passes
-
-    def __eq__(self, other) -> bool:
-        return type(other) is ImagePasses and self._key() == other._key()
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return f"ImagePasses{self._key()!r}"
 
 
 def _image_views(
@@ -178,17 +164,17 @@ def _image_views(
     """``ImagePasses`` over consecutive rows of ``batch``, one per (image_id, width, height, pass counts).
 
     ``pass_key`` numbers each row's pass, increasing from pass to pass and
-    image to image, so one ``lexsort`` ranks every pass of the batch.
+    image to image, so one ``lexsort`` puts every pass of the batch in
+    canonical order.
     """
     x_min, y_min, x_max, y_max = batch.boxes.T
     ranked = np.lexsort((y_max, x_max, y_min, x_min, -batch.max_scores, pass_key))
-    rows = np.arange(len(ranked))
     views = []
     start = 0
     for image_id, width, height, counts in images:
         bounds = tuple(accumulate(counts, initial=0))
         stop = start + bounds[-1]
-        views.append(ImagePasses(image_id, width, height, batch, rows[start:stop], ranked[start:stop], bounds))
+        views.append(ImagePasses(image_id, width, height, batch, ranked[start:stop], bounds))
         start = stop
     return views
 
@@ -539,44 +525,42 @@ def save_image_passes(images: Sequence[ImagePasses], path: str | Path) -> None:
     _save_jsonl(map(record, images), path)
 
 
-def _nms(rows: list[int], boxes: Sequence[BoundingBox], nms_iou: float) -> list[int]:
-    """Greedy NMS over ``rows`` in order: a row is kept iff its IoU with every kept row is below ``nms_iou``."""
+def _nms(positions: range, boxes: list[list[float]], nms_iou: float) -> list[int]:
+    """Greedy NMS over ``positions`` in ``boxes``: one is kept iff its IoU with every kept one is below ``nms_iou``."""
     kept: list[int] = []
-    for row in rows:
-        box = boxes[row]
+    for i in positions:
+        box = boxes[i]
         if all(iou(box, boxes[k]) < nms_iou for k in kept):
-            kept.append(row)
+            kept.append(i)
     return kept
 
 
 def apply_thresholds(img: ImagePasses, confidence: float = 0.5, nms_iou: float = 0.3) -> ImagePasses:
     """Per pass: drop detections with max score below ``confidence``, then greedy NMS.
 
-    NMS visits detections in canonical order (``ImagePasses.ranked``) and
+    NMS visits detections in canonical order (``ImagePasses.rows``) and
     keeps one iff its IoU with every already-kept detection is below
     ``nms_iou``; kept detections stay in that visiting order. The confidence
-    cut is one array test over the image, and NMS runs only on the passes
-    that keep two or more detections. The pass count is unchanged and the
-    operation is idempotent. Both thresholds lie in [0, 1], which
-    ``RunConfig`` checks.
+    cut is one array test over the image. When a pass keeps two or more
+    detections, the image's corners are gathered as lists once, NMS walks
+    positions in them, and the survivors' rows come from one index. The pass
+    count is unchanged and the operation is idempotent. Both thresholds lie
+    in [0, 1], which ``RunConfig`` checks.
     """
     batch = img.batch
-    kept, bounds = img.ranked, img.bounds
+    kept, bounds = img.rows, img.bounds
     confident = batch.max_scores[kept] >= confidence
     if not confident.all():
         kept = kept[confident]
         bounds = tuple(np.concatenate(([0], np.cumsum(confident)))[list(bounds)].tolist())
-    rows = kept.tolist()
-    passes = [rows[start:stop] for start, stop in pairwise(bounds)]
-    suppressed = False
-    for p, survivors in enumerate(passes):
-        if len(survivors) > 1:
-            passes[p] = _nms(survivors, batch.box_records, nms_iou)
-            suppressed |= len(passes[p]) < len(survivors)
-    if suppressed:
-        kept = np.array([row for survivors in passes for row in survivors], dtype=np.intp)
-        bounds = tuple(accumulate(map(len, passes), initial=0))
-    return ImagePasses(img.image_id, img.width, img.height, batch, kept, kept, bounds)
+    spans = [range(start, stop) for start, stop in pairwise(bounds)]
+    if any(len(span) > 1 for span in spans):
+        boxes = batch.boxes[kept].tolist()
+        passes = [_nms(span, boxes, nms_iou) for span in spans]
+        if sum(map(len, passes)) < len(kept):
+            kept = kept[list(chain.from_iterable(passes))]
+            bounds = tuple(accumulate(map(len, passes), initial=0))
+    return ImagePasses(img.image_id, img.width, img.height, batch, kept, bounds)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ coordinates, so areas are exact products and no pixel rasterization is involved.
 also an (N, 4) array of corners: the readers in ``data_io`` check the box
 rules (four finite coordinates, positive area) on every box that comes from a
 file, and the boxes the package builds itself are trusted. All operations are
-pure and check nothing.
+pure and check nothing. ``iou`` and ``mean_box`` take any four corners, a
+record or a plain list such as a row of a batch's corner column.
 
 ``iou_matrix`` is the numpy form of ``iou`` over every pair of two box lists.
 It performs the same float operations in the same order, so each entry equals
@@ -28,22 +29,20 @@ class BoundingBox(NamedTuple):
     x_max: float
     y_max: float
 
-    @property
-    def area(self) -> float:
-        return (self.x_max - self.x_min) * (self.y_max - self.y_min)
-
     def as_tuple(self) -> tuple[float, float, float, float]:
         return tuple(self)
 
 
-def iou(a: BoundingBox, b: BoundingBox) -> float:
-    """Intersection-over-union of two boxes, in [0, 1]."""
-    ix = min(a.x_max, b.x_max) - max(a.x_min, b.x_min)
-    iy = min(a.y_max, b.y_max) - max(a.y_min, b.y_min)
+def iou(a: Sequence[float], b: Sequence[float]) -> float:
+    """Intersection-over-union of two boxes, each four corners (x_min, y_min, x_max, y_max), in [0, 1]."""
+    ax0, ay0, ax1, ay1 = a
+    bx0, by0, bx1, by1 = b
+    ix = min(ax1, bx1) - max(ax0, bx0)
+    iy = min(ay1, by1) - max(ay0, by0)
     if ix <= 0.0 or iy <= 0.0:
         return 0.0
     inter = ix * iy
-    union = a.area + b.area - inter
+    union = (ax1 - ax0) * (ay1 - ay0) + (bx1 - bx0) * (by1 - by0) - inter
     return inter / union
 
 
@@ -77,7 +76,7 @@ def iou_matrix(a: Sequence[BoundingBox] | np.ndarray, b: Sequence[BoundingBox] |
     return np.divide(inter, union, out=np.zeros(inter.shape), where=overlap)
 
 
-def mean_box(boxes: Sequence[BoundingBox]) -> BoundingBox:
+def mean_box(boxes: Sequence[Sequence[float]]) -> BoundingBox:
     """Coordinate-wise arithmetic mean of a nonempty sequence of boxes, each sum taken in box order."""
     k = len(boxes)
     return BoundingBox(*(sum(corner) / k for corner in zip(*boxes)))

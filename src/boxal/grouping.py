@@ -15,11 +15,12 @@ set ever holds more than one member per pass (so set sizes never exceed n).
 A set that gains a member is closed for the rest of the pass, so each open
 set's max-member IoU with the pass's detections is fixed when the pass
 begins. Grouping reads these values from one ``geometry.iou_matrix`` over all
-the image's detections, taken from its batch in ``ImagePasses.ranked`` order
+the image's detections, taken from its batch in ``ImagePasses.rows`` order
 (pass order, canonical order within a pass), so nothing is re-sorted and no
 box record is built: each set keeps the running maximum of its members'
 matrix rows, and a pass reads only its block of those rows. The matrix holds
 the same floats as ``iou``, so the sets are those of scalar ``iou`` calls.
+The same corners, turned into lists once, give each set its members' boxes.
 Memory grows with the square of the image's detection count D, because the
 matrix, the sets' rows and the kernel's temporaries are D x D float64: the
 peak is about 25 * D**2 bytes. The detections reader allows at most
@@ -42,13 +43,14 @@ from .geometry import BoundingBox
 class InstanceSet:
     """Detections across passes attributed to one physical object, as rows of a batch.
 
-    ``rows`` holds the members' batch rows in pass order; ``group_passes``
+    ``rows`` holds the members' batch rows in pass order and ``boxes`` their
+    corners, as lists of four floats in the same order; ``group_passes``
     makes every set. ``members`` is the record view, (pass index, detection)
-    pairs built when it is first read, and sets compare by their records.
+    pairs built when it is first read.
     """
 
-    def __init__(self, batch: DetectionBatch, rows: tuple[int, ...]):
-        self.batch, self.rows = batch, rows
+    def __init__(self, batch: DetectionBatch, rows: tuple[int, ...], boxes: list[list[float]]):
+        self.batch, self.rows, self.boxes = batch, rows, boxes
 
     @property
     def size(self) -> int:
@@ -62,25 +64,15 @@ class InstanceSet:
     @cached_property
     def mean_box(self) -> BoundingBox:
         """The members' mean box, computed once and read by spatial certainty and consolidation."""
-        boxes = self.batch.box_records
-        return geometry.mean_box([boxes[r] for r in self.rows])
-
-    def __eq__(self, other) -> bool:
-        return type(other) is InstanceSet and self.members == other.members
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return f"InstanceSet(members={self.members!r})"
+        return geometry.mean_box(self.boxes)
 
 
 def group_passes(img: ImagePasses, match_iou: float = 0.5) -> list[InstanceSet]:
     """Partition an image's detections into instance sets, in creation order."""
-    ranked = img.ranked
-    boxes = img.batch.boxes[ranked]
+    boxes = img.batch.boxes[img.rows]
     pairwise_iou = geometry.iou_matrix(boxes, boxes)
     set_iou = np.empty_like(pairwise_iou)  # row s: the max of set s's members' rows of pairwise_iou
-    sets: list[list[int]] = []  # each set's members, as positions in ranked
+    sets: list[list[int]] = []  # each set's members, as positions in img.rows
     for start, stop in pairwise(img.bounds):
         if not sets:  # the first pass with detections seeds a set with each
             set_iou[: stop - start] = pairwise_iou[start:stop]
@@ -96,5 +88,6 @@ def group_passes(img: ImagePasses, match_iou: float = 0.5) -> list[InstanceSet]:
             else:
                 set_iou[len(sets)] = pairwise_iou[k]
                 sets.append([k])
-    rows = ranked.tolist()
-    return [InstanceSet(img.batch, tuple(rows[k] for k in members)) for members in sets]
+    rows, corners = img.rows.tolist(), boxes.tolist()
+    return [InstanceSet(img.batch, tuple(rows[k] for k in members), [corners[k] for k in members])
+            for members in sets]

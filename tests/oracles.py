@@ -3,7 +3,8 @@
 These deliberately avoid reusing the library's internals beyond the plain
 data types, so that agreement between the two is meaningful. The builders
 ``image_passes`` and ``instance_set`` put records into a batch, as the
-readers do, for tests that state their detections as records.
+readers do, for tests that state their detections as records, and
+``image_key`` is what tests compare images by.
 """
 
 from __future__ import annotations
@@ -46,7 +47,12 @@ def image_passes(image_id: str, width: int, height: int, passes) -> ImagePasses:
 def instance_set(members) -> InstanceSet:
     """The set of the (pass index, detection record) pairs ``members``, in their order."""
     batch = _batch([d for _, d in members], [p for p, _ in members])
-    return InstanceSet(batch, tuple(range(len(members))))
+    return InstanceSet(batch, tuple(range(len(members))), batch.boxes.tolist())
+
+
+def image_key(img: ImagePasses) -> tuple:
+    """An image's id, size and detection records: two images that hold the same detections have the same key."""
+    return img.image_id, img.width, img.height, img.passes
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,13 @@
 """``scripts/bench_compare.py`` writes its report when a workload has no pair both sides measured,
-and refuses two checkouts that hold different benchmark code."""
+refuses two checkouts that hold different benchmark code, and leaves no benchmark running when stopped."""
 
 import importlib.util
+import json
+import os
+import signal
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -78,3 +84,52 @@ def test_same_benchmark_code_with_different_bytecode_is_one_benchmark(tmp_path):
     parent = checkout(tmp_path / "parent", {**BENCH_FILES, "bench/__pycache__/run.pyc": "a"})
     change = checkout(tmp_path / "change", {**BENCH_FILES, "bench/__pycache__/run.pyc": "b"})
     assert load_script()._benchmark_difference(parent, change) is None
+
+
+def _running(pid: int) -> bool:
+    """Whether process ``pid`` exists and has not exited; an exited child waits as a zombie until reaped."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as fh:
+            return fh.read().rpartition(")")[2].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+# bench/run.py starts a repetition and waits for it, as a long benchmark run does; the two pids go in a file
+SLEEPER = """import os, subprocess, sys
+child = subprocess.Popen([sys.executable, "-c", "import time; time.sleep(30)"])
+with open({part!r}, "w") as fh:
+    fh.write(f"{{os.getpid()}} {{child.pid}}")
+os.replace({part!r}, {pids!r})
+child.wait()
+"""
+
+
+@pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGINT], ids=["SIGTERM", "SIGINT"])
+def test_a_stopped_comparison_ends_the_benchmark_it_runs(tmp_path, signum):
+    pid_file = tmp_path / "run.pids"
+    spec = {"run_seconds": 1, "workloads": [{"name": "steady"}], "end_to_end": []}
+    files = {"BENCHMARK.json": json.dumps(spec),
+             "bench/run.py": SLEEPER.format(part=str(tmp_path / "run.part"), pids=str(pid_file))}
+    parent, change = checkout(tmp_path / "parent", files), checkout(tmp_path / "change", files)
+    out = tmp_path / "BENCH.json"
+    script = subprocess.Popen([sys.executable, str(SCRIPT), "--parent", str(parent), "--change", str(change),
+                               "--out", str(out)], stderr=subprocess.DEVNULL)
+    pids = []
+    try:
+        deadline = time.monotonic() + 30.0
+        while not pid_file.is_file() and time.monotonic() < deadline:
+            time.sleep(0.05)
+        pids = [int(pid) for pid in pid_file.read_text().split()]
+        script.send_signal(signum)
+        assert script.wait(timeout=10.0) != 0
+        deadline = time.monotonic() + 5.0
+        while any(map(_running, pids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(_running, pids))
+        assert not out.exists()
+    finally:
+        script.kill()
+        script.wait()
+        for pid in filter(_running, pids):
+            os.kill(pid, signal.SIGKILL)

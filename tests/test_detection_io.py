@@ -23,7 +23,7 @@ from boxal.data_io import (
 from boxal.errors import FormatError, ValidationError
 from boxal.geometry import BoundingBox, iou
 
-from oracles import image_passes, random_passes
+from oracles import image_key, image_passes, random_passes
 
 
 def det(x0, y0, x1, y1, scores):
@@ -116,7 +116,28 @@ class TestDetectionsFile:
         images = [random_passes(rng, image_id=f"img_{i}") for i in range(8)]
         p = tmp_path / "d.jsonl"
         save_image_passes(images, p)
-        assert load_image_passes(p) == images
+        assert list(map(image_key, load_image_passes(p))) == list(map(image_key, images))
+
+    def test_passes_out_of_canonical_order_load_and_save_in_it(self, tmp_path):
+        # canonical order within a pass: descending max score, then the box corners
+        low = {"bbox": [0.0, 0.0, 10.0, 10.0], "scores": [0.6, 0.4]}
+        high = {"bbox": [2.0, 0.0, 9.0, 10.0], "scores": [0.1, 0.9]}
+        right = {"bbox": [5.0, 1.0, 9.0, 4.0], "scores": [0.7, 0.3]}
+        left = {"bbox": [1.0, 5.0, 4.0, 9.0], "scores": [0.3, 0.7]}  # the same max score as right
+        shuffled = {"image_id": "a", "width": 50, "height": 50, "passes": [[low, high], [right, left]]}
+        ordered = {"image_id": "b", "width": 50, "height": 50, "passes": [[high, low], []]}
+        p, out = tmp_path / "d.jsonl", tmp_path / "saved.jsonl"
+        p.write_text(json.dumps(shuffled) + "\n" + json.dumps(ordered) + "\n")
+        a, b = load_image_passes(p)
+        assert a.rows.tolist() == [1, 0, 3, 2] and b.rows.tolist() == [4, 5]
+        assert [[d.box for d in dets] for dets in a.passes] == [
+            [BoundingBox(2.0, 0.0, 9.0, 10.0), BoundingBox(0.0, 0.0, 10.0, 10.0)],
+            [BoundingBox(1.0, 5.0, 4.0, 9.0), BoundingBox(5.0, 1.0, 9.0, 4.0)],
+        ]
+        save_image_passes([a, b], out)
+        assert [json.loads(line) for line in out.read_text().splitlines()] == [
+            dict(shuffled, passes=[[high, low], [left, right]]), ordered
+        ]
 
     def test_minimal_record(self, tmp_path):
         p = tmp_path / "d.jsonl"
@@ -267,7 +288,7 @@ class TestApplyThresholds:
     def test_no_op_when_nothing_filtered(self):
         img = image_passes("a", 100, 100, ((det(0, 0, 10, 10, (0.9, 0.1)),),
                                            (det(50, 50, 60, 60, (0.6, 0.4)),)))
-        assert apply_thresholds(img, 0.5, 0.3) == img
+        assert image_key(apply_thresholds(img, 0.5, 0.3)) == image_key(img)
 
     def test_low_confidence_removed(self):
         img = image_passes("a", 100, 100, ((det(0, 0, 10, 10, (0.4, 0.6 / 2, 0.3)),),))
@@ -290,7 +311,7 @@ class TestApplyThresholds:
         confidence = conf10 / 10.0
         nms_iou = nms10 / 10.0
         once = apply_thresholds(img, confidence, nms_iou)
-        assert apply_thresholds(once, confidence, nms_iou) == once
+        assert image_key(apply_thresholds(once, confidence, nms_iou)) == image_key(once)
         assert len(once.passes) == len(img.passes)
         for pass_dets in once.passes:
             for d in pass_dets:

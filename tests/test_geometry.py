@@ -51,7 +51,6 @@ class TestBoundingBox:
 
     def test_valid_box(self):
         b = box(0, 0, 10, 10)
-        assert b.area == 100.0
         assert b.as_tuple() == (0.0, 0.0, 10.0, 10.0)
 
     @pytest.mark.parametrize("coords", [(0, 0, 0, 10), (0, 0, 10, 0), (5, 5, 4, 10), (2, 3, 2, 5)])
@@ -120,7 +119,10 @@ NESTED = [box(0, 0, 40, 40), box(10, 10, 20, 20), box(12, 11, 13, 19), box(0, 0,
 
 
 class TestIoUMatrix:
-    """``iou_matrix`` is pinned to the scalar ``iou``: every entry equal, no floating-point warning."""
+    """``iou_matrix`` is pinned to the scalar ``iou``: every entry equal, no floating-point warning.
+
+    ``iou`` reads records and plain corner lists alike, to the same bits.
+    """
 
     @staticmethod
     def assert_pinned(a, b):
@@ -130,7 +132,7 @@ class TestIoUMatrix:
         assert got.dtype == np.float64
         for i, x in enumerate(a):
             for j, y in enumerate(b):
-                assert got[i, j] == iou(x, y), (i, j, x, y)
+                assert got[i, j] == iou(x, y) == iou(list(x), list(y)), (i, j, x, y)
 
     @settings(max_examples=200)
     @given(st.lists(boxes() | float_boxes(), max_size=9), st.lists(boxes() | float_boxes(), max_size=9))

@@ -32,6 +32,8 @@ from boxal.simulator import (
     train_update,
 )
 
+from oracles import image_key
+
 
 def hand_world(difficulty, objects, kappa=2):
     """A world whose images, the keys of ``difficulty``, all hold ``objects``."""
@@ -143,7 +145,7 @@ class TestSimulatePasses:
         skill = SkillState.fresh(3)
         a = simulate_passes(world, skill, image_id, n=6, pass_seed=77)
         b = simulate_passes(world, skill, image_id, n=6, pass_seed=77)
-        assert a == b
+        assert image_key(a) == image_key(b)
 
     def test_different_pass_seeds_differ(self):
         world = generate_world(seed=4, image_count=5, kappa=3)
@@ -153,7 +155,7 @@ class TestSimulatePasses:
         )
         a = simulate_passes(world, skill, image_id, n=6, pass_seed=77)
         b = simulate_passes(world, skill, image_id, n=6, pass_seed=78)
-        assert a != b
+        assert image_key(a) != image_key(b)
 
     def test_high_skill_zero_difficulty_converges_to_ground_truth(self):
         # e_c = 10^6 >> k and d = 0: detections collapse onto the gt boxes
@@ -286,8 +288,8 @@ class TestPassStates:
         skill, image_id = SkillState.fresh(3), sorted(world.gt)[0]
         states = pass_states(5, [image_id], 6)[0]
         reversed_view = states[::-1]  # not contiguous: its rows are read through a copy
-        assert simulate_passes(world, skill, image_id, 6, 5, states=reversed_view) == simulate_passes(
-            world, skill, image_id, 6, 5, states=states[::-1].copy()
+        assert image_key(simulate_passes(world, skill, image_id, 6, 5, states=reversed_view)) == image_key(
+            simulate_passes(world, skill, image_id, 6, 5, states=states[::-1].copy())
         )
         for bad in (states[:5], states[:, :2], states.reshape(3, 8), states[None]):
             with pytest.raises(ValidationError, match=r"shape \(6, 4\)"):
