@@ -13,10 +13,11 @@ quartiles and the pairs the change won (ties count for neither side). Then
 it makes ``TRACED`` alternating pairs of traced runs (seed 0) for the
 per-layer metrics, and times ``test_criterion_6`` in each checkout as often.
 Every finished run is appended to ``<out>.runs.jsonl`` as it ends, so an
-interrupted comparison keeps what it measured. Each child runs in a session
-of its own; on ``SIGTERM`` or ``SIGINT`` the script kills the running child's
-process group, waits for it and exits with status 1, so no benchmark is
-left running.
+interrupted comparison keeps what it measured; the script refuses to start
+when that file exists, so one comparison's runs never mix with another's.
+Each child runs in a session of its own; on ``SIGTERM`` or ``SIGINT`` the
+script kills the running child's process group, waits for it and exits with
+status 1, so no benchmark is left running.
 """
 
 from __future__ import annotations
@@ -149,9 +150,12 @@ def main(argv=None) -> int:
     if differing is not None:
         print(f"error: the checkouts hold different benchmark code: {differing} differs", file=sys.stderr)
         return 2
+    log = args.out.with_name(args.out.name + ".runs.jsonl")
+    if log.exists():  # its runs would mix with this comparison's, while the report holds only these
+        print(f"error: {log} exists; move it away or choose another --out", file=sys.stderr)
+        return 2
     spec = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
-    log = args.out.with_name(args.out.name + ".runs.jsonl")
 
     runs = []
 

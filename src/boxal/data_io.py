@@ -159,20 +159,24 @@ class ImagePasses:
 
 
 def _image_views(
-    batch: DetectionBatch, pass_key: np.ndarray, images: Iterable[tuple[str, int, int, Sequence[int]]]
+    boxes: np.ndarray, scores: np.ndarray, images: Sequence[tuple[str, int, int, Sequence[int]]]
 ) -> list[ImagePasses]:
-    """``ImagePasses`` over consecutive rows of ``batch``, one per (image_id, width, height, pass counts).
+    """One batch of the rows ``boxes`` and ``scores``, as ``ImagePasses`` over consecutive rows.
 
-    ``pass_key`` numbers each row's pass, increasing from pass to pass and
-    image to image, so one ``lexsort`` puts every pass of the batch in
-    canonical order.
+    ``images`` holds each image's (image_id, width, height, detections per
+    pass), in row order. Each pass of the batch gets an ordinal, so one
+    ``lexsort`` puts every pass in canonical order.
     """
-    x_min, y_min, x_max, y_max = batch.boxes.T
-    ranked = np.lexsort((y_max, x_max, y_min, x_min, -batch.max_scores, pass_key))
+    counts = np.fromiter(chain.from_iterable(image[3] for image in images), np.intp)
+    pass_numbers = np.fromiter(chain.from_iterable(range(len(image[3])) for image in images), np.intp)
+    batch = DetectionBatch(boxes, scores, scores.max(axis=1, initial=0.0), np.repeat(pass_numbers, counts))
+    ordinal = np.repeat(np.arange(len(counts)), counts)
+    x_min, y_min, x_max, y_max = boxes.T
+    ranked = np.lexsort((y_max, x_max, y_min, x_min, -batch.max_scores, ordinal))
     views = []
     start = 0
-    for image_id, width, height, counts in images:
-        bounds = tuple(accumulate(counts, initial=0))
+    for image_id, width, height, pass_counts in images:
+        bounds = tuple(accumulate(pass_counts, initial=0))
         stop = start + bounds[-1]
         views.append(ImagePasses(image_id, width, height, batch, ranked[start:stop], bounds))
         start = stop
@@ -500,13 +504,7 @@ def load_image_passes(
     if not images:
         return []
     box_cols, score_cols = _checked_rows(path, boxes, scores, kappa, images)
-    counts = np.fromiter(chain.from_iterable(image[4] for image in images), np.intp)  # detections per pass
-    pass_numbers = np.fromiter(chain.from_iterable(range(len(image[4])) for image in images), np.intp)
-    pass_index = np.repeat(pass_numbers, counts)
-    batch = DetectionBatch(box_cols, score_cols, score_cols.max(axis=1, initial=0.0), pass_index)
-    # each pass of the file gets an ordinal, so one lexsort ranks them all
-    ordinal = np.repeat(np.arange(len(counts)), counts)
-    return _image_views(batch, ordinal, [image[1:5] for image in images])
+    return _image_views(box_cols, score_cols, [image[1:5] for image in images])
 
 
 def save_image_passes(images: Sequence[ImagePasses], path: str | Path) -> None:

@@ -22,6 +22,7 @@ row, keyed by ``LOG_COLUMNS``), ``f1_sampled`` (rank order) and
 from __future__ import annotations
 
 import csv
+import fcntl
 import json
 import os
 import re
@@ -271,45 +272,38 @@ def _write_id_file(ids: Sequence[str], path: Path) -> None:
     _atomic_write("".join(image_id + "\n" for image_id in ids), path)
 
 
-def _lock_is_stale(lock_path: Path) -> bool:
-    """True when the lock names a process of this host that is no longer running."""
-    try:
-        pid, _, host = lock_path.read_text(encoding="utf-8").strip().partition(" ")
-        if host == socket.gethostname():
-            os.kill(int(pid), 0)
-    except ProcessLookupError:
-        return True
-    except (OSError, ValueError):  # removed, still being written, or alive under another user
-        pass
-    return False
-
-
 @contextmanager
 def run_lock(run_dir: Path):
-    """Exclusive ownership of a run directory via an O_EXCL lock file holding ``<pid> <host>``.
+    """Exclusive ownership of a run directory: a non-blocking ``flock`` on ``RUNDIR/LOCK``.
 
-    A lock left by a dead process of this host is replaced, so a rerun after a kill
-    resumes; two processes replacing the same dead lock at once can both succeed.
+    The kernel releases the lock when its owner exits or is killed, so nothing
+    is ever judged stale. While held, LOCK holds ``<pid> <host>``; on release it
+    is emptied, not unlinked, since a process that opened the unlinked file and
+    one that creates a new LOCK could both own the run. POSIX only.
     """
     lock_path = run_dir / "LOCK"
-    for attempt in range(2):
-        try:
-            fd = os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-            break
-        except FileExistsError:
-            if attempt or not _lock_is_stale(lock_path):
-                raise BoxalError(f"run directory is locked by another process: {lock_path}") from None
-            lock_path.unlink(missing_ok=True)
-        except FileNotFoundError:
-            raise BoxalError(f"{run_dir}: no such run directory") from None
-        except NotADirectoryError:
-            raise BoxalError(f"{run_dir}: not a directory") from None
     try:
-        os.write(fd, f"{os.getpid()} {socket.gethostname()}\n".encode())
+        fd = os.open(lock_path, os.O_CREAT | os.O_RDWR)
+    except FileNotFoundError:
+        raise BoxalError(f"{run_dir}: no such run directory") from None
+    except NotADirectoryError:
+        raise BoxalError(f"{run_dir}: not a directory") from None
+    except OSError as exc:
+        raise BoxalError(f"{lock_path}: cannot lock: {exc.strerror or exc}") from None
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+    except OSError as exc:
         os.close(fd)
+        if isinstance(exc, BlockingIOError):
+            raise BoxalError(f"run directory is locked by another process: {lock_path}") from None
+        raise BoxalError(f"{lock_path}: cannot lock: {exc.strerror or exc}") from None
+    try:
+        os.ftruncate(fd, 0)  # a killed owner's text may be longer than ours
+        os.write(fd, f"{os.getpid()} {socket.gethostname()}\n".encode())
         yield
     finally:
-        lock_path.unlink(missing_ok=True)
+        os.ftruncate(fd, 0)
+        os.close(fd)  # closing the only descriptor releases the lock
 
 
 def _log_event(run_dir: Path, message: str) -> None:

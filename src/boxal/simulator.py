@@ -43,7 +43,6 @@ from .data_io import (
     _NUMBER_TYPES,
     CategoryCatalog,
     DatasetManifest,
-    DetectionBatch,
     GroundTruthImage,
     ImagePasses,
     _field,
@@ -373,9 +372,8 @@ def simulate_passes(
         det_boxes = np.concatenate([det_boxes, fp_boxes])[order]
         det_scores = np.concatenate([det_scores, fp_scores])[order]
 
-    batch = DetectionBatch(det_boxes, det_scores, det_scores.max(axis=1, initial=0.0), det_pass)
     counts = np.bincount(det_pass, minlength=n).tolist()
-    (raw,) = _image_views(batch, det_pass, [(image_id, width, height, counts)])
+    (raw,) = _image_views(det_boxes, det_scores, [(image_id, width, height, counts)])
     return apply_thresholds(raw, confidence, nms_iou)
 
 

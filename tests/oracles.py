@@ -23,30 +23,25 @@ from boxal.grouping import InstanceSet
 # records into batches
 
 
-def _batch(detections, pass_index) -> DetectionBatch:
-    """One batch row per detection record, in order."""
+def _columns(detections) -> tuple[np.ndarray, np.ndarray]:
+    """The (D, 4) corners and (D, κ) scores of the detection records, one row each, in order."""
     kappa = len(detections[0].scores) if detections else 0
-    scores = np.array([d.scores for d in detections], dtype=np.float64).reshape(len(detections), kappa)
-    return DetectionBatch(
-        np.array([d.box for d in detections], dtype=np.float64).reshape(-1, 4),
-        scores,
-        scores.max(axis=1, initial=0.0),
-        np.array(pass_index, dtype=np.intp),
-    )
+    boxes = np.array([d.box for d in detections], dtype=np.float64).reshape(-1, 4)
+    return boxes, np.array([d.scores for d in detections], dtype=np.float64).reshape(len(detections), kappa)
 
 
 def image_passes(image_id: str, width: int, height: int, passes) -> ImagePasses:
     """The image whose passes hold the detection records ``passes``."""
-    counts = [len(dets) for dets in passes]
-    pass_index = np.repeat(np.arange(len(passes)), counts)
-    batch = _batch([d for dets in passes for d in dets], pass_index)
-    (img,) = _image_views(batch, pass_index, [(image_id, width, height, counts)])
+    boxes, scores = _columns([d for dets in passes for d in dets])
+    (img,) = _image_views(boxes, scores, [(image_id, width, height, [len(dets) for dets in passes])])
     return img
 
 
 def instance_set(members) -> InstanceSet:
     """The set of the (pass index, detection record) pairs ``members``, in their order."""
-    batch = _batch([d for _, d in members], [p for p, _ in members])
+    boxes, scores = _columns([d for _, d in members])
+    pass_index = np.array([p for p, _ in members], dtype=np.intp)
+    batch = DetectionBatch(boxes, scores, scores.max(axis=1, initial=0.0), pass_index)
     return InstanceSet(batch, tuple(range(len(members))), batch.boxes.tolist())
 
 

@@ -1,5 +1,6 @@
 """``scripts/bench_compare.py`` writes its report when a workload has no pair both sides measured,
-refuses two checkouts that hold different benchmark code, and leaves no benchmark running when stopped."""
+refuses two checkouts that hold different benchmark code or a runs file that already exists, and leaves
+no benchmark running when stopped."""
 
 import importlib.util
 import json
@@ -78,6 +79,20 @@ def test_checkouts_with_different_benchmark_code_are_refused(tmp_path, capsys, c
     assert load_script().main(["--parent", str(parent), "--change", str(change), "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: the checkouts hold different benchmark code: {name} differs\n"
     assert sorted(tmp_path.iterdir()) == [change, parent]  # no report and no runs file
+
+
+def test_an_existing_runs_file_is_refused_before_any_run(tmp_path, capsys):
+    marker = tmp_path / "ran"  # left by bench/run.py if it runs
+    spec = {"run_seconds": 1, "workloads": [{"name": "steady"}], "end_to_end": []}
+    files = {"BENCHMARK.json": json.dumps(spec), "bench/run.py": f"open({str(marker)!r}, 'w').close()"}
+    parent, change = checkout(tmp_path / "parent", files), checkout(tmp_path / "change", files)
+    out = tmp_path / "BENCH.json"
+    log = tmp_path / "BENCH.json.runs.jsonl"
+    log.write_text('{"kind": "untraced"}\n')
+    assert load_script().main(["--parent", str(parent), "--change", str(change), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {log} exists; move it away or choose another --out\n"
+    assert log.read_text() == '{"kind": "untraced"}\n'
+    assert not marker.exists() and not out.exists()
 
 
 def test_same_benchmark_code_with_different_bytecode_is_one_benchmark(tmp_path):

@@ -1,6 +1,11 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -147,6 +152,34 @@ class TestInitIterateLoop:
         assert run_cli("simulate-run", "--out", split, *flags, "--iterations", 1) == 0
         assert run_cli("loop", "--run", split, "--iterations", 2) == 0
         assert (split / "log.csv").read_bytes() == (whole / "log.csv").read_bytes()
+
+    def test_a_killed_iterate_resumes_to_the_same_report(self, tmp_path):
+        # a file-adapter iterate waits on its first detection request; SIGKILLed there, it leaves
+        # nothing that blocks the rerun, and the rerun reports what an unbroken loop does
+        (tmp_path / "whole").mkdir()
+        (tmp_path / "killed").mkdir()
+        whole = init_simulated(tmp_path / "whole", "--iterations", 2)
+        killed = init_simulated(tmp_path / "killed", "--iterations", 2)
+        assert run_cli("loop", "--run", whole) == 0
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        iterate = [sys.executable, "-m", "boxal.cli", "iterate", "--run", str(killed),
+                   "--adapter", "file", "--adapter-timeout", "60"]
+        waiter = subprocess.Popen(iterate, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+                                  start_new_session=True)
+        try:
+            deadline = time.monotonic() + 30.0
+            while not (killed / "requests" / "iter_0_pool.json").exists():
+                assert waiter.poll() is None and time.monotonic() < deadline
+                time.sleep(0.02)
+            second = subprocess.run(iterate, env=env, capture_output=True, text=True)
+            assert second.returncode == 2 and "locked" in second.stderr
+            waiter.kill()
+            waiter.wait()
+            assert run_cli("loop", "--run", killed) == 0
+        finally:
+            waiter.kill()
+            waiter.wait()
+        assert (killed / "log.csv").read_bytes() == (whole / "log.csv").read_bytes()
 
     def test_missing_world_is_reported(self, tmp_path, capsys):
         world = generate_world(seed=2, image_count=30, kappa=3,

@@ -1,4 +1,6 @@
 import csv
+import errno
+import fcntl
 import json
 import os
 import re
@@ -444,6 +446,16 @@ class TestCrashResume:
         assert not (run_dir / "samples").exists()
 
 
+# holds the run lock on the directory argv[1] until killed
+LOCK_HOLDER = """import sys, time
+from pathlib import Path
+from boxal.orchestrator import run_lock
+with run_lock(Path(sys.argv[1])):
+    print("locked", flush=True)
+    time.sleep(60)
+"""
+
+
 class TestRunLock:
     def test_lock_is_exclusive(self, tmp_path):
         run_dir = tmp_path
@@ -455,23 +467,51 @@ class TestRunLock:
         with run_lock(run_dir):
             pass
 
+    def test_a_killed_owner_releases_the_lock(self, tmp_path):
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        holder = subprocess.Popen([sys.executable, "-c", LOCK_HOLDER, str(tmp_path)],
+                                  stdout=subprocess.PIPE, text=True, env=env)
+        try:
+            assert holder.stdout.readline() == "locked\n"
+            assert (tmp_path / "LOCK").read_text() == f"{holder.pid} {socket.gethostname()}\n"
+            with pytest.raises(BoxalError, match="locked by another process"):
+                with run_lock(tmp_path):
+                    pass
+            holder.kill()
+            holder.wait()
+            with run_lock(tmp_path):  # nothing cleaned up in between
+                assert (tmp_path / "LOCK").read_text() == f"{os.getpid()} {socket.gethostname()}\n"
+        finally:
+            holder.kill()
+            holder.wait()
+            holder.stdout.close()
+
     def test_dead_owner_is_replaced(self, tmp_path):
         (tmp_path / "LOCK").write_text(f"{dead_pid()} {socket.gethostname()}\n")
         with run_lock(tmp_path):
             assert (tmp_path / "LOCK").read_text() == f"{os.getpid()} {socket.gethostname()}\n"
-        assert not (tmp_path / "LOCK").exists()
+        assert (tmp_path / "LOCK").read_text() == ""  # emptied on release, not unlinked
 
+    # only the kernel lock counts: the text a killed owner left behind, whatever it says, does not block
     @pytest.mark.parametrize("owner", [
-        f"{os.getpid()} {socket.gethostname()}",  # alive on this host
-        f"{os.getpid()} not-{socket.gethostname()}",  # another host: cannot be checked
-        "",  # still being written
+        f"{os.getpid()} {socket.gethostname()}",  # a reused pid: in a restarted container, PID 1 is ours
+        f"{os.getpid()} not-{socket.gethostname()}",  # another host, and longer than our text
+        "",  # killed before its text was written
     ], ids=lambda owner: owner.replace(str(os.getpid()), "pid").replace(socket.gethostname(), "host"))
-    def test_live_or_unknown_owner_blocks(self, tmp_path, owner):
+    def test_leftover_owner_text_does_not_block(self, tmp_path, owner):
         (tmp_path / "LOCK").write_text(owner)
-        with pytest.raises(BoxalError, match="locked"):
+        with run_lock(tmp_path):
+            assert (tmp_path / "LOCK").read_text() == f"{os.getpid()} {socket.gethostname()}\n"
+        assert (tmp_path / "LOCK").read_text() == ""
+
+    def test_a_file_system_without_locks_is_named(self, tmp_path, monkeypatch):
+        def no_locks(fd, operation):
+            raise OSError(errno.ENOLCK, os.strerror(errno.ENOLCK))
+
+        monkeypatch.setattr(fcntl, "flock", no_locks)
+        with pytest.raises(BoxalError, match=re.escape(f"{tmp_path / 'LOCK'}: cannot lock: ")):
             with run_lock(tmp_path):
                 pass
-        assert (tmp_path / "LOCK").read_text() == owner
 
 
 class TestFileWaitAdapter:
