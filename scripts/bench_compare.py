@@ -165,7 +165,9 @@ def main(argv=None) -> int:
             fh.write(json.dumps(entry) + "\n")
         print(json.dumps(entry)[:300], file=sys.stderr, flush=True)
 
-    on_sigterm = signal.signal(signal.SIGTERM, signal.default_int_handler)  # SIGTERM stops it as SIGINT does
+    # both signals raise KeyboardInterrupt, SIGINT too when it was started ignored, as a background job is
+    previous = {signum: signal.signal(signum, signal.default_int_handler)
+                for signum in (signal.SIGTERM, signal.SIGINT)}
     try:
         for workload in (w["name"] for w in spec["workloads"]):
             for pair in range(PAIRS):
@@ -184,7 +186,8 @@ def main(argv=None) -> int:
         print(f"stopped; the {len(runs)} finished runs are in {log}", file=sys.stderr)
         return 1
     finally:
-        signal.signal(signal.SIGTERM, on_sigterm)
+        for signum, handler in previous.items():
+            signal.signal(signum, handler)
 
     args.out.write_text(json.dumps(report(runs, spec), indent=1) + "\n", encoding="utf-8")
     return 0

@@ -7,10 +7,13 @@ Each detection's entropy is computed once, for its whole batch, by
 ``DetectionBatch.entropies``: ``math.log`` of each positive score, summed left
 to right.
 Spatial certainty is the mean IoU between each member box and the set's mean
-box, both read from the corner lists that grouping hands each set. Occurrence
-certainty is the fraction of passes that contributed a member. The combined
-certainty is the product of the three, and an image is summarized by the
-minimum combined certainty over its instance sets.
+box. Occurrence certainty is the fraction of passes that contributed a
+member. The combined certainty is the product of the three, and an image is
+summarized by the minimum combined certainty over its instance sets.
+
+The first ``image_certainty`` call on a set scores all the sets of its
+request (its ``grouping.SetColumns``) for that ``kappa`` and n, as array
+expressions; each call reads its own sets' scores.
 
 Images with no instance sets get certainty 1.0: content the detector never
 fires on cannot be prioritized by this method, and treating blanks as
@@ -23,8 +26,11 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .geometry import iou
-from .grouping import InstanceSet
+import numpy as np
+
+from .data_io import _row_sums
+from .geometry import iou_matrix
+from .grouping import InstanceSet, SetColumns
 
 
 @dataclass(frozen=True)
@@ -49,39 +55,30 @@ class ImageCertainty:
         return self.min_triple.c_h
 
 
-def semantic_certainty(instance_set: InstanceSet, kappa: int) -> float:
-    """Mean over members of 1 - H(scores)/log(kappa); the readers ensure kappa >= 2 scores each."""
-    h_max = math.log(kappa)
-    entropies = instance_set.batch.entropies
-    total = 0.0
-    for row in instance_set.rows:
-        total += 1.0 - entropies[row] / h_max
-    return total / instance_set.size
-
-
-def spatial_certainty(instance_set: InstanceSet) -> float:
-    """Mean IoU between each member box and the set's mean box."""
-    center = instance_set.mean_box
-    return sum(iou(center, box) for box in instance_set.boxes) / instance_set.size
-
-
-def occurrence_certainty(instance_set: InstanceSet, n: int) -> float:
-    """Fraction of the n passes represented in the set (grouping puts at most one member per pass)."""
-    return instance_set.size / n
+def _certainties(sets: SetColumns, kappa: int, n: int) -> tuple[list[float], np.ndarray]:
+    """Every set's c_h, as a list, and its (c_sem, c_spa, c_occ) row, computed once per ``kappa`` and n."""
+    key = ("certainty", kappa, n)
+    if key not in sets.results:
+        c_sem, c_spa = np.empty(len(sets.sizes)), np.empty(len(sets.sizes))
+        for part, terms in sets.gathered(1.0 - sets.batch.entropies / math.log(kappa)):
+            c_sem[part] = _row_sums(terms) / sets.sizes[part]
+        for part, boxes in sets.gathered(sets.batch.boxes):  # a padding slot's all-zero box has IoU 0.0
+            c_spa[part] = _row_sums(iou_matrix(sets.mean_boxes[part, None], boxes)[:, 0]) / sets.sizes[part]
+        c_occ = sets.sizes / n
+        sets.results[key] = ((c_sem * c_spa * c_occ).tolist(), np.stack((c_sem, c_spa, c_occ), axis=1))
+    return sets.results[key]
 
 
 def set_certainty(instance_set: InstanceSet, kappa: int, n: int) -> CertaintyTriple:
-    return CertaintyTriple(
-        c_sem=semantic_certainty(instance_set, kappa),
-        c_spa=spatial_certainty(instance_set),
-        c_occ=occurrence_certainty(instance_set, n),
-    )
+    """The set's three factors; the readers ensure kappa >= 2 scores per detection."""
+    return CertaintyTriple(*_certainties(instance_set.sets, kappa, n)[1][instance_set.index].tolist())
 
 
 def image_certainty(
     image_id: str, sets: Sequence[InstanceSet], kappa: int, n: int
 ) -> ImageCertainty:
-    """Reduce an image's instance sets to the per-image minimum certainty."""
-    scored = (set_certainty(s, kappa, n) for s in sets)
-    min_triple = min(scored, key=lambda t: t.c_h, default=CertaintyTriple(1.0, 1.0, 1.0))
-    return ImageCertainty(image_id, len(sets), min_triple)
+    """Reduce an image's instance sets to the per-image minimum certainty, that of the first set achieving it."""
+    if not sets:
+        return ImageCertainty(image_id, 0, CertaintyTriple(1.0, 1.0, 1.0))
+    c_h = [_certainties(s.sets, kappa, n)[0][s.index] for s in sets]
+    return ImageCertainty(image_id, len(sets), set_certainty(sets[c_h.index(min(c_h))], kappa, n))

@@ -32,12 +32,11 @@ Detections travel as columns. ``load_image_passes``, the one detections
 reader, decodes a file line by line into one ``DetectionBatch`` (through flat
 ``array("d")`` buffers, so the file's JSON is never held at once); its numeric
 rules are whole-array screens whose flagged rows the rule functions judge.
-Boxes live only in the batch's (D, 4) corner column: NMS and grouping gather
-an image's corners as plain lists, once per image, and build no box record.
-``ImagePasses`` holds an image's rows in one order, the canonical one, and
-``grouping.InstanceSet`` its members' rows; their ``passes`` and ``members``
-are record views, built only when read. A pass holds at most
-``MAX_DETECTIONS_PER_IMAGE`` detections, which bounds grouping's memory.
+A file's images are one ``Request``, the unit of work of thresholding,
+grouping, certainty and consolidation: the first call on any of its images
+computes every image's share and keeps it on the request. An ``ImagePasses``
+is a view of one image, its rows in canonical order; its ``passes`` and a
+set's ``members`` are record views, built only when read.
 
 Score vectors cover the foreground categories only, each score lies in
 [0, 1], and they must sum to 1 within ``SCORE_SUM_TOLERANCE``; invalid sums
@@ -52,7 +51,7 @@ import math
 from array import array
 from bisect import bisect_right
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, chain, pairwise
 from operator import itemgetter
@@ -66,7 +65,7 @@ from .geometry import BoundingBox, iou
 
 SCORE_SUM_TOLERANCE = 1e-6
 # the most detections a pass of an image may hold, and the most predictions per image that
-# mAP and F1 score (COCO's maxDets); grouping's memory is quadratic in an image's detections
+# mAP and F1 score (COCO's maxDets); grouping's memory is at most quadratic in an image's detections
 MAX_DETECTIONS_PER_IMAGE = 100
 PARTITIONS = ("initial_training", "pool", "validation", "test")
 
@@ -98,10 +97,10 @@ class Detection:
 
 
 def _row_sums(columns: np.ndarray) -> np.ndarray:
-    """Each row's sum, added left to right from 0.0 as Python's ``sum`` adds floats."""
-    if columns.shape[1] == 0:
-        return np.zeros(len(columns))
-    return np.cumsum(columns, axis=1)[:, -1] + 0.0  # + 0.0 turns a -0.0 sum into sum's 0.0
+    """Each row's sum along the last axis, added left to right from 0.0 as Python's ``sum`` adds floats."""
+    if columns.shape[-1] == 0:
+        return np.zeros(columns.shape[:-1])
+    return np.cumsum(columns, axis=-1)[..., -1] + 0.0  # + 0.0 turns a -0.0 sum into sum's 0.0
 
 
 @dataclass(eq=False)
@@ -120,7 +119,7 @@ class DetectionBatch:
     pass_index: np.ndarray
 
     @cached_property
-    def entropies(self) -> list[float]:
+    def entropies(self) -> np.ndarray:
         """Each row's Shannon entropy, -sum(s * math.log(s)) over its positive scores, in score order."""
         flat = self.scores.ravel()
         positive = flat > 0.0
@@ -128,7 +127,7 @@ class DetectionBatch:
         # a memoryview hands math.log one float at a time, so no list of every score is built
         logs[positive] = np.fromiter(map(math.log, memoryview(flat[positive])), np.float64)
         # a zero score adds a zero term, which leaves every left-to-right sum as it was
-        return (-_row_sums((flat * logs).reshape(self.scores.shape))).tolist()
+        return -_row_sums((flat * logs).reshape(self.scores.shape))
 
     def detections(self, rows: Sequence[int]) -> list[Detection]:
         """The records of ``rows``."""
@@ -137,20 +136,34 @@ class DetectionBatch:
                 for b, s in zip(self.boxes[rows].tolist(), self.scores[rows].tolist())]
 
 
+@dataclass(eq=False)
+class Request:
+    """The images of one detections file, or one image built alone: image i's (image_id, width, height),
+    batch rows and pass bounds are ``headers[i]``, ``rows[i]`` and ``bounds[i]``. ``results`` keeps what is
+    computed once for all images, keyed by computation and parameters. A request holds no view, so its last
+    view's end frees it and its batch."""
+
+    batch: DetectionBatch
+    headers: list[tuple[str, int, int]]
+    rows: list[np.ndarray]
+    bounds: list[tuple[int, ...]]
+    results: dict = field(default_factory=dict)
+
+
 class ImagePasses:
     """All detections for one image, grouped per Monte-Carlo forward pass, as rows of a batch.
 
-    ``rows`` holds the image's batch rows pass after pass, each pass in
-    canonical order: descending max score, then the box corners, then the
-    order its detections were read or given. Pass p is
-    ``rows[bounds[p]:bounds[p + 1]]``. ``passes`` is the record view, built
+    An image is image ``index`` of ``request``. ``rows`` holds its batch rows
+    pass after pass, each pass in canonical order: descending max score, then
+    the box corners, then the order its detections were read or given. Pass p
+    is ``rows[bounds[p]:bounds[p + 1]]``. ``passes`` is the record view, built
     when it is first read.
     """
 
-    def __init__(self, image_id: str, width: int, height: int, batch: DetectionBatch,
-                 rows: np.ndarray, bounds: tuple[int, ...]):
-        self.image_id, self.width, self.height = image_id, width, height
-        self.batch, self.rows, self.bounds = batch, rows, bounds
+    def __init__(self, request: Request, index: int):
+        self.request, self.index, self.batch = request, index, request.batch
+        self.image_id, self.width, self.height = request.headers[index]
+        self.rows, self.bounds = request.rows[index], request.bounds[index]
 
     @cached_property
     def passes(self) -> tuple[tuple[Detection, ...], ...]:
@@ -161,7 +174,7 @@ class ImagePasses:
 def _image_views(
     boxes: np.ndarray, scores: np.ndarray, images: Sequence[tuple[str, int, int, Sequence[int]]]
 ) -> list[ImagePasses]:
-    """One batch of the rows ``boxes`` and ``scores``, as ``ImagePasses`` over consecutive rows.
+    """One request's images, over one batch of the rows ``boxes`` and ``scores``, each over consecutive rows.
 
     ``images`` holds each image's (image_id, width, height, detections per
     pass), in row order. Each pass of the batch gets an ordinal, so one
@@ -173,14 +186,10 @@ def _image_views(
     ordinal = np.repeat(np.arange(len(counts)), counts)
     x_min, y_min, x_max, y_max = boxes.T
     ranked = np.lexsort((y_max, x_max, y_min, x_min, -batch.max_scores, ordinal))
-    views = []
-    start = 0
-    for image_id, width, height, pass_counts in images:
-        bounds = tuple(accumulate(pass_counts, initial=0))
-        stop = start + bounds[-1]
-        views.append(ImagePasses(image_id, width, height, batch, ranked[start:stop], bounds))
-        start = stop
-    return views
+    bounds = [tuple(accumulate(image[3], initial=0)) for image in images]
+    rows = [ranked[stop - b[-1]:stop] for b, stop in zip(bounds, accumulate(b[-1] for b in bounds))]
+    request = Request(batch, [image[:3] for image in images], rows, bounds)
+    return [ImagePasses(request, index) for index in range(len(images))]
 
 
 @dataclass(frozen=True)
@@ -533,20 +542,9 @@ def _nms(positions: range, boxes: list[list[float]], nms_iou: float) -> list[int
     return kept
 
 
-def apply_thresholds(img: ImagePasses, confidence: float = 0.5, nms_iou: float = 0.3) -> ImagePasses:
-    """Per pass: drop detections with max score below ``confidence``, then greedy NMS.
-
-    NMS visits detections in canonical order (``ImagePasses.rows``) and
-    keeps one iff its IoU with every already-kept detection is below
-    ``nms_iou``; kept detections stay in that visiting order. The confidence
-    cut is one array test over the image. When a pass keeps two or more
-    detections, the image's corners are gathered as lists once, NMS walks
-    positions in them, and the survivors' rows come from one index. The pass
-    count is unchanged and the operation is idempotent. Both thresholds lie
-    in [0, 1], which ``RunConfig`` checks.
-    """
-    batch = img.batch
-    kept, bounds = img.rows, img.bounds
+def _thresholded(batch: DetectionBatch, kept: np.ndarray, bounds: tuple[int, ...], confidence: float,
+                 nms_iou: float) -> tuple[np.ndarray, tuple[int, ...]]:
+    """An image's rows and pass bounds after the confidence cut and NMS of ``apply_thresholds``."""
     confident = batch.max_scores[kept] >= confidence
     if not confident.all():
         kept = kept[confident]
@@ -558,7 +556,28 @@ def apply_thresholds(img: ImagePasses, confidence: float = 0.5, nms_iou: float =
         if sum(map(len, passes)) < len(kept):
             kept = kept[list(chain.from_iterable(passes))]
             bounds = tuple(accumulate(map(len, passes), initial=0))
-    return ImagePasses(img.image_id, img.width, img.height, batch, kept, bounds)
+    return kept, bounds
+
+
+def apply_thresholds(img: ImagePasses, confidence: float = 0.5, nms_iou: float = 0.3) -> ImagePasses:
+    """Per pass: drop detections with max score below ``confidence``, then greedy NMS.
+
+    NMS visits detections in canonical order (``ImagePasses.rows``) and
+    keeps one iff its IoU with every already-kept detection is below
+    ``nms_iou``; kept detections stay in that visiting order. The confidence
+    cut is one array test over an image. When a pass keeps two or more
+    detections, the image's corners are gathered as lists once, NMS walks
+    positions in them, and the survivors' rows come from one index. The pass
+    count is unchanged and the operation is idempotent. Both thresholds lie
+    in [0, 1], which ``RunConfig`` checks. The first call on an image of a
+    request thresholds all its images, into one request kept for these
+    parameters; each call returns its image of it.
+    """
+    request, key = img.request, ("thresholds", confidence, nms_iou)
+    if key not in request.results:
+        images = [_thresholded(img.batch, *image, confidence, nms_iou) for image in zip(request.rows, request.bounds)]
+        request.results[key] = Request(img.batch, request.headers, *map(list, zip(*images)))
+    return ImagePasses(request.results[key], img.index)
 
 
 # ---------------------------------------------------------------------------

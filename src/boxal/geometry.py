@@ -1,4 +1,4 @@
-"""Axis-aligned bounding-box primitives: IoU, the pairwise IoU matrix, mean box and greedy matching.
+"""Axis-aligned bounding-box primitives: IoU, the IoU matrix and greedy matching.
 
 Boxes use the corner convention (x_min, y_min, x_max, y_max) with continuous
 coordinates, so areas are exact products and no pixel rasterization is involved.
@@ -6,14 +6,16 @@ coordinates, so areas are exact products and no pixel rasterization is involved.
 also an (N, 4) array of corners: the readers in ``data_io`` check the box
 rules (four finite coordinates, positive area) on every box that comes from a
 file, and the boxes the package builds itself are trusted. All operations are
-pure and check nothing. ``iou`` and ``mean_box`` take any four corners, a
-record or a plain list such as a row of a batch's corner column.
+pure and check nothing. ``iou`` takes any four corners, a record or a plain
+list such as a row of a batch's corner column.
 
-``iou_matrix`` is the numpy form of ``iou`` over every pair of two box lists.
-It performs the same float operations in the same order, so each entry equals
-the scalar ``iou`` bit for bit; ``tests/test_geometry.py::TestIoUMatrix`` pins
-this. Grouping reads one such matrix for each image. ``greedy_match`` is the
-one greedy assignment rule, which grouping and evaluation both use.
+``iou_matrix`` is the numpy form of ``iou`` over every pair of two box lists,
+or of two stacks of box lists. It performs the same float operations in the
+same order, so each entry equals the scalar ``iou`` bit for bit;
+``tests/test_geometry.py::TestIoUMatrix`` pins this. Grouping reads one row
+of it per detection, for a chunk of images at once, and spatial certainty
+one per instance set. ``greedy_match`` is the greedy assignment rule that
+evaluation matches with; grouping applies the same rule as an array step.
 """
 
 from __future__ import annotations
@@ -46,23 +48,27 @@ def iou(a: Sequence[float], b: Sequence[float]) -> float:
     return inter / union
 
 
-def _corner_rows(boxes: Sequence[BoundingBox] | np.ndarray) -> np.ndarray:
-    """A (4, N) array: the x_min, y_min, x_max and y_max of every box."""
-    return np.asarray(boxes, dtype=np.float64).reshape(-1, 4).T
+def _corners(boxes: Sequence[BoundingBox] | np.ndarray) -> np.ndarray:
+    """A (4, ..., N) array: the x_min, y_min, x_max and y_max of every box of a (..., N, 4) stack."""
+    corners = np.asarray(boxes, dtype=np.float64)
+    if corners.ndim < 2:  # an empty list holds no boxes
+        corners = corners.reshape(-1, 4)
+    return corners.transpose(-1, *range(corners.ndim - 1))
 
 
 def iou_matrix(a: Sequence[BoundingBox] | np.ndarray, b: Sequence[BoundingBox] | np.ndarray) -> np.ndarray:
-    """The (len(a), len(b)) float64 array whose [i, j] entry is ``iou(a[i], b[j])``, bit for bit.
+    """The (..., len(a), len(b)) float64 array whose [..., i, j] entry is ``iou(a[..., i], b[..., j])``, bit for bit.
 
-    ``a`` and ``b`` are box lists or (N, 4) corner arrays.
+    ``a`` and ``b`` are box lists or (..., N, 4) corner arrays whose leading
+    dimensions broadcast.
 
     The union is ``(area_a + area_b) - inter``, as in ``iou``, and pairs whose
     intersection has no positive width or height are 0.0 without being divided.
     """
-    cb = _corner_rows(b)
-    ca = cb if a is b else _corner_rows(a)
-    ax0, ay0, ax1, ay1 = ca[:, :, None]
-    bx0, by0, bx1, by1 = cb
+    cb = _corners(b)
+    ca = cb if a is b else _corners(a)
+    ax0, ay0, ax1, ay1 = ca[..., :, None]
+    bx0, by0, bx1, by1 = cb[..., None, :]
     # the intersection's width and height, nonpositive when the boxes do not overlap; the
     # arithmetic runs in place, so the largest images allocate few (len(a), len(b)) temporaries
     ix = np.minimum(ax1, bx1)
@@ -74,12 +80,6 @@ def iou_matrix(a: Sequence[BoundingBox] | np.ndarray, b: Sequence[BoundingBox] |
     union = np.add((ax1 - ax0) * (ay1 - ay0), (bx1 - bx0) * (by1 - by0), out=iy)
     union -= inter
     return np.divide(inter, union, out=np.zeros(inter.shape), where=overlap)
-
-
-def mean_box(boxes: Sequence[Sequence[float]]) -> BoundingBox:
-    """Coordinate-wise arithmetic mean of a nonempty sequence of boxes, each sum taken in box order."""
-    k = len(boxes)
-    return BoundingBox(*(sum(corner) / k for corner in zip(*boxes)))
 
 
 def greedy_match(rows: Iterable[Iterable[tuple[int, float]]], threshold: float) -> list[int]:

@@ -6,88 +6,155 @@ pass 1 each seed a set. For every later pass, detections are processed in
 canonical order (descending max score, then lexicographic box corners); a
 detection joins the existing set with the highest max-member IoU, provided
 that value reaches the match threshold and the set has not already received a
-member from the current pass. Ties go to the earliest-created set. This is
-``geometry.greedy_match``, the one greedy rule, which evaluation also matches
-with. Unmatched detections seed new sets, which are closed to further members
-from the same pass. Every detection therefore lands in exactly one set, and no
-set ever holds more than one member per pass (so set sizes never exceed n).
+member from the current pass. Ties go to the earliest-created set: the rule
+of ``geometry.greedy_match``. Unmatched detections seed new sets, closed to
+further members from the same pass, so a set has at most one member per pass.
 
-A set that gains a member is closed for the rest of the pass, so each open
-set's max-member IoU with the pass's detections is fixed when the pass
-begins. Grouping reads these values from one ``geometry.iou_matrix`` over all
-the image's detections, taken from its batch in ``ImagePasses.rows`` order
-(pass order, canonical order within a pass), so nothing is re-sorted and no
-box record is built: each set keeps the running maximum of its members'
-matrix rows, and a pass reads only its block of those rows. The matrix holds
-the same floats as ``iou``, so the sets are those of scalar ``iou`` calls.
-The same corners, turned into lists once, give each set its members' boxes.
-Memory grows with the square of the image's detection count D, because the
-matrix, the sets' rows and the kernel's temporaries are D x D float64: the
-peak is about 25 * D**2 bytes. The detections reader allows at most
-``MAX_DETECTIONS_PER_IMAGE`` (100) detections per pass, so D <= 100 * n and
-the peak is at most about 56 MB at n = 15.
+The first ``group_passes`` call on an image of a request (``data_io.Request``)
+groups all its images; each call returns its image's sets, views of the
+request's one ``SetColumns``. Images are sorted by detection count D and
+grouped in lockstep, B at a time with B * D_max <= ``CHUNK_ROWS``, keeping
+each set's running max of its members' IoUs with its image's detections,
+(B, S, D) float64 grown as sets appear. Step (pass, rank) takes that
+detection of every image that has one: it joins the first open set of
+highest value >= the match IoU (an ``argmax``, the rest masked to -inf) or
+seeds one, and its ``geometry.iou_matrix`` row raises its set's max, so the
+floats are those of scalar ``iou``. This takes at most 8 * D**2 bytes: 18 MB
+at the reader's cap of 1,500 detections (n = 15) if each seeds a set.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import pairwise
+from typing import Iterator
 
 import numpy as np
 
 from . import geometry
-from .data_io import Detection, DetectionBatch, ImagePasses
-from .geometry import BoundingBox
+from .data_io import Detection, DetectionBatch, ImagePasses, Request, _row_sums
+
+CHUNK_ROWS = 4096  # a grouping chunk's images times its largest detection count
+SET_ELEMENTS = 2**13  # the values of sets x n x width that a set kernel gathers at once (64 KB)
+
+
+class SetColumns:
+    """Instance sets as columns of one batch: set s holds ``rows[s, :sizes[s]]``, its members' rows in pass order.
+
+    ``results`` keeps what certainty and consolidation compute once for every set, keyed by computation and
+    parameters, on chunks of at most ``SET_ELEMENTS`` gathered values: each sum over a set's members is a
+    cumulative sum along the member axis, which adds left to right.
+    """
+
+    def __init__(self, batch: DetectionBatch, rows: np.ndarray, sizes: np.ndarray):
+        self.batch, self.rows, self.sizes = batch, rows, sizes
+        self.results: dict = {}
+
+    def gathered(self, column: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
+        """Chunks of sets: a slice, and its members' entries of a batch column, (s, n, ...) with 0.0 in the padding."""
+        step = max(1, SET_ELEMENTS // max(1, self.rows.shape[1] * column.size // max(1, len(column))))
+        for start in range(0, len(self.sizes), step):
+            part = slice(start, start + step)
+            values = column[self.rows[part]]
+            values[np.arange(self.rows.shape[1]) >= self.sizes[part, None]] = 0.0
+            yield part, values
+
+    @cached_property
+    def mean_boxes(self) -> np.ndarray:
+        """Each set's mean box, (S, 4): each corner summed over the members in order, then divided by the size."""
+        means = np.empty((len(self.sizes), 4))
+        for part, corners in self.gathered(self.batch.boxes):
+            means[part] = _row_sums(corners.transpose(0, 2, 1)) / self.sizes[part, None]
+        return means
 
 
 class InstanceSet:
-    """Detections across passes attributed to one physical object, as rows of a batch.
+    """Detections across passes attributed to one physical object: set ``index`` of ``sets``; ``members`` is
+    the record view, (pass index, detection) pairs."""
 
-    ``rows`` holds the members' batch rows in pass order and ``boxes`` their
-    corners, as lists of four floats in the same order; ``group_passes``
-    makes every set. ``members`` is the record view, (pass index, detection)
-    pairs built when it is first read.
-    """
+    __slots__ = ("sets", "index")
 
-    def __init__(self, batch: DetectionBatch, rows: tuple[int, ...], boxes: list[list[float]]):
-        self.batch, self.rows, self.boxes = batch, rows, boxes
+    def __init__(self, sets: SetColumns, index: int):
+        self.sets, self.index = sets, index
 
     @property
     def size(self) -> int:
-        return len(self.rows)
+        return int(self.sets.sizes[self.index])
 
-    @cached_property
+    @property
+    def rows(self) -> tuple[int, ...]:
+        return tuple(self.sets.rows[self.index, : self.size].tolist())
+
+    @property
     def members(self) -> tuple[tuple[int, Detection], ...]:
-        passes = self.batch.pass_index[list(self.rows)].tolist()
-        return tuple(zip(passes, self.batch.detections(self.rows)))
-
-    @cached_property
-    def mean_box(self) -> BoundingBox:
-        """The members' mean box, computed once and read by spatial certainty and consolidation."""
-        return geometry.mean_box(self.boxes)
+        batch, rows = self.sets.batch, list(self.rows)
+        return tuple(zip(batch.pass_index[rows].tolist(), batch.detections(rows)))
 
 
 def group_passes(img: ImagePasses, match_iou: float = 0.5) -> list[InstanceSet]:
     """Partition an image's detections into instance sets, in creation order."""
-    boxes = img.batch.boxes[img.rows]
-    pairwise_iou = geometry.iou_matrix(boxes, boxes)
-    set_iou = np.empty_like(pairwise_iou)  # row s: the max of set s's members' rows of pairwise_iou
-    sets: list[list[int]] = []  # each set's members, as positions in img.rows
-    for start, stop in pairwise(img.bounds):
-        if not sets:  # the first pass with detections seeds a set with each
-            set_iou[: stop - start] = pairwise_iou[start:stop]
-            sets.extend([k] for k in range(start, stop))
-            continue
-        # values[i][s]: the i-th detection's max-member IoU with set s, for the sets open to this pass
-        values = set_iou[: len(sets), start:stop].T.tolist()
-        matches = geometry.greedy_match(map(enumerate, values), match_iou)
-        for k, set_index in enumerate(matches, start):
-            if set_index >= 0:
-                sets[set_index].append(k)
-                np.maximum(set_iou[set_index], pairwise_iou[k], out=set_iou[set_index])
-            else:
-                set_iou[len(sets)] = pairwise_iou[k]
-                sets.append([k])
-    rows, corners = img.rows.tolist(), boxes.tolist()
-    return [InstanceSet(img.batch, tuple(rows[k] for k in members), [corners[k] for k in members])
-            for members in sets]
+    key = ("sets", match_iou)
+    if key not in img.request.results:
+        img.request.results[key] = _group_request(img.request, match_iou)
+    sets, firsts = img.request.results[key]
+    return [InstanceSet(sets, s) for s in range(firsts[img.index], firsts[img.index + 1])]
+
+
+def _best_open(values: np.ndarray, open_sets: np.ndarray, match_iou: float) -> np.ndarray:
+    """Each row's first open column of highest value >= ``match_iou``, or -1: ``greedy_match``'s choice."""
+    candidates = np.where(open_sets & (values >= match_iou), values, -np.inf)
+    return np.where(candidates.max(axis=1) > -np.inf, candidates.argmax(axis=1), -1)  # argmax: the first max
+
+
+def _group_chunk(request: Request, images: list[int], match_iou: float) -> tuple[np.ndarray, ...]:
+    """Each image's set count, and its batch rows, (B, D) padded with row 0, their sets and which are real."""
+    passes = max(len(request.bounds[i]) for i in images) - 1
+    edges = np.array([b + b[-1:] * (passes + 1 - len(b)) for b in (request.bounds[i] for i in images)])
+    starts, per_pass = edges[:, :-1], np.diff(edges, axis=1)
+    real = np.arange(edges[:, -1].max()) < edges[:, -1, None]
+    rows = np.zeros(real.shape, np.intp)
+    rows[real] = np.concatenate([request.rows[i] for i in images])
+    boxes = request.batch.boxes[rows]
+    owner = np.zeros(real.shape, np.intp)  # each detection's set in its image
+    set_count = np.zeros(len(images), np.intp)
+    set_iou = np.zeros((len(images), max(1, per_pass.max()), real.shape[1]))
+    for p in range(passes):
+        open_sets = np.arange(set_iou.shape[1]) < set_count[:, None]  # made before the pass
+        for rank in range(per_pass[:, p].max()):
+            live = np.flatnonzero(per_pass[:, p] > rank)
+            if set_count[live].max() == set_iou.shape[1]:  # a live image may seed a set past the last: grow
+                more = ((0, 0), (0, min(set_iou.shape[1], real.shape[1] - set_iou.shape[1])))
+                set_iou, open_sets = np.pad(set_iou, (*more, (0, 0))), np.pad(open_sets, more)
+            k = starts[live, p] + rank
+            best = _best_open(set_iou[live, :, k], open_sets[live], match_iou)
+            matched = best >= 0
+            target = np.where(matched, best, set_count[live])
+            set_count[live] += ~matched
+            open_sets[live, target] = False
+            owner[live, k] = target
+            iou_rows = geometry.iou_matrix(boxes[live, k, None], boxes[live])[:, 0]
+            set_iou[live, target] = np.maximum(set_iou[live, target], iou_rows)
+    return set_count, rows, owner, real
+
+
+def _group_request(request: Request, match_iou: float) -> tuple[SetColumns, list[int]]:
+    """Every image's sets as one ``SetColumns``, in image order, and the index of each image's first set."""
+    sizes = [len(rows) for rows in request.rows]
+    chunks = [[]]
+    for image in sorted(filter(sizes.__getitem__, range(len(sizes))), key=sizes.__getitem__):
+        if chunks[-1] and (len(chunks[-1]) + 1) * sizes[image] > CHUNK_ROWS:  # B * D_max would not fit
+            chunks.append([])
+        chunks[-1].append(image)
+    grouped = [(images, *_group_chunk(request, images, match_iou)) for images in filter(None, chunks)]
+    set_counts = np.zeros(len(sizes), np.intp)
+    for images, count, *_ in grouped:
+        set_counts[images] = count
+    firsts = np.concatenate(([0], np.cumsum(set_counts)))
+    # each detection's set and row, in rows order within an image; a stable sort keeps that order in each set
+    set_of = np.concatenate([(firsts[images, None] + owner)[real] for images, _, _, owner, real in grouped] or [[]])
+    member_rows = np.concatenate([rows[real] for _, _, rows, _, real in grouped] or [[]])
+    order = np.argsort(set_of, kind="stable")
+    set_of = set_of[order].astype(np.intp)
+    set_sizes = np.bincount(set_of, minlength=firsts[-1])
+    members = np.zeros((firsts[-1], set_sizes.max(initial=0)), np.intp)
+    members[set_of, np.arange(len(set_of)) - (np.cumsum(set_sizes) - set_sizes)[set_of]] = member_rows[order]
+    return SetColumns(request.batch, members, set_sizes), firsts.tolist()

@@ -2,8 +2,8 @@
 
 These deliberately avoid reusing the library's internals beyond the plain
 data types, so that agreement between the two is meaningful. The builders
-``image_passes`` and ``instance_set`` put records into a batch, as the
-readers do, for tests that state their detections as records, and
+``request_of``, ``image_passes`` and ``instance_set`` put records into a
+batch, as the readers do, for tests that state their detections as records, and
 ``image_key`` is what tests compare images by.
 """
 
@@ -16,7 +16,7 @@ import numpy as np
 from boxal.data_io import CategoryCatalog, Detection, DetectionBatch, GroundTruthImage, ImagePasses, _image_views
 from boxal.evaluation import FinalPrediction
 from boxal.geometry import BoundingBox
-from boxal.grouping import InstanceSet
+from boxal.grouping import InstanceSet, SetColumns
 
 
 # ---------------------------------------------------------------------------
@@ -30,24 +30,39 @@ def _columns(detections) -> tuple[np.ndarray, np.ndarray]:
     return boxes, np.array([d.scores for d in detections], dtype=np.float64).reshape(len(detections), kappa)
 
 
+def request_of(images) -> list[ImagePasses]:
+    """The images of one request, from (image_id, width, height, passes of detection records) tuples."""
+    boxes, scores = _columns([d for *_, passes in images for dets in passes for d in dets])
+    return _image_views(boxes, scores, [(*header, [len(dets) for dets in passes]) for *header, passes in images])
+
+
 def image_passes(image_id: str, width: int, height: int, passes) -> ImagePasses:
-    """The image whose passes hold the detection records ``passes``."""
-    boxes, scores = _columns([d for dets in passes for d in dets])
-    (img,) = _image_views(boxes, scores, [(image_id, width, height, [len(dets) for dets in passes])])
+    """The image whose passes hold the detection records ``passes``, alone in its request."""
+    (img,) = request_of([(image_id, width, height, passes)])
     return img
 
 
 def instance_set(members) -> InstanceSet:
-    """The set of the (pass index, detection record) pairs ``members``, in their order."""
+    """The set of the (pass index, detection record) pairs ``members``, in their order, alone in its columns."""
     boxes, scores = _columns([d for _, d in members])
     pass_index = np.array([p for p, _ in members], dtype=np.intp)
     batch = DetectionBatch(boxes, scores, scores.max(axis=1, initial=0.0), pass_index)
-    return InstanceSet(batch, tuple(range(len(members))), batch.boxes.tolist())
+    return InstanceSet(SetColumns(batch, np.arange(len(members))[None], np.array([len(members)])), 0)
 
 
 def image_key(img: ImagePasses) -> tuple:
     """An image's id, size and detection records: two images that hold the same detections have the same key."""
     return img.image_id, img.width, img.height, img.passes
+
+
+# ---------------------------------------------------------------------------
+# the scalar mean box
+
+
+def mean_box(boxes) -> BoundingBox:
+    """Coordinate-wise arithmetic mean of a nonempty sequence of boxes, each sum taken in box order."""
+    k = len(boxes)
+    return BoundingBox(*(sum(corner) / k for corner in zip(*boxes)))
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from boxal.certainty import image_certainty, semantic_certainty
+from boxal.certainty import image_certainty, set_certainty
 from boxal.cli import main as cli_main
 from boxal.data_io import Detection
 from boxal.evaluation import FinalPrediction, coco_map, regularized_incomplete_beta, ttest_two_sided
@@ -46,7 +46,7 @@ def test_criterion_2_certainty_math_under_one_second():
         return Detection(BoundingBox(*(float(c) for c in box)), tuple(scores))
 
     def single(scores, kappa):
-        return semantic_certainty(instance_set(((0, det(scores)),)), kappa)
+        return set_certainty(instance_set(((0, det(scores)),)), kappa, 1).c_sem
 
     # semantic certainty examples
     assert single((1.0, 0.0, 0.0), 3) == pytest.approx(1.0, abs=1e-9)
@@ -58,18 +58,18 @@ def test_criterion_2_certainty_math_under_one_second():
     assert single((0.9, 0.1), 2) == pytest.approx(0.531004, abs=1e-5)
 
     # spatial / occurrence / combined / image examples
-    from boxal.certainty import CertaintyTriple, occurrence_certainty, spatial_certainty
+    from boxal.certainty import CertaintyTriple
     from boxal.sampling import rank
 
     pair = instance_set(
         ((0, det((1.0, 0.0), (0, 0, 10, 10))), (1, det((1.0, 0.0), (2, 0, 12, 10))))
     )
-    assert spatial_certainty(pair) == pytest.approx(90.0 / 110.0, abs=1e-9)
+    assert set_certainty(pair, 2, 15).c_spa == pytest.approx(90.0 / 110.0, abs=1e-9)
     solo = instance_set(((0, det((1.0, 0.0))),))
-    assert spatial_certainty(solo) == pytest.approx(1.0, abs=1e-9)
+    assert set_certainty(solo, 2, 15).c_spa == pytest.approx(1.0, abs=1e-9)
     fifteen = instance_set(tuple((p, det((1.0, 0.0))) for p in range(15)))
-    assert occurrence_certainty(fifteen, 15) == pytest.approx(1.0, abs=1e-9)
-    assert occurrence_certainty(solo, 15) == pytest.approx(1.0 / 15.0, abs=1e-9)
+    assert set_certainty(fifteen, 2, 15).c_occ == pytest.approx(1.0, abs=1e-9)
+    assert set_certainty(solo, 2, 15).c_occ == pytest.approx(1.0 / 15.0, abs=1e-9)
     assert CertaintyTriple(0.5, 0.8, 0.2).c_h == pytest.approx(0.08, abs=1e-9)
 
     blank = image_passes("blank", 10, 10, ((), ()))

@@ -120,16 +120,25 @@ child.wait()
 """
 
 
-@pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGINT], ids=["SIGTERM", "SIGINT"])
-def test_a_stopped_comparison_ends_the_benchmark_it_runs(tmp_path, signum):
+# starts the script with SIGINT ignored, as a shell starts a background job; exec keeps the disposition
+IGNORING_SIGINT = ("import os, signal, sys; signal.signal(signal.SIGINT, signal.SIG_IGN); "
+                   "os.execv(sys.executable, sys.argv[1:])")
+
+
+@pytest.mark.parametrize("signum, ignored",
+                         [(signal.SIGTERM, False), (signal.SIGINT, False), (signal.SIGINT, True)],
+                         ids=["SIGTERM", "SIGINT", "SIGINT-ignored-at-start"])
+def test_a_stopped_comparison_ends_the_benchmark_it_runs(tmp_path, signum, ignored):
     pid_file = tmp_path / "run.pids"
     spec = {"run_seconds": 1, "workloads": [{"name": "steady"}], "end_to_end": []}
     files = {"BENCHMARK.json": json.dumps(spec),
              "bench/run.py": SLEEPER.format(part=str(tmp_path / "run.part"), pids=str(pid_file))}
     parent, change = checkout(tmp_path / "parent", files), checkout(tmp_path / "change", files)
     out = tmp_path / "BENCH.json"
-    script = subprocess.Popen([sys.executable, str(SCRIPT), "--parent", str(parent), "--change", str(change),
-                               "--out", str(out)], stderr=subprocess.DEVNULL)
+    cmd = [sys.executable, str(SCRIPT), "--parent", str(parent), "--change", str(change), "--out", str(out)]
+    if ignored:
+        cmd = [sys.executable, "-c", IGNORING_SIGINT, *cmd]
+    script = subprocess.Popen(cmd, stderr=subprocess.DEVNULL)
     pids = []
     try:
         deadline = time.monotonic() + 30.0

@@ -3,14 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from boxal.certainty import (
-    CertaintyTriple,
-    image_certainty,
-    occurrence_certainty,
-    semantic_certainty,
-    set_certainty,
-    spatial_certainty,
-)
+from boxal.certainty import CertaintyTriple, image_certainty, set_certainty
 from boxal.data_io import Detection
 from boxal.geometry import BoundingBox
 from boxal.grouping import group_passes
@@ -29,6 +22,18 @@ def det(x0, y0, x1, y1, scores):
 
 def make_set(*members):
     return instance_set(members)
+
+
+def semantic_certainty(s, kappa):
+    return set_certainty(s, kappa, s.size).c_sem
+
+
+def spatial_certainty(s):
+    return set_certainty(s, 2, s.size).c_spa
+
+
+def occurrence_certainty(s, n):
+    return set_certainty(s, 2, n).c_occ
 
 
 def certainty_of(img, kappa, n):

@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 
 from boxal.data_io import Detection, apply_thresholds, load_ground_truth, load_image_passes
 from boxal.errors import ValidationError
-from boxal.geometry import BoundingBox, greedy_match, iou, iou_matrix, mean_box
+from boxal.geometry import BoundingBox, greedy_match, iou, iou_matrix
 
-from oracles import brute_force_nms, image_passes, rasterized_iou
+from oracles import brute_force_nms, image_passes, instance_set, rasterized_iou
+from oracles import mean_box as scalar_mean_box
 
 
 def box(*coords):
@@ -151,6 +152,12 @@ class TestIoUMatrix:
         self.assert_pinned(a, a)
 
 
+def mean_box(boxes):
+    """The mean box that the set columns compute for one set whose members have ``boxes``."""
+    members = instance_set([(p, Detection(b, (1.0, 0.0))) for p, b in enumerate(boxes)])
+    return BoundingBox._make(members.sets.mean_boxes[0].tolist())
+
+
 class TestMeanBox:
     def test_single(self):
         b = box(1, 2, 3, 4)
@@ -167,6 +174,10 @@ class TestMeanBox:
     @given(boxes(), st.integers(min_value=1, max_value=8))
     def test_mean_of_copies_is_identity(self, b, k):
         assert mean_box([b] * k) == b
+
+    @given(st.lists(boxes() | float_boxes(), min_size=1, max_size=15))
+    def test_equals_the_scalar_mean_box(self, bs):
+        assert mean_box(bs) == scalar_mean_box(bs)
 
 
 class TestGreedyMatch:

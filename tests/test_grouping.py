@@ -1,11 +1,18 @@
+import gc
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 
-from boxal.data_io import Detection
-from boxal.geometry import BoundingBox, iou
+from boxal import grouping
+from boxal.certainty import image_certainty
+from boxal.data_io import Detection, apply_thresholds, load_image_passes, save_image_passes
+from boxal.evaluation import consolidate
+from boxal.geometry import BoundingBox, greedy_match, iou
 from boxal.grouping import group_passes
 
-from oracles import brute_force_grouping, image_passes, random_passes
+from oracles import brute_force_grouping, image_passes, random_passes, request_of
 
 
 def det(x0, y0, x1, y1, scores=(1.0, 0.0)):
@@ -99,3 +106,132 @@ class TestInvariants:
         rng = np.random.Generator(np.random.PCG64(99))
         img = random_passes(rng)
         assert [s.members for s in group_passes(img)] == [s.members for s in group_passes(img)]
+
+
+def random_request(rng, images):
+    """A request of ``images`` random images of 1 to 5 passes and 0 to 25 detections per pass.
+
+    Every seventh image has an empty first pass, and every fifth holds no detection at all.
+    """
+    specs = []
+    for i in range(images):
+        img = random_passes(rng, f"img_{i}", max_passes=5, max_dets=int(rng.choice([1, 4, 10, 25])))
+        passes = img.passes
+        if i % 7 == 0:
+            passes = ((),) + passes[1:]
+        if i % 5 == 0:
+            passes = tuple(() for _ in passes)
+        specs.append((img.image_id, img.width, img.height, passes))
+    return request_of(specs)
+
+
+def cap_image(rng):
+    """An image at the reader's cap: 15 passes of 100 detections, each a jittered copy of one of 100 objects."""
+    corners = rng.integers(0, 90, size=(100, 2)) * 10.0
+    objects = np.concatenate([corners, corners + rng.integers(2, 6, size=(100, 2)) * 10.0], axis=1)
+    passes = []
+    for _ in range(15):
+        boxes = np.clip(objects + rng.integers(-3, 4, size=(100, 4)), 0.0, 1000.0)
+        scores = rng.choice([0.6, 0.7, 0.9], size=100)
+        passes.append(tuple(Detection(BoundingBox(*box), (score, 1.0 - score))
+                            for box, score in zip(boxes.tolist(), scores.tolist())))
+    return image_passes("cap", 1000, 1000, passes)
+
+
+class TestLockstep:
+    """The array form of the greedy rule, and requests grouped in lockstep chunk by chunk."""
+
+    @pytest.mark.parametrize("threshold", [0.0, 0.3, 0.5, 1.0])
+    def test_array_steps_equal_greedy_match(self, threshold):
+        # several value tables in lockstep, one row of each per step, as grouping steps its images;
+        # five levels make ties everywhere, and a table's padded columns are never open
+        rng = np.random.Generator(np.random.PCG64(19))
+        levels = np.array([0.0, 0.3, 0.5, 0.7, 1.0])
+        for case in range(300):
+            tables = [levels[rng.integers(0, 5, size=(rng.integers(0, 7), rng.integers(1, 7)))] for _ in range(4)]
+            rows, columns = max(map(len, tables)), max(t.shape[1] for t in tables)
+            values = np.zeros((len(tables), rows, columns))
+            open_sets = np.zeros((len(tables), columns), dtype=bool)
+            for b, table in enumerate(tables):
+                values[b, : len(table), : table.shape[1]] = table
+                open_sets[b, : table.shape[1]] = True
+            got = [[] for _ in tables]
+            for r in range(rows):
+                live = np.array([b for b, table in enumerate(tables) if len(table) > r])
+                best = grouping._best_open(values[live, r], open_sets[live], threshold)
+                for b, column in zip(live.tolist(), best.tolist()):
+                    got[b].append(column)
+                open_sets[live[best >= 0], best[best >= 0]] = False
+            want = [greedy_match([list(enumerate(row)) for row in table.tolist()], threshold) for table in tables]
+            assert got == want, case
+
+    @pytest.mark.parametrize("chunk_rows", [grouping.CHUNK_ROWS, 40])
+    @pytest.mark.parametrize("match_iou", [0.0, 0.3, 0.5, 1.0])
+    def test_a_request_across_chunks_equals_brute_force_grouping(self, monkeypatch, chunk_rows, match_iou):
+        monkeypatch.setattr(grouping, "CHUNK_ROWS", chunk_rows)
+        images = random_request(np.random.Generator(np.random.PCG64(23)), 200)
+        sizes = [len(img.rows) for img in images]
+        # more than one chunk, and images without sets
+        assert max(sizes) * sum(map(bool, sizes)) > grouping.CHUNK_ROWS and 0 in sizes
+        assert len({len(img.bounds) for img in images}) > 1  # unequal pass counts
+        for img in images:
+            assert members_of(group_passes(img, match_iou)) == brute_force_grouping(img, match_iou, iou), img.image_id
+
+    @pytest.mark.parametrize("match_iou", [0.0, 0.3, 0.5, 1.0])
+    def test_an_image_at_the_cap_equals_brute_force_grouping(self, match_iou):
+        img = cap_image(np.random.Generator(np.random.PCG64(29)))
+        assert [len(p) for p in img.passes] == [100] * 15
+        assert members_of(group_passes(img, match_iou)) == brute_force_grouping(img, match_iou, iou)
+
+
+def scored(images, match_iou, kappa, n):
+    """Each image's certainty and predictions, the first calls making every set of its request."""
+    out = []
+    for img in images:
+        sets = group_passes(img, match_iou)
+        out.append((image_certainty(img.image_id, sets, kappa, n), consolidate(sets)))
+    return out
+
+
+def kernel_peak(images, match_iou, kappa, n) -> tuple[int, int]:
+    """The most bytes that grouping, certainty and consolidation of a request hold at once, and the bytes
+    they leave held: the request's sets, scores and predictions."""
+    images[0].batch.entropies  # a column of the whole batch, computed once whatever the kernels
+    tracemalloc.start()
+    try:
+        results = scored(images, match_iou, kappa, n)
+        retained, peak = tracemalloc.get_traced_memory()
+        assert results
+        return peak, retained
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    def test_a_request_of_many_small_images_holds_a_few_mb_of_temporaries(self):
+        images = random_request(np.random.Generator(np.random.PCG64(31)), 2000)
+        peak, retained = kernel_peak(images, 0.5, 3, 5)
+        assert peak - retained < 4e6  # a (B, D, D) block of the chunk budget alone would take another 4 MB
+
+    @pytest.mark.parametrize("match_iou, bound", [(0.5, 8e6), (1.0, 32e6)])
+    def test_an_image_at_the_cap_stays_below_the_old_bound(self, match_iou, bound):
+        # at match IoU 1 no jittered copy joins another, so every detection seeds a set: the worst case;
+        # the old bound, a D x D matrix and its temporaries, was about 56 MB
+        peak, _ = kernel_peak([cap_image(np.random.Generator(np.random.PCG64(29)))], match_iou, 2, 15)
+        assert peak < bound
+
+    def test_dropping_a_requests_views_frees_its_batch(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        save_image_passes(random_request(np.random.Generator(np.random.PCG64(37)), 50), path)
+
+        def score():
+            images = load_image_passes(path)
+            kept = [apply_thresholds(img, 0.5, 0.3) for img in images]
+            return weakref.ref(images[0].batch), scored(kept, 0.5, 3, 5)
+
+        gc.disable()  # a reference cycle would keep the batch until a collection
+        try:
+            batch, results = score()
+            assert results and batch() is None
+        finally:
+            gc.enable()
