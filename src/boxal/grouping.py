@@ -13,14 +13,14 @@ further members from the same pass, so a set has at most one member per pass.
 The first ``group_passes`` call on an image of a request (``data_io.Request``)
 groups all its images; each call returns its image's sets, views of the
 request's one ``SetColumns``. Images are sorted by detection count D and
-grouped in lockstep, B at a time with B * D_max <= ``CHUNK_ROWS``, keeping
-each set's running max of its members' IoUs with its image's detections,
-(B, S, D) float64 grown as sets appear. Step (pass, rank) takes that
-detection of every image that has one: it joins the first open set of
-highest value >= the match IoU (an ``argmax``, the rest masked to -inf) or
-seeds one, and its ``geometry.iou_matrix`` row raises its set's max, so the
-floats are those of scalar ``iou``. This takes at most 8 * D**2 bytes: 18 MB
-at the reader's cap of 1,500 detections (n = 15) if each seeds a set.
+grouped in lockstep, B at a time with B * D_max <= ``CHUNK_ROWS`` and, since
+every detection may seed a set, B * D_max**2 <= ``CHUNK_IOUS`` unless B = 1
+(18 MB at the reader's cap of 1,500 detections, n = 15). A chunk keeps each
+set's running max of its members' IoUs with its image's detections, (B, S, D)
+float64 grown as sets appear. Step (pass, rank) takes that detection of every
+image that has one: it joins the first open set of highest value >= the match
+IoU (an ``argmax``, the rest masked to -inf) or seeds one, and its
+``geometry.iou_matrix`` row raises its set's max: the floats of scalar ``iou``.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from . import geometry
 from .data_io import Detection, DetectionBatch, ImagePasses, Request, _row_sums
 
 CHUNK_ROWS = 4096  # a grouping chunk's images times its largest detection count
+CHUNK_IOUS = 2**21  # ... times that count squared: its (B, S, D) entries when every detection seeds a set
 SET_ELEMENTS = 2**13  # the values of sets x n x width that a set kernel gathers at once (64 KB)
 
 
@@ -52,8 +53,7 @@ class SetColumns:
     def gathered(self, column: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
         """Chunks of sets: a slice, and its members' entries of a batch column, (s, n, ...) with 0.0 in the padding."""
         step = max(1, SET_ELEMENTS // max(1, self.rows.shape[1] * column.size // max(1, len(column))))
-        for start in range(0, len(self.sizes), step):
-            part = slice(start, start + step)
+        for part in map(slice, range(0, len(self.sizes), step), range(step, len(self.sizes) + step, step)):
             values = column[self.rows[part]]
             values[np.arange(self.rows.shape[1]) >= self.sizes[part, None]] = 0.0
             yield part, values
@@ -141,7 +141,8 @@ def _group_request(request: Request, match_iou: float) -> tuple[SetColumns, list
     sizes = [len(rows) for rows in request.rows]
     chunks = [[]]
     for image in sorted(filter(sizes.__getitem__, range(len(sizes))), key=sizes.__getitem__):
-        if chunks[-1] and (len(chunks[-1]) + 1) * sizes[image] > CHUNK_ROWS:  # B * D_max would not fit
+        b, d = len(chunks[-1]) + 1, sizes[image]
+        if b > 1 and (b * d > CHUNK_ROWS or b * d * d > CHUNK_IOUS):  # B * D_max or B * D_max**2 would not fit
             chunks.append([])
         chunks[-1].append(image)
     grouped = [(images, *_group_chunk(request, images, match_iou)) for images in filter(None, chunks)]

@@ -220,6 +220,14 @@ class TestMemory:
         peak, _ = kernel_peak([cap_image(np.random.Generator(np.random.PCG64(29)))], match_iou, 2, 15)
         assert peak < bound
 
+    def test_two_images_at_the_cap_are_grouped_apart(self):
+        # B * D_max fits the row budget, but two (S, D) blocks of every detection's set would take 36 MB
+        rng = np.random.Generator(np.random.PCG64(41))
+        images = request_of([(f"cap{i}", 1000, 1000, cap_image(rng).passes) for i in range(2)])
+        assert 2 * 1500 <= grouping.CHUNK_ROWS
+        peak, _ = kernel_peak(images, 1.0, 2, 15)
+        assert peak < 32e6
+
     def test_dropping_a_requests_views_frees_its_batch(self, tmp_path):
         path = tmp_path / "d.jsonl"
         save_image_passes(random_request(np.random.Generator(np.random.PCG64(37)), 50), path)
