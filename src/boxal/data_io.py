@@ -36,7 +36,11 @@ A file's images are one ``Request``, the unit of work of thresholding,
 grouping, certainty and consolidation: the first call on any of its images
 computes every image's share and keeps it on the request. An ``ImagePasses``
 is a view of one image, its rows in canonical order; its ``passes`` and a
-set's ``members`` are record views, built only when read.
+set's ``members`` are record views, built only when read. Thresholding is
+one kernel over a request's ranked rows: greedy NMS runs on every pass at
+once, in chunks whose IoU matrices hold at most ``CHUNK_ELEMENTS`` entries,
+and entropies are computed in row chunks of as many scores, so no
+temporary of either grows with the file.
 
 Score vectors cover the foreground categories only, each score lies in
 [0, 1], and they must sum to 1 within ``SCORE_SUM_TOLERANCE``; invalid sums
@@ -46,27 +50,29 @@ hide producer bugs and corrupt the entropy values computed downstream.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 from array import array
 from bisect import bisect_right
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 from itertools import accumulate, chain, pairwise
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Container, Iterable, Mapping, Sequence
+from typing import Callable, Container, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .errors import BoxalError, FormatError, ValidationError
-from .geometry import BoundingBox, iou
+from .geometry import BoundingBox, iou_matrix
 
 SCORE_SUM_TOLERANCE = 1e-6
 # the most detections a pass of an image may hold, and the most predictions per image that
 # mAP and F1 score (COCO's maxDets); grouping's memory is at most quadratic in an image's detections
 MAX_DETECTIONS_PER_IMAGE = 100
+CHUNK_ELEMENTS = 2**13  # the values a chunked kernel here holds per temporary: entropies' scores, NMS's IoUs
 PARTITIONS = ("initial_training", "pool", "validation", "test")
 
 
@@ -120,14 +126,22 @@ class DetectionBatch:
 
     @cached_property
     def entropies(self) -> np.ndarray:
-        """Each row's Shannon entropy, -sum(s * math.log(s)) over its positive scores, in score order."""
-        flat = self.scores.ravel()
-        positive = flat > 0.0
-        logs = np.zeros_like(flat)
-        # a memoryview hands math.log one float at a time, so no list of every score is built
-        logs[positive] = np.fromiter(map(math.log, memoryview(flat[positive])), np.float64)
-        # a zero score adds a zero term, which leaves every left-to-right sum as it was
-        return -_row_sums((flat * logs).reshape(self.scores.shape))
+        """Each row's Shannon entropy, -sum(s * math.log(s)) over its positive scores, in score order.
+
+        Rows go in chunks of at most ``CHUNK_ELEMENTS`` scores; each row's floats are those of one pass.
+        """
+        out = np.empty(len(self.scores))
+        step = max(1, CHUNK_ELEMENTS // max(1, self.scores.shape[1]))
+        for start in range(0, len(out), step):
+            scores = self.scores[start:start + step]
+            flat = scores.ravel()
+            positive = flat > 0.0
+            logs = np.zeros_like(flat)
+            # a memoryview hands math.log one float at a time, so no list of every score is built
+            logs[positive] = np.fromiter(map(math.log, memoryview(flat[positive])), np.float64)
+            # a zero score adds a zero term, which leaves every left-to-right sum as it was
+            out[start:start + step] = -_row_sums((flat * logs).reshape(scores.shape))
+        return out
 
     def detections(self, rows: Sequence[int]) -> list[Detection]:
         """The records of ``rows``."""
@@ -138,16 +152,33 @@ class DetectionBatch:
 
 @dataclass(eq=False)
 class Request:
-    """The images of one detections file, or one image built alone: image i's (image_id, width, height),
-    batch rows and pass bounds are ``headers[i]``, ``rows[i]`` and ``bounds[i]``. ``results`` keeps what is
-    computed once for all images, keyed by computation and parameters. A request holds no view, so its last
-    view's end frees it and its batch."""
+    """The images of one detections file, or one image built alone, over one batch.
+
+    ``ranked`` holds every pass's batch rows, pass after pass, and ``counts`` each pass's row count. Image i
+    is (image_id, width, height) ``headers[i]`` and holds passes ``firsts[i]`` to ``firsts[i + 1]`` of the
+    request (``firsts`` is read once, to build ``bounds``): its rows are ``rows(i)``,
+    ``ranked[starts[i]:starts[i + 1]]``, and its pass bounds in them ``bounds[i]``. ``results`` keeps what
+    is computed once for all images, keyed by computation and parameters. A request holds no view, so its
+    last view's end frees it and its batch.
+    """
 
     batch: DetectionBatch
     headers: list[tuple[str, int, int]]
-    rows: list[np.ndarray]
-    bounds: list[tuple[int, ...]]
+    ranked: np.ndarray
+    counts: np.ndarray
+    firsts: InitVar[list[int]]
+    bounds: list[tuple[int, ...]] = field(init=False)
+    starts: list[int] = field(init=False)
     results: dict = field(default_factory=dict)
+
+    def __post_init__(self, firsts: list[int]) -> None:
+        counts = self.counts.tolist()
+        self.bounds = [tuple(accumulate(counts[first:stop], initial=0)) for first, stop in pairwise(firsts)]
+        self.starts = list(accumulate((bounds[-1] for bounds in self.bounds), initial=0))
+
+    def rows(self, index: int) -> np.ndarray:
+        """Image ``index``'s batch rows, pass after pass."""
+        return self.ranked[self.starts[index]:self.starts[index + 1]]
 
 
 class ImagePasses:
@@ -155,15 +186,20 @@ class ImagePasses:
 
     An image is image ``index`` of ``request``. ``rows`` holds its batch rows
     pass after pass, each pass in canonical order: descending max score, then
-    the box corners, then the order its detections were read or given. Pass p
-    is ``rows[bounds[p]:bounds[p + 1]]``. ``passes`` is the record view, built
+    the box corners, then the order its detections were read or given; it is
+    a slice of the request's ``ranked``, made when read. Pass p is
+    ``rows[bounds[p]:bounds[p + 1]]``. ``passes`` is the record view, built
     when it is first read.
     """
 
     def __init__(self, request: Request, index: int):
         self.request, self.index, self.batch = request, index, request.batch
         self.image_id, self.width, self.height = request.headers[index]
-        self.rows, self.bounds = request.rows[index], request.bounds[index]
+        self.bounds = request.bounds[index]
+
+    @property
+    def rows(self) -> np.ndarray:
+        return self.request.rows(self.index)
 
     @cached_property
     def passes(self) -> tuple[tuple[Detection, ...], ...]:
@@ -186,9 +222,8 @@ def _image_views(
     ordinal = np.repeat(np.arange(len(counts)), counts)
     x_min, y_min, x_max, y_max = boxes.T
     ranked = np.lexsort((y_max, x_max, y_min, x_min, -batch.max_scores, ordinal))
-    bounds = [tuple(accumulate(image[3], initial=0)) for image in images]
-    rows = [ranked[stop - b[-1]:stop] for b, stop in zip(bounds, accumulate(b[-1] for b in bounds))]
-    request = Request(batch, [image[:3] for image in images], rows, bounds)
+    firsts = list(accumulate((len(image[3]) for image in images), initial=0))
+    request = Request(batch, [image[:3] for image in images], ranked, counts, firsts)
     return [ImagePasses(request, index) for index in range(len(images))]
 
 
@@ -532,31 +567,57 @@ def save_image_passes(images: Sequence[ImagePasses], path: str | Path) -> None:
     _save_jsonl(map(record, images), path)
 
 
-def _nms(positions: range, boxes: list[list[float]], nms_iou: float) -> list[int]:
-    """Greedy NMS over ``positions`` in ``boxes``: one is kept iff its IoU with every kept one is below ``nms_iou``."""
-    kept: list[int] = []
-    for i in positions:
-        box = boxes[i]
-        if all(iou(box, boxes[k]) < nms_iou for k in kept):
-            kept.append(i)
+def _nms_chunks(sizes: list[int]) -> Iterator[slice]:
+    """Consecutive runs of the ascending ``sizes``: one size alone, or as many as keep the run's length times
+    its last size squared within ``CHUNK_ELEMENTS``."""
+    start = 0
+    while start < len(sizes):
+        stop = start + max(1, bisect_right(range(start, len(sizes)), CHUNK_ELEMENTS,
+                                           key=lambda i: (i + 1 - start) * sizes[i] ** 2))
+        yield slice(start, stop)
+        start = stop
+
+
+def _nms_kept(boxes: np.ndarray, ranked: np.ndarray, counts: np.ndarray, crowded: np.ndarray,
+              nms_iou: float) -> np.ndarray:
+    """Which rows of ``ranked`` greedy NMS keeps, whose passes hold ``counts`` rows each, pass after pass;
+    ``crowded`` holds the passes of two or more rows. Lowers each pass's count to its kept rows."""
+    starts, kept = np.cumsum(counts) - counts, np.ones(len(ranked), bool)
+    crowded = crowded[np.argsort(counts[crowded], kind="stable")]
+    sizes = counts[crowded].tolist()
+    for part in _nms_chunks(sizes):
+        passes, depth = crowded[part], sizes[part.stop - 1]
+        ranks = np.arange(depth)
+        real = ranks < counts[passes, None]
+        at = np.where(real, starts[passes, None] + ranks, 0)  # (B, D) positions in ranked, padded with 0
+        corners = boxes[ranked[at]]
+        # row r of a pass suppresses each real later row whose IoU with it reaches nms_iou
+        suppresses = (iou_matrix(corners, corners) >= nms_iou) & (ranks[:, None] < ranks) & real[:, None, :]
+        active = np.flatnonzero(suppresses.any(axis=(0, 2))).tolist()  # a rank that suppresses none changes none
+        if active:
+            dropped = np.zeros(real.shape, bool)
+            for rank in active:  # each pass's row rank is settled: if it is kept, it drops the rows it suppresses
+                dropped |= suppresses[:, rank] > dropped[:, rank, None]
+            kept[at[dropped]] = False
+            counts[passes] -= dropped.sum(axis=1)
     return kept
 
 
-def _thresholded(batch: DetectionBatch, kept: np.ndarray, bounds: tuple[int, ...], confidence: float,
-                 nms_iou: float) -> tuple[np.ndarray, tuple[int, ...]]:
-    """An image's rows and pass bounds after the confidence cut and NMS of ``apply_thresholds``."""
-    confident = batch.max_scores[kept] >= confidence
-    if not confident.all():
-        kept = kept[confident]
-        bounds = tuple(np.concatenate(([0], np.cumsum(confident)))[list(bounds)].tolist())
-    spans = [range(start, stop) for start, stop in pairwise(bounds)]
-    if any(len(span) > 1 for span in spans):
-        boxes = batch.boxes[kept].tolist()
-        passes = [_nms(span, boxes, nms_iou) for span in spans]
-        if sum(map(len, passes)) < len(kept):
-            kept = kept[list(chain.from_iterable(passes))]
-            bounds = tuple(accumulate(map(len, passes), initial=0))
-    return kept, bounds
+def _thresholded(request: Request, confidence: float, nms_iou: float) -> Request:
+    """``request`` after the confidence cut and greedy NMS of ``apply_thresholds``, every pass at once."""
+    confident = request.batch.max_scores[request.ranked] >= confidence
+    ranked = request.ranked[confident]
+    ordinal = np.repeat(np.arange(len(request.counts)), request.counts)
+    counts = np.bincount(ordinal[confident], minlength=len(request.counts))
+    crowded = np.flatnonzero(counts > 1)
+    if len(crowded):
+        ranked = ranked[_nms_kept(request.batch.boxes, ranked, counts, crowded, nms_iou)]
+    if len(ranked) == len(request.ranked):  # the same rows: share the bounds already built
+        derived = copy.copy(request)
+        derived.results = {}
+        return derived
+    firsts = accumulate((len(bounds) - 1 for bounds in request.bounds), initial=0)
+    return Request(request.batch, request.headers, ranked, counts, list(firsts))
 
 
 def apply_thresholds(img: ImagePasses, confidence: float = 0.5, nms_iou: float = 0.3) -> ImagePasses:
@@ -564,19 +625,21 @@ def apply_thresholds(img: ImagePasses, confidence: float = 0.5, nms_iou: float =
 
     NMS visits detections in canonical order (``ImagePasses.rows``) and
     keeps one iff its IoU with every already-kept detection is below
-    ``nms_iou``; kept detections stay in that visiting order. The confidence
-    cut is one array test over an image. When a pass keeps two or more
-    detections, the image's corners are gathered as lists once, NMS walks
-    positions in them, and the survivors' rows come from one index. The pass
-    count is unchanged and the operation is idempotent. Both thresholds lie
-    in [0, 1], which ``RunConfig`` checks. The first call on an image of a
-    request thresholds all its images, into one request kept for these
-    parameters; each call returns its image of it.
+    ``nms_iou``; kept detections stay in that visiting order. The pass count
+    is unchanged and the operation is idempotent. Both thresholds lie in
+    [0, 1], which ``RunConfig`` checks. The first call on an image of a
+    request thresholds all its images at once, into one request kept for
+    these parameters; each call returns its image of it. The confidence cut
+    is one array test over the request's rows. The passes left with two or
+    more detections go in chunks, sorted by size D, of B passes with
+    B * D_max**2 <= ``CHUNK_ELEMENTS``; a chunk's (B, D_max, D_max)
+    ``iou_matrix`` >= ``nms_iou`` says which row suppresses which later
+    row, and lockstep steps settle rank after rank of every pass, one step
+    per rank that suppresses a row in some pass of the chunk.
     """
     request, key = img.request, ("thresholds", confidence, nms_iou)
     if key not in request.results:
-        images = [_thresholded(img.batch, *image, confidence, nms_iou) for image in zip(request.rows, request.bounds)]
-        request.results[key] = Request(img.batch, request.headers, *map(list, zip(*images)))
+        request.results[key] = _thresholded(request, confidence, nms_iou)
     return ImagePasses(request.results[key], img.index)
 
 

@@ -12,10 +12,12 @@ list such as a row of a batch's corner column.
 ``iou_matrix`` is the numpy form of ``iou`` over every pair of two box lists,
 or of two stacks of box lists. It performs the same float operations in the
 same order, so each entry equals the scalar ``iou`` bit for bit;
-``tests/test_geometry.py::TestIoUMatrix`` pins this. Grouping reads one row
-of it per detection, for a chunk of images at once, and spatial certainty
-one per instance set. ``greedy_match`` is the greedy assignment rule that
-evaluation matches with; grouping applies the same rule as an array step.
+``tests/test_geometry.py::TestIoUMatrix`` pins this. Greedy NMS
+(``data_io.apply_thresholds``) takes one (B, D, D) stack of it per chunk of
+passes, grouping reads one row of it per detection, for a chunk of images
+at once, and spatial certainty one per instance set. ``greedy_match`` is the
+greedy assignment rule that evaluation matches with; grouping applies the
+same rule as an array step.
 """
 
 from __future__ import annotations

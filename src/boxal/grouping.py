@@ -112,7 +112,7 @@ def _group_chunk(request: Request, images: list[int], match_iou: float) -> tuple
     starts, per_pass = edges[:, :-1], np.diff(edges, axis=1)
     real = np.arange(edges[:, -1].max()) < edges[:, -1, None]
     rows = np.zeros(real.shape, np.intp)
-    rows[real] = np.concatenate([request.rows[i] for i in images])
+    rows[real] = np.concatenate([request.rows(i) for i in images])
     boxes = request.batch.boxes[rows]
     owner = np.zeros(real.shape, np.intp)  # each detection's set in its image
     set_count = np.zeros(len(images), np.intp)
@@ -138,7 +138,7 @@ def _group_chunk(request: Request, images: list[int], match_iou: float) -> tuple
 
 def _group_request(request: Request, match_iou: float) -> tuple[SetColumns, list[int]]:
     """Every image's sets as one ``SetColumns``, in image order, and the index of each image's first set."""
-    sizes = [len(rows) for rows in request.rows]
+    sizes = [bounds[-1] for bounds in request.bounds]
     chunks = [[]]
     for image in sorted(filter(sizes.__getitem__, range(len(sizes))), key=sizes.__getitem__):
         b, d = len(chunks[-1]) + 1, sizes[image]

@@ -257,3 +257,16 @@ def random_passes(rng: np.random.Generator, image_id: str = "img", kappa: int = 
             dets.append(Detection(BoundingBox(x0, y0, min(x0 + w, 100.0), min(y0 + h, 100.0)), scores))
         passes.append(tuple(dets))
     return image_passes(image_id, 100, 100, passes)
+
+
+def cap_image(rng):
+    """An image at the reader's cap: 15 passes of 100 detections, each a jittered copy of one of 100 objects."""
+    corners = rng.integers(0, 90, size=(100, 2)) * 10.0
+    objects = np.concatenate([corners, corners + rng.integers(2, 6, size=(100, 2)) * 10.0], axis=1)
+    passes = []
+    for _ in range(15):
+        boxes = np.clip(objects + rng.integers(-3, 4, size=(100, 4)), 0.0, 1000.0)
+        scores = rng.choice([0.6, 0.7, 0.9], size=100)
+        passes.append(tuple(Detection(BoundingBox(*box), (score, 1.0 - score))
+                            for box, score in zip(boxes.tolist(), scores.tolist())))
+    return image_passes("cap", 1000, 1000, passes)

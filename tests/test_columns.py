@@ -4,23 +4,29 @@
 tests read seeded random files through it, with ties everywhere (equal max
 scores, equal corners, exact 0.0 scores) and passes left with 0, 1 and 2 or
 more survivors, and hold thresholds and grouping to the brute-force oracles.
-A line the reader's screen cannot vouch for is walked detection by detection;
+The thresholding kernel is also held to greedy NMS on requests built to hit
+its corners: passes of 0, 1, 2 and 100 detections, identical boxes and tied
+scores, chunk after chunk. Entropies, computed in row chunks, keep the bits
+of the whole-batch formula. A line the reader's screen cannot vouch for is walked detection by detection;
 the error names the first bad line, even when a later line fails its screen.
 """
 
 import json
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from boxal import data_io
 from boxal.certainty import image_certainty
-from boxal.data_io import MAX_DETECTIONS_PER_IMAGE, apply_thresholds, load_image_passes
+from boxal.data_io import MAX_DETECTIONS_PER_IMAGE, Detection, DetectionBatch, apply_thresholds, load_image_passes
 from boxal.errors import FormatError, ValidationError
 from boxal.evaluation import consolidate
-from boxal.geometry import iou
+from boxal.geometry import BoundingBox, iou
 from boxal.grouping import group_passes
 
-from oracles import brute_force_grouping, brute_force_nms, image_key, image_passes
+from oracles import brute_force_grouping, brute_force_nms, cap_image, image_key, image_passes, request_of
 
 KAPPA = 3
 PASSES = 4
@@ -102,6 +108,130 @@ def test_certainty_and_consolidation_equal_those_of_the_record_view(images, matc
             img.image_id, rebuilt_sets, KAPPA, PASSES
         )
         assert consolidate(sets) == consolidate(rebuilt_sets)
+
+
+# ---------------------------------------------------------------------------
+# the thresholding kernel: every pass of a request at once
+
+
+def nms_request(rng: np.random.Generator, images: int = 30):
+    """A request of ``images`` images of 1 to 6 passes, each of 0 to 12 detections, or 100 in a few.
+
+    Corners lie on a coarse grid and scores come from ``SCORES``, so identical boxes and
+    tied max scores are common, and every image's first two passes hold a detection and its copy.
+    """
+    specs = []
+    for i in range(images):
+        passes = []
+        for p in range(int(rng.integers(1, 7))):
+            size = MAX_DETECTIONS_PER_IMAGE if (i + p) % 11 == 5 else int(rng.integers(0, 13))
+            dets = []
+            for _ in range(size):
+                x0, y0 = (float(v) * 10.0 for v in rng.integers(0, 6, 2))
+                w, h = (float(v) * 10.0 for v in rng.integers(1, 4, 2))
+                dets.append(Detection(BoundingBox(x0, y0, x0 + w, y0 + h), tuple(SCORES[int(rng.integers(0, 8))])))
+            if p < 2 and dets:
+                dets.append(dets[0])
+            passes.append(tuple(dets))
+        specs.append((f"img_{i}", 100, 100, passes))
+    return request_of(specs)
+
+
+def assert_equals_brute_force_nms(images, confidence, nms_iou):
+    for img in images:
+        kept = apply_thresholds(img, confidence, nms_iou)
+        assert len(kept.passes) == len(img.passes)
+        for p, dets in enumerate(img.passes):
+            survivors = [(d.box, max(d.scores), d) for d in dets if max(d.scores) >= confidence]
+            want = [d for _, _, d in brute_force_nms(survivors, nms_iou, iou)]
+            assert list(kept.passes[p]) == want, (img.image_id, p)
+
+
+@pytest.mark.parametrize("budget", ["real", 50])
+@pytest.mark.parametrize("confidence", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("nms_iou", [0.0, 0.3, 0.5, 1.0])
+def test_kernel_equals_brute_force_nms_chunk_by_chunk(monkeypatch, budget, confidence, nms_iou):
+    if budget != "real":
+        monkeypatch.setattr(data_io, "CHUNK_ELEMENTS", budget)
+    images = nms_request(np.random.Generator(np.random.PCG64(43)))
+    sizes = [len(p) for img in images for p in img.passes]
+    assert {0, 1, 2, MAX_DETECTIONS_PER_IMAGE} <= set(sizes)
+    crowded = sorted(size for size in sizes if size > 1)  # each pass's survivors at confidence 0
+    chunks = list(data_io._nms_chunks(crowded))
+    # several chunks, one of passes of unequal sizes (padded), and passes too large to share one
+    assert len(chunks) > 1 and any(crowded[part.start] < crowded[part.stop - 1] for part in chunks)
+    assert any(part.stop - part.start == 1 for part in chunks)
+    assert_equals_brute_force_nms(images, confidence, nms_iou)
+
+
+def test_kernel_keeps_one_of_identical_boxes_and_the_first_of_tied_scores():
+    a, b = BoundingBox(0.0, 0.0, 10.0, 10.0), BoundingBox(20.0, 20.0, 30.0, 30.0)
+    first, second = Detection(a, (0.6, 0.4, 0.0)), Detection(a, (0.4, 0.0, 0.6))  # tied max scores
+    other = Detection(b, (0.6, 0.4, 0.0))
+    images = request_of([("x", 50, 50, [(first, second, other), (second, first)]), ("y", 50, 50, [(), (other,)])])
+    kept = [apply_thresholds(img, 0.5, 1.0) for img in images]
+    assert kept[0].passes == ((first, other), (second,)) and kept[1].passes == ((), (other,))
+    assert_equals_brute_force_nms(images, 0.5, 1.0)
+
+
+def test_a_request_of_cap_images_thresholds_within_a_few_chunks_of_memory():
+    rng = np.random.Generator(np.random.PCG64(47))
+    images = request_of([(f"cap{i}", 1000, 1000, cap_image(rng).passes) for i in range(4)])
+    tracemalloc.start()
+    try:
+        kept = apply_thresholds(images[0], 0.5, 0.3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one chunk of all 60 passes would hold several 60 x 100 x 100 float64 blocks, 4.8 MB each
+    assert peak < 1e6
+    assert sum(map(len, kept.passes)) < 15 * 100  # NMS dropped rows: every step ran
+    assert_equals_brute_force_nms(images[:1], 0.5, 0.3)
+
+
+# ---------------------------------------------------------------------------
+# entropies in row chunks
+
+
+def whole_batch_entropies(scores: np.ndarray) -> np.ndarray:
+    """The entropies of every row at once, as the batch computed them before it went chunk by chunk."""
+    flat = scores.ravel()
+    positive = flat > 0.0
+    logs = np.zeros_like(flat)
+    logs[positive] = [math.log(s) for s in flat[positive].tolist()]
+    terms = (flat * logs).reshape(scores.shape)
+    return -(np.cumsum(terms, axis=-1)[..., -1] + 0.0)
+
+
+def score_batch(rng: np.random.Generator, rows: int, kappa: int) -> DetectionBatch:
+    """Random score rows, a third of the values exactly 0.0 and some rows one-hot."""
+    raw = rng.gamma(1.0, size=(rows, kappa)) * (rng.random((rows, kappa)) > 0.3)
+    raw[rows // 2:: 7] = np.eye(kappa)[rng.integers(0, kappa, size=len(raw[rows // 2:: 7]))]
+    raw[raw.sum(axis=1) == 0.0, 0] = 1.0
+    scores = raw / raw.sum(axis=1, keepdims=True)
+    return DetectionBatch(np.zeros((rows, 4)), scores, scores.max(axis=1), np.zeros(rows, np.intp))
+
+
+@pytest.mark.parametrize("budget", ["real", 12])
+def test_entropies_keep_the_bits_of_the_whole_batch_formula(monkeypatch, budget):
+    if budget != "real":
+        monkeypatch.setattr(data_io, "CHUNK_ELEMENTS", budget)  # 2 rows of 5 a chunk
+    batch = score_batch(np.random.Generator(np.random.PCG64(53)), 4001, 5)
+    assert 4001 * 5 > 2 * data_io.CHUNK_ELEMENTS and (batch.scores == 0.0).any()
+    got, want = batch.entropies, whole_batch_entropies(batch.scores)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_entropies_of_a_crowded_batch_hold_a_chunk_of_temporaries():
+    batch = score_batch(np.random.Generator(np.random.PCG64(59)), 20_000, 20)
+    tracemalloc.start()
+    try:
+        batch.entropies
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the result takes 160 KB; the whole-batch formula held several 20,000 x 20 float64 blocks, 3.2 MB each
+    assert peak < 1e6
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from boxal.evaluation import consolidate
 from boxal.geometry import BoundingBox, greedy_match, iou
 from boxal.grouping import group_passes
 
-from oracles import brute_force_grouping, image_passes, random_passes, request_of
+from oracles import brute_force_grouping, cap_image, image_passes, random_passes, request_of
 
 
 def det(x0, y0, x1, y1, scores=(1.0, 0.0)):
@@ -123,19 +123,6 @@ def random_request(rng, images):
             passes = tuple(() for _ in passes)
         specs.append((img.image_id, img.width, img.height, passes))
     return request_of(specs)
-
-
-def cap_image(rng):
-    """An image at the reader's cap: 15 passes of 100 detections, each a jittered copy of one of 100 objects."""
-    corners = rng.integers(0, 90, size=(100, 2)) * 10.0
-    objects = np.concatenate([corners, corners + rng.integers(2, 6, size=(100, 2)) * 10.0], axis=1)
-    passes = []
-    for _ in range(15):
-        boxes = np.clip(objects + rng.integers(-3, 4, size=(100, 4)), 0.0, 1000.0)
-        scores = rng.choice([0.6, 0.7, 0.9], size=100)
-        passes.append(tuple(Detection(BoundingBox(*box), (score, 1.0 - score))
-                            for box, score in zip(boxes.tolist(), scores.tolist())))
-    return image_passes("cap", 1000, 1000, passes)
 
 
 class TestLockstep:
