@@ -3,9 +3,9 @@
 Semantic certainty is one minus the normalized Shannon entropy of each
 member's category-probability vector, averaged over the set (0*log(0) := 0;
 the normalizer is log(kappa), so the value is independent of the log base).
-Each detection's entropy is computed once, for its whole batch, by
-``DetectionBatch.entropies``: ``math.log`` of each positive score, summed left
-to right.
+Each member's entropy is computed in the set kernel, on the score chunks
+that ``SetColumns.gathered`` yields: ``math.log`` of each positive score,
+summed left to right, so only the rows that thresholding kept reach it.
 Spatial certainty is the mean IoU between each member box and the set's mean
 box. Occurrence certainty is the fraction of passes that contributed a
 member. The combined certainty is the product of the three, and an image is
@@ -59,10 +59,19 @@ def _certainties(sets: SetColumns, kappa: int, n: int) -> tuple[list[float], np.
     """Every set's c_h, as a list, and its (c_sem, c_spa, c_occ) row, computed once per ``kappa`` and n."""
     key = ("certainty", kappa, n)
     if key not in sets.results:
-        c_sem, c_spa = np.empty(len(sets.sizes)), np.empty(len(sets.sizes))
-        for part, terms in sets.gathered(1.0 - sets.batch.entropies / math.log(kappa)):
+        c_sem, c_spa, log_kappa = np.empty(len(sets.sizes)), np.empty(len(sets.sizes)), math.log(kappa)
+        for part, scores in sets.gathered(sets.batch.scores):  # a hole's scores are 0.0
+            flat = scores.ravel()
+            positive = flat > 0.0
+            logs = np.zeros_like(flat)
+            # a memoryview hands math.log one float at a time, so no list of every score is built
+            logs[positive] = np.fromiter(map(math.log, memoryview(flat[positive])), np.float64)
+            # a zero score adds a zero term, which leaves every left-to-right sum as it was
+            entropies = -_row_sums((flat * logs).reshape(scores.shape))
+            terms = 1.0 - entropies / log_kappa
+            terms[sets.rows[part] < 0] = 0.0
             c_sem[part] = _row_sums(terms) / sets.sizes[part]
-        for part, boxes in sets.gathered(sets.batch.boxes):  # a padding slot's all-zero box has IoU 0.0
+        for part, boxes in sets.gathered(sets.batch.boxes):  # a hole's all-zero box has IoU 0.0
             c_spa[part] = _row_sums(iou_matrix(sets.mean_boxes[part, None], boxes)[:, 0]) / sets.sizes[part]
         c_occ = sets.sizes / n
         sets.results[key] = ((c_sem * c_spa * c_occ).tolist(), np.stack((c_sem, c_spa, c_occ), axis=1))

@@ -38,9 +38,8 @@ computes every image's share and keeps it on the request. An ``ImagePasses``
 is a view of one image, its rows in canonical order; its ``passes`` and a
 set's ``members`` are record views, built only when read. Thresholding is
 one kernel over a request's ranked rows: greedy NMS runs on every pass at
-once, in chunks whose IoU matrices hold at most ``CHUNK_ELEMENTS`` entries,
-and entropies are computed in row chunks of as many scores, so no
-temporary of either grows with the file.
+once, in chunks (cut by ``_chunks``, grouping's planner too) whose IoU
+matrices hold at most ``CHUNK_ELEMENTS`` entries, so none grows with the file.
 
 Score vectors cover the foreground categories only, each score lies in
 [0, 1], and they must sum to 1 within ``SCORE_SUM_TOLERANCE``; invalid sums
@@ -50,15 +49,14 @@ hide producer bugs and corrupt the entropy values computed downstream.
 
 from __future__ import annotations
 
-import copy
 import json
 import math
 from array import array
 from bisect import bisect_right
 from contextlib import contextmanager
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate, chain, pairwise
+from itertools import chain, pairwise
 from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Container, Iterable, Iterator, Mapping, Sequence
@@ -72,7 +70,7 @@ SCORE_SUM_TOLERANCE = 1e-6
 # the most detections a pass of an image may hold, and the most predictions per image that
 # mAP and F1 score (COCO's maxDets); grouping's memory is at most quadratic in an image's detections
 MAX_DETECTIONS_PER_IMAGE = 100
-CHUNK_ELEMENTS = 2**13  # the values a chunked kernel here holds per temporary: entropies' scores, NMS's IoUs
+CHUNK_ELEMENTS = 2**13  # the values a chunked kernel holds per temporary: NMS's IoUs, a set kernel's gathered values
 PARTITIONS = ("initial_training", "pool", "validation", "test")
 
 
@@ -114,34 +112,13 @@ class DetectionBatch:
     """Detections as columns: row i of each column belongs to detection i.
 
     ``boxes`` holds the (D, 4) corners and ``scores`` the (D, κ) score
-    vectors, both float64; ``max_scores`` holds each row's max score and
-    ``pass_index`` the pass of its image that it came from. A detections file
-    is read into one batch, and the simulator builds one per image.
+    vectors, both float64, and ``max_scores`` each row's max score. A
+    detections file is read into one batch; the simulator builds one per image.
     """
 
     boxes: np.ndarray
     scores: np.ndarray
     max_scores: np.ndarray
-    pass_index: np.ndarray
-
-    @cached_property
-    def entropies(self) -> np.ndarray:
-        """Each row's Shannon entropy, -sum(s * math.log(s)) over its positive scores, in score order.
-
-        Rows go in chunks of at most ``CHUNK_ELEMENTS`` scores; each row's floats are those of one pass.
-        """
-        out = np.empty(len(self.scores))
-        step = max(1, CHUNK_ELEMENTS // max(1, self.scores.shape[1]))
-        for start in range(0, len(out), step):
-            scores = self.scores[start:start + step]
-            flat = scores.ravel()
-            positive = flat > 0.0
-            logs = np.zeros_like(flat)
-            # a memoryview hands math.log one float at a time, so no list of every score is built
-            logs[positive] = np.fromiter(map(math.log, memoryview(flat[positive])), np.float64)
-            # a zero score adds a zero term, which leaves every left-to-right sum as it was
-            out[start:start + step] = -_row_sums((flat * logs).reshape(scores.shape))
-        return out
 
     def detections(self, rows: Sequence[int]) -> list[Detection]:
         """The records of ``rows``."""
@@ -156,29 +133,27 @@ class Request:
 
     ``ranked`` holds every pass's batch rows, pass after pass, and ``counts`` each pass's row count. Image i
     is (image_id, width, height) ``headers[i]`` and holds passes ``firsts[i]`` to ``firsts[i + 1]`` of the
-    request (``firsts`` is read once, to build ``bounds``): its rows are ``rows(i)``,
-    ``ranked[starts[i]:starts[i + 1]]``, and its pass bounds in them ``bounds[i]``. ``results`` keeps what
-    is computed once for all images, keyed by computation and parameters. A request holds no view, so its
-    last view's end frees it and its batch.
+    request; pass p holds ``ranked[offsets[p]:offsets[p + 1]]``, so image i's rows are ``rows(i)``,
+    ``ranked[offsets[firsts[i]]:offsets[firsts[i + 1]]]``. ``results`` keeps what is computed once for all
+    images, keyed by computation and parameters. A request holds no view, so its last view's end frees it
+    and its batch.
     """
 
     batch: DetectionBatch
     headers: list[tuple[str, int, int]]
     ranked: np.ndarray
     counts: np.ndarray
-    firsts: InitVar[list[int]]
-    bounds: list[tuple[int, ...]] = field(init=False)
-    starts: list[int] = field(init=False)
+    firsts: np.ndarray
+    offsets: np.ndarray = field(init=False)
     results: dict = field(default_factory=dict)
 
-    def __post_init__(self, firsts: list[int]) -> None:
-        counts = self.counts.tolist()
-        self.bounds = [tuple(accumulate(counts[first:stop], initial=0)) for first, stop in pairwise(firsts)]
-        self.starts = list(accumulate((bounds[-1] for bounds in self.bounds), initial=0))
+    def __post_init__(self) -> None:
+        self.offsets = np.zeros(len(self.counts) + 1, np.intp)
+        np.cumsum(self.counts, out=self.offsets[1:])
 
     def rows(self, index: int) -> np.ndarray:
         """Image ``index``'s batch rows, pass after pass."""
-        return self.ranked[self.starts[index]:self.starts[index + 1]]
+        return self.ranked[self.offsets[self.firsts[index]]:self.offsets[self.firsts[index + 1]]]
 
 
 class ImagePasses:
@@ -195,11 +170,15 @@ class ImagePasses:
     def __init__(self, request: Request, index: int):
         self.request, self.index, self.batch = request, index, request.batch
         self.image_id, self.width, self.height = request.headers[index]
-        self.bounds = request.bounds[index]
 
     @property
     def rows(self) -> np.ndarray:
         return self.request.rows(self.index)
+
+    @property
+    def bounds(self) -> list[int]:
+        offsets = self.request.offsets[self.request.firsts[self.index]:self.request.firsts[self.index + 1] + 1]
+        return (offsets - offsets[0]).tolist()
 
     @cached_property
     def passes(self) -> tuple[tuple[Detection, ...], ...]:
@@ -217,12 +196,11 @@ def _image_views(
     ``lexsort`` puts every pass in canonical order.
     """
     counts = np.fromiter(chain.from_iterable(image[3] for image in images), np.intp)
-    pass_numbers = np.fromiter(chain.from_iterable(range(len(image[3])) for image in images), np.intp)
-    batch = DetectionBatch(boxes, scores, scores.max(axis=1, initial=0.0), np.repeat(pass_numbers, counts))
+    batch = DetectionBatch(boxes, scores, scores.max(axis=1, initial=0.0))
     ordinal = np.repeat(np.arange(len(counts)), counts)
     x_min, y_min, x_max, y_max = boxes.T
     ranked = np.lexsort((y_max, x_max, y_min, x_min, -batch.max_scores, ordinal))
-    firsts = list(accumulate((len(image[3]) for image in images), initial=0))
+    firsts = np.cumsum([0, *(len(image[3]) for image in images)])
     request = Request(batch, [image[:3] for image in images], ranked, counts, firsts)
     return [ImagePasses(request, index) for index in range(len(images))]
 
@@ -567,13 +545,13 @@ def save_image_passes(images: Sequence[ImagePasses], path: str | Path) -> None:
     _save_jsonl(map(record, images), path)
 
 
-def _nms_chunks(sizes: list[int]) -> Iterator[slice]:
-    """Consecutive runs of the ascending ``sizes``: one size alone, or as many as keep the run's length times
-    its last size squared within ``CHUNK_ELEMENTS``."""
+def _chunks(sizes: Sequence[int], fits: Callable[[int, int], bool]) -> Iterator[slice]:
+    """Consecutive runs of the ascending ``sizes``: one size alone, or as many as ``fits(run length, last size)``
+    allows. ``fits`` is false for every longer run or larger size than one it is false for."""
     start = 0
     while start < len(sizes):
-        stop = start + max(1, bisect_right(range(start, len(sizes)), CHUNK_ELEMENTS,
-                                           key=lambda i: (i + 1 - start) * sizes[i] ** 2))
+        stop = start + max(1, bisect_right(range(start, len(sizes)), False,
+                                           key=lambda i: not fits(i + 1 - start, sizes[i])))
         yield slice(start, stop)
         start = stop
 
@@ -585,7 +563,7 @@ def _nms_kept(boxes: np.ndarray, ranked: np.ndarray, counts: np.ndarray, crowded
     starts, kept = np.cumsum(counts) - counts, np.ones(len(ranked), bool)
     crowded = crowded[np.argsort(counts[crowded], kind="stable")]
     sizes = counts[crowded].tolist()
-    for part in _nms_chunks(sizes):
+    for part in _chunks(sizes, lambda b, d: b * d * d <= CHUNK_ELEMENTS):
         passes, depth = crowded[part], sizes[part.stop - 1]
         ranks = np.arange(depth)
         real = ranks < counts[passes, None]
@@ -612,12 +590,7 @@ def _thresholded(request: Request, confidence: float, nms_iou: float) -> Request
     crowded = np.flatnonzero(counts > 1)
     if len(crowded):
         ranked = ranked[_nms_kept(request.batch.boxes, ranked, counts, crowded, nms_iou)]
-    if len(ranked) == len(request.ranked):  # the same rows: share the bounds already built
-        derived = copy.copy(request)
-        derived.results = {}
-        return derived
-    firsts = accumulate((len(bounds) - 1 for bounds in request.bounds), initial=0)
-    return Request(request.batch, request.headers, ranked, counts, list(firsts))
+    return Request(request.batch, request.headers, ranked, counts, request.firsts)
 
 
 def apply_thresholds(img: ImagePasses, confidence: float = 0.5, nms_iou: float = 0.3) -> ImagePasses:

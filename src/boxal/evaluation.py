@@ -7,8 +7,9 @@ image, and the mean taken over categories with at least one ground-truth
 instance. Area/maxDets breakdowns are out of scope; only the headline mAP and
 per-category APs are produced. Each image's 100 best predictions are
 matched once per threshold by ``geometry.greedy_match``, the one greedy rule,
-which grouping also uses; the IoUs are computed once, and per-image F1 reads
-the matches at ``F1_IOU``, so it scores the predictions mAP scores. AP is
+which grouping applies as an array step; the IoUs are computed once, and
+per-image F1 reads the matches at ``F1_IOU``, so it scores the predictions
+mAP scores. AP is
 accumulated as in pycocotools' ``COCOeval.accumulate``, on a category's
 score-ordered ``(D, 10)`` TP flags: cumulative sums give precision and
 recall, the precision envelope is a running max from the right, a

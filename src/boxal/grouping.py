@@ -13,13 +13,15 @@ further members from the same pass, so a set has at most one member per pass.
 The first ``group_passes`` call on an image of a request (``data_io.Request``)
 groups all its images; each call returns its image's sets, views of the
 request's one ``SetColumns``. Images are sorted by detection count D and
-grouped in lockstep, B at a time with B * D_max <= ``CHUNK_ROWS`` and, since
-every detection may seed a set, B * D_max**2 <= ``CHUNK_IOUS`` unless B = 1
-(18 MB at the reader's cap of 1,500 detections, n = 15). A chunk keeps each
-set's running max of its members' IoUs with its image's detections, (B, S, D)
-float64 grown as sets appear. Step (pass, rank) takes that detection of every
-image that has one: it joins the first open set of highest value >= the match
-IoU (an ``argmax``, the rest masked to -inf) or seeds one, and its
+grouped in lockstep, in chunks (``data_io._chunks``) of B images with
+B * D_max <= ``CHUNK_ROWS`` and, since every detection may seed a set,
+B * D_max**2 <= ``CHUNK_IOUS`` unless B = 1 (18 MB at the reader's cap of
+1,500 detections, n = 15). A chunk keeps each set's running max of its
+members' IoUs with its image's detections, (B, S, D) float64, and its member
+row per pass, (B, S, n), both grown as sets appear. Step (pass, rank) takes
+that detection of every image that has one: it joins the first open set of
+highest value >= the match IoU (an ``argmax``, the rest masked to -inf) or
+seeds one, fills that set's slot for the pass, and its
 ``geometry.iou_matrix`` row raises its set's max: the floats of scalar ``iou``.
 """
 
@@ -30,32 +32,32 @@ from typing import Iterator
 
 import numpy as np
 
-from . import geometry
-from .data_io import Detection, DetectionBatch, ImagePasses, Request, _row_sums
+from . import data_io, geometry
+from .data_io import Detection, DetectionBatch, ImagePasses, Request, _chunks, _row_sums
 
 CHUNK_ROWS = 4096  # a grouping chunk's images times its largest detection count
 CHUNK_IOUS = 2**21  # ... times that count squared: its (B, S, D) entries when every detection seeds a set
-SET_ELEMENTS = 2**13  # the values of sets x n x width that a set kernel gathers at once (64 KB)
 
 
 class SetColumns:
-    """Instance sets as columns of one batch: set s holds ``rows[s, :sizes[s]]``, its members' rows in pass order.
+    """Instance sets as columns of one batch: ``rows[s, p]`` is set s's member from pass p, its batch row, or -1
+    when pass p gave it none; ``sizes[s]`` counts its members.
 
     ``results`` keeps what certainty and consolidation compute once for every set, keyed by computation and
-    parameters, on chunks of at most ``SET_ELEMENTS`` gathered values: each sum over a set's members is a
-    cumulative sum along the member axis, which adds left to right.
+    parameters, on chunks of at most ``data_io.CHUNK_ELEMENTS`` gathered values: each sum over a set's members is a
+    cumulative sum along the pass axis, which adds left to right, and a hole adds 0.0, which changes no sum.
     """
 
-    def __init__(self, batch: DetectionBatch, rows: np.ndarray, sizes: np.ndarray):
-        self.batch, self.rows, self.sizes = batch, rows, sizes
+    def __init__(self, batch: DetectionBatch, rows: np.ndarray):
+        self.batch, self.rows, self.sizes = batch, rows, (rows >= 0).sum(axis=1)
         self.results: dict = {}
 
     def gathered(self, column: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
-        """Chunks of sets: a slice, and its members' entries of a batch column, (s, n, ...) with 0.0 in the padding."""
-        step = max(1, SET_ELEMENTS // max(1, self.rows.shape[1] * column.size // max(1, len(column))))
+        """Chunks of sets: a slice, and its members' entries of a batch column, (s, n, ...) with 0.0 in the holes."""
+        step = max(1, data_io.CHUNK_ELEMENTS // max(1, self.rows.shape[1] * column.size // max(1, len(column))))
         for part in map(slice, range(0, len(self.sizes), step), range(step, len(self.sizes) + step, step)):
             values = column[self.rows[part]]
-            values[np.arange(self.rows.shape[1]) >= self.sizes[part, None]] = 0.0
+            values[self.rows[part] < 0] = 0.0
             yield part, values
 
     @cached_property
@@ -77,17 +79,10 @@ class InstanceSet:
         self.sets, self.index = sets, index
 
     @property
-    def size(self) -> int:
-        return int(self.sets.sizes[self.index])
-
-    @property
-    def rows(self) -> tuple[int, ...]:
-        return tuple(self.sets.rows[self.index, : self.size].tolist())
-
-    @property
     def members(self) -> tuple[tuple[int, Detection], ...]:
-        batch, rows = self.sets.batch, list(self.rows)
-        return tuple(zip(batch.pass_index[rows].tolist(), batch.detections(rows)))
+        rows = self.sets.rows[self.index]
+        passes = np.flatnonzero(rows >= 0)
+        return tuple(zip(passes.tolist(), self.sets.batch.detections(rows[passes])))
 
 
 def group_passes(img: ImagePasses, match_iou: float = 0.5) -> list[InstanceSet]:
@@ -105,57 +100,52 @@ def _best_open(values: np.ndarray, open_sets: np.ndarray, match_iou: float) -> n
     return np.where(candidates.max(axis=1) > -np.inf, candidates.argmax(axis=1), -1)  # argmax: the first max
 
 
-def _group_chunk(request: Request, images: list[int], match_iou: float) -> tuple[np.ndarray, ...]:
-    """Each image's set count, and its batch rows, (B, D) padded with row 0, their sets and which are real."""
-    passes = max(len(request.bounds[i]) for i in images) - 1
-    edges = np.array([b + b[-1:] * (passes + 1 - len(b)) for b in (request.bounds[i] for i in images)])
-    starts, per_pass = edges[:, :-1], np.diff(edges, axis=1)
-    real = np.arange(edges[:, -1].max()) < edges[:, -1, None]
-    rows = np.zeros(real.shape, np.intp)
-    rows[real] = np.concatenate([request.rows(i) for i in images])
-    boxes = request.batch.boxes[rows]
-    owner = np.zeros(real.shape, np.intp)  # each detection's set in its image
+def _group_chunk(request: Request, images: np.ndarray, match_iou: float) -> tuple[np.ndarray, np.ndarray]:
+    """Each image's set count, and its sets' member rows by pass, (B, S, n) with -1 in the holes."""
+    first, stop = request.firsts[images], request.firsts[images + 1]
+    passes = (stop - first).max()
+    edges = request.offsets[np.minimum(first[:, None] + np.arange(passes + 1), stop[:, None])]  # padded with the end
+    sizes = edges[:, -1] - edges[:, 0]
+    ranks = np.arange(sizes.max())
+    rows = request.ranked[np.where(ranks < sizes[:, None], edges[:, :1] + ranks, 0)]  # (B, D), padded
+    starts, per_pass = edges[:, :-1] - edges[:, :1], np.diff(edges, axis=1)
+    boxes = request.batch.boxes[rows]  # (B, D, 4), padded with the box of ranked[0]
     set_count = np.zeros(len(images), np.intp)
-    set_iou = np.zeros((len(images), max(1, per_pass.max()), real.shape[1]))
+    set_iou = np.zeros((len(images), max(1, per_pass.max()), len(ranks)))
+    members = np.full((*set_iou.shape[:2], passes), -1, np.intp)
     for p in range(passes):
         open_sets = np.arange(set_iou.shape[1]) < set_count[:, None]  # made before the pass
         for rank in range(per_pass[:, p].max()):
             live = np.flatnonzero(per_pass[:, p] > rank)
             if set_count[live].max() == set_iou.shape[1]:  # a live image may seed a set past the last: grow
-                more = ((0, 0), (0, min(set_iou.shape[1], real.shape[1] - set_iou.shape[1])))
+                more = ((0, 0), (0, min(set_iou.shape[1], len(ranks) - set_iou.shape[1])))
                 set_iou, open_sets = np.pad(set_iou, (*more, (0, 0))), np.pad(open_sets, more)
+                members = np.pad(members, (*more, (0, 0)), constant_values=-1)
             k = starts[live, p] + rank
             best = _best_open(set_iou[live, :, k], open_sets[live], match_iou)
             matched = best >= 0
             target = np.where(matched, best, set_count[live])
             set_count[live] += ~matched
             open_sets[live, target] = False
-            owner[live, k] = target
+            members[live, target, p] = rows[live, k]
             iou_rows = geometry.iou_matrix(boxes[live, k, None], boxes[live])[:, 0]
             set_iou[live, target] = np.maximum(set_iou[live, target], iou_rows)
-    return set_count, rows, owner, real
+    return set_count, members
 
 
 def _group_request(request: Request, match_iou: float) -> tuple[SetColumns, list[int]]:
     """Every image's sets as one ``SetColumns``, in image order, and the index of each image's first set."""
-    sizes = [bounds[-1] for bounds in request.bounds]
-    chunks = [[]]
-    for image in sorted(filter(sizes.__getitem__, range(len(sizes))), key=sizes.__getitem__):
-        b, d = len(chunks[-1]) + 1, sizes[image]
-        if b > 1 and (b * d > CHUNK_ROWS or b * d * d > CHUNK_IOUS):  # B * D_max or B * D_max**2 would not fit
-            chunks.append([])
-        chunks[-1].append(image)
-    grouped = [(images, *_group_chunk(request, images, match_iou)) for images in filter(None, chunks)]
+    sizes = np.diff(request.offsets[request.firsts])
+    images = np.argsort(sizes, kind="stable")
+    images = images[sizes[images] > 0]
+    runs = _chunks(sizes[images].tolist(), lambda b, d: b * d <= CHUNK_ROWS and b * d * d <= CHUNK_IOUS)
+    grouped = [(images[run], *_group_chunk(request, images[run], match_iou)) for run in runs]
     set_counts = np.zeros(len(sizes), np.intp)
-    for images, count, *_ in grouped:
-        set_counts[images] = count
+    for part, count, _ in grouped:
+        set_counts[part] = count
     firsts = np.concatenate(([0], np.cumsum(set_counts)))
-    # each detection's set and row, in rows order within an image; a stable sort keeps that order in each set
-    set_of = np.concatenate([(firsts[images, None] + owner)[real] for images, _, _, owner, real in grouped] or [[]])
-    member_rows = np.concatenate([rows[real] for _, _, rows, _, real in grouped] or [[]])
-    order = np.argsort(set_of, kind="stable")
-    set_of = set_of[order].astype(np.intp)
-    set_sizes = np.bincount(set_of, minlength=firsts[-1])
-    members = np.zeros((firsts[-1], set_sizes.max(initial=0)), np.intp)
-    members[set_of, np.arange(len(set_of)) - (np.cumsum(set_sizes) - set_sizes)[set_of]] = member_rows[order]
-    return SetColumns(request.batch, members, set_sizes), firsts.tolist()
+    rows = np.full((firsts[-1], np.diff(request.firsts).max(initial=0)), -1, np.intp)
+    for part, count, members in grouped:
+        made = np.arange(members.shape[1]) < count[:, None]
+        rows[(firsts[part, None] + np.arange(members.shape[1]))[made], :members.shape[2]] = members[made]
+    return SetColumns(request.batch, rows), firsts.tolist()

@@ -43,11 +43,14 @@ def image_passes(image_id: str, width: int, height: int, passes) -> ImagePasses:
 
 
 def instance_set(members) -> InstanceSet:
-    """The set of the (pass index, detection record) pairs ``members``, in their order, alone in its columns."""
+    """The set of the (pass index, detection record) pairs ``members``, in ascending pass order, alone in its
+    columns."""
     boxes, scores = _columns([d for _, d in members])
-    pass_index = np.array([p for p, _ in members], dtype=np.intp)
-    batch = DetectionBatch(boxes, scores, scores.max(axis=1, initial=0.0), pass_index)
-    return InstanceSet(SetColumns(batch, np.arange(len(members))[None], np.array([len(members)])), 0)
+    passes = [p for p, _ in members]
+    assert passes == sorted(set(passes)), "one member per pass, in pass order"
+    rows = np.full((1, passes[-1] + 1 if passes else 0), -1, np.intp)
+    rows[0, passes] = np.arange(len(members))
+    return InstanceSet(SetColumns(DetectionBatch(boxes, scores, scores.max(axis=1, initial=0.0)), rows), 0)
 
 
 def image_key(img: ImagePasses) -> tuple:

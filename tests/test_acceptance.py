@@ -106,7 +106,7 @@ def test_criterion_3_grouping_oracle_equivalence():
         flattened = [m for s in sets for m in s.members]
         original = [(p, d) for p, dets in enumerate(img.passes) for d in dets]
         assert sorted(flattened, key=repr) == sorted(original, key=repr)
-        assert all(1 <= s.size <= n for s in sets)
+        assert all(1 <= len(s.members) <= n for s in sets)
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0
     print(f"CRITERION 3: PASS (500 instances match brute force, {elapsed:.2f}s)")

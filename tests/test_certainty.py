@@ -25,11 +25,11 @@ def make_set(*members):
 
 
 def semantic_certainty(s, kappa):
-    return set_certainty(s, kappa, s.size).c_sem
+    return set_certainty(s, kappa, len(s.members)).c_sem
 
 
 def spatial_certainty(s):
-    return set_certainty(s, 2, s.size).c_spa
+    return set_certainty(s, 2, len(s.members)).c_spa
 
 
 def occurrence_certainty(s, n):
@@ -154,11 +154,11 @@ class TestImageCertainty:
         d1 = det(0, 0, 10, 10, (0.7, 0.3))
         d2 = det(1, 0, 11, 10, (0.6, 0.4))
         d3 = det(0, 1, 10, 11, (0.9, 0.1))
-        members = [(0, d1), (1, d2), (2, d3)]
-        base = set_certainty(make_set(*members), kappa=2, n=5)
+        dets = [d1, d2, d3]  # a set's members are summed in pass order: permute which pass holds which
+        base = set_certainty(make_set(*enumerate(dets)), kappa=2, n=5)
         for _ in range(5):
-            rng.shuffle(members)
-            shuffled = set_certainty(make_set(*members), kappa=2, n=5)
+            rng.shuffle(dets)
+            shuffled = set_certainty(make_set(*enumerate(dets)), kappa=2, n=5)
             assert shuffled.c_sem == pytest.approx(base.c_sem, abs=1e-12)
             assert shuffled.c_spa == pytest.approx(base.c_spa, abs=1e-12)
             assert shuffled.c_occ == base.c_occ

@@ -6,25 +6,37 @@ scores, equal corners, exact 0.0 scores) and passes left with 0, 1 and 2 or
 more survivors, and hold thresholds and grouping to the brute-force oracles.
 The thresholding kernel is also held to greedy NMS on requests built to hit
 its corners: passes of 0, 1, 2 and 100 detections, identical boxes and tied
-scores, chunk after chunk. Entropies, computed in row chunks, keep the bits
-of the whole-batch formula. A line the reader's screen cannot vouch for is walked detection by detection;
-the error names the first bad line, even when a later line fails its screen.
+scores, chunk after chunk; ``data_io._chunks``, the planner of its chunks and
+of grouping's, is checked under both rules. The set kernel's semantic
+certainty keeps the bits of the whole-batch entropy formula, and only set
+members' scores reach ``math.log``. A line the reader's screen cannot vouch
+for is walked detection by detection; the error names the first bad line,
+even when a later line fails its screen.
 """
 
+import functools
 import json
 import math
+import operator
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from boxal import data_io
+from boxal import certainty, data_io, grouping
 from boxal.certainty import image_certainty
-from boxal.data_io import MAX_DETECTIONS_PER_IMAGE, Detection, DetectionBatch, apply_thresholds, load_image_passes
+from boxal.data_io import (
+    MAX_DETECTIONS_PER_IMAGE,
+    Detection,
+    DetectionBatch,
+    _image_views,
+    apply_thresholds,
+    load_image_passes,
+)
 from boxal.errors import FormatError, ValidationError
 from boxal.evaluation import consolidate
 from boxal.geometry import BoundingBox, iou
-from boxal.grouping import group_passes
+from boxal.grouping import SetColumns, group_passes
 
 from oracles import brute_force_grouping, brute_force_nms, cap_image, image_key, image_passes, request_of
 
@@ -156,12 +168,36 @@ def test_kernel_equals_brute_force_nms_chunk_by_chunk(monkeypatch, budget, confi
     images = nms_request(np.random.Generator(np.random.PCG64(43)))
     sizes = [len(p) for img in images for p in img.passes]
     assert {0, 1, 2, MAX_DETECTIONS_PER_IMAGE} <= set(sizes)
-    crowded = sorted(size for size in sizes if size > 1)  # each pass's survivors at confidence 0
-    chunks = list(data_io._nms_chunks(crowded))
-    # several chunks, one of passes of unequal sizes (padded), and passes too large to share one
-    assert len(chunks) > 1 and any(crowded[part.start] < crowded[part.stop - 1] for part in chunks)
-    assert any(part.stop - part.start == 1 for part in chunks)
     assert_equals_brute_force_nms(images, confidence, nms_iou)
+
+
+RULES = {  # the chunk rules of the NMS kernel and of grouping, and the largest size each sees
+    "nms": (lambda b, d: b * d * d <= data_io.CHUNK_ELEMENTS, MAX_DETECTIONS_PER_IMAGE),
+    "grouping": (lambda b, d: b * d <= grouping.CHUNK_ROWS and b * d * d <= grouping.CHUNK_IOUS, 1500),
+}
+
+
+@pytest.mark.parametrize("rule", RULES)
+def test_chunks_are_the_longest_runs_that_fit(rule):
+    fits, largest = RULES[rule]
+    rng = np.random.Generator(np.random.PCG64(61))
+    seen = {"shared": False, "alone": False, "too large": False}
+    for case in range(200):
+        sizes = np.sort(rng.integers(1, largest + 1, size=int(rng.integers(0, 400))) // rng.choice([1, 4, 30]))
+        sizes = sizes[sizes > 0].tolist()
+        runs = list(data_io._chunks(sizes, fits))
+        assert [i for run in runs for i in range(run.start, run.stop)] == list(range(len(sizes))), case
+        for run in runs:
+            length = run.stop - run.start
+            assert length == 1 or fits(length, sizes[run.stop - 1]), case  # a run of several sizes fits
+            if run.stop < len(sizes):  # and it was cut where the next size would not fit
+                assert not fits(length + 1, sizes[run.stop]), case
+            if not fits(2, sizes[run.start]):  # a size that fits with nothing else stands alone
+                assert length == 1, case
+            seen["shared"] |= length > 1
+            seen["alone"] |= not fits(2, sizes[run.start])
+            seen["too large"] |= not fits(1, sizes[run.start])
+    assert all(seen.values()), seen
 
 
 def test_kernel_keeps_one_of_identical_boxes_and_the_first_of_tied_scores():
@@ -190,11 +226,11 @@ def test_a_request_of_cap_images_thresholds_within_a_few_chunks_of_memory():
 
 
 # ---------------------------------------------------------------------------
-# entropies in row chunks
+# entropies in the set kernel
 
 
 def whole_batch_entropies(scores: np.ndarray) -> np.ndarray:
-    """The entropies of every row at once, as the batch computed them before it went chunk by chunk."""
+    """The entropies of every row at once, as the batch computed them before they went chunk by chunk."""
     flat = scores.ravel()
     positive = flat > 0.0
     logs = np.zeros_like(flat)
@@ -203,35 +239,94 @@ def whole_batch_entropies(scores: np.ndarray) -> np.ndarray:
     return -(np.cumsum(terms, axis=-1)[..., -1] + 0.0)
 
 
-def score_batch(rng: np.random.Generator, rows: int, kappa: int) -> DetectionBatch:
+def random_scores(rng: np.random.Generator, rows: int, kappa: int) -> np.ndarray:
     """Random score rows, a third of the values exactly 0.0 and some rows one-hot."""
     raw = rng.gamma(1.0, size=(rows, kappa)) * (rng.random((rows, kappa)) > 0.3)
     raw[rows // 2:: 7] = np.eye(kappa)[rng.integers(0, kappa, size=len(raw[rows // 2:: 7]))]
     raw[raw.sum(axis=1) == 0.0, 0] = 1.0
-    scores = raw / raw.sum(axis=1, keepdims=True)
-    return DetectionBatch(np.zeros((rows, 4)), scores, scores.max(axis=1), np.zeros(rows, np.intp))
+    return raw / raw.sum(axis=1, keepdims=True)
 
 
 @pytest.mark.parametrize("budget", ["real", 12])
 def test_entropies_keep_the_bits_of_the_whole_batch_formula(monkeypatch, budget):
+    # c_sem of each set is the mean over its members, in pass order, of 1 - H / log(kappa), H as the
+    # whole-batch formula computes it; 4,001 rows go into 1,400 sets of 4 pass slots with holes
     if budget != "real":
-        monkeypatch.setattr(data_io, "CHUNK_ELEMENTS", budget)  # 2 rows of 5 a chunk
-    batch = score_batch(np.random.Generator(np.random.PCG64(53)), 4001, 5)
-    assert 4001 * 5 > 2 * data_io.CHUNK_ELEMENTS and (batch.scores == 0.0).any()
-    got, want = batch.entropies, whole_batch_entropies(batch.scores)
+        monkeypatch.setattr(data_io, "CHUNK_ELEMENTS", budget)  # one set of 4 x 5 scores a chunk
+    rng = np.random.Generator(np.random.PCG64(53))
+    rows, kappa, passes, set_count = 4001, 5, 4, 1400
+    scores = random_scores(rng, rows, kappa)
+    slots = np.zeros((set_count, passes), bool)
+    slots[np.arange(set_count), rng.integers(0, passes, set_count)] = True  # every set has a member
+    slots.flat[rng.choice(np.flatnonzero(~slots), rows - set_count, replace=False)] = True
+    members = np.full(slots.shape, -1, np.intp)
+    members[slots] = rng.permutation(rows)
+    sets = SetColumns(DetectionBatch(np.zeros((rows, 4)), scores, scores.max(axis=1)), members)
+    assert set_count * passes * kappa > 2 * data_io.CHUNK_ELEMENTS and (~slots).any()
+    assert (scores == 0.0).any() and (scores == 1.0).any()
+    got = certainty._certainties(sets, kappa, passes)[1][:, 0]
+    terms = 1.0 - whole_batch_entropies(scores) / math.log(kappa)
+    want = np.array([functools.reduce(operator.add, terms[row[row >= 0]].tolist(), 0.0) for row in members])
+    want /= slots.sum(axis=1)
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_entropies_of_a_crowded_batch_hold_a_chunk_of_temporaries():
-    batch = score_batch(np.random.Generator(np.random.PCG64(59)), 20_000, 20)
+    # 50 images of 20 objects, each seen by all 20 passes with jittered corners, kappa 20: certainty
+    # of the 1,000 sets of the request's 20,000 rows
+    rng = np.random.Generator(np.random.PCG64(59))
+    objects = np.array([(x, y, x + 20.0, y + 20.0) for x in range(0, 100, 25) for y in range(0, 125, 25)])
+    boxes = np.tile(objects, (50 * 20, 1)) + rng.integers(0, 3, size=(20_000, 4))
+    images = _image_views(boxes, random_scores(rng, 20_000, 20),
+                          [(f"img_{i}", 130, 130, [20] * 20) for i in range(50)])
+    sets = [group_passes(img) for img in images]
     tracemalloc.start()
     try:
-        batch.entropies
+        scored = [image_certainty(img.image_id, s, 20, 20) for img, s in zip(images, sets)]
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # the result takes 160 KB; the whole-batch formula held several 20,000 x 20 float64 blocks, 3.2 MB each
+    assert [c.set_count for c in scored] == [20] * 50
+    # the entropies of every row at once took 160 KB, and the whole-batch formula held several
+    # 20,000 x 20 float64 blocks, 3.2 MB each
     assert peak < 1e6
+
+
+def test_only_the_scores_of_set_members_reach_math_log(tmp_path, monkeypatch):
+    # a detector's file may hold rows below the confidence cut; thresholding drops them, and certainty
+    # takes the log of the positive scores of the rows it kept, and of kappa, and of nothing else
+    full, kept = tmp_path / "full.jsonl", tmp_path / "kept.jsonl"
+    random_file(np.random.Generator(np.random.PCG64(67)), full)
+    records = [json.loads(line) for line in full.read_text().splitlines()]
+    dropped = sum(max(d["scores"]) < CONFIDENCE for r in records for p in r["passes"] for d in p)
+    for record in records:
+        record["passes"] = [[d for d in p if max(d["scores"]) >= CONFIDENCE] for p in record["passes"]]
+    kept.write_text("".join(json.dumps(record) + "\n" for record in records))
+    assert dropped > 0
+
+    logged = []
+
+    class CountingMath:
+        """``math``, whose ``log`` records each argument."""
+
+        def __getattr__(self, name):
+            return getattr(math, name)
+
+        @staticmethod
+        def log(value):
+            logged.append(value)
+            return math.log(value)
+
+    def scored(path):
+        images = [apply_thresholds(img, CONFIDENCE, 0.3) for img in load_image_passes(path, PASSES, KAPPA)]
+        return images, [image_certainty(img.image_id, group_passes(img), KAPPA, PASSES) for img in images]
+
+    monkeypatch.setattr(certainty, "math", CountingMath())
+    images, got = scored(full)
+    members = [d for img in images for s in group_passes(img) for _, d in s.members]
+    assert sorted(logged) == sorted([KAPPA] + [v for d in members for v in d.scores if v > 0.0])
+    _, want = scored(kept)
+    assert got == want and [c.c_min for c in got] == [c.c_min for c in want]
 
 
 # ---------------------------------------------------------------------------

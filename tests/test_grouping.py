@@ -31,14 +31,14 @@ class TestExamples:
         img = image_passes("x", 100, 100, ((a,), (b,)))
         (s,) = group_passes(img)
         assert s.members == ((0, a), (1, b))
-        assert s.size == 2
+        assert len(s.members) == 2
 
     def test_two_passes_disjoint_two_sets(self):
         a = det(0, 0, 10, 10)
         b = det(50, 50, 60, 60)
         img = image_passes("x", 100, 100, ((a,), (b,)))
         sets = group_passes(img)
-        assert [s.size for s in sets] == [1, 1]
+        assert [len(s.members) for s in sets] == [1, 1]
         assert [s.members for s in sets] == [((0, a),), ((1, b),)]  # creation order
 
     def test_all_passes_empty(self):
@@ -53,7 +53,7 @@ class TestExamples:
         b2 = det(1, 0, 11, 10, (0.7, 0.3))
         img = image_passes("x", 100, 100, ((a,), (b1, b2)))
         sets = group_passes(img)
-        assert [s.size for s in sets] == [2, 1]
+        assert [len(s.members) for s in sets] == [2, 1]
         assert sets[0].members == ((0, a), (1, b1))
         assert sets[1].members == ((1, b2),)
 
@@ -73,7 +73,7 @@ class TestExamples:
         a = det(0, 0, 10, 10, (0.9, 0.1))
         b = det(1, 0, 11, 10, (0.8, 0.2))
         img = image_passes("x", 100, 100, ((a, b),))
-        assert [s.size for s in group_passes(img)] == [1, 1]
+        assert [len(s.members) for s in group_passes(img)] == [1, 1]
 
 
 class TestInvariants:
@@ -95,7 +95,7 @@ class TestInvariants:
         n = len(img.passes)
         everything = []
         for s in sets:
-            assert 1 <= s.size <= n
+            assert 1 <= len(s.members) <= n
             pass_indices = [p for p, _ in s.members]
             assert len(set(pass_indices)) == len(pass_indices)
             everything.extend(s.members)
@@ -161,8 +161,14 @@ class TestLockstep:
         # more than one chunk, and images without sets
         assert max(sizes) * sum(map(bool, sizes)) > grouping.CHUNK_ROWS and 0 in sizes
         assert len({len(img.bounds) for img in images}) > 1  # unequal pass counts
+        width = max(len(img.bounds) for img in images) - 1
         for img in images:
-            assert members_of(group_passes(img, match_iou)) == brute_force_grouping(img, match_iou, iou), img.image_id
+            sets, want = group_passes(img, match_iou), brute_force_grouping(img, match_iou, iou)
+            assert members_of(sets) == want, img.image_id
+            # set s holds a batch row in pass slot p exactly when its members list pass p
+            slots = [np.flatnonzero(s.sets.rows[s.index] >= 0).tolist() for s in sets]
+            assert slots == [[p for p, _ in members] for members in want], img.image_id
+            assert all(s.sets.rows.shape[1] == width for s in sets)
 
     @pytest.mark.parametrize("match_iou", [0.0, 0.3, 0.5, 1.0])
     def test_an_image_at_the_cap_equals_brute_force_grouping(self, match_iou):
@@ -183,7 +189,6 @@ def scored(images, match_iou, kappa, n):
 def kernel_peak(images, match_iou, kappa, n) -> tuple[int, int]:
     """The most bytes that grouping, certainty and consolidation of a request hold at once, and the bytes
     they leave held: the request's sets, scores and predictions."""
-    images[0].batch.entropies  # a column of the whole batch, computed once whatever the kernels
     tracemalloc.start()
     try:
         results = scored(images, match_iou, kappa, n)
