@@ -3,9 +3,9 @@
 Semantic certainty is one minus the normalized Shannon entropy of each
 member's category-probability vector, averaged over the set (0*log(0) := 0;
 the normalizer is log(kappa), so the value is independent of the log base).
-Each member's entropy is computed in the set kernel, on the score chunks
-that ``SetColumns.gathered`` yields: ``math.log`` of each positive score,
-summed left to right, so only the rows that thresholding kept reach it.
+Each member's entropy is computed in the set kernel, on chunks of member
+score rows: ``math.log`` of each positive score, summed left to right, so
+only the rows that thresholding kept reach it.
 Spatial certainty is the mean IoU between each member box and the set's mean
 box. Occurrence certainty is the fraction of passes that contributed a
 member. The combined certainty is the product of the three, and an image is
@@ -28,6 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import data_io
 from .data_io import _row_sums
 from .geometry import iou_matrix
 from .grouping import InstanceSet, SetColumns
@@ -59,8 +60,11 @@ def _certainties(sets: SetColumns, kappa: int, n: int) -> tuple[list[float], np.
     """Every set's c_h, as a list, and its (c_sem, c_spa, c_occ) row, computed once per ``kappa`` and n."""
     key = ("certainty", kappa, n)
     if key not in sets.results:
-        c_sem, c_spa, log_kappa = np.empty(len(sets.sizes)), np.empty(len(sets.sizes)), math.log(kappa)
-        for part, scores in sets.gathered(sets.batch.scores):  # a hole's scores are 0.0
+        c_spa, log_kappa, step = np.empty(len(sets.sizes)), math.log(kappa), max(1, data_io.CHUNK_ELEMENTS // kappa)
+        slots, terms = np.flatnonzero(sets.rows >= 0), np.zeros(sets.rows.shape)  # a hole's term is 0.0
+        for start in range(0, len(slots), step):
+            part = slots[start:start + step]  # the members of a chunk of score rows, in set and pass order
+            scores = sets.batch.scores[sets.rows.flat[part]]
             flat = scores.ravel()
             positive = flat > 0.0
             logs = np.zeros_like(flat)
@@ -68,9 +72,8 @@ def _certainties(sets: SetColumns, kappa: int, n: int) -> tuple[list[float], np.
             logs[positive] = np.fromiter(map(math.log, memoryview(flat[positive])), np.float64)
             # a zero score adds a zero term, which leaves every left-to-right sum as it was
             entropies = -_row_sums((flat * logs).reshape(scores.shape))
-            terms = 1.0 - entropies / log_kappa
-            terms[sets.rows[part] < 0] = 0.0
-            c_sem[part] = _row_sums(terms) / sets.sizes[part]
+            terms.flat[part] = 1.0 - entropies / log_kappa
+        c_sem = _row_sums(terms) / sets.sizes
         for part, boxes in sets.gathered(sets.batch.boxes):  # a hole's all-zero box has IoU 0.0
             c_spa[part] = _row_sums(iou_matrix(sets.mean_boxes[part, None], boxes)[:, 0]) / sets.sizes[part]
         c_occ = sets.sizes / n

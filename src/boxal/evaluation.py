@@ -5,16 +5,16 @@ score-descending matching against the highest-IoU unmatched ground-truth
 object, 101-point interpolated average precision, at most 100 detections per
 image, and the mean taken over categories with at least one ground-truth
 instance. Area/maxDets breakdowns are out of scope; only the headline mAP and
-per-category APs are produced. Each image's 100 best predictions are
-matched once per threshold by ``geometry.greedy_match``, the one greedy rule,
-which grouping applies as an array step; the IoUs are computed once, and
-per-image F1 reads the matches at ``F1_IOU``, so it scores the predictions
-mAP scores. AP is
-accumulated as in pycocotools' ``COCOeval.accumulate``, on a category's
-score-ordered ``(D, 10)`` TP flags: cumulative sums give precision and
-recall, the precision envelope is a running max from the right, a
-``searchsorted`` finds the 101 recall points, and every total is a
-cumulative sum, which adds left to right.
+per-category APs are produced. ``coco_map`` and ``f1_image`` share one
+kernel, ``_match``: one ``lexsort`` ranks every image's 100 best predictions,
+and lockstep array steps over rank match them at every threshold at once,
+choosing as grouping's ``_best_open`` chooses (``tests/oracles.py`` keeps the
+scalar rule, ``greedy_match``). Per-image F1 reads the matches at ``F1_IOU``,
+so it scores the predictions mAP scores. AP is accumulated as in pycocotools'
+``COCOeval.accumulate``, on a category's score-ordered ``(D, 10)`` TP flags:
+cumulative sums give precision and recall, the precision envelope is a
+running max from the right, a ``searchsorted`` finds the 101 recall points,
+and every total is a cumulative sum, which adds left to right.
 
 The t-test is the classic pooled-variance (equal-variance) two-sample Student
 test. The two-sided p-value is computed from the regularized incomplete beta
@@ -24,13 +24,14 @@ function, implemented here with a Lentz-style continued fraction.
 from __future__ import annotations
 
 import math
-from collections import Counter, defaultdict
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
+from . import data_io
 from .data_io import (
     MAX_DETECTIONS_PER_IMAGE,
     CategoryCatalog,
@@ -38,11 +39,12 @@ from .data_io import (
     _field,
     _labeled_box,
     _load_by_image,
+    _chunks,
     _row_sums,
 )
 from .errors import ValidationError
-from .geometry import BoundingBox, greedy_match, iou
-from .grouping import InstanceSet, SetColumns
+from .geometry import BoundingBox, iou_matrix
+from .grouping import InstanceSet, SetColumns, _best_open
 
 COCO_IOU_THRESHOLDS = tuple((50 + 5 * i) / 100.0 for i in range(10))
 F1_IOU = COCO_IOU_THRESHOLDS[0]  # 0.5, the IoU of per-image F1 in f1_image and coco_map
@@ -102,49 +104,82 @@ def consolidate(sets: Sequence[InstanceSet]) -> list[FinalPrediction]:
     return preds
 
 
-def _ranked(preds: Sequence[FinalPrediction]) -> list[FinalPrediction]:
-    """An image's ``MAX_DETECTIONS_PER_IMAGE`` best predictions, in ``_score_order``."""
-    return sorted(preds, key=_score_order)[:MAX_DETECTIONS_PER_IMAGE]
-
-
-def _match_rows(
-    ranked: Sequence[FinalPrediction],
-    gt_objects: Sequence[tuple[BoundingBox, int]],
-) -> list[list[tuple[int, float]]]:
-    """One ``greedy_match`` row per ranked prediction: its (j, IoU) pairs.
-
-    A pair is a ground-truth object j of the prediction's category with IoU
-    at least ``F1_IOU``, the lowest threshold matching uses, so each image's
-    IoUs are computed once for every threshold.
-    """
-    return [
-        [(j, value) for j, (box, category) in enumerate(gt_objects)
-         if category == pred.category and (value := iou(pred.box, box)) >= F1_IOU]
-        for pred in ranked
-    ]
-
-
 def _f1(tp: int, n_preds: int, n_gt: int) -> float:
-    if n_preds == 0 and n_gt == 0:
-        return 1.0
     if tp == 0:
-        return 0.0
-    precision = tp / n_preds
-    recall = tp / n_gt
+        return 1.0 if n_preds == 0 and n_gt == 0 else 0.0
+    precision, recall = tp / n_preds, tp / n_gt
     return 2.0 * precision * recall / (precision + recall)
 
 
-def f1_image(preds: Sequence[FinalPrediction], gt: GroundTruthImage) -> float:
-    """Detection F1 for one image at IoU ``F1_IOU``.
+def _padded(starts: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(B, max count) positions of each run of ``counts`` rows from ``starts``, padded with 0, and which are real."""
+    real = np.arange(counts.max()) < counts[:, None]
+    return np.where(real, starts[:, None] + np.arange(counts.max()), 0), real
 
-    The image's ``MAX_DETECTIONS_PER_IMAGE`` best predictions are scored, as
+
+def _match(preds_by_image: Mapping[str, Sequence[FinalPrediction]], gt_by_image: Mapping[str, GroundTruthImage],
+           thresholds: Sequence[float]) -> tuple:
+    """Greedy matching of every image of ``gt_by_image`` at each of the ascending ``thresholds``: the ranked
+    predictions' image (position in ``gt_by_image``), score, category and corner columns, image after image, each
+    image's ``MAX_DETECTIONS_PER_IMAGE`` best in ``_score_order``; their (R, T) TP flags; the objects' categories;
+    and each image's F1 at the first threshold, in ``gt_by_image`` order.
+
+    At a threshold, each prediction in rank order takes the first untaken object of its image and category of highest
+    IoU that reaches the threshold (``grouping._best_open``; pycocotools' ``evaluateImg`` takes the last of a tie).
+    Images with predictions and objects go in chunks (``data_io._chunks``), sorted by the larger count D, of B
+    images with B * D_max**2 <= ``CHUNK_ELEMENTS``, whose (B, P, G) ``iou_matrix`` is masked to each prediction's
+    category. Where no two predictions reach one object at the first threshold, each matches wherever its highest
+    IoU reaches the threshold; the C other images step in lockstep, rank after rank, at every threshold at once,
+    with a (C * T, G) mask of the objects still open.
+    """
+    preds = [preds_by_image.get(image_id, ()) for image_id in gt_by_image]
+    records = list(chain.from_iterable(preds))
+    owner = np.repeat(np.arange(len(preds)), [len(p) for p in preds])
+    boxes = np.fromiter(chain.from_iterable(p.box for p in records), np.float64).reshape(-1, 4)
+    scores = np.fromiter((p.score for p in records), np.float64, len(records))
+    order = np.lexsort((*boxes.T[::-1], -scores, owner))  # owner is sorted, so each image's run keeps its place
+    order = order[np.arange(len(order)) - np.searchsorted(owner, owner) < MAX_DETECTIONS_PER_IMAGE]
+    owner, boxes, scores = owner[order], boxes[order], scores[order]
+    categories = np.fromiter((p.category for p in records), np.intp, len(records))[order]
+    objects = [gt.objects for gt in gt_by_image.values()]
+    gt_boxes = np.fromiter(chain.from_iterable(box for gt in objects for box, _ in gt), np.float64).reshape(-1, 4)
+    gt_categories = np.fromiter((category for gt in objects for _, category in gt), np.intp)
+    counts, gt_counts = np.bincount(owner, minlength=len(preds)), np.array([len(gt) for gt in objects], np.intp)
+    sizes = np.where((counts > 0) & (gt_counts > 0), np.maximum(counts, gt_counts), 0)
+    images = np.flatnonzero(sizes)[np.argsort(sizes[sizes > 0], kind="stable")]
+    flags = np.zeros((len(owner), len(thresholds)), bool)
+    for run in _chunks(sizes[images].tolist(), lambda b, d: b * d * d <= data_io.CHUNK_ELEMENTS):
+        part = images[run]
+        at, real = _padded(np.cumsum(counts)[part] - counts[part], counts[part])
+        gt_at, gt_real = _padded(np.cumsum(gt_counts)[part] - gt_counts[part], gt_counts[part])
+        same = (categories[at][:, :, None] == gt_categories[gt_at][:, None]) & real[:, :, None] & gt_real[:, None]
+        values = np.where(same, iou_matrix(boxes[at], gt_boxes[gt_at]), -np.inf)  # (B, P, G)
+        hits = values.max(axis=2)[..., None] >= thresholds  # (B, P, T), right where no object is contested
+        contested = np.flatnonzero(((values >= thresholds[0]).sum(axis=1) > 1).any(axis=1))
+        steps, open_objects = values[contested], np.ones((len(contested) * len(thresholds), values.shape[2]), bool)
+        floors = np.tile(thresholds, len(contested))[:, None]  # row c * T + t holds image c at threshold t
+        for rank in np.flatnonzero((steps >= thresholds[0]).any(axis=(0, 2))).tolist():
+            best = _best_open(np.repeat(steps[:, rank], len(thresholds), axis=0), open_objects, floors)
+            taken = np.flatnonzero(best >= 0)
+            open_objects[taken, best[taken]] = False
+            hits[contested, rank] = (best >= 0).reshape(len(contested), len(thresholds))
+        flags[at[real]] = hits[real]
+
+    tp = np.bincount(owner[flags[:, 0]], minlength=len(preds)).tolist()
+    per_image_f1 = dict(zip(gt_by_image, map(_f1, tp, counts.tolist(), gt_counts.tolist())))
+    return (owner, scores, categories, boxes), flags, gt_categories, per_image_f1
+
+
+def f1_image(preds_by_image: Mapping[str, Sequence[FinalPrediction]],
+             gt_by_image: Mapping[str, GroundTruthImage]) -> dict[str, float]:
+    """Each image's detection F1 at IoU ``F1_IOU``, in ``gt_by_image`` order.
+
+    An image's ``MAX_DETECTIONS_PER_IMAGE`` best predictions are scored, as
     in ``coco_map``. A prediction counts as a true positive if it greedily
     matches an unmatched ground-truth object of the same category with IoU
     >= F1_IOU. Both-empty images score 1 so blanks do not read as failures.
     """
-    ranked = _ranked(preds)
-    tp = sum(j >= 0 for j in greedy_match(_match_rows(ranked, gt.objects), F1_IOU))
-    return _f1(tp, len(ranked), len(gt.objects))
+    return _match(preds_by_image, gt_by_image, (F1_IOU,))[-1]
 
 
 def _average_precision(flags: np.ndarray, n_gt: int) -> float:
@@ -171,40 +206,22 @@ def coco_map(
     """COCO-style mAP plus per-image F1 at IoU ``F1_IOU``."""
     if all(not gt.objects for gt in gt_by_image.values()):
         raise ValidationError("mAP is undefined with no ground-truth objects")
-
-    # Matching is per image: a prediction only competes for ground truth of
-    # its own image and category, so one greedy pass per image and threshold
-    # yields every category's TP flags at once. The same pass buckets each
-    # category's ground-truth count and detections, in image order, and counts
-    # the image's F1 matches.
-    gt_count: Counter[int] = Counter()
-    by_category: dict[int, list] = defaultdict(list)
-    per_image_f1 = {}
-    tp = fp = fn = 0
-    for image_id, gt in gt_by_image.items():
-        preds = _ranked(preds_by_image.get(image_id, ()))
-        rows = _match_rows(preds, gt.objects)
-        image_flags = [[j >= 0 for j in greedy_match(rows, thr)] for thr in COCO_IOU_THRESHOLDS]
-        gt_count.update(c for _, c in gt.objects)
-        for p, flags in zip(preds, zip(*image_flags)):
-            by_category[p.category].append((p.score, image_id, p.box.as_tuple(), flags))
-        image_tp = sum(image_flags[0])  # the flags at COCO_IOU_THRESHOLDS[0], F1_IOU
-        per_image_f1[image_id] = _f1(image_tp, len(preds), len(gt.objects))
-        tp += image_tp
-        fp += len(preds) - image_tp
-        fn += len(gt.objects) - image_tp
-
-    per_category_ap: dict[int, float] = {}
-    for category in range(len(catalog)):
-        if gt_count[category] == 0:
-            continue
-        detections = by_category[category]
-        detections.sort(key=lambda d: (-d[0], d[1], d[2]))
-        ranked = np.array([d[3] for d in detections], dtype=bool).reshape(-1, len(COCO_IOU_THRESHOLDS))
-        per_category_ap[category] = _average_precision(ranked, gt_count[category])
-
+    (owner, scores, categories, boxes), flags, gt_categories, per_image_f1 = _match(
+        preds_by_image, gt_by_image, COCO_IOU_THRESHOLDS)
+    # each id's place in string order, a permutation's inverse: a "stable" argsort, as the kernels use, because
+    # numpy's default one is a SIMD sort whose code adds 0.2 MB to a run's resident size
+    names = np.argsort(sorted(range(len(gt_by_image)), key=list(gt_by_image).__getitem__), kind="stable")
+    # a category's detections by descending score, then image id, then corners; ties keep image and rank order
+    order = np.lexsort((*boxes.T[::-1], names[owner], -scores, categories))
+    bounds = np.searchsorted(categories[order], np.arange(len(catalog) + 1)).tolist()
+    gt_count = np.bincount(gt_categories, minlength=len(catalog)).tolist()
+    per_category_ap = {
+        category: _average_precision(flags[order[bounds[category]:bounds[category + 1]]], gt_count[category])
+        for category in range(len(catalog)) if gt_count[category]
+    }
     map_score = sum(per_category_ap.values()) / len(per_category_ap)
-    return EvalResult(per_category_ap, map_score, per_image_f1, tp, fp, fn)
+    tp = int(flags[:, 0].sum())  # at COCO_IOU_THRESHOLDS[0], F1_IOU
+    return EvalResult(per_category_ap, map_score, per_image_f1, tp, len(owner) - tp, len(gt_categories) - tp)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Axis-aligned bounding-box primitives: IoU, the IoU matrix and greedy matching.
+"""Axis-aligned bounding-box primitives: IoU and the IoU matrix.
 
 Boxes use the corner convention (x_min, y_min, x_max, y_max) with continuous
 coordinates, so areas are exact products and no pixel rasterization is involved.
@@ -13,16 +13,16 @@ list such as a row of a batch's corner column.
 or of two stacks of box lists. It performs the same float operations in the
 same order, so each entry equals the scalar ``iou`` bit for bit;
 ``tests/test_geometry.py::TestIoUMatrix`` pins this. Greedy NMS
-(``data_io.apply_thresholds``) takes one (B, D, D) stack of it per chunk of
-passes, grouping reads one row of it per detection, for a chunk of images
-at once, and spatial certainty one per instance set. ``greedy_match`` is the
-greedy assignment rule that evaluation matches with; grouping applies the
-same rule as an array step.
+(``data_io.apply_thresholds``) takes a (B, D, D) stack of it per chunk of
+passes, grouping a row per detection of a chunk of images, evaluation a
+(B, P, G) stack per chunk of images, and spatial certainty a row per set.
+Grouping and evaluation match greedily in array steps over the choice of
+``grouping._best_open``, whose scalar form is ``tests/oracles.greedy_match``.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -83,21 +83,3 @@ def iou_matrix(a: Sequence[BoundingBox] | np.ndarray, b: Sequence[BoundingBox] |
     union -= inter
     return np.divide(inter, union, out=np.zeros(inter.shape), where=overlap)
 
-
-def greedy_match(rows: Iterable[Iterable[tuple[int, float]]], threshold: float) -> list[int]:
-    """For each row in order, the column it takes, or -1 if it takes none.
-
-    A row is its ``(column, value)`` pairs. It takes the column of its highest
-    value >= ``threshold`` among the columns no earlier row took; ties go to
-    the pair listed first.
-    """
-    taken: set[int] = set()
-    matches = []
-    for row in rows:
-        best, best_value = -1, -1.0
-        for column, value in row:
-            if value >= threshold and value > best_value and column not in taken:
-                best, best_value = column, value
-        taken.add(best)  # -1 is no column, so adding it takes nothing
-        matches.append(best)
-    return matches

@@ -6,9 +6,9 @@ pass 1 each seed a set. For every later pass, detections are processed in
 canonical order (descending max score, then lexicographic box corners); a
 detection joins the existing set with the highest max-member IoU, provided
 that value reaches the match threshold and the set has not already received a
-member from the current pass. Ties go to the earliest-created set: the rule
-of ``geometry.greedy_match``. Unmatched detections seed new sets, closed to
-further members from the same pass, so a set has at most one member per pass.
+member from the current pass. Ties go to the earliest-created set (the rule
+of ``tests/oracles.greedy_match``). Unmatched detections seed new sets, closed
+to further members from the same pass, so a set has at most one member per pass.
 
 The first ``group_passes`` call on an image of a request (``data_io.Request``)
 groups all its images; each call returns its image's sets, views of the
@@ -20,7 +20,7 @@ B * D_max**2 <= ``CHUNK_IOUS`` unless B = 1 (18 MB at the reader's cap of
 members' IoUs with its image's detections, (B, S, D) float64, and its member
 row per pass, (B, S, n), both grown as sets appear. Step (pass, rank) takes
 that detection of every image that has one: it joins the first open set of
-highest value >= the match IoU (an ``argmax``, the rest masked to -inf) or
+highest value >= the match IoU (``_best_open``, evaluation's choice too) or
 seeds one, fills that set's slot for the pass, and its
 ``geometry.iou_matrix`` row raises its set's max: the floats of scalar ``iou``.
 """
@@ -95,7 +95,7 @@ def group_passes(img: ImagePasses, match_iou: float = 0.5) -> list[InstanceSet]:
 
 
 def _best_open(values: np.ndarray, open_sets: np.ndarray, match_iou: float) -> np.ndarray:
-    """Each row's first open column of highest value >= ``match_iou``, or -1: ``greedy_match``'s choice."""
+    """Each row's first open column of highest value >= ``match_iou``, or -1: the greedy matching choice."""
     candidates = np.where(open_sets & (values >= match_iou), values, -np.inf)
     return np.where(candidates.max(axis=1) > -np.inf, candidates.argmax(axis=1), -1)  # argmax: the first max
 

@@ -504,9 +504,7 @@ def _run_iteration_locked(
     else:
         sampled = sampling.sample_random(sorted(state.pool_ids), n_sample, config.seed, i)
 
-    per_image_f1 = {
-        image_id: f1_image(preds[image_id], gt[image_id]) for image_id in state.pool_ids
-    }
+    per_image_f1 = f1_image(preds, {image_id: gt[image_id] for image_id in state.pool_ids})
     sampled_set = set(sampled)
     sampled_f1 = [per_image_f1[s] for s in sampled]
     remaining_f1 = [f for s, f in per_image_f1.items() if s not in sampled_set]

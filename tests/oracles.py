@@ -98,6 +98,44 @@ def rasterized_iou(a: BoundingBox, b: BoundingBox, pitch: float = 0.25) -> float
 
 
 # ---------------------------------------------------------------------------
+# the scalar greedy assignment rule
+
+
+def greedy_match(rows, threshold: float) -> list[int]:
+    """For each row in order, the column it takes, or -1 if it takes none.
+
+    A row is its ``(column, value)`` pairs. It takes the column of its highest
+    value >= ``threshold`` among the columns no earlier row took; ties go to
+    the pair listed first.
+    """
+    taken: set[int] = set()
+    matches = []
+    for row in rows:
+        best, best_value = -1, -1.0
+        for column, value in row:
+            if value >= threshold and value > best_value and column not in taken:
+                best, best_value = column, value
+        taken.add(best)  # -1 is no column, so adding it takes nothing
+        matches.append(best)
+    return matches
+
+
+def scalar_f1(preds, gt: GroundTruthImage, iou_fn) -> float:
+    """One image's F1 at IoU 0.5: its 100 best predictions by descending score, then box corners, each matched
+    by ``greedy_match`` to the objects of its category; 1.0 when the image has neither."""
+    ranked = sorted(preds, key=lambda p: (-p.score, p.box.as_tuple()))[:100]
+    rows = [[(j, iou_fn(p.box, box)) for j, (box, category) in enumerate(gt.objects) if category == p.category]
+            for p in ranked]
+    tp = sum(j >= 0 for j in greedy_match(rows, 0.5))
+    if not ranked and not gt.objects:
+        return 1.0
+    if tp == 0:
+        return 0.0
+    precision, recall = tp / len(ranked), tp / len(gt.objects)
+    return 2.0 * precision * recall / (precision + recall)
+
+
+# ---------------------------------------------------------------------------
 # brute-force greedy NMS written as an elimination sweep rather than a
 # keep-list accumulation
 

@@ -1,11 +1,13 @@
 import json
 import math
+import warnings
 
 import mpmath
 import numpy as np
 import pytest
 
-from boxal.data_io import CategoryCatalog, Detection, GroundTruthImage
+from boxal import data_io
+from boxal.data_io import MAX_DETECTIONS_PER_IMAGE, CategoryCatalog, Detection, GroundTruthImage
 from boxal.errors import ValidationError
 from boxal.evaluation import (
     COCO_IOU_THRESHOLDS,
@@ -19,7 +21,7 @@ from boxal.evaluation import (
 )
 from boxal.geometry import BoundingBox, iou
 
-from oracles import brute_force_map, instance_set, random_scene
+from oracles import brute_force_map, instance_set, random_scene, scalar_f1
 
 CATALOG3 = CategoryCatalog(("a", "b", "c"))
 
@@ -101,18 +103,23 @@ class TestConsolidate:
         assert [p.score for p in out] == [0.9, 0.6]
 
 
+def f1_one(preds, gt):
+    """``f1_image`` of a request of one image."""
+    return f1_image({gt.image_id: preds}, {gt.image_id: gt})[gt.image_id]
+
+
 class TestF1Image:
     GT = GroundTruthImage("x", ((BoundingBox(0, 0, 10, 10), 0), (BoundingBox(30, 30, 40, 40), 1)))
 
     def test_perfect_predictions(self):
         preds = [pred(0, 0, 10, 10, 0, 0.9), pred(30, 30, 40, 40, 1, 0.8)]
-        assert f1_image(preds, self.GT) == 1.0
+        assert f1_one(preds, self.GT) == 1.0
 
     def test_no_predictions_nonempty_gt(self):
-        assert f1_image([], self.GT) == 0.0
+        assert f1_one([], self.GT) == 0.0
 
     def test_both_empty_is_one(self):
-        assert f1_image([], GroundTruthImage("x", ())) == 1.0
+        assert f1_one([], GroundTruthImage("x", ())) == 1.0
 
     def test_two_gt_three_preds_one_tp(self):
         preds = [
@@ -121,25 +128,25 @@ class TestF1Image:
             pred(30, 30, 40, 40, 2, 0.7),    # FP: wrong category
         ]
         # P = 1/3, R = 1/2, F1 = 2PR/(P+R) = 0.4
-        assert f1_image(preds, self.GT) == pytest.approx(0.4, abs=1e-12)
+        assert f1_one(preds, self.GT) == pytest.approx(0.4, abs=1e-12)
 
     def test_category_must_match(self):
         preds = [pred(0, 0, 10, 10, 1, 0.9)]
-        assert f1_image(preds, self.GT) == 0.0
+        assert f1_one(preds, self.GT) == 0.0
 
     def test_gt_not_double_counted(self):
         preds = [pred(0, 0, 10, 10, 0, 0.9), pred(0, 0, 10, 10, 0, 0.8)]
         # second prediction has no unmatched gt left: P=1/2, R=1/2
-        assert f1_image(preds, self.GT) == pytest.approx(0.5, abs=1e-12)
+        assert f1_one(preds, self.GT) == pytest.approx(0.5, abs=1e-12)
 
     def test_permutation_invariant(self):
         rng = np.random.Generator(np.random.PCG64(0))
         preds_by_image, gt_by_image = random_scene(rng)
-        for image_id, preds in preds_by_image.items():
-            base = f1_image(preds, gt_by_image[image_id])
-            shuffled = list(preds)
-            rng.shuffle(shuffled)
-            assert f1_image(shuffled, gt_by_image[image_id]) == base
+        base = f1_image(preds_by_image, gt_by_image)
+        shuffled = {image_id: list(preds) for image_id, preds in preds_by_image.items()}
+        for preds in shuffled.values():
+            rng.shuffle(preds)
+        assert f1_image(shuffled, gt_by_image) == base
 
 
 class TestCocoMap:
@@ -201,9 +208,7 @@ class TestCocoMap:
             preds_by_image, gt_by_image = crowded_scene(rng)
             got = assert_matches_brute_force(preds_by_image, gt_by_image, f"case {case}")
             # f1_image scores the same 100 best predictions per image as coco_map
-            assert got.per_image_f1 == {
-                image_id: f1_image(preds_by_image[image_id], gt) for image_id, gt in gt_by_image.items()
-            }, f"case {case}"
+            assert got.per_image_f1 == f1_image(preds_by_image, gt_by_image), f"case {case}"
 
     def test_per_image_f1_matches_f1_image(self):
         # coco_map reads its F1 off the matches at COCO_IOU_THRESHOLDS[0]; f1_image matches alone
@@ -213,10 +218,7 @@ class TestCocoMap:
             if all(not g.objects for g in gt_by_image.values()):
                 continue
             got = coco_map(preds_by_image, gt_by_image, CATALOG3).per_image_f1
-            assert got == {
-                image_id: f1_image(preds_by_image.get(image_id, []), gt)
-                for image_id, gt in gt_by_image.items()
-            }, f"case {case}"
+            assert got == f1_image(preds_by_image, gt_by_image), f"case {case}"
 
     def test_duplicate_tp_cannot_raise_map(self):
         rng = np.random.Generator(np.random.PCG64(1))
@@ -255,7 +257,97 @@ class TestCocoMap:
         preds.append(pred(0, 0, 10, 10, 0, 0.1))
         result = coco_map({"i1": preds}, gt, CATALOG3)
         assert result.map_score == 0.0
-        assert result.per_image_f1["i1"] == f1_image(preds, gt["i1"]) == 0.0
+        assert result.per_image_f1["i1"] == f1_image({"i1": preds}, gt)["i1"] == 0.0
+
+
+def mixed_request(rng):
+    """Forty images in a shuffled, unsorted id order: random and crowded scenes (some with over 100 predictions),
+    images with predictions and no objects, objects and no predictions, neither, and an id absent from the ground
+    truth; no object is of category 2, which has predictions."""
+    gt_by_image, preds_by_image = {}, {}
+    for i in range(10):
+        preds, gt = random_scene(rng)
+        crowded_preds, crowded_gt = crowded_scene(rng)
+        for source_preds, source_gt, tag in ((preds, gt, "r"), (crowded_preds, crowded_gt, "c")):
+            for image_id, g in source_gt.items():
+                name = f"{tag}{i}-{image_id}"
+                gt_by_image[name] = GroundTruthImage(name, tuple((b, c % 2) for b, c in g.objects))
+                preds_by_image[name] = source_preds.get(image_id, [])
+    names = list(gt_by_image)
+    for name in names[::7]:
+        preds_by_image[name] = []
+    for name in names[3::7]:
+        gt_by_image[name] = GroundTruthImage(name, ())
+    gt_by_image["z-blank"] = GroundTruthImage("z-blank", ())  # no entry in preds_by_image
+    preds_by_image["not-in-gt"] = [pred(0, 0, 10, 10, 0, 0.9)]
+    order = rng.permutation(len(gt_by_image))
+    items = list(gt_by_image.items())
+    return preds_by_image, {items[k][0]: items[k][1] for k in order.tolist()}
+
+
+class TestMatchKernel:
+    """``coco_map`` and ``f1_image`` share one lockstep matching kernel; these hold it to the scalar oracles."""
+
+    @pytest.mark.parametrize("budget", ["real", 40])
+    def test_a_request_across_chunks_equals_the_scalar_oracles(self, monkeypatch, budget):
+        if budget != "real":
+            monkeypatch.setattr(data_io, "CHUNK_ELEMENTS", budget)  # a few small images a chunk
+        rng = np.random.Generator(np.random.PCG64(71))
+        for case in range(3):
+            preds_by_image, gt_by_image = mixed_request(rng)
+            # an image of 91 or more ranked predictions fills a chunk of the real budget alone
+            assert max(len(preds_by_image.get(i, [])) for i in gt_by_image) > MAX_DETECTIONS_PER_IMAGE
+            want = {image_id: scalar_f1(preds_by_image.get(image_id, []), gt, iou)
+                    for image_id, gt in gt_by_image.items()}
+            got = f1_image(preds_by_image, gt_by_image)
+            assert list(got) == list(gt_by_image) and got == want, case
+            result = assert_matches_brute_force(preds_by_image, gt_by_image, f"case {case}")
+            assert result.per_image_f1 == want and list(result.per_image_f1) == list(gt_by_image)
+            assert 2 not in result.per_category_ap
+
+    def test_totals_count_the_ranked_predictions_and_the_objects(self):
+        rng = np.random.Generator(np.random.PCG64(73))
+        preds_by_image, gt_by_image = mixed_request(rng)
+        result = coco_map(preds_by_image, gt_by_image, CATALOG3)
+        ranked = sum(min(len(preds_by_image.get(i, [])), MAX_DETECTIONS_PER_IMAGE) for i in gt_by_image)
+        objects = sum(len(gt.objects) for gt in gt_by_image.values())
+        assert result.true_positives + result.false_positives == ranked
+        assert result.true_positives + result.false_negatives == objects
+        assert 0 < result.true_positives < min(ranked, objects)
+
+    def test_an_iou_tie_goes_to_the_first_object(self):
+        # the first prediction reaches both objects at IoU 0.5 and takes the first; the second prediction
+        # reaches only that one, so it matches nothing: one TP of two predictions and two objects
+        gt = GroundTruthImage("x", ((BoundingBox(0, 0, 10, 20), 0), (BoundingBox(0, 0, 20, 10), 0)))
+        preds = [pred(0, 0, 10, 10, 0, 0.9), pred(0, 0, 10, 20, 0, 0.8)]
+        assert iou(preds[0].box, gt.objects[0][0]) == iou(preds[0].box, gt.objects[1][0]) == 0.5
+        assert f1_one(preds, gt) == scalar_f1(preds, gt, iou) == 0.5
+        result = coco_map({"x": preds}, {"x": gt}, CATALOG3)
+        assert (result.true_positives, result.false_positives, result.false_negatives) == (1, 1, 1)
+
+    @pytest.mark.parametrize("right_first", [True, False])
+    def test_score_and_box_ties_keep_their_order_at_the_cap(self, right_first):
+        # 101 predictions of one score and box: the cap keeps the first 100 in the order given, so the one
+        # of the object's category is scored only when it comes before the last
+        gt = GroundTruthImage("x", ((BoundingBox(0, 0, 10, 10), 0),))
+        wrong = [pred(0, 0, 10, 10, 1, 0.5)] * MAX_DETECTIONS_PER_IMAGE
+        right = pred(0, 0, 10, 10, 0, 0.5)
+        preds = [right] + wrong if right_first else wrong + [right]
+        want = 2.0 * 0.01 / 1.01 if right_first else 0.0
+        assert f1_one(preds, gt) == scalar_f1(preds, gt, iou) == want
+        assert_matches_brute_force({"x": preds}, {"x": gt}, "ties")
+
+    def test_empty_images_raise_no_warning(self):
+        objects = ((BoundingBox(0, 0, 10, 10), 0),)
+        gt_by_image = {"both": GroundTruthImage("both", ()), "objects": GroundTruthImage("objects", objects),
+                       "preds": GroundTruthImage("preds", ()), "none": GroundTruthImage("none", ())}
+        preds_by_image = {"preds": [pred(0, 0, 10, 10, 0, 0.9)], "none": []}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert f1_image(preds_by_image, gt_by_image) == {"both": 1.0, "objects": 0.0, "preds": 0.0, "none": 1.0}
+            assert f1_image({}, {}) == {}
+            result = coco_map(preds_by_image, gt_by_image, CATALOG3)
+        assert result.map_score == 0.0 and result.per_category_ap == {0: 0.0}
 
 
 class TestPredictionsFile:

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 from boxal.data_io import Detection, apply_thresholds, load_ground_truth, load_image_passes
 from boxal.errors import ValidationError
-from boxal.geometry import BoundingBox, greedy_match, iou, iou_matrix
+from boxal.geometry import BoundingBox, iou, iou_matrix
 
-from oracles import brute_force_nms, image_passes, instance_set, rasterized_iou
+from oracles import brute_force_nms, greedy_match, image_passes, instance_set, rasterized_iou
 from oracles import mean_box as scalar_mean_box
 
 

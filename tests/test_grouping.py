@@ -9,10 +9,10 @@ from boxal import grouping
 from boxal.certainty import image_certainty
 from boxal.data_io import Detection, apply_thresholds, load_image_passes, save_image_passes
 from boxal.evaluation import consolidate
-from boxal.geometry import BoundingBox, greedy_match, iou
+from boxal.geometry import BoundingBox, iou
 from boxal.grouping import group_passes
 
-from oracles import brute_force_grouping, cap_image, image_passes, random_passes, request_of
+from oracles import brute_force_grouping, cap_image, greedy_match, image_passes, random_passes, request_of
 
 
 def det(x0, y0, x1, y1, scores=(1.0, 0.0)):

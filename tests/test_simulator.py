@@ -168,7 +168,7 @@ class TestSimulatePasses:
         assert ic.set_count == 2
         assert ic.c_min > 0.98
         preds = consolidate(group_passes(passes))
-        assert f1_image(preds, world.ground_truth()["easy"]) == 1.0
+        assert f1_image({"easy": preds}, {"easy": world.ground_truth()["easy"]}) == {"easy": 1.0}
 
     def test_zero_skill_semantic_certainty_low(self, monkeypatch):
         # alpha = 0 (no exposures): scores are pure Dirichlet noise. At
@@ -211,12 +211,12 @@ class TestSimulatePasses:
         skill = SkillState(exposures=(60, 60))
 
         def mean_f1(image_ids):
-            scores = []
+            preds = {}
             for image_id in image_ids:
                 passes = simulate_passes(world, skill, image_id, n=8, pass_seed=31)
-                preds = consolidate(group_passes(passes))
-                scores.append(f1_image(preds, world.ground_truth()[image_id]))
-            return sum(scores) / len(scores)
+                preds[image_id] = consolidate(group_passes(passes))
+            scores = f1_image(preds, {image_id: world.ground_truth()[image_id] for image_id in image_ids})
+            return sum(scores.values()) / len(scores)
 
         assert mean_f1(hard) < mean_f1(easy)
 
