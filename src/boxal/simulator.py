@@ -19,9 +19,13 @@ probability at zero and full skill), ``NOISE_CONCENTRATION`` and
 ``FP_CONCENTRATION`` (the Dirichlet concentrations of true- and
 false-positive scores).
 
-The passes' random numbers follow one contract. Pass k of an image draws
-from a PCG64 generator seeded as ``np.random.PCG64(s)`` seeds it, where s is
-the little-endian int of the 8-byte blake2b digest of
+The world's and the passes' random numbers follow one contract each. The
+world draws from ``PCG64(seed)``: per image one ``random()`` for the difficulty,
+then one ``integers(lo, hi + 1)`` for the object count; per object four
+``random()`` for the box, redrawn while it overlaps, then one ``random()``
+located in the cumulative category weights; finally one shuffle of the ids.
+Pass k of an image draws from a PCG64 generator seeded as ``np.random.PCG64(s)``
+seeds it, where s is the little-endian int of the 8-byte blake2b digest of
 ``"{pass_seed}|{image_id}|{k}"``, and each pass makes its draws in the order
 ``simulate_passes`` documents. ``pass_states`` computes the SeedSequence
 words of a whole request's generators at once, with numpy's SeedSequence
@@ -33,6 +37,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -144,13 +149,14 @@ def generate_world(
     width, height = IMAGE_SIZE
     catalog = CategoryCatalog(tuple(f"cat_{i:02d}" for i in range(kappa)))
     rng = np.random.Generator(np.random.PCG64(seed))
-    weights = _category_weights(kappa)
+    cdf = _category_weights(kappa).cumsum()  # Generator.choice(kappa, p=weights)'s arithmetic
+    cdf = (cdf / cdf[-1]).tolist()
 
     difficulties: dict[str, float] = {}
     gt: dict[str, GroundTruthImage] = {}
     for i in range(image_count):
         image_id = f"img_{i:05d}"
-        difficulty = float(rng.uniform(0.0, 1.0))
+        difficulty = rng.random()  # uniform(0.0, 1.0) is 0.0 + 1.0 * u
         count = int(rng.integers(lo, hi + 1))
         objects: list[tuple[BoundingBox, int]] = []
         for _ in range(count):
@@ -159,7 +165,7 @@ def generate_world(
                 if all(iou(box, other) <= MAX_GT_OVERLAP for other, _ in objects):
                     break
                 box = BoundingBox(*_place_box(*rng.random(4).tolist(), width, height))
-            category = int(rng.choice(kappa, p=weights))
+            category = bisect_right(cdf, rng.random())
             objects.append((box, category))
         difficulties[image_id] = difficulty
         gt[image_id] = GroundTruthImage(image_id, tuple(objects))

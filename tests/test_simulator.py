@@ -1,5 +1,6 @@
 import hashlib
 import json
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -136,6 +137,25 @@ class TestGenerateWorld:
         assert str(excinfo.value) == (
             f"{tmp_path / 'ground_truth.jsonl'}: image {dropped!r} of the manifest has no record"
         )
+
+    def test_pinned_world_digest(self, tmp_path):
+        digest = hashlib.sha256()
+        for kwargs in PINNED_WORLDS:
+            save_run_world(generate_world(**kwargs), tmp_path)
+            for name in ("world.json", "ground_truth.jsonl", "manifest.json"):
+                digest.update((tmp_path / name).read_bytes())
+        assert digest.hexdigest() == PINNED_WORLD_SHA256
+
+
+# sha256 of the files save_run_world writes for each of PINNED_WORLDS, recorded while
+# generate_world drew categories with Generator.choice and difficulties with uniform(0, 1);
+# any change to a world draw, its order or the arithmetic moves it
+PINNED_WORLD_SHA256 = "44a3309af5a07532bdc4417395fa9081704cc258cf7a6bb9a42ae839b3232a77"
+PINNED_WORLDS = (
+    dict(seed=0, image_count=300, kappa=10),
+    dict(seed=3, image_count=200, kappa=20, objects_per_image=(3, 8)),  # crowded: many rejections
+    dict(seed=5, image_count=100, kappa=2, objects_per_image=(0, 5)),
+)
 
 
 class TestSimulatePasses:
@@ -329,6 +349,23 @@ class TestArrayForms:
             y0 = a.uniform(0.0, height - bh)
             assert simulator._place_box(*draws, width, height) == (x0, y0, x0 + bw, y0 + bh)
             assert tuple(row) == (x0, y0, x0 + bw, y0 + bh)
+
+    @pytest.mark.parametrize("seed", [0, 13])
+    def test_category_draw_equals_choice(self, seed):
+        for kappa in range(2, 34):
+            a, b = np.random.Generator(np.random.PCG64(seed)), np.random.Generator(np.random.PCG64(seed))
+            weights = simulator._category_weights(kappa)
+            cdf = weights.cumsum()
+            cdf = (cdf / cdf[-1]).tolist()
+            drawn = [bisect_right(cdf, a.random()) for _ in range(2000)]
+            assert drawn == [int(b.choice(kappa, p=weights)) for _ in range(2000)]
+            assert a.bit_generator.state == b.bit_generator.state
+
+    def test_difficulty_draw_equals_uniform(self):
+        a, b = np.random.Generator(np.random.PCG64(17)), np.random.Generator(np.random.PCG64(17))
+        for _ in range(2000):
+            assert a.random() == b.uniform(0.0, 1.0)
+        assert a.bit_generator.state == b.bit_generator.state
 
 
 # sha256 of save_image_passes over pinned_passes(), recorded before the simulator drew
