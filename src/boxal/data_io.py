@@ -38,8 +38,9 @@ computes every image's share and keeps it on the request. An ``ImagePasses``
 is a view of one image, its rows in canonical order; its ``passes`` and a
 set's ``members`` are record views, built only when read. Thresholding is
 one kernel over a request's ranked rows: greedy NMS runs on every pass at
-once, in chunks (cut by ``_chunks``, grouping's planner too) whose IoU
-matrices hold at most ``CHUNK_ELEMENTS`` entries, so none grows with the file.
+once, in chunks of at most ``CHUNK_ELEMENTS`` IoUs, so none grows with the
+file. ``_chunks`` orders units by size and cuts the chunks, and ``_padded``
+lays them out, for NMS, grouping and evaluation's matching alike.
 
 Score vectors cover the foreground categories only, each score lies in
 [0, 1], and they must sum to 1 within ``SCORE_SUM_TOLERANCE``; invalid sums
@@ -545,32 +546,35 @@ def save_image_passes(images: Sequence[ImagePasses], path: str | Path) -> None:
     _save_jsonl(map(record, images), path)
 
 
-def _chunks(sizes: Sequence[int], fits: Callable[[int, int], bool]) -> Iterator[slice]:
-    """Consecutive runs of the ascending ``sizes``: one size alone, or as many as ``fits(run length, last size)``
-    allows. ``fits`` is false for every longer run or larger size than one it is false for."""
-    start = 0
-    while start < len(sizes):
-        stop = start + max(1, bisect_right(range(start, len(sizes)), False,
-                                           key=lambda i: not fits(i + 1 - start, sizes[i])))
-        yield slice(start, stop)
+def _chunks(sizes: np.ndarray, fits: Callable[[int, int], bool]) -> Iterator[np.ndarray]:
+    """The units of nonzero ``sizes`` by ascending size, ties in index order, in consecutive runs of unit indices: one
+    unit alone, or as many as ``fits(run length, largest size)`` allows. ``fits`` is false for every longer run or
+    larger size than one it is false for."""
+    units = np.flatnonzero(sizes)[np.argsort(sizes[sizes != 0], kind="stable")]
+    ordered, start = sizes[units].tolist(), 0
+    while start < len(units):
+        stop = start + max(1, bisect_right(range(start, len(units)), False,
+                                           key=lambda i: not fits(i + 1 - start, ordered[i])))
+        yield units[start:stop]
         start = stop
 
 
-def _nms_kept(boxes: np.ndarray, ranked: np.ndarray, counts: np.ndarray, crowded: np.ndarray,
-              nms_iou: float) -> np.ndarray:
-    """Which rows of ``ranked`` greedy NMS keeps, whose passes hold ``counts`` rows each, pass after pass;
-    ``crowded`` holds the passes of two or more rows. Lowers each pass's count to its kept rows."""
+def _padded(starts: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(B, max count) positions of each run of ``counts`` rows from ``starts``, padded with 0, and which are real."""
+    ranks = np.arange(counts.max())
+    real = ranks < counts[:, None]
+    return np.where(real, starts[:, None] + ranks, 0), real
+
+
+def _nms_kept(boxes: np.ndarray, ranked: np.ndarray, counts: np.ndarray, nms_iou: float) -> np.ndarray:
+    """Which rows of ``ranked`` greedy NMS keeps, whose passes hold ``counts`` rows each, pass after pass. Lowers
+    each pass's count to its kept rows."""
     starts, kept = np.cumsum(counts) - counts, np.ones(len(ranked), bool)
-    crowded = crowded[np.argsort(counts[crowded], kind="stable")]
-    sizes = counts[crowded].tolist()
-    for part in _chunks(sizes, lambda b, d: b * d * d <= CHUNK_ELEMENTS):
-        passes, depth = crowded[part], sizes[part.stop - 1]
-        ranks = np.arange(depth)
-        real = ranks < counts[passes, None]
-        at = np.where(real, starts[passes, None] + ranks, 0)  # (B, D) positions in ranked, padded with 0
+    for passes in _chunks(np.where(counts > 1, counts, 0), lambda b, d: b * d * d <= CHUNK_ELEMENTS):
+        at, real = _padded(starts[passes], counts[passes])  # (B, D) positions in ranked
         corners = boxes[ranked[at]]
         # row r of a pass suppresses each real later row whose IoU with it reaches nms_iou
-        suppresses = (iou_matrix(corners, corners) >= nms_iou) & (ranks[:, None] < ranks) & real[:, None, :]
+        suppresses = (iou_matrix(corners, corners) >= nms_iou) & ~np.tri(at.shape[1], dtype=bool) & real[:, None, :]
         active = np.flatnonzero(suppresses.any(axis=(0, 2))).tolist()  # a rank that suppresses none changes none
         if active:
             dropped = np.zeros(real.shape, bool)
@@ -587,9 +591,8 @@ def _thresholded(request: Request, confidence: float, nms_iou: float) -> Request
     ranked = request.ranked[confident]
     ordinal = np.repeat(np.arange(len(request.counts)), request.counts)
     counts = np.bincount(ordinal[confident], minlength=len(request.counts))
-    crowded = np.flatnonzero(counts > 1)
-    if len(crowded):
-        ranked = ranked[_nms_kept(request.batch.boxes, ranked, counts, crowded, nms_iou)]
+    if counts.max(initial=0) > 1:  # most of the simulator's one-image requests hold no pass of two rows
+        ranked = ranked[_nms_kept(request.batch.boxes, ranked, counts, nms_iou)]
     return Request(request.batch, request.headers, ranked, counts, request.firsts)
 
 
@@ -603,12 +606,12 @@ def apply_thresholds(img: ImagePasses, confidence: float = 0.5, nms_iou: float =
     [0, 1], which ``RunConfig`` checks. The first call on an image of a
     request thresholds all its images at once, into one request kept for
     these parameters; each call returns its image of it. The confidence cut
-    is one array test over the request's rows. The passes left with two or
-    more detections go in chunks, sorted by size D, of B passes with
-    B * D_max**2 <= ``CHUNK_ELEMENTS``; a chunk's (B, D_max, D_max)
-    ``iou_matrix`` >= ``nms_iou`` says which row suppresses which later
-    row, and lockstep steps settle rank after rank of every pass, one step
-    per rank that suppresses a row in some pass of the chunk.
+    is one array test over the request's rows. ``_chunks`` orders the passes
+    left with two or more detections by size D and cuts chunks of B passes
+    with B * D_max**2 <= ``CHUNK_ELEMENTS``, which ``_padded`` lays out; a
+    chunk's (B, D_max, D_max) ``iou_matrix`` >= ``nms_iou`` says which row
+    suppresses which later row, and lockstep steps settle rank after rank of
+    every pass, one step per rank that suppresses a row in some pass of it.
     """
     request, key = img.request, ("thresholds", confidence, nms_iou)
     if key not in request.results:

@@ -40,6 +40,7 @@ from .data_io import (
     _labeled_box,
     _load_by_image,
     _chunks,
+    _padded,
     _row_sums,
 )
 from .errors import ValidationError
@@ -111,12 +112,6 @@ def _f1(tp: int, n_preds: int, n_gt: int) -> float:
     return 2.0 * precision * recall / (precision + recall)
 
 
-def _padded(starts: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(B, max count) positions of each run of ``counts`` rows from ``starts``, padded with 0, and which are real."""
-    real = np.arange(counts.max()) < counts[:, None]
-    return np.where(real, starts[:, None] + np.arange(counts.max()), 0), real
-
-
 def _match(preds_by_image: Mapping[str, Sequence[FinalPrediction]], gt_by_image: Mapping[str, GroundTruthImage],
            thresholds: Sequence[float]) -> tuple:
     """Greedy matching of every image of ``gt_by_image`` at each of the ascending ``thresholds``: the ranked
@@ -126,11 +121,11 @@ def _match(preds_by_image: Mapping[str, Sequence[FinalPrediction]], gt_by_image:
 
     At a threshold, each prediction in rank order takes the first untaken object of its image and category of highest
     IoU that reaches the threshold (``grouping._best_open``; pycocotools' ``evaluateImg`` takes the last of a tie).
-    Images with predictions and objects go in chunks (``data_io._chunks``), sorted by the larger count D, of B
-    images with B * D_max**2 <= ``CHUNK_ELEMENTS``, whose (B, P, G) ``iou_matrix`` is masked to each prediction's
-    category. Where no two predictions reach one object at the first threshold, each matches wherever its highest
-    IoU reaches the threshold; the C other images step in lockstep, rank after rank, at every threshold at once,
-    with a (C * T, G) mask of the objects still open.
+    ``data_io._chunks`` orders the images with predictions and objects by the larger count D and cuts chunks of B
+    images with B * D_max**2 <= ``CHUNK_ELEMENTS``, which ``data_io._padded`` lays out; a chunk's (B, P, G)
+    ``iou_matrix`` is masked to each prediction's category. Where no two predictions reach one object at the first
+    threshold, each matches wherever its highest IoU reaches the threshold; the C other images step in lockstep, rank
+    after rank, at every threshold at once, with a (C * T, G) mask of the objects still open.
     """
     preds = [preds_by_image.get(image_id, ()) for image_id in gt_by_image]
     records = list(chain.from_iterable(preds))
@@ -146,12 +141,11 @@ def _match(preds_by_image: Mapping[str, Sequence[FinalPrediction]], gt_by_image:
     gt_categories = np.fromiter((category for gt in objects for _, category in gt), np.intp)
     counts, gt_counts = np.bincount(owner, minlength=len(preds)), np.array([len(gt) for gt in objects], np.intp)
     sizes = np.where((counts > 0) & (gt_counts > 0), np.maximum(counts, gt_counts), 0)
-    images = np.flatnonzero(sizes)[np.argsort(sizes[sizes > 0], kind="stable")]
+    starts, gt_starts = np.cumsum(counts) - counts, np.cumsum(gt_counts) - gt_counts
     flags = np.zeros((len(owner), len(thresholds)), bool)
-    for run in _chunks(sizes[images].tolist(), lambda b, d: b * d * d <= data_io.CHUNK_ELEMENTS):
-        part = images[run]
-        at, real = _padded(np.cumsum(counts)[part] - counts[part], counts[part])
-        gt_at, gt_real = _padded(np.cumsum(gt_counts)[part] - gt_counts[part], gt_counts[part])
+    for part in _chunks(sizes, lambda b, d: b * d * d <= data_io.CHUNK_ELEMENTS):
+        at, real = _padded(starts[part], counts[part])
+        gt_at, gt_real = _padded(gt_starts[part], gt_counts[part])
         same = (categories[at][:, :, None] == gt_categories[gt_at][:, None]) & real[:, :, None] & gt_real[:, None]
         values = np.where(same, iou_matrix(boxes[at], gt_boxes[gt_at]), -np.inf)  # (B, P, G)
         hits = values.max(axis=2)[..., None] >= thresholds  # (B, P, T), right where no object is contested

@@ -12,17 +12,18 @@ to further members from the same pass, so a set has at most one member per pass.
 
 The first ``group_passes`` call on an image of a request (``data_io.Request``)
 groups all its images; each call returns its image's sets, views of the
-request's one ``SetColumns``. Images are sorted by detection count D and
-grouped in lockstep, in chunks (``data_io._chunks``) of B images with
+request's one ``SetColumns``. Images are grouped in lockstep, in chunks that
+``data_io._chunks`` orders by detection count D and cuts, of B images with
 B * D_max <= ``CHUNK_ROWS`` and, since every detection may seed a set,
 B * D_max**2 <= ``CHUNK_IOUS`` unless B = 1 (18 MB at the reader's cap of
-1,500 detections, n = 15). A chunk keeps each set's running max of its
-members' IoUs with its image's detections, (B, S, D) float64, and its member
-row per pass, (B, S, n), both grown as sets appear. Step (pass, rank) takes
-that detection of every image that has one: it joins the first open set of
-highest value >= the match IoU (``_best_open``, evaluation's choice too) or
-seeds one, fills that set's slot for the pass, and its
-``geometry.iou_matrix`` row raises its set's max: the floats of scalar ``iou``.
+1,500 detections, n = 15); ``data_io._padded`` lays a chunk out as (B, D)
+rows. A chunk keeps each set's running max of its members' IoUs with its
+image's detections, (B, S, D) float64, and its member row per pass,
+(B, S, n), both grown as sets appear. Step (pass, rank) takes that detection
+of every image that has one: it joins the first open set of highest value
+>= the match IoU (``_best_open``, evaluation's choice too) or seeds one,
+fills that set's slot for the pass, and its ``geometry.iou_matrix`` row
+raises its set's max: the floats of scalar ``iou``.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from typing import Iterator
 import numpy as np
 
 from . import data_io, geometry
-from .data_io import Detection, DetectionBatch, ImagePasses, Request, _chunks, _row_sums
+from .data_io import Detection, DetectionBatch, ImagePasses, Request, _chunks, _padded, _row_sums
 
 CHUNK_ROWS = 4096  # a grouping chunk's images times its largest detection count
 CHUNK_IOUS = 2**21  # ... times that count squared: its (B, S, D) entries when every detection seeds a set
@@ -54,7 +55,7 @@ class SetColumns:
 
     def gathered(self, column: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
         """Chunks of sets: a slice, and its members' entries of a batch column, (s, n, ...) with 0.0 in the holes."""
-        step = max(1, data_io.CHUNK_ELEMENTS // max(1, self.rows.shape[1] * column.size // max(1, len(column))))
+        step = max(1, data_io.CHUNK_ELEMENTS // max(1, self.rows.shape[1] * column.shape[1]))
         for part in map(slice, range(0, len(self.sizes), step), range(step, len(self.sizes) + step, step)):
             values = column[self.rows[part]]
             values[self.rows[part] < 0] = 0.0
@@ -105,20 +106,18 @@ def _group_chunk(request: Request, images: np.ndarray, match_iou: float) -> tupl
     first, stop = request.firsts[images], request.firsts[images + 1]
     passes = (stop - first).max()
     edges = request.offsets[np.minimum(first[:, None] + np.arange(passes + 1), stop[:, None])]  # padded with the end
-    sizes = edges[:, -1] - edges[:, 0]
-    ranks = np.arange(sizes.max())
-    rows = request.ranked[np.where(ranks < sizes[:, None], edges[:, :1] + ranks, 0)]  # (B, D), padded
+    rows = request.ranked[_padded(edges[:, 0], edges[:, -1] - edges[:, 0])[0]]  # (B, D), padded
     starts, per_pass = edges[:, :-1] - edges[:, :1], np.diff(edges, axis=1)
     boxes = request.batch.boxes[rows]  # (B, D, 4), padded with the box of ranked[0]
     set_count = np.zeros(len(images), np.intp)
-    set_iou = np.zeros((len(images), max(1, per_pass.max()), len(ranks)))
+    set_iou = np.zeros((len(images), max(1, per_pass.max()), rows.shape[1]))
     members = np.full((*set_iou.shape[:2], passes), -1, np.intp)
     for p in range(passes):
         open_sets = np.arange(set_iou.shape[1]) < set_count[:, None]  # made before the pass
         for rank in range(per_pass[:, p].max()):
             live = np.flatnonzero(per_pass[:, p] > rank)
             if set_count[live].max() == set_iou.shape[1]:  # a live image may seed a set past the last: grow
-                more = ((0, 0), (0, min(set_iou.shape[1], len(ranks) - set_iou.shape[1])))
+                more = ((0, 0), (0, min(set_iou.shape[1], rows.shape[1] - set_iou.shape[1])))
                 set_iou, open_sets = np.pad(set_iou, (*more, (0, 0))), np.pad(open_sets, more)
                 members = np.pad(members, (*more, (0, 0)), constant_values=-1)
             k = starts[live, p] + rank
@@ -136,16 +135,14 @@ def _group_chunk(request: Request, images: np.ndarray, match_iou: float) -> tupl
 def _group_request(request: Request, match_iou: float) -> tuple[SetColumns, list[int]]:
     """Every image's sets as one ``SetColumns``, in image order, and the index of each image's first set."""
     sizes = np.diff(request.offsets[request.firsts])
-    images = np.argsort(sizes, kind="stable")
-    images = images[sizes[images] > 0]
-    runs = _chunks(sizes[images].tolist(), lambda b, d: b * d <= CHUNK_ROWS and b * d * d <= CHUNK_IOUS)
-    grouped = [(images[run], *_group_chunk(request, images[run], match_iou)) for run in runs]
+    runs = _chunks(sizes, lambda b, d: b * d <= CHUNK_ROWS and b * d * d <= CHUNK_IOUS)
+    grouped = [(run, *_group_chunk(request, run, match_iou)) for run in runs]
     set_counts = np.zeros(len(sizes), np.intp)
     for part, count, _ in grouped:
         set_counts[part] = count
     firsts = np.concatenate(([0], np.cumsum(set_counts)))
     rows = np.full((firsts[-1], np.diff(request.firsts).max(initial=0)), -1, np.intp)
     for part, count, members in grouped:
-        made = np.arange(members.shape[1]) < count[:, None]
-        rows[(firsts[part, None] + np.arange(members.shape[1]))[made], :members.shape[2]] = members[made]
+        at, made = _padded(firsts[part], count)
+        rows[at[made], :members.shape[2]] = members[:, :at.shape[1]][made]
     return SetColumns(request.batch, rows), firsts.tolist()

@@ -231,21 +231,23 @@ class SimulatorDetectorAdapter(DetectorAdapter):
         Path(str(request_path) + ".done").touch()
 
 
+POLL_SECONDS = 0.5  # how often FileWaitAdapter looks for a request's .done
+
+
 class FileWaitAdapter(DetectorAdapter):
     """Waits for an external process to fulfil requests via the file contract."""
 
-    def __init__(self, timeout: float = 3600.0, poll_interval: float = 0.5):
+    def __init__(self, timeout: float = 3600.0):
         if not timeout >= 0:  # NaN fails too; inf waits without end
             raise ValidationError(f"adapter timeout must be >= 0 seconds, got {timeout!r}")
         self.timeout = timeout
-        self.poll_interval = poll_interval
 
     def _wait(self, sentinel: Path) -> None:
         deadline = time.monotonic() + self.timeout
         while not sentinel.exists():
             if time.monotonic() > deadline:
                 raise AdapterError(f"timed out waiting for {sentinel}")
-            time.sleep(self.poll_interval)
+            time.sleep(POLL_SECONDS)
 
     def fulfill_detection_request(self, request_path: Path, output_path: Path) -> None:
         self._wait(Path(str(output_path) + ".done"))

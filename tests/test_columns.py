@@ -6,8 +6,9 @@ scores, equal corners, exact 0.0 scores) and passes left with 0, 1 and 2 or
 more survivors, and hold thresholds and grouping to the brute-force oracles.
 The thresholding kernel is also held to greedy NMS on requests built to hit
 its corners: passes of 0, 1, 2 and 100 detections, identical boxes and tied
-scores, chunk after chunk; ``data_io._chunks``, the planner of its chunks and
-of grouping's, is checked under both rules. The set kernel's semantic
+scores, chunk after chunk; ``data_io._chunks``, which orders and cuts the
+chunks of NMS, grouping and matching, is checked under the NMS and the
+grouping rule on unsorted sizes with zeros and ties. The set kernel's semantic
 certainty keeps the bits of the whole-batch entropy formula, and only set
 members' scores reach ``math.log``. A line the reader's screen cannot vouch
 for is walked detection by detection; the error names the first bad line,
@@ -181,22 +182,28 @@ RULES = {  # the chunk rules of the NMS kernel and of grouping, and the largest 
 def test_chunks_are_the_longest_runs_that_fit(rule):
     fits, largest = RULES[rule]
     rng = np.random.Generator(np.random.PCG64(61))
-    seen = {"shared": False, "alone": False, "too large": False}
+    seen = {"zero": False, "tie": False, "shared": False, "alone": False, "too large": False}
     for case in range(200):
-        sizes = np.sort(rng.integers(1, largest + 1, size=int(rng.integers(0, 400))) // rng.choice([1, 4, 30]))
-        sizes = sizes[sizes > 0].tolist()
+        # unsorted, with zeros and ties: the // leaves many equal sizes, and 0 below the divisor
+        sizes = rng.integers(0, largest + 1, size=int(rng.integers(0, 400))) // rng.choice([1, 4, 30])
         runs = list(data_io._chunks(sizes, fits))
-        assert [i for run in runs for i in range(run.start, run.stop)] == list(range(len(sizes))), case
+        units = [i for run in runs for i in run.tolist()]
+        # the nonzero units, by size and then index
+        assert units == sorted(np.flatnonzero(sizes).tolist(), key=lambda i: (sizes[i], i)), case
+        ordered, start = sizes[units].tolist(), 0
         for run in runs:
-            length = run.stop - run.start
-            assert length == 1 or fits(length, sizes[run.stop - 1]), case  # a run of several sizes fits
-            if run.stop < len(sizes):  # and it was cut where the next size would not fit
-                assert not fits(length + 1, sizes[run.stop]), case
-            if not fits(2, sizes[run.start]):  # a size that fits with nothing else stands alone
+            length, stop = len(run), start + len(run)
+            assert length == 1 or fits(length, ordered[stop - 1]), case  # a run of several units fits
+            if stop < len(ordered):  # and it was cut where the next unit would not fit
+                assert not fits(length + 1, ordered[stop]), case
+            if not fits(2, ordered[start]):  # a unit that fits with nothing else stands alone
                 assert length == 1, case
             seen["shared"] |= length > 1
-            seen["alone"] |= not fits(2, sizes[run.start])
-            seen["too large"] |= not fits(1, sizes[run.start])
+            seen["alone"] |= not fits(2, ordered[start])
+            seen["too large"] |= not fits(1, ordered[start])
+            start = stop
+        seen["zero"] |= len(units) < len(sizes)
+        seen["tie"] |= len(set(ordered)) < len(ordered)
     assert all(seen.values()), seen
 
 

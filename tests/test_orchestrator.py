@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from boxal import orchestrator
 from boxal.certainty import image_certainty
 from boxal.data_io import CategoryCatalog, DatasetManifest, load_image_passes
 from boxal.errors import AdapterError, BoxalError, FormatError, ValidationError
@@ -402,11 +403,12 @@ class TestCrashResume:
         assert (run_dir / "log.csv").read_bytes() == reference[0]
         assert counts == reference[1]  # an answered request is not asked again
 
-    def test_done_of_another_request_is_removed_and_asked_again(self, tmp_path):
+    def test_done_of_another_request_is_removed_and_asked_again(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(orchestrator, "POLL_SECONDS", 0.01)
         run_dir, adapter, world = start_run(tmp_path)
         run_loop(run_dir, adapter, 1)
         log = (run_dir / "log.csv").read_bytes()
-        waiting = FileWaitAdapter(timeout=0.05, poll_interval=0.01)
+        waiting = FileWaitAdapter(timeout=0.05)
         run_loop(run_dir, waiting, 0)  # iter_1_test is answered, so there is nothing to wait for
         request = run_dir / "requests" / "iter_1_test.json"
         done = run_dir / "detections" / "iter_1_test.jsonl.done"
@@ -515,8 +517,9 @@ class TestRunLock:
 
 
 class TestFileWaitAdapter:
-    def test_timeout(self, tmp_path):
-        adapter = FileWaitAdapter(timeout=0.05, poll_interval=0.01)
+    def test_timeout(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(orchestrator, "POLL_SECONDS", 0.01)
+        adapter = FileWaitAdapter(timeout=0.05)
         with pytest.raises(AdapterError, match="timed out"):
             adapter.fulfill_detection_request(tmp_path / "req.json", tmp_path / "out.jsonl")
 
