@@ -10,12 +10,13 @@ answered with the same bytes is not asked again. The built-in simulator
 adapter fulfils the contract in-process; ``FileWaitAdapter`` waits for an
 external trainer to do the same.
 
-State is persisted atomically (write to a temp file, then rename), so a crash
-mid-iteration leaves the previous iteration's state intact. ``state/iter_N.json``
-is the only place iteration N-1's record is written, so writing it commits the
-iteration; ``log.csv`` is read back from the records. A record holds
-``sampled`` ([image_id, c_min] pairs in rank order), ``metrics`` (the log.csv
-row, keyed by ``LOG_COLUMNS``), ``f1_sampled`` (rank order) and
+Files are written atomically (a temp file, then a rename), so a crash
+mid-iteration leaves the previous iteration's state intact. Each fact is stored
+once: T_N is ``trainset_iter_N.txt``, P_N the manifest's pool without T_N, and
+``state/iter_N.json`` holds N and, from N = 1 on, iteration N-1's record, so
+writing it commits the iteration; ``log.csv`` is read back from the records. A
+record holds ``sampled`` ([image_id, c_min] pairs in rank order), ``metrics``
+(the log.csv row, keyed by ``LOG_COLUMNS``), ``f1_sampled`` (rank order) and
 ``f1_remaining`` (pool order).
 """
 
@@ -45,7 +46,6 @@ from .data_io import (
     _field,
     _floats,
     _load_json,
-    _string_list,
     apply_thresholds,
     load_ground_truth,
     load_id_list,
@@ -140,26 +140,17 @@ class ActiveLearningState:
     pool_ids: tuple[str, ...]
     record: dict | None = None
 
-    def to_dict(self) -> dict:
-        doc = {
-            "iteration": self.iteration,
-            "training_ids": list(self.training_ids),
-            "pool_ids": list(self.pool_ids),
-        }
-        if self.record is not None:
-            doc["record"] = self.record
-        return doc
 
-    @classmethod
-    def from_dict(cls, doc: Mapping) -> "ActiveLearningState":
-        """The state in ``doc``; it needs a record from iteration 1 on, and a pool disjoint from T."""
-        iteration = _field(doc, "iteration", int)
-        record = _parse_record(_field(doc, "record", dict)) if iteration >= 1 else None
-        state = cls(iteration, _string_list(doc, "training_ids"), _string_list(doc, "pool_ids"), record)
-        overlap = set(state.training_ids) & set(state.pool_ids)
-        if overlap:
-            raise ValidationError(f"training set and pool overlap: {sorted(overlap)[:5]}")
-        return state
+def _pool(manifest: DatasetManifest, training_ids: Iterable[str]) -> tuple[str, ...]:
+    """P: the manifest's pool without the training set, in manifest order."""
+    training = set(training_ids)
+    return tuple(image_id for image_id in manifest.pool if image_id not in training)
+
+
+def _load_training_set(run_dir: Path, iteration: int, manifest: DatasetManifest) -> tuple[str, ...]:
+    """T entering ``iteration``: ``trainset_iter_<iteration>.txt``, of initial-training and pool images only."""
+    known = {*manifest.initial_training, *manifest.pool}
+    return tuple(load_id_list(run_dir / f"trainset_iter_{iteration}.txt", known))
 
 
 # ---------------------------------------------------------------------------
@@ -201,9 +192,9 @@ class SimulatorDetectorAdapter(DetectorAdapter):
         """Nothing to do: the step-1 model is the one trained on ``trainset_iter_0.txt``."""
 
     def skill(self, iteration: int) -> SkillState:
-        """The detector after ``iteration``; every id of its training set is an image of the world."""
+        """The detector trained on the training set entering ``iteration``."""
         gt = self.world.ground_truth()
-        ids = load_id_list(self.run_dir / f"trainset_iter_{iteration}.txt", gt)
+        ids = _load_training_set(self.run_dir, iteration, self.world.manifest)
         return train_update(SkillState.fresh(len(self.world.catalog)), (gt[i] for i in ids))
 
     def fulfill_detection_request(self, request_path: Path, output_path: Path) -> None:
@@ -261,9 +252,13 @@ class FileWaitAdapter(DetectorAdapter):
 
 
 def _atomic_write(text: str, path: Path) -> None:
+    """``text`` into ``path`` by a temp file and a rename; a failure is a BoxalError naming ``path``."""
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    except OSError as exc:
+        raise BoxalError(f"{path}: cannot write: {exc.strerror or exc}") from exc
 
 
 def _atomic_write_json(doc: dict, path: Path) -> None:
@@ -318,8 +313,19 @@ def state_path(run_dir: Path, iteration: int) -> Path:
     return Path(run_dir) / "state" / f"iter_{iteration}.json"
 
 
+def _load_record(run_dir: Path, iteration: int) -> dict | None:
+    """The record in ``state/iter_<iteration>.json`` (from iteration 1 on); other keys, such as the
+    ``training_ids`` and ``pool_ids`` that earlier versions wrote, are ignored."""
+    def parse(doc) -> dict | None:
+        if _field(doc, "iteration", int) != iteration:
+            raise FormatError(f"iteration {doc['iteration']} does not match the file name")
+        return _parse_record(_field(doc, "record", dict)) if iteration >= 1 else None
+
+    return _load_json(state_path(run_dir, iteration), parse)
+
+
 def load_state(run_dir: str | Path, iteration: int | None = None) -> ActiveLearningState:
-    """Load the state of a given iteration, or the latest one."""
+    """The state entering ``iteration``, or the latest: T from its training-set file, P from the manifest."""
     run_dir = Path(run_dir)
     if iteration is None:
         files = sorted((run_dir / "state").glob("iter_*.json"))
@@ -329,11 +335,10 @@ def load_state(run_dir: str | Path, iteration: int | None = None) -> ActiveLearn
         if stray:
             raise FormatError(f"{stray[0]}: not a state file name; state files are named iter_<N>.json")
         iteration = max(int(f.stem[len("iter_"):]) for f in files)
-    path = state_path(run_dir, iteration)
-    state = _load_json(path, ActiveLearningState.from_dict)
-    if state.iteration != iteration:
-        raise FormatError(f"{path}: iteration {state.iteration} does not match the file name")
-    return state
+    record = _load_record(run_dir, iteration)
+    manifest = load_manifest(run_dir / "manifest.json")
+    training_ids = _load_training_set(run_dir, iteration, manifest)
+    return ActiveLearningState(iteration, training_ids, _pool(manifest, training_ids), record)
 
 
 def load_config(run_dir: str | Path) -> RunConfig:
@@ -365,13 +370,9 @@ def init_run(
     save_manifest(manifest, run_dir / "manifest.json")
     if ground_truth is not None:
         save_ground_truth(ground_truth, run_dir / "ground_truth.jsonl")
-    state = ActiveLearningState(
-        iteration=0,
-        training_ids=manifest.initial_training,
-        pool_ids=manifest.pool,
-    )
+    state = ActiveLearningState(0, manifest.initial_training, manifest.pool)
     _write_id_file(state.training_ids, run_dir / "trainset_iter_0.txt")
-    _atomic_write_json(state.to_dict(), state_path(run_dir, 0))
+    _atomic_write_json({"iteration": 0}, state_path(run_dir, 0))
     _log_event(run_dir, f"init |T_0|={len(state.training_ids)} |P_0|={len(state.pool_ids)}")
     return state
 
@@ -533,12 +534,8 @@ def _run_iteration_locked(
         "f1_sampled": sampled_f1,
         "f1_remaining": remaining_f1,
     }
-    new_state = ActiveLearningState(
-        iteration=i + 1,
-        training_ids=state.training_ids + tuple(sampled),
-        pool_ids=tuple(p for p in state.pool_ids if p not in sampled_set),
-        record=record,
-    )
+    training_ids = state.training_ids + tuple(sampled)
+    new_state = ActiveLearningState(i + 1, training_ids, _pool(manifest, training_ids), record)
 
     _write_id_file(new_state.training_ids, run_dir / f"trainset_iter_{i + 1}.txt")
     train_request = run_dir / "requests" / f"train_iter_{i + 1}.json"
@@ -551,7 +548,7 @@ def _run_iteration_locked(
     _ask(doc, train_request, Path(str(train_request) + ".done"),
          lambda: adapter.fulfill_training_request(train_request))
 
-    _atomic_write_json(new_state.to_dict(), state_path(run_dir, i + 1))
+    _atomic_write_json({"iteration": i + 1, "record": record}, state_path(run_dir, i + 1))
     _log_event(
         run_dir,
         f"iteration {i} sampled {len(sampled)} images (strategy={config.strategy}); "
@@ -596,7 +593,7 @@ def run_loop(
             writer = csv.writer(fh)
             writer.writerow(LOG_COLUMNS)
             for k in range(1, final_iter + 1):
-                metrics = load_state(run_dir, k).record["metrics"]
+                metrics = _load_record(run_dir, k)["metrics"]
                 writer.writerow(_fmt(metrics[c]) for c in LOG_COLUMNS)
             # the final row evaluates the last model, so only its first three columns apply
             final_row = (final_iter, len(state.training_ids), final_map)

@@ -67,6 +67,21 @@ class TestSimulateRun:
         assert capsys.readouterr().err.startswith("error: ")
         assert run_files(run_dir) == before
 
+    def test_a_run_with_old_layout_state_files_resumes(self, tmp_path):
+        # earlier versions also wrote T and P into each state file; those keys are ignored,
+        # so not even a pool id that the manifest lacks reaches the detector
+        whole = simulate(tmp_path, name="whole", iterations=3)
+        run_dir = simulate(tmp_path)
+        for k in (0, 1, 2):
+            state, path = load_state(run_dir, k), run_dir / "state" / f"iter_{k}.json"
+            old = {"iteration": k, "training_ids": list(state.training_ids),
+                   "pool_ids": [*state.pool_ids, "bogus"]}
+            if k:
+                old["record"] = state.record
+            path.write_text(json.dumps(old, indent=1) + "\n")
+        assert run_cli("loop", "--run", run_dir, "--iterations", 1) == 0
+        assert (run_dir / "log.csv").read_bytes() == (whole / "log.csv").read_bytes()
+
     @staticmethod
     def criterion_8(run_dir):
         assert run_cli(

@@ -19,7 +19,6 @@ from boxal.data_io import CategoryCatalog, DatasetManifest, load_image_passes
 from boxal.errors import AdapterError, BoxalError, FormatError, ValidationError
 from boxal.grouping import group_passes
 from boxal.orchestrator import (
-    LOG_COLUMNS,
     ActiveLearningState,
     DetectorAdapter,
     FileWaitAdapter,
@@ -86,24 +85,26 @@ class TestRunConfig:
 
 
 class TestActiveLearningState:
-    def test_overlap_rejected(self):
-        doc = {"iteration": 0, "training_ids": ["a", "b"], "pool_ids": ["b", "c"]}
-        with pytest.raises(ValidationError, match="overlap"):
-            ActiveLearningState.from_dict(doc)
+    def test_round_trip(self, tmp_path):
+        # a state file holds the record; T comes back from trainset_iter_N.txt, P from the manifest
+        world = small_world()
+        run_dir = tmp_path / "run"
+        state0 = init_run(world.manifest, small_config(), run_dir, world.ground_truth())
+        state1 = run_loop(run_dir, SimulatorDetectorAdapter(world, run_dir), 1)
+        assert state0 == ActiveLearningState(0, world.manifest.initial_training, world.manifest.pool)
+        sampled = [image_id for image_id, _ in state1.record["sampled"]]
+        assert state1.training_ids == state0.training_ids + tuple(sampled)
+        assert state1.pool_ids == tuple(p for p in state0.pool_ids if p not in sampled)
+        assert load_state(run_dir, 0) == state0
+        assert load_state(run_dir, 1) == load_state(run_dir) == state1
 
-    def test_round_trip(self):
-        metrics = dict.fromkeys(LOG_COLUMNS, None) | {"iteration": 1, "map": 0.5}
-        record = {"sampled": [["a", 0.25]], "metrics": metrics, "f1_sampled": [1.0], "f1_remaining": [0.5]}
-        s = ActiveLearningState(2, ("a",), ("b",), record)
-        assert ActiveLearningState.from_dict(s.to_dict()) == s
-        s0 = ActiveLearningState(0, ("a",), ("b",))
-        assert "record" not in s0.to_dict()
-        assert ActiveLearningState.from_dict(s0.to_dict()) == s0
-
-    def test_record_required_from_iteration_1(self):
-        doc = {"iteration": 1, "training_ids": ["a"], "pool_ids": ["b"]}
-        with pytest.raises(FormatError, match="record"):
-            ActiveLearningState.from_dict(doc)
+    def test_record_required_from_iteration_1(self, tmp_path):
+        run_dir, adapter, _ = start_run(tmp_path)
+        run_loop(run_dir, adapter, 1)
+        path = state_path(run_dir, 1)
+        path.write_text(json.dumps({"iteration": 1}))
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: missing field 'record'"):
+            load_state(run_dir)
 
 
 class TestInitRun:
@@ -439,9 +440,9 @@ class TestCrashResume:
         run_dir, adapter, _ = start_run(tmp_path)
         run_loop(run_dir, adapter, self.ITERATIONS)
         docs = [json.loads(state_path(run_dir, k).read_text()) for k in range(self.ITERATIONS + 1)]
-        assert set(docs[0]) == {"iteration", "training_ids", "pool_ids"}
+        assert docs[0] == {"iteration": 0}
         for k, doc in enumerate(docs[1:], start=1):
-            assert set(doc) == {"iteration", "training_ids", "pool_ids", "record"}
+            assert set(doc) == {"iteration", "record"}
             assert doc["iteration"] == k
             assert doc["record"]["metrics"]["iteration"] == k - 1
             assert len(doc["record"]["sampled"]) == len(doc["record"]["f1_sampled"]) == 10

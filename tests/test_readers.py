@@ -28,7 +28,7 @@ from boxal.data_io import (
     save_ground_truth,
     save_manifest,
 )
-from boxal.errors import BoxalError, FormatError
+from boxal.errors import BoxalError, FormatError, ValidationError
 from boxal.evaluation import load_predictions
 from boxal.orchestrator import RunConfig, SimulatorDetectorAdapter, load_config, load_state
 from boxal.simulator import generate_world, load_world, save_world
@@ -47,14 +47,14 @@ VALID = {
         {"image_id": "x1", "predictions": [{"bbox": [1, 2, 11, 12], "category": 0, "score": 0.9}]},
         {"image_id": "x2", "predictions": [{"bbox": [5, 5, 25, 30], "category": 1, "score": 0.8}]},
     ],
-    "manifest": {"categories": ["cat_a", "cat_b"], "initial_training": ["t1"], "pool": ["p1"],
+    "manifest": {"categories": ["cat_a", "cat_b"], "initial_training": ["t1"], "pool": ["p1", "p2"],
                  "validation": [], "test": ["x1", "x2"]},
     "config": RunConfig().to_dict(),
     "ranking": [["image_id", "c_min", "set_count"], ["p1", "0.25", "2"], ["p2", "0.5", "1"]],
     "column": [["f1"], ["0.5"], ["0.6"], ["0.7"], ["0.9"]],
     "pool": ["p1", "p2", "p3"],
     "state": {
-        "iteration": 1, "training_ids": ["t1", "p1"], "pool_ids": ["p2"],
+        "iteration": 1,
         "record": {
             "sampled": [["p1", 0.25]],
             "metrics": {"iteration": 0, "train_size": 1, "map": 0.5, "mean_f1_sampled": 0.5,
@@ -87,8 +87,11 @@ def _write_json(path, doc):
 
 
 def _write_state(path, doc):
+    """``doc`` as state/iter_1.json, beside the run's manifest.json and trainset_iter_1.txt."""
     path.parent.mkdir(parents=True, exist_ok=True)
     _write_json(path, doc)
+    _write_json(path.parent.parent / "manifest.json", VALID["manifest"])
+    _write_lines(path.parent.parent / "trainset_iter_1.txt", ["t1", "p1"])
 
 
 def _write_world(path, doc):
@@ -252,6 +255,7 @@ PROBES = [
     ("state", ("iteration",), 7),
     ("trainset", (1,), "img_99999"),
     ("trainset", (1,), VALID["trainset"][0]),
+    ("trainset", (1,), SKILL_WORLD.manifest.test[0]),
 ]
 
 
@@ -357,13 +361,32 @@ def test_simulator_counts_its_skill_from_the_training_set_file(sim_run, tmp_path
         assert (run_dir / name).read_bytes() == (sim_run / name).read_bytes(), name
 
 
-@pytest.mark.parametrize("duplicate", [False, True], ids=["unknown", "duplicate"])
-def test_cli_loop_exits_2_on_a_bad_training_set_file(duplicate, sim_run, tmp_path, capsys):
+@pytest.mark.parametrize("fault", ["unknown", "duplicate", "test"])
+def test_cli_loop_exits_2_on_a_bad_training_set_file(fault, sim_run, tmp_path, capsys):
+    # a test image would train the detector whose test mAP the loop reports
     ids = (sim_run / READERS["trainset"][0]).read_text().split()
-    ids[1] = ids[0] if duplicate else "img_99999"
+    ids[1] = {"unknown": "img_99999", "duplicate": ids[0],
+              "test": load_manifest(sim_run / "manifest.json").test[0]}[fault]
     code, run_dir = _loop_again(sim_run, tmp_path, ids)
+    trainset = run_dir / READERS["trainset"][0]
     err = capsys.readouterr().err
-    assert code == 2 and err.startswith(f"error: {run_dir / READERS['trainset'][0]}:2: "), err
+    assert code == 2 and err.startswith(f"error: {trainset}:2: "), err
+    # the file adapter does not read the training set, but resuming the run does
+    flags = ["--adapter", "file", "--adapter-timeout", "0"]
+    assert main(["loop", "--run", str(run_dir), "--iterations", "0", *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {trainset}:2: "), err
+    with pytest.raises(ValidationError) as excinfo:
+        load_state(run_dir)
+    assert str(excinfo.value).startswith(f"{trainset}:2: "), excinfo.value
+
+
+def test_request_that_cannot_be_written_is_named(sim_run, tmp_path, capsys):
+    run_dir = shutil.copytree(sim_run, tmp_path / "run")
+    shutil.rmtree(run_dir / "requests")
+    assert main(["loop", "--run", str(run_dir), "--iterations", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {run_dir / 'requests' / 'iter_1_pool.json'}: cannot write: "), err
 
 
 @pytest.mark.parametrize("name", ["iter_x.json", "iter_01.json", "iter_.json", "iter_2.bak.json"])
