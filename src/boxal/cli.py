@@ -16,7 +16,7 @@ from contextlib import nullcontext
 from dataclasses import astuple, replace
 from pathlib import Path
 
-from .data_io import _load_json, _open_input, load_ground_truth, load_id_list, load_manifest
+from .data_io import _load_json, _open_input, _open_output, load_ground_truth, load_id_list, load_manifest
 from .errors import BoxalError, FormatError, ValidationError
 from .evaluation import coco_map, load_predictions, ttest_two_sided
 from .orchestrator import (
@@ -35,7 +35,7 @@ from .simulator import generate_world, load_world, save_world
 
 def _output(path: str | None):
     """A text stream to ``path``, or to stdout when no path is given."""
-    return open(path, "w", encoding="utf-8", newline="") if path else nullcontext(sys.stdout)
+    return _open_output(path, "w") if path else nullcontext(sys.stdout)
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
@@ -165,8 +165,7 @@ def _cmd_evaluate(args) -> int:
         "false_negatives": result.false_negatives,
     }
     with _output(args.out_report) as out:
-        json.dump(report, out, indent=2)
-        out.write("\n")
+        out.write(json.dumps(report, indent=2) + "\n")
     if args.out_f1:
         with _output(args.out_f1) as fh:
             writer = csv.writer(fh)

@@ -27,6 +27,8 @@ for every file that carries boxes, and ``_check_scores`` the score rules.
 ``BoundingBox``, ``Detection`` and ``GroundTruthImage`` are plain records, so
 the objects the package builds itself (simulated passes, mean boxes) are
 trusted: the detector boundary is the file contract, and the readers guard it.
+Every file the package writes is opened by ``_open_output``; ``_write_lines``
+replaces a file whole, by a temp file and a rename.
 
 Detections travel as columns. ``load_image_passes``, the one detections
 reader, decodes a file line by line into one ``DetectionBatch`` (through flat
@@ -52,6 +54,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from array import array
 from bisect import bisect_right
 from contextlib import contextmanager
@@ -60,7 +63,7 @@ from functools import cached_property
 from itertools import chain, pairwise
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Container, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Container, Iterable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -326,6 +329,27 @@ def _open_input(path: str | Path, mode: str = "rb", **kwargs):
         raise FormatError(f"{path}: cannot open: {exc.strerror or exc}") from exc
 
 
+@contextmanager
+def _open_output(path: str | Path, mode: str, name: str | Path | None = None) -> Iterator[TextIO]:
+    """``open(path, mode)`` as UTF-8 text, lines as written, closed on exit; an OSError in opening, writing or closing
+    is a BoxalError naming ``name`` (by default ``path``). Every file the package writes is opened here."""
+    try:
+        with open(path, mode, encoding="utf-8", newline="") as fh:
+            yield fh
+    except OSError as exc:
+        raise BoxalError(f"{name or path}: cannot write: {exc.strerror or exc}") from exc
+
+
+def _write_lines(lines: Iterable[str], path: str | Path) -> None:
+    """``lines``, each with its line end, streamed into ``path.tmp``, which then replaces ``path`` whole. Errors name
+    ``path``; a crash leaves the old file or none, plus at most the ``.tmp``, which the next write overwrites."""
+    tmp = f"{path}.tmp"
+    with _open_output(tmp, "w", path) as fh:
+        fh.writelines(lines)
+        fh.close()  # the lines are in the file before the rename
+        os.replace(tmp, path)
+
+
 def _json_value(text):
     """The JSON value that ``text`` holds; invalid JSON is a FormatError."""
     try:
@@ -374,12 +398,6 @@ def load_id_list(path: str | Path, known: Container[str] | None = None) -> list[
                 raise ValidationError(f"{path}:{lineno}: unknown image_id {image_id!r}")
             ids[image_id] = None
     return list(ids)
-
-
-def _save_jsonl(records: Iterable[dict], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(json.dumps(record) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -543,7 +561,7 @@ def save_image_passes(images: Sequence[ImagePasses], path: str | Path) -> None:
             "passes": [dets[start:stop] for start, stop in pairwise(img.bounds)],
         }
 
-    _save_jsonl(map(record, images), path)
+    _write_lines((json.dumps(record(img)) + "\n" for img in images), path)
 
 
 def _chunks(sizes: np.ndarray, fits: Callable[[int, int], bool]) -> Iterator[np.ndarray]:
@@ -631,13 +649,10 @@ def load_ground_truth(path: str | Path, kappa: int) -> dict[str, GroundTruthImag
 
 
 def save_ground_truth(images: Mapping[str, GroundTruthImage], path: str | Path) -> None:
-    _save_jsonl((
-        {
-            "image_id": gt.image_id,
-            "objects": [{"bbox": list(box.as_tuple()), "category": cat} for box, cat in gt.objects],
-        }
-        for gt in images.values()
-    ), path)
+    _write_lines((json.dumps({
+        "image_id": gt.image_id,
+        "objects": [{"bbox": list(box.as_tuple()), "category": cat} for box, cat in gt.objects],
+    }) + "\n" for gt in images.values()), path)
 
 
 # ---------------------------------------------------------------------------
@@ -657,6 +672,4 @@ def load_manifest(path: str | Path) -> DatasetManifest:
 def save_manifest(manifest: DatasetManifest, path: str | Path) -> None:
     doc = {"categories": list(manifest.catalog.names)}
     doc.update((name, list(getattr(manifest, name))) for name in PARTITIONS)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    _write_lines([json.dumps(doc, indent=2) + "\n"], path)

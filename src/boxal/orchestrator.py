@@ -10,7 +10,7 @@ answered with the same bytes is not asked again. The built-in simulator
 adapter fulfils the contract in-process; ``FileWaitAdapter`` waits for an
 external trainer to do the same.
 
-Files are written atomically (a temp file, then a rename), so a crash
+Each file but ``events.log`` and ``LOCK`` is replaced whole, so a crash
 mid-iteration leaves the previous iteration's state intact. Each fact is stored
 once: T_N is ``trainset_iter_N.txt``, P_N the manifest's pool without T_N, and
 ``state/iter_N.json`` holds N and, from N = 1 on, iteration N-1's record, so
@@ -22,7 +22,6 @@ record holds ``sampled`` ([image_id, c_min] pairs in rank order), ``metrics``
 
 from __future__ import annotations
 
-import csv
 import fcntl
 import json
 import os
@@ -46,6 +45,8 @@ from .data_io import (
     _field,
     _floats,
     _load_json,
+    _open_output,
+    _write_lines,
     apply_thresholds,
     load_ground_truth,
     load_id_list,
@@ -215,11 +216,11 @@ class SimulatorDetectorAdapter(DetectorAdapter):
             for image_id, states in zip(image_ids, pass_states(pass_seed, image_ids, n))
         ]
         save_image_passes(images, output_path)
-        Path(str(output_path) + ".done").touch()
+        _write_lines([], f"{output_path}.done")
 
     def fulfill_training_request(self, request_path: Path) -> None:
         # the next detection request counts the skill from the request's trainset_file
-        Path(str(request_path) + ".done").touch()
+        _write_lines([], f"{request_path}.done")
 
 
 POLL_SECONDS = 0.5  # how often FileWaitAdapter looks for a request's .done
@@ -251,22 +252,12 @@ class FileWaitAdapter(DetectorAdapter):
 # run directory plumbing
 
 
-def _atomic_write(text: str, path: Path) -> None:
-    """``text`` into ``path`` by a temp file and a rename; a failure is a BoxalError naming ``path``."""
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        tmp.write_text(text, encoding="utf-8")
-        os.replace(tmp, path)
-    except OSError as exc:
-        raise BoxalError(f"{path}: cannot write: {exc.strerror or exc}") from exc
-
-
-def _atomic_write_json(doc: dict, path: Path) -> None:
-    _atomic_write(json.dumps(doc, indent=1) + "\n", path)
+def _write_json(doc: dict, path: Path) -> None:
+    _write_lines([json.dumps(doc, indent=1) + "\n"], path)
 
 
 def _write_id_file(ids: Sequence[str], path: Path) -> None:
-    _atomic_write("".join(image_id + "\n" for image_id in ids), path)
+    _write_lines((image_id + "\n" for image_id in ids), path)
 
 
 @contextmanager
@@ -305,7 +296,7 @@ def run_lock(run_dir: Path):
 
 def _log_event(run_dir: Path, message: str) -> None:
     stamp = datetime.now(timezone.utc).isoformat()
-    with open(run_dir / "events.log", "a", encoding="utf-8") as fh:
+    with _open_output(run_dir / "events.log", "a") as fh:
         fh.write(f"{stamp} {message}\n")
 
 
@@ -366,13 +357,13 @@ def init_run(
         )
     for subdir in subdirs:
         subdir.mkdir(parents=True, exist_ok=True)
-    _atomic_write_json(config.to_dict(), run_dir / "config.json")
+    _write_json(config.to_dict(), run_dir / "config.json")
     save_manifest(manifest, run_dir / "manifest.json")
     if ground_truth is not None:
         save_ground_truth(ground_truth, run_dir / "ground_truth.jsonl")
     state = ActiveLearningState(0, manifest.initial_training, manifest.pool)
     _write_id_file(state.training_ids, run_dir / "trainset_iter_0.txt")
-    _atomic_write_json({"iteration": 0}, state_path(run_dir, 0))
+    _write_json({"iteration": 0}, state_path(run_dir, 0))
     _log_event(run_dir, f"init |T_0|={len(state.training_ids)} |P_0|={len(state.pool_ids)}")
     return state
 
@@ -395,7 +386,7 @@ def _ask(doc: dict, request_path: Path, done: Path, fulfill: Callable[[], None])
     if done.exists() and request_path.exists() and request_path.read_bytes() == text.encode():
         return
     done.unlink(missing_ok=True)
-    _atomic_write(text, request_path)
+    _write_lines([text], request_path)
     fulfill()
     if not done.exists():
         raise AdapterError(f"adapter did not signal completion: {done} is missing")
@@ -548,7 +539,7 @@ def _run_iteration_locked(
     _ask(doc, train_request, Path(str(train_request) + ".done"),
          lambda: adapter.fulfill_training_request(train_request))
 
-    _atomic_write_json({"iteration": i + 1, "record": record}, state_path(run_dir, i + 1))
+    _write_json({"iteration": i + 1, "record": record}, state_path(run_dir, i + 1))
     _log_event(
         run_dir,
         f"iteration {i} sampled {len(sampled)} images (strategy={config.strategy}); "
@@ -589,14 +580,11 @@ def run_loop(
         final_iter = state.iteration
         final_map = _test_map(run_dir, adapter, config, manifest, gt, final_iter)
 
-        with open(run_dir / "log.csv", "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(LOG_COLUMNS)
-            for k in range(1, final_iter + 1):
-                metrics = _load_record(run_dir, k)["metrics"]
-                writer.writerow(_fmt(metrics[c]) for c in LOG_COLUMNS)
-            # the final row evaluates the last model, so only its first three columns apply
-            final_row = (final_iter, len(state.training_ids), final_map)
-            writer.writerow([_fmt(v) for v in final_row] + [""] * (len(LOG_COLUMNS) - len(final_row)))
+        metrics = [_load_record(run_dir, k)["metrics"] for k in range(1, final_iter + 1)]
+        # the final row evaluates the last model, so only its first three columns apply
+        metrics.append(dict(zip(LOG_COLUMNS, (final_iter, len(state.training_ids), final_map))))
+        rows = [LOG_COLUMNS, *([_fmt(m.get(c)) for c in LOG_COLUMNS] for m in metrics)]
+        # csv's default line end; numbers and column names need no quoting
+        _write_lines((",".join(row) + "\r\n" for row in rows), run_dir / "log.csv")
         _log_event(run_dir, f"loop complete at iteration {final_iter}")
         return state

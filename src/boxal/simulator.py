@@ -53,6 +53,7 @@ from .data_io import (
     _field,
     _image_views,
     _load_json,
+    _write_lines,
     apply_thresholds,
     load_ground_truth,
     load_manifest,
@@ -195,8 +196,7 @@ def generate_world(
 
 def save_world(world: SyntheticWorld, path: str | Path) -> None:
     """Write what only the world knows, each image's difficulty; the run's files hold the rest."""
-    doc = {"difficulty": world.difficulty}
-    Path(path).write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
+    _write_lines([json.dumps({"difficulty": world.difficulty}, indent=1) + "\n"], path)
 
 
 def load_world(run_dir: str | Path) -> SyntheticWorld:

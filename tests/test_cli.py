@@ -51,6 +51,7 @@ class TestSimulateRun:
         assert len(state.training_ids) == 28
         with open(run_dir / "log.csv", newline="") as fh:
             assert len(list(csv.DictReader(fh))) == 3
+        assert not list(run_dir.rglob("*.tmp"))  # every file was renamed into place
 
     def test_byte_identical_reports(self, tmp_path):
         a = simulate(tmp_path, name="a")

@@ -1,8 +1,10 @@
-"""No module imports a name that it never uses, and no package name is dead.
+"""No module imports a name that it never uses, no package name is dead, and only ``data_io`` writes files.
 
 ``__init__.py`` is exempt from the first check: its imports are the package's
 re-exports. The second check counts a use only in the package, ``bench/`` or
-``scripts/``: a name that only tests need is dead code.
+``scripts/``: a name that only tests need is dead code. The third keeps every
+write on ``data_io``'s one writer, so each failed write names its file and
+each file but an appended log is replaced whole.
 """
 
 import ast
@@ -122,3 +124,45 @@ def test_every_package_name_is_used_outside_tests(path, refs):
         if not used:
             dead.append(f"{class_name}.{name}" if class_name else name)
     assert not dead, f"{path.name}: used by nothing outside tests: " + ", ".join(dead)
+
+
+PATH_WRITES = {"write_text", "write_bytes", "touch"}
+OS_WRITES = {"replace", "rename"}
+LOCK_CALLS = {"open", "write", "ftruncate"}  # the os calls orchestrator.run_lock makes on LOCK, the one exception
+
+
+def _writes_mode(call, at):
+    """Whether an ``open`` call's mode, its argument ``at`` or ``mode=``, may write: w, a, x or +, or not a literal."""
+    mode = call.args[at] if len(call.args) > at else next((k.value for k in call.keywords if k.arg == "mode"), None)
+    if mode is None:
+        return False
+    return not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)) or bool(set(mode.value) & set("wax+"))
+
+
+def _file_writes(tree, lock_function=None):
+    """(line, call) of each call in ``tree`` that writes a file, but the ``LOCK_CALLS`` in ``lock_function``."""
+    lock_lines = set()
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name == lock_function:
+            lock_lines = set(range(node.lineno, node.end_lineno + 1))
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name) and func.id == "open" and _writes_mode(node, 1):
+            yield node.lineno, "open"
+        elif isinstance(func, ast.Attribute):
+            on_os = isinstance(func.value, ast.Name) and func.value.id == "os"
+            if on_os and (func.attr in OS_WRITES or func.attr in LOCK_CALLS and node.lineno not in lock_lines):
+                yield node.lineno, f"os.{func.attr}"
+            elif not on_os and (func.attr in PATH_WRITES or func.attr == "open" and _writes_mode(node, 0)):
+                yield node.lineno, f".{func.attr}"
+
+
+@pytest.mark.parametrize("path", [p for p in PACKAGE if p.stem != "data_io"], ids=lambda p: p.name)
+def test_only_data_io_writes_files(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    writes = list(_file_writes(tree, "run_lock" if path.stem == "orchestrator" else None))
+    assert not writes, f"{path.name}: writes a file outside data_io's writer: " + ", ".join(
+        f"{call} (line {line})" for line, call in sorted(writes)
+    )

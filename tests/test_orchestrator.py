@@ -1,19 +1,22 @@
 import csv
 import errno
 import fcntl
+import io
 import json
 import os
 import re
+import shutil
 import socket
 import subprocess
 import sys
 from collections import Counter
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from boxal import orchestrator
+from boxal import data_io, orchestrator
 from boxal.certainty import image_certainty
 from boxal.data_io import CategoryCatalog, DatasetManifest, load_image_passes
 from boxal.errors import AdapterError, BoxalError, FormatError, ValidationError
@@ -447,6 +450,108 @@ class TestCrashResume:
             assert doc["record"]["metrics"]["iteration"] == k - 1
             assert len(doc["record"]["sampled"]) == len(doc["record"]["f1_sampled"]) == 10
         assert not (run_dir / "samples").exists()
+
+
+class HalfWritten(io.StringIO):
+    """A write killed half-way: on close, the first half of its text reaches the file, then the crash."""
+
+    def __init__(self, opening):
+        super().__init__()
+        self.opening = opening  # the real _open_output of the file, not yet entered
+
+    def close(self):
+        if not self.closed:
+            text = self.getvalue()
+            super().close()
+            with self.opening as fh:
+                fh.write(text[: len(text) // 2])
+            raise InjectedCrash("half-way through a write")
+
+
+class Mutations:
+    """Numbers the file mutations in order, each ``_open_output``, ``os.replace`` and ``Path.unlink``, and crashes
+    just before mutation ``before`` or half-way through the text written by mutation ``half``.
+
+    Every mutation must be of a file under ``run_dir``; ``targets`` collects those files, ``writes`` the numbers
+    of the ``_open_output`` mutations.
+    """
+
+    def __init__(self, run_dir, before=None, half=None):
+        self.run_dir, self.before, self.half = run_dir, before, half
+        self.count, self.writes, self.targets = 0, [], set()
+
+    def _mutation(self, path) -> int:
+        k, self.count = self.count, self.count + 1
+        self.targets.add(Path(path).relative_to(self.run_dir).as_posix())
+        if k == self.before:
+            raise InjectedCrash(f"before mutation {k}, of {path}")
+        return k
+
+    @contextmanager
+    def installed(self):
+        real_open, real_replace, real_unlink = data_io._open_output, os.replace, Path.unlink
+
+        @contextmanager
+        def open_output(path, mode, *args):
+            k = self._mutation(path)
+            self.writes.append(k)
+            if k != self.half:
+                with real_open(path, mode, *args) as fh:
+                    yield fh
+            else:
+                fh = HalfWritten(real_open(path, mode, *args))
+                yield fh
+                fh.close()
+
+        def replace(src, dst):
+            self._mutation(dst)
+            real_replace(src, dst)
+
+        def unlink(path, missing_ok=False):
+            self._mutation(path)
+            real_unlink(path, missing_ok)
+
+        with pytest.MonkeyPatch.context() as m:
+            for module in (data_io, orchestrator):
+                m.setattr(module, "_open_output", open_output)
+            m.setattr(os, "replace", replace)
+            m.setattr(Path, "unlink", unlink)
+            yield self
+
+
+def run_files(run_dir):
+    """{path under ``run_dir``: bytes} of each file but events.log and LOCK, which a crash may leave different."""
+    return {p.relative_to(run_dir).as_posix(): p.read_bytes() for p in run_dir.rglob("*")
+            if p.is_file() and p.name not in ("events.log", "LOCK")}
+
+
+class TestCrashSweep:
+    """A crash before any file mutation, or half-way through any write, then a resume: ``init_run`` again if
+    ``state/iter_0.json`` is missing, then ``run_loop``. Each case ends with an unbroken run's files."""
+
+    @staticmethod
+    def run(run_dir, world, config):
+        if not state_path(run_dir, 0).exists():
+            init_run(world.manifest, config, run_dir, world.ground_truth())
+        run_loop(run_dir, SimulatorDetectorAdapter(world, run_dir))
+
+    def test_every_crash_resumes_to_the_unbroken_run(self, tmp_path):
+        world, config = small_world(), small_config()
+        with Mutations(tmp_path / "unbroken").installed() as unbroken:
+            self.run(tmp_path / "unbroken", world, config)
+        expected = run_files(tmp_path / "unbroken")
+        assert expected.keys() <= unbroken.targets  # init_run's files too: no write bypasses the sweep
+        cases = [("before", k) for k in range(unbroken.count)] + [("half", k) for k in unbroken.writes]
+        for kind, k in cases:
+            run_dir = tmp_path / f"{kind}_{k}"
+            with Mutations(run_dir, **{kind: k}).installed(), pytest.raises(InjectedCrash):
+                self.run(run_dir, world, config)
+            self.run(run_dir, world, config)
+            got = run_files(run_dir)
+            differing = sorted(name for name in expected.keys() | got.keys() if got.get(name) != expected.get(name))
+            assert not differing, (kind, k, differing)
+            assert not list(run_dir.rglob("*.tmp")), (kind, k)
+            shutil.rmtree(run_dir)
 
 
 # holds the run lock on the directory argv[1] until killed

@@ -381,12 +381,42 @@ def test_cli_loop_exits_2_on_a_bad_training_set_file(fault, sim_run, tmp_path, c
     assert str(excinfo.value).startswith(f"{trainset}:2: "), excinfo.value
 
 
-def test_request_that_cannot_be_written_is_named(sim_run, tmp_path, capsys):
-    run_dir = shutil.copytree(sim_run, tmp_path / "run")
-    shutil.rmtree(run_dir / "requests")
-    assert main(["loop", "--run", str(run_dir), "--iterations", "1"]) == 2
+@pytest.mark.parametrize("case", ["requests", "detections", "rank", "sample", "evaluate-report", "evaluate-f1"])
+def test_file_that_cannot_be_written_is_named(case, sim_run, valid, tmp_path, capsys):
+    # the loop's requests/ or the simulator adapter's detections/ is gone, or an --out names a missing directory
+    missing = tmp_path / "missing"
+    if case in ("requests", "detections"):
+        run_dir = shutil.copytree(sim_run, tmp_path / "run")
+        shutil.rmtree(run_dir / case)
+        target = run_dir / case / ("iter_1_pool.json" if case == "requests" else "iter_1_pool.jsonl")
+        argv = ["loop", "--run", run_dir, "--iterations", 1]
+    elif case == "rank":
+        target = missing / "ranking.csv"
+        argv = ["rank", "--detections", sim_run / "detections" / "iter_0_pool.jsonl",
+                "--manifest", sim_run / "manifest.json", "--config", sim_run / "config.json", "--out", target]
+    elif case == "sample":
+        target = missing / "sample.txt"
+        argv = ["sample", "--strategy", "random", "--pool", sim_run / "trainset_iter_1.txt", "--n", 1,
+                "--out", target]
+    else:
+        predictions = tmp_path / READERS["predictions"][0]
+        READERS["predictions"][1](predictions, valid["predictions"])
+        target = missing / ("report.json" if case == "evaluate-report" else "f1.csv")
+        argv = [*_cli(tmp_path, valid, "predictions", predictions),
+                "--out-report" if case == "evaluate-report" else "--out-f1", target]
+    assert main([str(a) for a in argv]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {run_dir / 'requests' / 'iter_1_pool.json'}: cannot write: "), err
+    assert err.startswith(f"error: {target}: cannot write: "), err
+
+
+def test_events_log_that_cannot_be_appended_is_named(sim_run, tmp_path, capsys):
+    # a directory in its place fails the append even for a user whom permissions do not stop
+    run_dir = shutil.copytree(sim_run, tmp_path / "run")
+    (run_dir / "events.log").unlink()
+    (run_dir / "events.log").mkdir()
+    assert main(["loop", "--run", str(run_dir), "--iterations", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {run_dir / 'events.log'}: cannot write: "), err
 
 
 @pytest.mark.parametrize("name", ["iter_x.json", "iter_01.json", "iter_.json", "iter_2.bak.json"])
