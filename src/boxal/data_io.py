@@ -350,6 +350,14 @@ def _write_lines(lines: Iterable[str], path: str | Path) -> None:
         os.replace(tmp, path)
 
 
+def _remove(path: str | Path) -> None:
+    """Remove ``path`` if it exists; an OSError is a BoxalError naming it."""
+    try:
+        Path(path).unlink(missing_ok=True)
+    except OSError as exc:
+        raise BoxalError(f"{path}: cannot remove: {exc.strerror or exc}") from exc
+
+
 def _json_value(text):
     """The JSON value that ``text`` holds; invalid JSON is a FormatError."""
     try:

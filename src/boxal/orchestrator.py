@@ -12,12 +12,12 @@ external trainer to do the same.
 
 Each file but ``events.log`` and ``LOCK`` is replaced whole, so a crash
 mid-iteration leaves the previous iteration's state intact. Each fact is stored
-once: T_N is ``trainset_iter_N.txt``, P_N the manifest's pool without T_N, and
-``state/iter_N.json`` holds N and, from N = 1 on, iteration N-1's record, so
-writing it commits the iteration; ``log.csv`` is read back from the records. A
-record holds ``sampled`` ([image_id, c_min] pairs in rank order), ``metrics``
-(the log.csv row, keyed by ``LOG_COLUMNS``), ``f1_sampled`` (rank order) and
-``f1_remaining`` (pool order).
+once: ``state/iter_N.json`` holds N and, from N = 1 on, iteration N-1's record,
+whose write commits the iteration: ``sampled`` ([image_id, c_min] pairs) and
+``f1_sampled`` in rank order, ``f1_remaining`` in pool order, and ``metrics``
+(the log.csv row, keyed by ``LOG_COLUMNS``). T_N is ``initial_training`` plus
+the ids records 1 to N sample, P_N the pool without T_N. ``log.csv`` is rebuilt
+from the records, and each T_N export, ``trainset_iter_N.txt``, checked on load.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from abc import ABC, abstractmethod
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
+from itertools import zip_longest
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -46,6 +47,7 @@ from .data_io import (
     _floats,
     _load_json,
     _open_output,
+    _remove,
     _write_lines,
     apply_thresholds,
     load_ground_truth,
@@ -256,10 +258,6 @@ def _write_json(doc: dict, path: Path) -> None:
     _write_lines([json.dumps(doc, indent=1) + "\n"], path)
 
 
-def _write_id_file(ids: Sequence[str], path: Path) -> None:
-    _write_lines((image_id + "\n" for image_id in ids), path)
-
-
 @contextmanager
 def run_lock(run_dir: Path):
     """Exclusive ownership of a run directory: a non-blocking ``flock`` on ``RUNDIR/LOCK``.
@@ -316,7 +314,7 @@ def _load_record(run_dir: Path, iteration: int) -> dict | None:
 
 
 def load_state(run_dir: str | Path, iteration: int | None = None) -> ActiveLearningState:
-    """The state entering ``iteration``, or the latest: T from its training-set file, P from the manifest."""
+    """The state entering ``iteration``, or the latest: T from the manifest and the records, each export checked."""
     run_dir = Path(run_dir)
     if iteration is None:
         files = sorted((run_dir / "state").glob("iter_*.json"))
@@ -326,10 +324,21 @@ def load_state(run_dir: str | Path, iteration: int | None = None) -> ActiveLearn
         if stray:
             raise FormatError(f"{stray[0]}: not a state file name; state files are named iter_<N>.json")
         iteration = max(int(f.stem[len("iter_"):]) for f in files)
-    record = _load_record(run_dir, iteration)
+    last = _load_record(run_dir, iteration)  # read first, so that a missing state file is the one named
     manifest = load_manifest(run_dir / "manifest.json")
-    training_ids = _load_training_set(run_dir, iteration, manifest)
-    return ActiveLearningState(iteration, training_ids, _pool(manifest, training_ids), record)
+    training_ids, left = list(manifest.initial_training), set(manifest.pool)
+    for k in range(iteration + 1):
+        record = last if k == iteration else _load_record(run_dir, k)
+        for image_id, _ in record["sampled"] if record else ():
+            if image_id not in left:  # outside the pool, already in T, or sampled twice
+                raise FormatError(f"{state_path(run_dir, k)}: sampled image {image_id!r} is not in P_{k - 1}")
+            left.remove(image_id)
+            training_ids.append(image_id)
+        found = _load_training_set(run_dir, k, manifest)  # the export, as a trainer reads it, must list T_k
+        for n, (want, got) in enumerate(zip_longest(training_ids, found), start=1):
+            if want != got:
+                raise ValidationError(f"{run_dir / f'trainset_iter_{k}.txt'}:{n}: expected {want!r}, found {got!r}")
+    return ActiveLearningState(iteration, tuple(training_ids), _pool(manifest, training_ids), last)
 
 
 def load_config(run_dir: str | Path) -> RunConfig:
@@ -362,7 +371,7 @@ def init_run(
     if ground_truth is not None:
         save_ground_truth(ground_truth, run_dir / "ground_truth.jsonl")
     state = ActiveLearningState(0, manifest.initial_training, manifest.pool)
-    _write_id_file(state.training_ids, run_dir / "trainset_iter_0.txt")
+    _write_lines((image_id + "\n" for image_id in state.training_ids), run_dir / "trainset_iter_0.txt")
     _write_json({"iteration": 0}, state_path(run_dir, 0))
     _log_event(run_dir, f"init |T_0|={len(state.training_ids)} |P_0|={len(state.pool_ids)}")
     return state
@@ -385,7 +394,7 @@ def _ask(doc: dict, request_path: Path, done: Path, fulfill: Callable[[], None])
     text = json.dumps(doc, indent=1) + "\n"
     if done.exists() and request_path.exists() and request_path.read_bytes() == text.encode():
         return
-    done.unlink(missing_ok=True)
+    _remove(done)
     _write_lines([text], request_path)
     fulfill()
     if not done.exists():
@@ -485,7 +494,6 @@ def _run_iteration_locked(
     gt: Mapping[str, GroundTruthImage],
 ) -> ActiveLearningState:
     i = state.iteration
-    n_sample = config.batch_size
     kappa = len(manifest.catalog)
 
     detections = _request_detections(run_dir, adapter, config, kappa, i, state.pool_ids, "pool")
@@ -493,10 +501,9 @@ def _run_iteration_locked(
 
     if config.strategy == "min_certainty":
         sampled = sampling.sample_min_certainty(
-            [(ic.image_id, ic.c_min) for ic in certainties.values()], n_sample
-        )
+            [(ic.image_id, ic.c_min) for ic in certainties.values()], config.batch_size)
     else:
-        sampled = sampling.sample_random(sorted(state.pool_ids), n_sample, config.seed, i)
+        sampled = sampling.sample_random(sorted(state.pool_ids), config.batch_size, config.seed, i)
 
     per_image_f1 = f1_image(preds, {image_id: gt[image_id] for image_id in state.pool_ids})
     sampled_set = set(sampled)
@@ -528,7 +535,7 @@ def _run_iteration_locked(
     training_ids = state.training_ids + tuple(sampled)
     new_state = ActiveLearningState(i + 1, training_ids, _pool(manifest, training_ids), record)
 
-    _write_id_file(new_state.training_ids, run_dir / f"trainset_iter_{i + 1}.txt")
+    _write_lines((image_id + "\n" for image_id in training_ids), run_dir / f"trainset_iter_{i + 1}.txt")
     train_request = run_dir / "requests" / f"train_iter_{i + 1}.json"
     doc = {
         "iteration": i + 1,

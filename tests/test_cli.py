@@ -83,6 +83,37 @@ class TestSimulateRun:
         assert run_cli("loop", "--run", run_dir, "--iterations", 1) == 0
         assert (run_dir / "log.csv").read_bytes() == (whole / "log.csv").read_bytes()
 
+    @pytest.mark.parametrize("edit", ["deleted", "reordered"])
+    def test_an_edited_training_set_export_is_named_and_the_report_kept(self, tmp_path, capsys, edit):
+        # T_1 comes from the records, so an earlier iteration's export that no longer lists it is named
+        run_dir = simulate(tmp_path)
+        export = run_dir / "trainset_iter_1.txt"
+        ids = export.read_text().split()
+        if edit == "deleted":
+            ids, line = ids[1:], 1
+        else:  # the last two sampled images change places
+            ids, line = [*ids[:-2], ids[-1], ids[-2]], len(ids) - 1
+        export.write_text("".join(f"{i}\n" for i in ids))
+        log = (run_dir / "log.csv").read_bytes()
+        capsys.readouterr()
+        assert run_cli("loop", "--run", run_dir, "--iterations", 0) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {export}:{line}: "), err
+        assert (run_dir / "log.csv").read_bytes() == log
+
+    def test_a_stale_done_that_cannot_be_removed_is_named(self, tmp_path, capsys):
+        # after a config edit the final test request differs, so its old .done must go; a directory cannot
+        run_dir = simulate(tmp_path)
+        done = run_dir / "detections" / "iter_2_test.jsonl.done"
+        done.unlink()
+        done.mkdir()
+        config = json.loads((run_dir / "config.json").read_text())
+        (run_dir / "config.json").write_text(json.dumps(dict(config, confidence=0.4)))
+        capsys.readouterr()
+        assert run_cli("loop", "--run", run_dir, "--iterations", 0) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {done}: cannot remove: "), err
+
     @staticmethod
     def criterion_8(run_dir):
         assert run_cli(

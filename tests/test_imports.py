@@ -1,10 +1,11 @@
-"""No module imports a name that it never uses, no package name is dead, and only ``data_io`` writes files.
+"""No module imports a name that it never uses, no package name is dead, and only ``data_io`` writes or deletes files.
 
 ``__init__.py`` is exempt from the first check: its imports are the package's
 re-exports. The second check counts a use only in the package, ``bench/`` or
 ``scripts/``: a name that only tests need is dead code. The third keeps every
-write on ``data_io``'s one writer, so each failed write names its file and
-each file but an appended log is replaced whole.
+write on ``data_io``'s one writer and every deletion on its ``_remove``, so
+each failed write or deletion names its file and each file but an appended log
+is replaced whole.
 """
 
 import ast
@@ -126,8 +127,9 @@ def test_every_package_name_is_used_outside_tests(path, refs):
     assert not dead, f"{path.name}: used by nothing outside tests: " + ", ".join(dead)
 
 
-PATH_WRITES = {"write_text", "write_bytes", "touch"}
-OS_WRITES = {"replace", "rename"}
+PATH_WRITES = {"write_text", "write_bytes", "touch", "unlink", "rmdir"}
+# the calls on a module that write or delete files: os.replace, shutil.rmtree and the like
+MODULE_WRITES = {"os": {"replace", "rename", "remove", "unlink", "rmdir"}, "shutil": {"rmtree"}}
 LOCK_CALLS = {"open", "write", "ftruncate"}  # the os calls orchestrator.run_lock makes on LOCK, the one exception
 
 
@@ -140,7 +142,7 @@ def _writes_mode(call, at):
 
 
 def _file_writes(tree, lock_function=None):
-    """(line, call) of each call in ``tree`` that writes a file, but the ``LOCK_CALLS`` in ``lock_function``."""
+    """(line, call) of each call in ``tree`` that writes or deletes a file, but ``lock_function``'s ``LOCK_CALLS``."""
     lock_lines = set()
     for node in tree.body:
         if isinstance(node, ast.FunctionDef) and node.name == lock_function:
@@ -152,10 +154,12 @@ def _file_writes(tree, lock_function=None):
         if isinstance(func, ast.Name) and func.id == "open" and _writes_mode(node, 1):
             yield node.lineno, "open"
         elif isinstance(func, ast.Attribute):
-            on_os = isinstance(func.value, ast.Name) and func.value.id == "os"
-            if on_os and (func.attr in OS_WRITES or func.attr in LOCK_CALLS and node.lineno not in lock_lines):
+            module = func.value.id if isinstance(func.value, ast.Name) and func.value.id in MODULE_WRITES else None
+            if module == "os" and func.attr in LOCK_CALLS and node.lineno not in lock_lines:
                 yield node.lineno, f"os.{func.attr}"
-            elif not on_os and (func.attr in PATH_WRITES or func.attr == "open" and _writes_mode(node, 0)):
+            elif module and func.attr in MODULE_WRITES[module]:
+                yield node.lineno, f"{module}.{func.attr}"
+            elif not module and (func.attr in PATH_WRITES or func.attr == "open" and _writes_mode(node, 0)):
                 yield node.lineno, f".{func.attr}"
 
 
@@ -163,6 +167,6 @@ def _file_writes(tree, lock_function=None):
 def test_only_data_io_writes_files(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     writes = list(_file_writes(tree, "run_lock" if path.stem == "orchestrator" else None))
-    assert not writes, f"{path.name}: writes a file outside data_io's writer: " + ", ".join(
+    assert not writes, f"{path.name}: writes or deletes a file outside data_io: " + ", ".join(
         f"{call} (line {line})" for line, call in sorted(writes)
     )

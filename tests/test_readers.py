@@ -87,11 +87,20 @@ def _write_json(path, doc):
 
 
 def _write_state(path, doc):
-    """``doc`` as state/iter_1.json, beside the run's manifest.json and trainset_iter_1.txt."""
+    """``doc`` as state/iter_1.json of a one-iteration run: the manifest, state/iter_0.json and the exports of
+    T_0 and T_1, ``trainset_iter_1.txt`` listing t1 and then the ids that ``doc`` samples, so that only ``doc``
+    can be at fault."""
+    run_dir = path.parent.parent
     path.parent.mkdir(parents=True, exist_ok=True)
     _write_json(path, doc)
-    _write_json(path.parent.parent / "manifest.json", VALID["manifest"])
-    _write_lines(path.parent.parent / "trainset_iter_1.txt", ["t1", "p1"])
+    _write_json(run_dir / "state" / "iter_0.json", {"iteration": 0})
+    _write_json(run_dir / "manifest.json", VALID["manifest"])
+    _write_lines(run_dir / "trainset_iter_0.txt", ["t1"])
+    try:
+        sampled = [pair[0] for pair in doc["record"]["sampled"]]
+    except (KeyError, IndexError, TypeError):  # a mutated doc without [image_id, c_min] pairs
+        sampled = []
+    _write_lines(run_dir / "trainset_iter_1.txt", ["t1", *sampled])
 
 
 def _write_world(path, doc):
@@ -253,6 +262,9 @@ PROBES = [
     ("state", ("record", "sampled", 0), ["p1"]),
     ("state", ("record", "f1_remaining", 0), None),
     ("state", ("iteration",), 7),
+    ("state", ("record", "sampled", 0, 0), "x1"),  # a test image
+    ("state", ("record", "sampled", 0, 0), "t1"),  # already in T
+    ("state", ("record", "sampled"), [["p1", 0.25], ["p1", 0.5]]),  # sampled twice
     ("trainset", (1,), "img_99999"),
     ("trainset", (1,), VALID["trainset"][0]),
     ("trainset", (1,), SKILL_WORLD.manifest.test[0]),
@@ -432,6 +444,34 @@ def test_stray_state_file_is_named(name, valid, tmp_path, capsys):
     assert main(["loop", "--run", str(run_dir), "--adapter", "file"]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {stray}: "), err
+
+
+# (k, the lines of trainset_iter_k.txt after the edit, the first line that differs) in the state run, whose
+# trainset_iter_0.txt lists t1 and trainset_iter_1.txt lists t1 and p1
+EXPORT_EDITS = {
+    "0-deleted": (0, [], 1),
+    "0-added": (0, ["t1", "p2"], 2),
+    "1-deleted": (1, ["p1"], 1),
+    "1-swapped": (1, ["p1", "t1"], 1),
+    "1-added": (1, ["t1", "p1", "p2"], 3),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(EXPORT_EDITS))
+def test_training_set_export_unlike_the_records_is_named(edit, valid, tmp_path, capsys):
+    # T_k comes from the manifest and the records; its export must list it, line for line
+    k, lines, line = EXPORT_EDITS[edit]
+    run_dir = tmp_path / "run"
+    _write_state(run_dir / READERS["state"][0], valid["state"])
+    assert load_state(run_dir).training_ids == ("t1", "p1")
+    export = run_dir / f"trainset_iter_{k}.txt"
+    _write_lines(export, lines)
+    with pytest.raises(ValidationError) as excinfo:
+        load_state(run_dir)
+    assert str(excinfo.value).startswith(f"{export}:{line}: "), excinfo.value
+    assert main(["loop", "--run", str(run_dir), "--adapter", "file"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {export}:{line}: "), err
 
 
 def test_cli_missing_file_exits_2(valid, tmp_path, capsys):
