@@ -8,12 +8,16 @@ score rows: ``math.log`` of each positive score, summed left to right, so
 only the rows that thresholding kept reach it.
 Spatial certainty is the mean IoU between each member box and the set's mean
 box. Occurrence certainty is the fraction of passes that contributed a
-member. The combined certainty is the product of the three, and an image is
-summarized by the minimum combined certainty over its instance sets.
+member. The combined certainty c_h is the product of the three, and an image
+is summarized by c_min, the minimum c_h over its instance sets.
 
 The first ``image_certainty`` call on a set scores all the sets of its
 request (its ``grouping.SetColumns``) for that ``kappa`` and n, as array
-expressions; each call reads its own sets' scores.
+expressions: ``_certainties`` computes every set's three factors and their
+product, c_h, once, and nothing else computes c_h. Each call reads its own
+sets' c_h, takes their minimum as the image's c_min, and reads the factors of
+the first set achieving it. ``tests/oracles.scalar_triple`` is the scalar
+rule of one set.
 
 Images with no instance sets get certainty 1.0: content the detector never
 fires on cannot be prioritized by this method, and treating blanks as
@@ -40,20 +44,13 @@ class CertaintyTriple:
     c_spa: float
     c_occ: float
 
-    @property
-    def c_h(self) -> float:
-        return self.c_sem * self.c_spa * self.c_occ
-
 
 @dataclass(frozen=True)
 class ImageCertainty:
     image_id: str
     set_count: int
     min_triple: CertaintyTriple  # the earliest set achieving c_min; all ones for an image without sets
-
-    @property
-    def c_min(self) -> float:
-        return self.min_triple.c_h
+    c_min: float  # the least c_h of the image's sets; 1.0 for an image without sets
 
 
 def _certainties(sets: SetColumns, kappa: int, n: int) -> tuple[list[float], np.ndarray]:
@@ -81,16 +78,15 @@ def _certainties(sets: SetColumns, kappa: int, n: int) -> tuple[list[float], np.
     return sets.results[key]
 
 
-def set_certainty(instance_set: InstanceSet, kappa: int, n: int) -> CertaintyTriple:
-    """The set's three factors; the readers ensure kappa >= 2 scores per detection."""
-    return CertaintyTriple(*_certainties(instance_set.sets, kappa, n)[1][instance_set.index].tolist())
-
-
 def image_certainty(
     image_id: str, sets: Sequence[InstanceSet], kappa: int, n: int
 ) -> ImageCertainty:
-    """Reduce an image's instance sets to the per-image minimum certainty, that of the first set achieving it."""
+    """Reduce an image's instance sets to c_min and the factors of the first set achieving it; the readers ensure
+    kappa >= 2 scores per detection."""
     if not sets:
-        return ImageCertainty(image_id, 0, CertaintyTriple(1.0, 1.0, 1.0))
-    c_h = [_certainties(s.sets, kappa, n)[0][s.index] for s in sets]
-    return ImageCertainty(image_id, len(sets), set_certainty(sets[c_h.index(min(c_h))], kappa, n))
+        return ImageCertainty(image_id, 0, CertaintyTriple(1.0, 1.0, 1.0), 1.0)
+    c_h, triples = _certainties(sets[0].sets, kappa, n)  # an image's sets share their request's columns
+    image = [c_h[s.index] for s in sets]
+    c_min = min(image)
+    first = sets[image.index(c_min)].index
+    return ImageCertainty(image_id, len(sets), CertaintyTriple(*triples[first].tolist()), c_min)

@@ -46,6 +46,7 @@ from .data_io import (
     _field,
     _floats,
     _load_json,
+    _open_input,
     _open_output,
     _remove,
     _write_lines,
@@ -136,12 +137,12 @@ def _parse_record(record: dict) -> dict:
 
 @dataclass(frozen=True)
 class ActiveLearningState:
-    """The training set and pool entering ``iteration``, and the previous iteration's record."""
+    """The training set and pool entering ``iteration``, and the records of iterations 0 to ``iteration`` - 1."""
 
     iteration: int
     training_ids: tuple[str, ...]
     pool_ids: tuple[str, ...]
-    record: dict | None = None
+    records: tuple[dict, ...] = ()  # record k - 1 is the one state/iter_k.json holds
 
 
 def _pool(manifest: DatasetManifest, training_ids: Iterable[str]) -> tuple[str, ...]:
@@ -201,7 +202,7 @@ class SimulatorDetectorAdapter(DetectorAdapter):
         return train_update(SkillState.fresh(len(self.world.catalog)), (gt[i] for i in ids))
 
     def fulfill_detection_request(self, request_path: Path, output_path: Path) -> None:
-        request = json.loads(request_path.read_text(encoding="utf-8"))
+        request = _load_json(request_path, lambda doc: doc)
         skill = self.skill(request["iteration"])
         image_ids, n, pass_seed = request["image_ids"], request["passes"], request["pass_seed"]
         images = [
@@ -326,9 +327,9 @@ def load_state(run_dir: str | Path, iteration: int | None = None) -> ActiveLearn
         iteration = max(int(f.stem[len("iter_"):]) for f in files)
     last = _load_record(run_dir, iteration)  # read first, so that a missing state file is the one named
     manifest = load_manifest(run_dir / "manifest.json")
+    records = [*(_load_record(run_dir, k) for k in range(iteration)), last]  # state/iter_0.json holds none
     training_ids, left = list(manifest.initial_training), set(manifest.pool)
-    for k in range(iteration + 1):
-        record = last if k == iteration else _load_record(run_dir, k)
+    for k, record in enumerate(records):
         for image_id, _ in record["sampled"] if record else ():
             if image_id not in left:  # outside the pool, already in T, or sampled twice
                 raise FormatError(f"{state_path(run_dir, k)}: sampled image {image_id!r} is not in P_{k - 1}")
@@ -338,7 +339,7 @@ def load_state(run_dir: str | Path, iteration: int | None = None) -> ActiveLearn
         for n, (want, got) in enumerate(zip_longest(training_ids, found), start=1):
             if want != got:
                 raise ValidationError(f"{run_dir / f'trainset_iter_{k}.txt'}:{n}: expected {want!r}, found {got!r}")
-    return ActiveLearningState(iteration, tuple(training_ids), _pool(manifest, training_ids), last)
+    return ActiveLearningState(iteration, tuple(training_ids), _pool(manifest, training_ids), tuple(records[1:]))
 
 
 def load_config(run_dir: str | Path) -> RunConfig:
@@ -392,8 +393,10 @@ def _ask(doc: dict, request_path: Path, done: Path, fulfill: Callable[[], None])
     adapter is not called again; otherwise a ``done`` left by another request is removed first.
     """
     text = json.dumps(doc, indent=1) + "\n"
-    if done.exists() and request_path.exists() and request_path.read_bytes() == text.encode():
-        return
+    if done.exists() and request_path.exists():
+        with _open_input(request_path) as fh:
+            if fh.read() == text.encode():
+                return
     _remove(done)
     _write_lines([text], request_path)
     fulfill()
@@ -533,7 +536,7 @@ def _run_iteration_locked(
         "f1_remaining": remaining_f1,
     }
     training_ids = state.training_ids + tuple(sampled)
-    new_state = ActiveLearningState(i + 1, training_ids, _pool(manifest, training_ids), record)
+    new_state = ActiveLearningState(i + 1, training_ids, _pool(manifest, training_ids), (*state.records, record))
 
     _write_lines((image_id + "\n" for image_id in training_ids), run_dir / f"trainset_iter_{i + 1}.txt")
     train_request = run_dir / "requests" / f"train_iter_{i + 1}.json"
@@ -587,7 +590,7 @@ def run_loop(
         final_iter = state.iteration
         final_map = _test_map(run_dir, adapter, config, manifest, gt, final_iter)
 
-        metrics = [_load_record(run_dir, k)["metrics"] for k in range(1, final_iter + 1)]
+        metrics = [record["metrics"] for record in state.records]
         # the final row evaluates the last model, so only its first three columns apply
         metrics.append(dict(zip(LOG_COLUMNS, (final_iter, len(state.training_ids), final_map))))
         rows = [LOG_COLUMNS, *([_fmt(m.get(c)) for c in LOG_COLUMNS] for m in metrics)]

@@ -1,22 +1,31 @@
 """Independently coded reference implementations used as test oracles.
 
 These deliberately avoid reusing the library's internals beyond the plain
-data types, so that agreement between the two is meaningful. The builders
-``request_of``, ``image_passes`` and ``instance_set`` put records into a
-batch, as the readers do, for tests that state their detections as records, and
-``image_key`` is what tests compare images by.
+data types, so that agreement between the two is meaningful. Each kernel has
+its scalar rule here: ``brute_force_nms`` for thresholding,
+``brute_force_grouping`` for grouping, ``scalar_triple`` for certainty,
+``scalar_prediction`` for consolidation, ``greedy_match`` and ``scalar_f1``
+for per-image F1, and ``brute_force_map`` for mAP. ``reference_iteration``
+chains them into the scalar reference of one iteration's engine path:
+threshold, group, score, consolidate, sample, F1 and mAP.
+
+The builders ``request_of`` and ``image_passes`` put detection records into a
+batch, as the readers do, for tests that state their detections as records;
+``members_of`` is the one place tests read the sets ``group_passes`` returns
+as records, and ``image_key`` is what tests compare images by.
 """
 
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
-from boxal.data_io import CategoryCatalog, Detection, DetectionBatch, GroundTruthImage, ImagePasses, _image_views
+from boxal.data_io import CategoryCatalog, Detection, GroundTruthImage, ImagePasses, _image_views
 from boxal.evaluation import FinalPrediction
-from boxal.geometry import BoundingBox
-from boxal.grouping import InstanceSet, SetColumns
+from boxal.geometry import BoundingBox, iou
 
 
 # ---------------------------------------------------------------------------
@@ -42,15 +51,9 @@ def image_passes(image_id: str, width: int, height: int, passes) -> ImagePasses:
     return img
 
 
-def instance_set(members) -> InstanceSet:
-    """The set of the (pass index, detection record) pairs ``members``, in ascending pass order, alone in its
-    columns."""
-    boxes, scores = _columns([d for _, d in members])
-    passes = [p for p, _ in members]
-    assert passes == sorted(set(passes)), "one member per pass, in pass order"
-    rows = np.full((1, passes[-1] + 1 if passes else 0), -1, np.intp)
-    rows[0, passes] = np.arange(len(members))
-    return InstanceSet(SetColumns(DetectionBatch(boxes, scores, scores.max(axis=1, initial=0.0)), rows), 0)
+def members_of(sets) -> list[list[tuple[int, Detection]]]:
+    """Each set's (pass index, detection record) pairs, in pass order, for sets that ``group_passes`` returns."""
+    return [list(s.members) for s in sets]
 
 
 def image_key(img: ImagePasses) -> tuple:
@@ -62,10 +65,18 @@ def image_key(img: ImagePasses) -> tuple:
 # the scalar mean box
 
 
+def _added(values) -> float:
+    """``values`` added left to right from 0.0, as the kernels' cumulative sums add."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def mean_box(boxes) -> BoundingBox:
     """Coordinate-wise arithmetic mean of a nonempty sequence of boxes, each sum taken in box order."""
     k = len(boxes)
-    return BoundingBox(*(sum(corner) / k for corner in zip(*boxes)))
+    return BoundingBox(*(_added(corner) / k for corner in zip(*boxes)))
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +250,78 @@ def brute_force_map(preds_by_image, gt_by_image, catalog: CategoryCatalog, iou_f
             ap_total += points / 101.0
         aps[category] = ap_total / len(thresholds)
     return sum(aps.values()) / len(aps), aps
+
+
+# ---------------------------------------------------------------------------
+# the scalar reference engine: one set's certainty and prediction, and one iteration
+
+
+def scalar_triple(members, kappa: int, n: int) -> tuple[float, float, float]:
+    """(c_sem, c_spa, c_occ) of the set of (pass index, detection record) ``members``, in pass order, of n passes.
+
+    A member's entropy is minus the sum of ``s * math.log(s)`` over its positive scores; c_sem is the mean of
+    ``1 - entropy / log(kappa)``, c_spa the mean IoU of ``mean_box`` with each member box, and c_occ the share of
+    passes with a member. Every sum adds member after member.
+    """
+    dets = [d for _, d in members]
+    entropies = [-_added(s * math.log(s) for s in d.scores if s > 0.0) for d in dets]
+    center = mean_box([d.box for d in dets])
+    return (_added(1.0 - h / math.log(kappa) for h in entropies) / len(dets),
+            _added(iou(center, d.box) for d in dets) / len(dets),
+            len(dets) / n)
+
+
+def scalar_prediction(members) -> FinalPrediction:
+    """The set's prediction: ``mean_box``, each category's mean score, the first category of highest mean, and that
+    mean capped at 1.0."""
+    dets = [d for _, d in members]
+    means = [_added(column) / len(dets) for column in zip(*(d.scores for d in dets))]
+    best = max(range(len(means)), key=means.__getitem__)  # max keeps the first of equal keys
+    return FinalPrediction(mean_box([d.box for d in dets]), best, min(means[best], 1.0))
+
+
+class Iteration(NamedTuple):
+    """What ``reference_iteration`` computes."""
+
+    sets: dict  # image_id: each set's members, as brute_force_grouping lists them
+    predictions: dict  # image_id: the image's predictions by descending score, then box corners
+    certainties: dict  # pool image_id: (set count, c_min, (c_sem, c_spa, c_occ) of the first set of c_min)
+    sampled: list  # the batch_size pool images of lowest (c_min, image_id), in that order
+    f1: dict  # pool image_id: its F1
+    map_score: float | None  # the test images' mAP, None when they hold no object
+
+
+def reference_iteration(images, gt_by_image, catalog: CategoryCatalog, pool_ids, test_ids, *,
+                        confidence: float, nms_iou: float, match_iou: float, n: int, batch_size: int) -> Iteration:
+    """One iteration of the loop's engine path, scalar, over ``images`` (objects with ``image_id`` and ``passes``).
+
+    Each pass keeps its detections of max score >= ``confidence`` that ``brute_force_nms`` keeps, and
+    ``brute_force_grouping`` makes the sets. A pool image's c_min is the least ``c_sem * c_spa * c_occ`` of
+    ``scalar_triple`` over its sets, 1.0 with the triple (1.0, 1.0, 1.0) without sets. Predictions are
+    ``scalar_prediction``, F1 ``scalar_f1`` and mAP ``brute_force_map``.
+    """
+    kappa, pool = len(catalog), set(pool_ids)
+    sets, predictions, certainties = {}, {}, {}
+    for img in images:
+        kept = tuple(
+            tuple(d for *_, d in brute_force_nms(
+                [(d.box, max(d.scores), d) for d in dets if max(d.scores) >= confidence], nms_iou, iou))
+            for dets in img.passes)
+        found = sets[img.image_id] = brute_force_grouping(SimpleNamespace(passes=kept), match_iou, iou)
+        predictions[img.image_id] = sorted(map(scalar_prediction, found), key=lambda p: (-p.score, p.box.as_tuple()))
+        if img.image_id in pool:
+            triples = [scalar_triple(members, kappa, n) for members in found]
+            c_h = [c_sem * c_spa * c_occ for c_sem, c_spa, c_occ in triples]
+            c_min = min(c_h, default=1.0)
+            certainties[img.image_id] = (len(found), c_min, triples[c_h.index(c_min)] if found else (1.0, 1.0, 1.0))
+    ranked = sorted((c_min, image_id) for image_id, (_, c_min, _) in certainties.items())
+    gt_test = {image_id: gt_by_image[image_id] for image_id in test_ids}
+    has_objects = any(gt.objects for gt in gt_test.values())
+    return Iteration(
+        sets, predictions, certainties, [image_id for _, image_id in ranked[:batch_size]],
+        {image_id: scalar_f1(predictions[image_id], gt_by_image[image_id], iou) for image_id in pool_ids},
+        brute_force_map(predictions, gt_test, catalog, iou)[0] if has_objects else None,
+    )
 
 
 # ---------------------------------------------------------------------------

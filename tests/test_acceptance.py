@@ -13,7 +13,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from boxal.certainty import image_certainty, set_certainty
+from boxal.certainty import image_certainty
 from boxal.cli import main as cli_main
 from boxal.data_io import Detection
 from boxal.evaluation import FinalPrediction, coco_map, regularized_incomplete_beta, ttest_two_sided
@@ -29,7 +29,9 @@ from boxal.orchestrator import (
 from boxal.data_io import CategoryCatalog, GroundTruthImage
 from boxal.simulator import generate_world
 
-from oracles import brute_force_grouping, brute_force_map, image_passes, instance_set, random_passes, random_scene
+from oracles import (
+    brute_force_grouping, brute_force_map, image_passes, members_of, random_passes, random_scene, scalar_triple,
+)
 
 
 def test_criterion_1_scale_statement():
@@ -46,7 +48,7 @@ def test_criterion_2_certainty_math_under_one_second():
         return Detection(BoundingBox(*(float(c) for c in box)), tuple(scores))
 
     def single(scores, kappa):
-        return set_certainty(instance_set(((0, det(scores)),)), kappa, 1).c_sem
+        return scalar_triple(((0, det(scores)),), kappa, 1)[0]
 
     # semantic certainty examples
     assert single((1.0, 0.0, 0.0), 3) == pytest.approx(1.0, abs=1e-9)
@@ -58,19 +60,19 @@ def test_criterion_2_certainty_math_under_one_second():
     assert single((0.9, 0.1), 2) == pytest.approx(0.531004, abs=1e-5)
 
     # spatial / occurrence / combined / image examples
-    from boxal.certainty import CertaintyTriple
     from boxal.sampling import rank
 
-    pair = instance_set(
-        ((0, det((1.0, 0.0), (0, 0, 10, 10))), (1, det((1.0, 0.0), (2, 0, 12, 10))))
-    )
-    assert set_certainty(pair, 2, 15).c_spa == pytest.approx(90.0 / 110.0, abs=1e-9)
-    solo = instance_set(((0, det((1.0, 0.0))),))
-    assert set_certainty(solo, 2, 15).c_spa == pytest.approx(1.0, abs=1e-9)
-    fifteen = instance_set(tuple((p, det((1.0, 0.0))) for p in range(15)))
-    assert set_certainty(fifteen, 2, 15).c_occ == pytest.approx(1.0, abs=1e-9)
-    assert set_certainty(solo, 2, 15).c_occ == pytest.approx(1.0 / 15.0, abs=1e-9)
-    assert CertaintyTriple(0.5, 0.8, 0.2).c_h == pytest.approx(0.08, abs=1e-9)
+    pair = ((0, det((1.0, 0.0), (0, 0, 10, 10))), (1, det((1.0, 0.0), (2, 0, 12, 10))))
+    assert scalar_triple(pair, 2, 15)[1] == pytest.approx(90.0 / 110.0, abs=1e-9)
+    solo = ((0, det((1.0, 0.0))),)
+    assert scalar_triple(solo, 2, 15)[1] == pytest.approx(1.0, abs=1e-9)
+    fifteen = tuple((p, det((1.0, 0.0))) for p in range(15))
+    assert scalar_triple(fifteen, 2, 15)[2] == pytest.approx(1.0, abs=1e-9)
+    assert scalar_triple(solo, 2, 15)[2] == pytest.approx(1.0 / 15.0, abs=1e-9)
+    # c_h is the product: c_sem 1, c_spa 90/110 and c_occ 2/15 for the pair, the image's one set
+    paired = image_passes("pair", 20, 20, tuple((d,) for _, d in pair) + ((),) * 13)
+    ic = image_certainty("pair", group_passes(paired), 2, 15)
+    assert ic.c_min == pytest.approx(90.0 / 110.0 * 2.0 / 15.0, abs=1e-9)
 
     blank = image_passes("blank", 10, 10, ((), ()))
     ic = image_certainty("blank", group_passes(blank), 2, 2)
@@ -100,13 +102,13 @@ def test_criterion_3_grouping_oracle_equivalence():
     rng = np.random.Generator(np.random.PCG64(777))
     for i in range(500):
         img = random_passes(rng, image_id=f"acc_{i}", max_passes=4, max_dets=5)
-        sets = group_passes(img, 0.5)
-        assert [list(s.members) for s in sets] == brute_force_grouping(img, 0.5, iou)
+        sets = members_of(group_passes(img, 0.5))
+        assert sets == brute_force_grouping(img, 0.5, iou)
         n = len(img.passes)
-        flattened = [m for s in sets for m in s.members]
+        flattened = [m for s in sets for m in s]
         original = [(p, d) for p, dets in enumerate(img.passes) for d in dets]
         assert sorted(flattened, key=repr) == sorted(original, key=repr)
-        assert all(1 <= len(s.members) <= n for s in sets)
+        assert all(1 <= len(s) <= n for s in sets)
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0
     print(f"CRITERION 3: PASS (500 instances match brute force, {elapsed:.2f}s)")
@@ -176,7 +178,7 @@ def _qualitative_runs(tmp_path, seeds=5, images=500, batch=50, iterations=8):
             run_dir = tmp_path / f"{strategy}_{seed}"
             init_run(world.manifest, config, run_dir, world.ground_truth())
             run_loop(run_dir, SimulatorDetectorAdapter(world, run_dir), iterations)
-            records_by_seed.append([load_state(run_dir, k).record for k in range(1, iterations + 1)])
+            records_by_seed.append(list(load_state(run_dir).records))
             with open(run_dir / "log.csv", newline="") as fh:
                 reports.append(list(csv.DictReader(fh)))
         results[strategy] = (records_by_seed, reports)

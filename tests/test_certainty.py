@@ -1,15 +1,21 @@
+"""The certainty definitions, on the scalar rule ``oracles.scalar_triple``, and the image reduction to c_min.
+
+``tests/test_reference.py`` holds the set kernel to ``scalar_triple`` bit for bit.
+"""
+
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
-from boxal.certainty import CertaintyTriple, image_certainty, set_certainty
+from boxal.certainty import CertaintyTriple, image_certainty
 from boxal.data_io import Detection
 from boxal.geometry import BoundingBox
 from boxal.grouping import group_passes
 from boxal.sampling import rank
 
-from oracles import image_passes, instance_set, random_passes
+from oracles import image_passes, members_of, random_passes, scalar_triple
 
 # frozen high-precision value for 1 - H(0.9, 0.1)/log(2), computed with a
 # 50-digit arbitrary-precision evaluation
@@ -21,19 +27,20 @@ def det(x0, y0, x1, y1, scores):
 
 
 def make_set(*members):
-    return instance_set(members)
+    """A set's (pass index, detection) members, in pass order."""
+    return members
 
 
 def semantic_certainty(s, kappa):
-    return set_certainty(s, kappa, len(s.members)).c_sem
+    return scalar_triple(s, kappa, len(s))[0]
 
 
 def spatial_certainty(s):
-    return set_certainty(s, 2, len(s.members)).c_spa
+    return scalar_triple(s, 2, len(s))[1]
 
 
 def occurrence_certainty(s, n):
-    return set_certainty(s, 2, n).c_occ
+    return scalar_triple(s, 2, n)[2]
 
 
 def certainty_of(img, kappa, n):
@@ -41,8 +48,14 @@ def certainty_of(img, kappa, n):
 
 
 def set_triples(img, kappa, n):
-    """The certainty triple of each instance set of ``img``, in set order."""
-    return [set_certainty(s, kappa, n) for s in group_passes(img)]
+    """The scalar certainty triple of each instance set of ``img``, in set order."""
+    return [scalar_triple(members, kappa, n) for members in members_of(group_passes(img))]
+
+
+def product(triple):
+    """c_h: the product of the three factors."""
+    c_sem, c_spa, c_occ = triple
+    return c_sem * c_spa * c_occ
 
 
 class TestSemanticCertainty:
@@ -110,16 +123,24 @@ class TestOccurrenceCertainty:
 
 class TestCombinedCertainty:
     def test_all_ones(self):
-        assert CertaintyTriple(1.0, 1.0, 1.0).c_h == 1.0
+        # a one-hot detection at one place in every pass: each factor is 1, and so is c_h
+        d = det(0, 0, 10, 10, (1.0, 0.0))
+        assert scalar_triple(make_set((0, d), (1, d)), 2, 2) == (1.0, 1.0, 1.0)
+        assert certainty_of(image_passes("x", 100, 100, ((d,), (d,))), kappa=2, n=2).c_min == 1.0
 
     def test_product(self):
-        assert CertaintyTriple(0.5, 0.8, 0.2).c_h == pytest.approx(0.08, abs=1e-9)
+        # one-hot scores (c_sem 1), two shifted boxes (c_spa 90/110) in 2 of 4 passes (c_occ 0.5)
+        a, b = det(0, 0, 10, 10, (1.0, 0.0)), det(2, 0, 12, 10, (1.0, 0.0))
+        ic = certainty_of(image_passes("x", 100, 100, ((a,), (b,), (), ())), kappa=2, n=4)
+        assert ic.c_min == pytest.approx(90.0 / 110.0 * 0.5, abs=1e-12)
+        assert ic.c_min == product(astuple(ic.min_triple))
 
     def test_bounded_by_factors(self):
         rng = np.random.Generator(np.random.PCG64(7))
         for _ in range(200):
-            t = CertaintyTriple(*(float(v) for v in rng.uniform(0, 1, size=3)))
-            assert 0.0 <= t.c_h <= min(t.c_sem, t.c_spa, t.c_occ) + 1e-15
+            img = random_passes(rng)
+            for triple in set_triples(img, kappa=3, n=len(img.passes)):
+                assert 0.0 <= product(triple) <= min(triple) + 1e-15
 
 
 class TestImageCertainty:
@@ -133,14 +154,14 @@ class TestImageCertainty:
         ic = certainty_of(img, kappa=2, n=2)
         triples = set_triples(img, kappa=2, n=2)
         assert ic.set_count == len(triples) == 2
-        assert ic.c_min == pytest.approx(min(t.c_h for t in triples), abs=1e-15)
-        assert ic.min_triple.c_h == ic.c_min
+        assert ic.c_min == min(map(product, triples))
+        assert astuple(ic.min_triple) == min(triples, key=product)
 
     def test_single_set(self):
         img = image_passes("x", 100, 100, ((det(0, 0, 10, 10, (0.8, 0.2)),), ()))
         ic = certainty_of(img, kappa=2, n=2)
         assert ic.set_count == 1
-        assert ic.c_min == pytest.approx(set_triples(img, kappa=2, n=2)[0].c_h, abs=1e-15)
+        assert ic.c_min == product(set_triples(img, kappa=2, n=2)[0])
 
     def test_no_detections_certainty_one(self):
         img = image_passes("blank", 100, 100, ((), (), ()))
@@ -155,13 +176,12 @@ class TestImageCertainty:
         d2 = det(1, 0, 11, 10, (0.6, 0.4))
         d3 = det(0, 1, 10, 11, (0.9, 0.1))
         dets = [d1, d2, d3]  # a set's members are summed in pass order: permute which pass holds which
-        base = set_certainty(make_set(*enumerate(dets)), kappa=2, n=5)
+        base = scalar_triple(make_set(*enumerate(dets)), kappa=2, n=5)
         for _ in range(5):
             rng.shuffle(dets)
-            shuffled = set_certainty(make_set(*enumerate(dets)), kappa=2, n=5)
-            assert shuffled.c_sem == pytest.approx(base.c_sem, abs=1e-12)
-            assert shuffled.c_spa == pytest.approx(base.c_spa, abs=1e-12)
-            assert shuffled.c_occ == base.c_occ
+            shuffled = scalar_triple(make_set(*enumerate(dets)), kappa=2, n=5)
+            assert shuffled[:2] == pytest.approx(base[:2], abs=1e-12)
+            assert shuffled[2] == base[2]
 
     def test_adding_a_set_cannot_increase_cmin(self):
         rng = np.random.Generator(np.random.PCG64(11))
@@ -185,9 +205,9 @@ class TestImageCertainty:
             ic = certainty_of(img, kappa=3, n=len(img.passes))
             assert 0.0 <= ic.c_min <= 1.0
             for t in set_triples(img, kappa=3, n=len(img.passes)):
-                for v in (t.c_sem, t.c_spa, t.c_occ, t.c_h):
+                for v in (*t, product(t)):
                     assert -1e-12 <= v <= 1.0 + 1e-12
-                assert ic.c_min <= t.c_h + 1e-15
+                assert ic.c_min <= product(t)
 
 
 class TestRankPool:

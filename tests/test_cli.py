@@ -78,7 +78,7 @@ class TestSimulateRun:
             old = {"iteration": k, "training_ids": list(state.training_ids),
                    "pool_ids": [*state.pool_ids, "bogus"]}
             if k:
-                old["record"] = state.record
+                old["record"] = state.records[-1]
             path.write_text(json.dumps(old, indent=1) + "\n")
         assert run_cli("loop", "--run", run_dir, "--iterations", 1) == 0
         assert (run_dir / "log.csv").read_bytes() == (whole / "log.csv").read_bytes()
@@ -113,6 +113,17 @@ class TestSimulateRun:
         assert run_cli("loop", "--run", run_dir, "--iterations", 0) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {done}: cannot remove: "), err
+
+    def test_a_request_that_cannot_be_read_is_named(self, tmp_path, capsys):
+        # the final test request is answered, so the loop reads it back to compare; a directory cannot be read
+        run_dir = simulate(tmp_path)
+        request = run_dir / "requests" / "iter_2_test.json"
+        request.unlink()
+        request.mkdir()
+        capsys.readouterr()
+        assert run_cli("loop", "--run", run_dir, "--iterations", 0) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {request}: cannot open: "), err
 
     @staticmethod
     def criterion_8(run_dir):
@@ -413,7 +424,7 @@ class TestRankSampleEvaluateTtest:
         with open(ranking_path, newline="") as fh:
             ranked = [(r["image_id"], r["c_min"]) for r in csv.DictReader(fh) if r["image_id"] in pool]
         config = load_config(run_dir)
-        sampled = load_state(run_dir, 1).record["sampled"]
+        sampled = load_state(run_dir, 1).records[0]["sampled"]
         assert len(sampled) == config.batch_size
         assert ranked[: config.batch_size] == [(image_id, _fmt(c_min)) for image_id, c_min in sampled]
 

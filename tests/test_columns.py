@@ -29,7 +29,6 @@ from boxal.certainty import image_certainty
 from boxal.data_io import (
     MAX_DETECTIONS_PER_IMAGE,
     Detection,
-    DetectionBatch,
     _image_views,
     apply_thresholds,
     load_image_passes,
@@ -37,9 +36,9 @@ from boxal.data_io import (
 from boxal.errors import FormatError, ValidationError
 from boxal.evaluation import consolidate
 from boxal.geometry import BoundingBox, iou
-from boxal.grouping import SetColumns, group_passes
+from boxal.grouping import group_passes
 
-from oracles import brute_force_grouping, brute_force_nms, cap_image, image_key, image_passes, request_of
+from oracles import brute_force_grouping, brute_force_nms, cap_image, image_key, image_passes, members_of, request_of
 
 KAPPA = 3
 PASSES = 4
@@ -106,7 +105,7 @@ def test_thresholds_equal_brute_force_nms(images, nms_iou):
 def test_grouping_equals_brute_force_grouping(images, match_iou):
     for img in images:
         for image in (img, apply_thresholds(img, CONFIDENCE, 0.3)):
-            got = [list(s.members) for s in group_passes(image, match_iou)]
+            got = members_of(group_passes(image, match_iou))
             assert got == brute_force_grouping(image, match_iou, iou), image.image_id
 
 
@@ -257,7 +256,7 @@ def random_scores(rng: np.random.Generator, rows: int, kappa: int) -> np.ndarray
 @pytest.mark.parametrize("budget", ["real", 12])
 def test_entropies_keep_the_bits_of_the_whole_batch_formula(monkeypatch, budget):
     # c_sem of each set is the mean over its members, in pass order, of 1 - H / log(kappa), H as the
-    # whole-batch formula computes it; 4,001 rows go into 1,400 sets of 4 pass slots with holes
+    # whole-batch formula computes it; 4,001 rows go into 1,400 one-set images of 4 passes with holes
     if budget != "real":
         monkeypatch.setattr(data_io, "CHUNK_ELEMENTS", budget)  # one set of 4 x 5 scores a chunk
     rng = np.random.Generator(np.random.PCG64(53))
@@ -268,10 +267,15 @@ def test_entropies_keep_the_bits_of_the_whole_batch_formula(monkeypatch, budget)
     slots.flat[rng.choice(np.flatnonzero(~slots), rows - set_count, replace=False)] = True
     members = np.full(slots.shape, -1, np.intp)
     members[slots] = rng.permutation(rows)
-    sets = SetColumns(DetectionBatch(np.zeros((rows, 4)), scores, scores.max(axis=1)), members)
+    # image s holds row members[s, p] in pass p, all at one box, so its detections make one set, of one request
+    boxes = np.tile([0.0, 0.0, 10.0, 10.0], (rows, 1))
+    headers = [(f"img_{s}", 10, 10, slots[s].astype(int)) for s in range(set_count)]
+    images = _image_views(boxes, scores[members[slots]], headers)
     assert set_count * passes * kappa > 2 * data_io.CHUNK_ELEMENTS and (~slots).any()
     assert (scores == 0.0).any() and (scores == 1.0).any()
-    got = certainty._certainties(sets, kappa, passes)[1][:, 0]
+    scored = [image_certainty(img.image_id, group_passes(img), kappa, passes) for img in images]
+    assert {c.set_count for c in scored} == {1}
+    got = np.array([c.min_triple.c_sem for c in scored])
     terms = 1.0 - whole_batch_entropies(scores) / math.log(kappa)
     want = np.array([functools.reduce(operator.add, terms[row[row >= 0]].tolist(), 0.0) for row in members])
     want /= slots.sum(axis=1)
@@ -330,7 +334,7 @@ def test_only_the_scores_of_set_members_reach_math_log(tmp_path, monkeypatch):
 
     monkeypatch.setattr(certainty, "math", CountingMath())
     images, got = scored(full)
-    members = [d for img in images for s in group_passes(img) for _, d in s.members]
+    members = [d for img in images for found in members_of(group_passes(img)) for _, d in found]
     assert sorted(logged) == sorted([KAPPA] + [v for d in members for v in d.scores if v > 0.0])
     _, want = scored(kept)
     assert got == want and [c.c_min for c in got] == [c.c_min for c in want]

@@ -20,8 +20,9 @@ from boxal.evaluation import (
     ttest_two_sided,
 )
 from boxal.geometry import BoundingBox, iou
+from boxal.grouping import group_passes
 
-from oracles import brute_force_map, instance_set, random_scene, scalar_f1
+from oracles import brute_force_map, image_passes, random_scene, scalar_f1, scalar_prediction
 
 CATALOG3 = CategoryCatalog(("a", "b", "c"))
 
@@ -78,9 +79,11 @@ def crowded_scene(rng):
 
 
 class TestConsolidate:
+    """The prediction of a set, on the scalar rule ``oracles.scalar_prediction``, and the order of an image's."""
+
     def test_one_hot_set(self):
         d = det(0, 0, 10, 10, (0.0, 1.0))
-        (p,) = consolidate([instance_set(((0, d), (1, d)))])
+        p = scalar_prediction(((0, d), (1, d)))
         assert p.box == d.box
         assert p.category == 1
         assert p.score == 1.0
@@ -88,18 +91,23 @@ class TestConsolidate:
     def test_mean_scores_and_argmax(self):
         a = det(0, 0, 10, 10, (0.8, 0.2))
         b = det(2, 2, 12, 12, (0.6, 0.4))
-        (p,) = consolidate([instance_set(((0, a), (1, b)))])
+        p = scalar_prediction(((0, a), (1, b)))
         assert p.box == BoundingBox(1, 1, 11, 11)
         assert p.category == 0
         assert p.score == pytest.approx(0.7, abs=1e-12)
+
+    def test_tied_mean_scores_go_to_the_first_category(self):
+        a = det(0, 0, 10, 10, (0.0, 0.6, 0.4))
+        b = det(0, 0, 10, 10, (0.0, 0.4, 0.6))
+        assert scalar_prediction(((0, a), (1, b))) == FinalPrediction(a.box, 1, 0.5)
 
     def test_empty_input(self):
         assert consolidate([]) == []
 
     def test_ordered_by_descending_score(self):
-        lo = instance_set(((0, det(0, 0, 10, 10, (0.6, 0.4))),))
-        hi = instance_set(((0, det(30, 30, 40, 40, (0.9, 0.1))),))
-        out = consolidate([lo, hi])
+        # the first pass's detection makes the first set, the second pass's the second
+        lo, hi = det(0, 0, 10, 10, (0.6, 0.4)), det(30, 30, 40, 40, (0.9, 0.1))
+        out = consolidate(group_passes(image_passes("x", 100, 100, ((lo,), (hi,)))))
         assert [p.score for p in out] == [0.9, 0.6]
 
 

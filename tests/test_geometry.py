@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 
 from boxal.data_io import Detection, apply_thresholds, load_ground_truth, load_image_passes
 from boxal.errors import ValidationError
+from boxal.evaluation import consolidate
 from boxal.geometry import BoundingBox, iou, iou_matrix
+from boxal.grouping import group_passes
 
-from oracles import brute_force_nms, greedy_match, image_passes, instance_set, rasterized_iou
-from oracles import mean_box as scalar_mean_box
+from oracles import brute_force_nms, greedy_match, image_passes, mean_box, rasterized_iou
 
 
 def box(*coords):
@@ -152,13 +153,17 @@ class TestIoUMatrix:
         self.assert_pinned(a, a)
 
 
-def mean_box(boxes):
-    """The mean box that the set columns compute for one set whose members have ``boxes``."""
-    members = instance_set([(p, Detection(b, (1.0, 0.0))) for p, b in enumerate(boxes)])
-    return BoundingBox._make(members.sets.mean_boxes[0].tolist())
+def kernel_mean_box(boxes):
+    """The box consolidation predicts for one set whose members, one a pass, have ``boxes``: at match IoU 0 each
+    pass's one detection joins the first set."""
+    img = image_passes("x", 100, 100, tuple((Detection(b, (1.0, 0.0)),) for b in boxes))
+    (prediction,) = consolidate(group_passes(img, 0.0))
+    return prediction.box
 
 
 class TestMeanBox:
+    """The mean box, on the scalar rule ``oracles.mean_box``, and the set kernel's, against it."""
+
     def test_single(self):
         b = box(1, 2, 3, 4)
         assert mean_box([b]) == b
@@ -177,7 +182,7 @@ class TestMeanBox:
 
     @given(st.lists(boxes() | float_boxes(), min_size=1, max_size=15))
     def test_equals_the_scalar_mean_box(self, bs):
-        assert mean_box(bs) == scalar_mean_box(bs)
+        assert kernel_mean_box(bs) == mean_box(bs)
 
 
 class TestGreedyMatch:

@@ -12,15 +12,11 @@ from boxal.evaluation import consolidate
 from boxal.geometry import BoundingBox, iou
 from boxal.grouping import group_passes
 
-from oracles import brute_force_grouping, cap_image, greedy_match, image_passes, random_passes, request_of
+from oracles import brute_force_grouping, cap_image, greedy_match, image_passes, members_of, random_passes, request_of
 
 
 def det(x0, y0, x1, y1, scores=(1.0, 0.0)):
     return Detection(BoundingBox(float(x0), float(y0), float(x1), float(y1)), tuple(scores))
-
-
-def members_of(sets):
-    return [list(s.members) for s in sets]
 
 
 class TestExamples:
@@ -29,17 +25,13 @@ class TestExamples:
         b = det(1, 0, 11, 10)
         assert iou(a.box, b.box) >= 0.5  # ~0.818
         img = image_passes("x", 100, 100, ((a,), (b,)))
-        (s,) = group_passes(img)
-        assert s.members == ((0, a), (1, b))
-        assert len(s.members) == 2
+        assert members_of(group_passes(img)) == [[(0, a), (1, b)]]
 
     def test_two_passes_disjoint_two_sets(self):
         a = det(0, 0, 10, 10)
         b = det(50, 50, 60, 60)
         img = image_passes("x", 100, 100, ((a,), (b,)))
-        sets = group_passes(img)
-        assert [len(s.members) for s in sets] == [1, 1]
-        assert [s.members for s in sets] == [((0, a),), ((1, b),)]  # creation order
+        assert members_of(group_passes(img)) == [[(0, a)], [(1, b)]]  # creation order
 
     def test_all_passes_empty(self):
         img = image_passes("x", 100, 100, ((), (), ()))
@@ -52,10 +44,7 @@ class TestExamples:
         b1 = det(0, 0, 10, 10, (0.8, 0.2))
         b2 = det(1, 0, 11, 10, (0.7, 0.3))
         img = image_passes("x", 100, 100, ((a,), (b1, b2)))
-        sets = group_passes(img)
-        assert [len(s.members) for s in sets] == [2, 1]
-        assert sets[0].members == ((0, a), (1, b1))
-        assert sets[1].members == ((1, b2),)
+        assert members_of(group_passes(img)) == [[(0, a), (1, b1)], [(1, b2)]]
 
     def test_best_match_wins(self):
         # pass-1 seeds two sets; the pass-2 box overlaps both but more with b
@@ -64,8 +53,7 @@ class TestExamples:
         c = det(3, 0, 23, 10, (0.9, 0.1))  # IoU 17/23 with a, 19/21 with b
         assert iou(c.box, a.box) >= 0.5 and iou(c.box, b.box) > iou(c.box, a.box)
         img = image_passes("x", 100, 100, ((a, b), (c,)))
-        sets = group_passes(img)
-        assert sets[1].members == ((0, b), (1, c))
+        assert members_of(group_passes(img))[1] == [(0, b), (1, c)]
 
     def test_new_set_closed_to_same_pass_joins(self):
         # both pass-1 detections overlap each other, but same-pass detections
@@ -73,7 +61,7 @@ class TestExamples:
         a = det(0, 0, 10, 10, (0.9, 0.1))
         b = det(1, 0, 11, 10, (0.8, 0.2))
         img = image_passes("x", 100, 100, ((a, b),))
-        assert [len(s.members) for s in group_passes(img)] == [1, 1]
+        assert members_of(group_passes(img)) == [[(0, a)], [(0, b)]]
 
 
 class TestInvariants:
@@ -91,21 +79,20 @@ class TestInvariants:
     def test_partition_and_size_invariants(self, seed):
         rng = np.random.Generator(np.random.PCG64(seed))
         img = random_passes(rng)
-        sets = group_passes(img)
         n = len(img.passes)
         everything = []
-        for s in sets:
-            assert 1 <= len(s.members) <= n
-            pass_indices = [p for p, _ in s.members]
+        for members in members_of(group_passes(img)):
+            assert 1 <= len(members) <= n
+            pass_indices = [p for p, _ in members]
             assert len(set(pass_indices)) == len(pass_indices)
-            everything.extend(s.members)
+            everything.extend(members)
         original = [(p, d) for p, dets in enumerate(img.passes) for d in dets]
         assert sorted(everything, key=repr) == sorted(original, key=repr)
 
     def test_deterministic(self):
         rng = np.random.Generator(np.random.PCG64(99))
         img = random_passes(rng)
-        assert [s.members for s in group_passes(img)] == [s.members for s in group_passes(img)]
+        assert members_of(group_passes(img)) == members_of(group_passes(img))
 
 
 def random_request(rng, images):

@@ -1,11 +1,14 @@
-"""No module imports a name that it never uses, no package name is dead, and only ``data_io`` writes or deletes files.
+"""No module imports a name that it never uses, no package name is dead, and only ``data_io`` reads, writes or deletes
+files.
 
 ``__init__.py`` is exempt from the first check: its imports are the package's
 re-exports. The second check counts a use only in the package, ``bench/`` or
 ``scripts/``: a name that only tests need is dead code. The third keeps every
 write on ``data_io``'s one writer and every deletion on its ``_remove``, so
 each failed write or deletion names its file and each file but an appended log
-is replaced whole.
+is replaced whole. The fourth keeps every read on ``data_io``'s readers,
+``_open_input`` and those built on it, so a file that cannot be read is a
+``BoxalError`` naming it.
 """
 
 import ast
@@ -133,12 +136,13 @@ MODULE_WRITES = {"os": {"replace", "rename", "remove", "unlink", "rmdir"}, "shut
 LOCK_CALLS = {"open", "write", "ftruncate"}  # the os calls orchestrator.run_lock makes on LOCK, the one exception
 
 
-def _writes_mode(call, at):
-    """Whether an ``open`` call's mode, its argument ``at`` or ``mode=``, may write: w, a, x or +, or not a literal."""
+def _mode_has(call, at, letters, default):
+    """Whether an ``open`` call's mode, its argument ``at`` or ``mode=``, holds one of ``letters``: ``default`` without
+    a mode, and true for a mode that is not a literal."""
     mode = call.args[at] if len(call.args) > at else next((k.value for k in call.keywords if k.arg == "mode"), None)
     if mode is None:
-        return False
-    return not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)) or bool(set(mode.value) & set("wax+"))
+        return default
+    return not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)) or bool(set(mode.value) & set(letters))
 
 
 def _file_writes(tree, lock_function=None):
@@ -151,7 +155,7 @@ def _file_writes(tree, lock_function=None):
         if not isinstance(node, ast.Call):
             continue
         func = node.func
-        if isinstance(func, ast.Name) and func.id == "open" and _writes_mode(node, 1):
+        if isinstance(func, ast.Name) and func.id == "open" and _mode_has(node, 1, "wax+", False):
             yield node.lineno, "open"
         elif isinstance(func, ast.Attribute):
             module = func.value.id if isinstance(func.value, ast.Name) and func.value.id in MODULE_WRITES else None
@@ -159,7 +163,7 @@ def _file_writes(tree, lock_function=None):
                 yield node.lineno, f"os.{func.attr}"
             elif module and func.attr in MODULE_WRITES[module]:
                 yield node.lineno, f"{module}.{func.attr}"
-            elif not module and (func.attr in PATH_WRITES or func.attr == "open" and _writes_mode(node, 0)):
+            elif not module and (func.attr in PATH_WRITES or func.attr == "open" and _mode_has(node, 0, "wax+", False)):
                 yield node.lineno, f".{func.attr}"
 
 
@@ -169,4 +173,33 @@ def test_only_data_io_writes_files(path):
     writes = list(_file_writes(tree, "run_lock" if path.stem == "orchestrator" else None))
     assert not writes, f"{path.name}: writes or deletes a file outside data_io: " + ", ".join(
         f"{call} (line {line})" for line, call in sorted(writes)
+    )
+
+
+PATH_READS = {"read_text", "read_bytes"}
+
+
+def _file_reads(tree):
+    """(line, call) of each call in ``tree`` that reads a file: ``json.load``, ``.read_text``, ``.read_bytes``, and a
+    builtin or path ``open`` that may read (r, +, or no mode); ``os.open`` is ``run_lock``'s, which the writes check
+    covers."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name) and func.id == "open" and _mode_has(node, 1, "r+", True):
+            yield node.lineno, "open"
+        elif isinstance(func, ast.Attribute):
+            module = func.value.id if isinstance(func.value, ast.Name) and func.value.id in ("json", "os") else None
+            if module == "json" and func.attr == "load":
+                yield node.lineno, "json.load"
+            elif not module and (func.attr in PATH_READS or func.attr == "open" and _mode_has(node, 0, "r+", True)):
+                yield node.lineno, f".{func.attr}"
+
+
+@pytest.mark.parametrize("path", [p for p in PACKAGE if p.stem != "data_io"], ids=lambda p: p.name)
+def test_only_data_io_reads_files(path):
+    reads = list(_file_reads(ast.parse(path.read_text(encoding="utf-8"))))
+    assert not reads, f"{path.name}: reads a file outside data_io: " + ", ".join(
+        f"{call} (line {line})" for line, call in sorted(reads)
     )

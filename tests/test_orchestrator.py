@@ -89,13 +89,13 @@ class TestRunConfig:
 
 class TestActiveLearningState:
     def test_round_trip(self, tmp_path):
-        # a state file holds the record; T comes back from trainset_iter_N.txt, P from the manifest
+        # the state files hold the records; T comes back from the manifest and the records, P from the manifest
         world = small_world()
         run_dir = tmp_path / "run"
         state0 = init_run(world.manifest, small_config(), run_dir, world.ground_truth())
         state1 = run_loop(run_dir, SimulatorDetectorAdapter(world, run_dir), 1)
         assert state0 == ActiveLearningState(0, world.manifest.initial_training, world.manifest.pool)
-        sampled = [image_id for image_id, _ in state1.record["sampled"]]
+        sampled = [image_id for image_id, _ in state1.records[-1]["sampled"]]
         assert state1.training_ids == state0.training_ids + tuple(sampled)
         assert state1.pool_ids == tuple(p for p in state0.pool_ids if p not in sampled)
         assert load_state(run_dir, 0) == state0

@@ -8,7 +8,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from boxal import simulator
-from boxal.certainty import image_certainty, set_certainty
+from boxal.certainty import image_certainty
 from boxal.data_io import (
     CategoryCatalog,
     DatasetManifest,
@@ -33,7 +33,7 @@ from boxal.simulator import (
     train_update,
 )
 
-from oracles import image_key
+from oracles import image_key, members_of, scalar_triple
 
 
 def hand_world(difficulty, objects, kappa=2):
@@ -200,7 +200,7 @@ class TestSimulatePasses:
         sems = []
         for image_id in world.difficulty:
             passes = simulate_passes(world, skill, image_id, n=10, pass_seed=13)
-            sems.extend(set_certainty(s, 2, 10).c_sem for s in group_passes(passes))
+            sems.extend(scalar_triple(members, 2, 10)[0] for members in members_of(group_passes(passes)))
         assert len(sems) >= 500
         assert sum(sems) / len(sems) < 0.2
 
