@@ -121,10 +121,9 @@ def _cmd_loop(args) -> int:
 
 def _cmd_rank(args) -> int:
     config = _build_config(args, args.config)
-    kappa = len(load_manifest(args.manifest).catalog)
-    detections = _read_detections(args.detections, config, kappa)
-    _, certainties = _predict(detections, config, kappa, detections)
-    rows = [(ic.image_id, ic.c_min, ic.set_count, *astuple(ic.min_triple)) for ic in certainties.values()]
+    detections = _read_detections(args.detections, config, len(load_manifest(args.manifest).catalog))
+    _, certainties = _predict(detections, config, detections)
+    rows = [(image_id, ic.c_min, ic.set_count, *astuple(ic.min_triple)) for image_id, ic in certainties.items()]
     with _output(args.out) as out:
         writer = csv.writer(out)
         writer.writerow(["image_id", "c_min", "set_count", "min_c_sem", "min_c_spa", "min_c_occ"])

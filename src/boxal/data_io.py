@@ -233,6 +233,9 @@ class DatasetManifest:
         seen: dict[str, str] = {}
         for name in PARTITIONS:
             for image_id in getattr(self, name):
+                line = image_id.encode(errors="replace").decode().strip()  # what load_id_list reads back
+                if not line or line != image_id or "\n" in image_id:  # so trainset_iter_N.txt could not hold it
+                    raise ValidationError(f"{name} id {image_id!r} is not a nonempty, stripped UTF-8 line")
                 if image_id in seen:
                     raise ValidationError(f"duplicate id {image_id!r} in {seen[image_id]} and {name}")
                 seen[image_id] = name
@@ -513,15 +516,16 @@ def load_image_passes(
     path: str | Path,
     expected_n: int | None = None,
     kappa: int | None = None,
+    known: Container[str] | None = None,
 ) -> list[ImagePasses]:
     """Load and check a line-delimited detections file.
 
     Every image needs a positive integer size, unique id, boxes inside the
     image, score vectors of one length and at most ``MAX_DETECTIONS_PER_IMAGE``
     detections per pass. When given, ``expected_n`` enforces the run's pass
-    count and ``kappa`` the score-vector length. The file is read into one
-    batch. The error names the first bad line: before a line's fault is
-    raised, the rows of the lines above it are checked.
+    count, ``kappa`` the score-vector length and ``known`` the image ids. The
+    file is read into one batch. The error names the first bad line: before a
+    line's fault is raised, the rows of the lines above it are checked.
     """
     path = Path(path)
     boxes, scores = array("d"), array("d")
@@ -536,6 +540,8 @@ def load_image_passes(
                 record = _json_value(line)
                 if (name := _field(record, "image_id", str)) in ids:
                     raise ValidationError(f"duplicate image_id {name!r}")
+                if known is not None and name not in known:
+                    raise ValidationError(f"unknown image_id {name!r}")
                 width, height = _field(record, "width", int), _field(record, "height", int)
                 raw_passes = _field(record, "passes", list)
                 image_id = name

@@ -42,15 +42,15 @@ CHUNK_IOUS = 2**21  # ... times that count squared: its (B, S, D) entries when e
 
 class SetColumns:
     """Instance sets as columns of one batch: ``rows[s, p]`` is set s's member from pass p, its batch row, or -1
-    when pass p gave it none; ``sizes[s]`` counts its members.
+    when pass p gave it none; ``sizes[s]`` counts its members and ``passes[s]`` its image's passes.
 
     ``results`` keeps what certainty and consolidation compute once for every set, keyed by computation and
     parameters, on chunks of at most ``data_io.CHUNK_ELEMENTS`` gathered values: each sum over a set's members is a
     cumulative sum along the pass axis, which adds left to right, and a hole adds 0.0, which changes no sum.
     """
 
-    def __init__(self, batch: DetectionBatch, rows: np.ndarray):
-        self.batch, self.rows, self.sizes = batch, rows, (rows >= 0).sum(axis=1)
+    def __init__(self, batch: DetectionBatch, rows: np.ndarray, passes: np.ndarray):
+        self.batch, self.rows, self.sizes, self.passes = batch, rows, (rows >= 0).sum(axis=1), passes
         self.results: dict = {}
 
     def gathered(self, column: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
@@ -134,15 +134,15 @@ def _group_chunk(request: Request, images: np.ndarray, match_iou: float) -> tupl
 
 def _group_request(request: Request, match_iou: float) -> tuple[SetColumns, list[int]]:
     """Every image's sets as one ``SetColumns``, in image order, and the index of each image's first set."""
-    sizes = np.diff(request.offsets[request.firsts])
+    sizes, passes = np.diff(request.offsets[request.firsts]), np.diff(request.firsts)
     runs = _chunks(sizes, lambda b, d: b * d <= CHUNK_ROWS and b * d * d <= CHUNK_IOUS)
     grouped = [(run, *_group_chunk(request, run, match_iou)) for run in runs]
     set_counts = np.zeros(len(sizes), np.intp)
     for part, count, _ in grouped:
         set_counts[part] = count
     firsts = np.concatenate(([0], np.cumsum(set_counts)))
-    rows = np.full((firsts[-1], np.diff(request.firsts).max(initial=0)), -1, np.intp)
+    rows = np.full((firsts[-1], passes.max(initial=0)), -1, np.intp)
     for part, count, members in grouped:
         at, made = _padded(firsts[part], count)
         rows[at[made], :members.shape[2]] = members[:, :at.shape[1]][made]
-    return SetColumns(request.batch, rows), firsts.tolist()
+    return SetColumns(request.batch, rows, np.repeat(passes, set_counts)), firsts.tolist()

@@ -34,7 +34,7 @@ from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from itertools import zip_longest
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Container, Iterable, Mapping, Sequence
 
 from . import sampling
 from .certainty import ImageCertainty, image_certainty
@@ -378,11 +378,12 @@ def init_run(
     return state
 
 
-def _read_detections(path: str | Path, config: RunConfig, kappa: int) -> dict[str, ImagePasses]:
-    """The detections in ``path``, checked for the run's pass count and ``kappa``, then thresholded."""
+def _read_detections(path: str | Path, config: RunConfig, kappa: int,
+                     known: Container[str] | None = None) -> dict[str, ImagePasses]:
+    """The detections in ``path``, checked for the run's pass count, ``kappa`` and ``known`` ids, then thresholded."""
     return {
         img.image_id: apply_thresholds(img, config.confidence, config.nms_iou)
-        for img in load_image_passes(path, expected_n=config.passes_n, kappa=kappa)
+        for img in load_image_passes(path, expected_n=config.passes_n, kappa=kappa, known=known)
     }
 
 
@@ -427,11 +428,8 @@ def _request_detections(
     }
     _ask(doc, request_path, Path(str(output_path) + ".done"),
          lambda: adapter.fulfill_detection_request(request_path, output_path))
-    images = _read_detections(output_path, config, kappa)
     requested = set(image_ids)
-    for image_id in images:
-        if image_id not in requested:
-            raise AdapterError(f"{output_path}: adapter returned unrequested image {image_id!r}")
+    images = _read_detections(output_path, config, kappa, requested)
     missing = requested - images.keys()
     if missing:
         raise AdapterError(
@@ -443,22 +441,15 @@ def _request_detections(
 def _predict(
     detections: Mapping[str, ImagePasses],
     config: RunConfig,
-    kappa: int,
     pool_ids: Iterable[str] = (),
 ) -> tuple[dict[str, list[FinalPrediction]], dict[str, ImageCertainty]]:
-    """Group each image once; consolidate every image and score the pool images.
+    """Group every image once, score the pool images (images of ``detections``), then consolidate every image.
 
     Only the predictions and certainties are kept, not the instance sets.
     """
-    pool = set(pool_ids)
-    preds = {}
-    certainties = {}
-    for image_id, img in detections.items():
-        sets = group_passes(img, config.match_iou)
-        if image_id in pool:
-            certainties[image_id] = image_certainty(image_id, sets, kappa, config.passes_n)
-        preds[image_id] = consolidate(sets)
-    return preds, certainties
+    sets = {image_id: group_passes(img, config.match_iou) for image_id, img in detections.items()}
+    certainties = {image_id: image_certainty(sets[image_id]) for image_id in pool_ids}
+    return {image_id: consolidate(found) for image_id, found in sets.items()}, certainties
 
 
 def _fmt(value) -> str:
@@ -481,9 +472,8 @@ def _test_map(
     """The test split's mAP for the model entering ``iteration``, from the request ``iter_<N>_test``."""
     if not manifest.test:
         return None
-    kappa = len(manifest.catalog)
-    detections = _request_detections(run_dir, adapter, config, kappa, iteration, manifest.test, "test")
-    preds, _ = _predict(detections, config, kappa)
+    detections = _request_detections(run_dir, adapter, config, len(manifest.catalog), iteration, manifest.test, "test")
+    preds, _ = _predict(detections, config)
     gt_test = {image_id: gt[image_id] for image_id in manifest.test}
     return coco_map(preds, gt_test, manifest.catalog).map_score
 
@@ -497,14 +487,12 @@ def _run_iteration_locked(
     gt: Mapping[str, GroundTruthImage],
 ) -> ActiveLearningState:
     i = state.iteration
-    kappa = len(manifest.catalog)
-
-    detections = _request_detections(run_dir, adapter, config, kappa, i, state.pool_ids, "pool")
-    preds, certainties = _predict(detections, config, kappa, state.pool_ids)
+    detections = _request_detections(run_dir, adapter, config, len(manifest.catalog), i, state.pool_ids, "pool")
+    preds, certainties = _predict(detections, config, state.pool_ids)
 
     if config.strategy == "min_certainty":
         sampled = sampling.sample_min_certainty(
-            [(ic.image_id, ic.c_min) for ic in certainties.values()], config.batch_size)
+            [(image_id, ic.c_min) for image_id, ic in certainties.items()], config.batch_size)
     else:
         sampled = sampling.sample_random(sorted(state.pool_ids), config.batch_size, config.seed, i)
 

@@ -71,13 +71,13 @@ def test_criterion_2_certainty_math_under_one_second():
     assert scalar_triple(solo, 2, 15)[2] == pytest.approx(1.0 / 15.0, abs=1e-9)
     # c_h is the product: c_sem 1, c_spa 90/110 and c_occ 2/15 for the pair, the image's one set
     paired = image_passes("pair", 20, 20, tuple((d,) for _, d in pair) + ((),) * 13)
-    ic = image_certainty("pair", group_passes(paired), 2, 15)
+    ic = image_certainty(group_passes(paired))
     assert ic.c_min == pytest.approx(90.0 / 110.0 * 2.0 / 15.0, abs=1e-9)
 
     blank = image_passes("blank", 10, 10, ((), ()))
-    ic = image_certainty("blank", group_passes(blank), 2, 2)
+    ic = image_certainty(group_passes(blank))
     assert (ic.c_min, ic.set_count) == (1.0, 0)
-    ranking = rank([(ic.image_id, ic.c_min)])
+    ranking = rank([("blank", ic.c_min)])
     assert ranking == [("blank", 1.0)]
 
     # base invariance over 1,000 random probability vectors

@@ -9,13 +9,13 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
-from boxal.certainty import CertaintyTriple, image_certainty
+from boxal.certainty import CertaintyTriple, _certainties, image_certainty
 from boxal.data_io import Detection
 from boxal.geometry import BoundingBox
 from boxal.grouping import group_passes
 from boxal.sampling import rank
 
-from oracles import image_passes, members_of, random_passes, scalar_triple
+from oracles import image_passes, members_of, random_passes, request_of, scalar_triple
 
 # frozen high-precision value for 1 - H(0.9, 0.1)/log(2), computed with a
 # 50-digit arbitrary-precision evaluation
@@ -43,8 +43,8 @@ def occurrence_certainty(s, n):
     return scalar_triple(s, 2, n)[2]
 
 
-def certainty_of(img, kappa, n):
-    return image_certainty(img.image_id, group_passes(img), kappa, n)
+def certainty_of(img):
+    return image_certainty(group_passes(img))
 
 
 def set_triples(img, kappa, n):
@@ -120,18 +120,31 @@ class TestOccurrenceCertainty:
         s = make_set(*((p, d) for p in range(r)))
         assert occurrence_certainty(s, n) == pytest.approx(want, abs=1e-9)
 
+    def test_a_set_is_a_share_of_its_own_images_passes(self):
+        # one request whose images have 2 and 4 passes: each set's c_occ divides by its image's pass count
+        d, e = det(0, 0, 10, 10, (0.8, 0.2)), det(50, 50, 60, 60, (0.3, 0.7))
+        images = request_of([("two", 100, 100, ((d, e), (d,))), ("four", 100, 100, ((d,), (), (d, e), (e,)))])
+        got = []
+        for img, n in zip(images, (2, 4)):
+            sets = group_passes(img)
+            _, triples = _certainties(sets[0].sets)
+            for s, members in zip(sets, members_of(sets)):
+                assert triples[s.index, 2] == scalar_triple(members, 2, n)[2]
+                got.append(triples[s.index, 2])
+        assert got == [1.0, 0.5, 0.5, 0.5]
+
 
 class TestCombinedCertainty:
     def test_all_ones(self):
         # a one-hot detection at one place in every pass: each factor is 1, and so is c_h
         d = det(0, 0, 10, 10, (1.0, 0.0))
         assert scalar_triple(make_set((0, d), (1, d)), 2, 2) == (1.0, 1.0, 1.0)
-        assert certainty_of(image_passes("x", 100, 100, ((d,), (d,))), kappa=2, n=2).c_min == 1.0
+        assert certainty_of(image_passes("x", 100, 100, ((d,), (d,)))).c_min == 1.0
 
     def test_product(self):
         # one-hot scores (c_sem 1), two shifted boxes (c_spa 90/110) in 2 of 4 passes (c_occ 0.5)
         a, b = det(0, 0, 10, 10, (1.0, 0.0)), det(2, 0, 12, 10, (1.0, 0.0))
-        ic = certainty_of(image_passes("x", 100, 100, ((a,), (b,), (), ())), kappa=2, n=4)
+        ic = certainty_of(image_passes("x", 100, 100, ((a,), (b,), (), ())))
         assert ic.c_min == pytest.approx(90.0 / 110.0 * 0.5, abs=1e-12)
         assert ic.c_min == product(astuple(ic.min_triple))
 
@@ -151,7 +164,7 @@ class TestImageCertainty:
             (det(0, 0, 10, 10, (1.0, 0.0)),),
         )
         img = image_passes("x", 100, 100, passes)
-        ic = certainty_of(img, kappa=2, n=2)
+        ic = certainty_of(img)
         triples = set_triples(img, kappa=2, n=2)
         assert ic.set_count == len(triples) == 2
         assert ic.c_min == min(map(product, triples))
@@ -159,13 +172,13 @@ class TestImageCertainty:
 
     def test_single_set(self):
         img = image_passes("x", 100, 100, ((det(0, 0, 10, 10, (0.8, 0.2)),), ()))
-        ic = certainty_of(img, kappa=2, n=2)
+        ic = certainty_of(img)
         assert ic.set_count == 1
         assert ic.c_min == product(set_triples(img, kappa=2, n=2)[0])
 
     def test_no_detections_certainty_one(self):
         img = image_passes("blank", 100, 100, ((), (), ()))
-        ic = certainty_of(img, kappa=2, n=3)
+        ic = certainty_of(img)
         assert ic.set_count == 0
         assert ic.c_min == 1.0
         assert ic.min_triple == CertaintyTriple(1.0, 1.0, 1.0)
@@ -187,14 +200,14 @@ class TestImageCertainty:
         rng = np.random.Generator(np.random.PCG64(11))
         for _ in range(30):
             img = random_passes(rng)
-            ic = certainty_of(img, kappa=3, n=len(img.passes))
+            ic = certainty_of(img)
             # append an extra detection far from the 100x100 content grid
             extra = det(110, 110, 118, 118, (0.5, 0.3, 0.2))
             bigger = image_passes(
                 img.image_id, 120, 120,
                 (img.passes[0] + (extra,),) + img.passes[1:],
             )
-            ic2 = certainty_of(bigger, kappa=3, n=len(img.passes))
+            ic2 = certainty_of(bigger)
             assert ic2.set_count == ic.set_count + 1
             assert ic2.c_min <= ic.c_min + 1e-15
 
@@ -202,7 +215,7 @@ class TestImageCertainty:
         rng = np.random.Generator(np.random.PCG64(5))
         for _ in range(50):
             img = random_passes(rng)
-            ic = certainty_of(img, kappa=3, n=len(img.passes))
+            ic = certainty_of(img)
             assert 0.0 <= ic.c_min <= 1.0
             for t in set_triples(img, kappa=3, n=len(img.passes)):
                 for v in (*t, product(t)):
@@ -218,7 +231,7 @@ class TestRankPool:
         return image_passes(image_id, 100, 100, ((det(0, 0, 10, 10, scores),), ()))
 
     def rank_pool(self, pool):
-        return rank((img.image_id, certainty_of(img, kappa=2, n=2).c_min) for img in pool)
+        return rank((img.image_id, certainty_of(img).c_min) for img in pool)
 
     def test_singleton_pool(self):
         assert self.rank_pool([self.blank("only")]) == [("only", 1.0)]

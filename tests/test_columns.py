@@ -116,9 +116,7 @@ def test_certainty_and_consolidation_equal_those_of_the_record_view(images, matc
         rebuilt = image_passes(kept.image_id, kept.width, kept.height, kept.passes)
         assert image_key(rebuilt) == image_key(kept) and rebuilt.batch is not kept.batch
         sets, rebuilt_sets = group_passes(kept, match_iou), group_passes(rebuilt, match_iou)
-        assert image_certainty(img.image_id, sets, KAPPA, PASSES) == image_certainty(
-            img.image_id, rebuilt_sets, KAPPA, PASSES
-        )
+        assert image_certainty(sets) == image_certainty(rebuilt_sets)
         assert consolidate(sets) == consolidate(rebuilt_sets)
 
 
@@ -273,7 +271,7 @@ def test_entropies_keep_the_bits_of_the_whole_batch_formula(monkeypatch, budget)
     images = _image_views(boxes, scores[members[slots]], headers)
     assert set_count * passes * kappa > 2 * data_io.CHUNK_ELEMENTS and (~slots).any()
     assert (scores == 0.0).any() and (scores == 1.0).any()
-    scored = [image_certainty(img.image_id, group_passes(img), kappa, passes) for img in images]
+    scored = [image_certainty(group_passes(img)) for img in images]
     assert {c.set_count for c in scored} == {1}
     got = np.array([c.min_triple.c_sem for c in scored])
     terms = 1.0 - whole_batch_entropies(scores) / math.log(kappa)
@@ -293,7 +291,7 @@ def test_entropies_of_a_crowded_batch_hold_a_chunk_of_temporaries():
     sets = [group_passes(img) for img in images]
     tracemalloc.start()
     try:
-        scored = [image_certainty(img.image_id, s, 20, 20) for img, s in zip(images, sets)]
+        scored = [image_certainty(s) for s in sets]
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -330,7 +328,7 @@ def test_only_the_scores_of_set_members_reach_math_log(tmp_path, monkeypatch):
 
     def scored(path):
         images = [apply_thresholds(img, CONFIDENCE, 0.3) for img in load_image_passes(path, PASSES, KAPPA)]
-        return images, [image_certainty(img.image_id, group_passes(img), KAPPA, PASSES) for img in images]
+        return images, [image_certainty(group_passes(img)) for img in images]
 
     monkeypatch.setattr(certainty, "math", CountingMath())
     images, got = scored(full)

@@ -164,21 +164,21 @@ class TestLockstep:
         assert members_of(group_passes(img, match_iou)) == brute_force_grouping(img, match_iou, iou)
 
 
-def scored(images, match_iou, kappa, n):
+def scored(images, match_iou):
     """Each image's certainty and predictions, the first calls making every set of its request."""
     out = []
     for img in images:
         sets = group_passes(img, match_iou)
-        out.append((image_certainty(img.image_id, sets, kappa, n), consolidate(sets)))
+        out.append((image_certainty(sets), consolidate(sets)))
     return out
 
 
-def kernel_peak(images, match_iou, kappa, n) -> tuple[int, int]:
+def kernel_peak(images, match_iou) -> tuple[int, int]:
     """The most bytes that grouping, certainty and consolidation of a request hold at once, and the bytes
     they leave held: the request's sets, scores and predictions."""
     tracemalloc.start()
     try:
-        results = scored(images, match_iou, kappa, n)
+        results = scored(images, match_iou)
         retained, peak = tracemalloc.get_traced_memory()
         assert results
         return peak, retained
@@ -189,14 +189,14 @@ def kernel_peak(images, match_iou, kappa, n) -> tuple[int, int]:
 class TestMemory:
     def test_a_request_of_many_small_images_holds_a_few_mb_of_temporaries(self):
         images = random_request(np.random.Generator(np.random.PCG64(31)), 2000)
-        peak, retained = kernel_peak(images, 0.5, 3, 5)
+        peak, retained = kernel_peak(images, 0.5)
         assert peak - retained < 4e6  # a (B, D, D) block of the chunk budget alone would take another 4 MB
 
     @pytest.mark.parametrize("match_iou, bound", [(0.5, 8e6), (1.0, 32e6)])
     def test_an_image_at_the_cap_stays_below_the_old_bound(self, match_iou, bound):
         # at match IoU 1 no jittered copy joins another, so every detection seeds a set: the worst case;
         # the old bound, a D x D matrix and its temporaries, was about 56 MB
-        peak, _ = kernel_peak([cap_image(np.random.Generator(np.random.PCG64(29)))], match_iou, 2, 15)
+        peak, _ = kernel_peak([cap_image(np.random.Generator(np.random.PCG64(29)))], match_iou)
         assert peak < bound
 
     def test_two_images_at_the_cap_are_grouped_apart(self):
@@ -204,7 +204,7 @@ class TestMemory:
         rng = np.random.Generator(np.random.PCG64(41))
         images = request_of([(f"cap{i}", 1000, 1000, cap_image(rng).passes) for i in range(2)])
         assert 2 * 1500 <= grouping.CHUNK_ROWS
-        peak, _ = kernel_peak(images, 1.0, 2, 15)
+        peak, _ = kernel_peak(images, 1.0)
         assert peak < 32e6
 
     def test_dropping_a_requests_views_frees_its_batch(self, tmp_path):
@@ -214,7 +214,7 @@ class TestMemory:
         def score():
             images = load_image_passes(path)
             kept = [apply_thresholds(img, 0.5, 0.3) for img in images]
-            return weakref.ref(images[0].batch), scored(kept, 0.5, 3, 5)
+            return weakref.ref(images[0].batch), scored(kept, 0.5)
 
         gc.disable()  # a reference cycle would keep the batch until a collection
         try:

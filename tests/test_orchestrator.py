@@ -18,6 +18,7 @@ import pytest
 
 from boxal import data_io, orchestrator
 from boxal.certainty import image_certainty
+from boxal.cli import main
 from boxal.data_io import CategoryCatalog, DatasetManifest, load_image_passes
 from boxal.errors import AdapterError, BoxalError, FormatError, ValidationError
 from boxal.grouping import group_passes
@@ -165,9 +166,7 @@ class TestRunIteration:
         detections = load_image_passes(run_dir / "detections" / "iter_0_pool.jsonl")
         pool = [img for img in detections if img.image_id in set(state0.pool_ids)]
         ranking = rank(
-            (img.image_id, image_certainty(
-                img.image_id, group_passes(img, config.match_iou), 3, config.passes_n
-            ).c_min)
+            (img.image_id, image_certainty(group_passes(img, config.match_iou)).c_min)
             for img in pool
         )
         assert sorted(sample_min_certainty(ranking, 10)) == sampled
@@ -252,6 +251,13 @@ class TamperingAdapter(SimulatorDetectorAdapter):
             output_path.write_text("".join(json.dumps(r) + "\n" for r in records))
 
 
+# rewrites of a detections file's records: an image added that was not requested, a requested one left out
+TAMPERS = {
+    "unrequested": lambda records: records.append(dict(records[0], image_id="not_requested")),
+    "omitted": lambda records: records.pop(3),
+}
+
+
 class TestAdapterOutputValidation:
     def test_wrong_score_length_on_test_image_rejected(self, tmp_path):
         run_dir, _, world = start_run(tmp_path)
@@ -275,9 +281,24 @@ class TestAdapterOutputValidation:
         def add_extra(records):
             records.append(dict(records[0], image_id="not_requested"))
 
-        with pytest.raises(AdapterError, match="iter_0_pool.jsonl") as excinfo:
+        line = len(load_state(run_dir).pool_ids) + 1  # the appended record's line
+        with pytest.raises(ValidationError, match=f"iter_0_pool.jsonl:{line}: ") as excinfo:
             run_loop(run_dir, TamperingAdapter(world, run_dir, "iter_0_pool.jsonl", add_extra), 1)
         assert "not_requested" in str(excinfo.value)
+
+    @pytest.mark.parametrize("tamper", sorted(TAMPERS))
+    def test_a_tampered_answer_is_named_and_exits_2_through_the_cli(self, tmp_path, capsys, tamper):
+        run_dir, _, world = start_run(tmp_path)
+        pool = load_state(run_dir).pool_ids  # the pool file lists the request's images in order
+        where, image_id = {"unrequested": (f":{len(pool) + 1}: ", "not_requested"), "omitted": (": ", pool[3])}[tamper]
+        with pytest.raises(BoxalError) as excinfo:
+            run_loop(run_dir, TamperingAdapter(world, run_dir, "iter_0_pool.jsonl", TAMPERS[tamper]), 1)
+        # the tampered answer stays with its .done, so the file adapter's loop reads it again, asking nothing
+        capsys.readouterr()
+        assert main(["loop", "--run", str(run_dir), "--adapter", "file", "--adapter-timeout", "0"]) == 2
+        for message in (f"error: {excinfo.value}\n", capsys.readouterr().err):
+            assert message.startswith(f"error: {run_dir / 'detections' / 'iter_0_pool.jsonl'}{where}"), message
+            assert repr(image_id) in message
 
 
 class TestRunLoop:

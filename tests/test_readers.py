@@ -240,6 +240,11 @@ PROBES = [
     ("manifest", (), ["a"]),
     ("manifest", ("categories",), "ab"),
     ("manifest", ("pool",), ["x1"]),
+    # ids that a line of trainset_iter_N.txt cannot hold
+    ("manifest", ("pool", 0), " p1"),
+    ("manifest", ("initial_training", 0), ""),
+    ("manifest", ("pool", 1), "p2\n"),
+    ("manifest", ("test", 0), "\ud800"),
     ("predictions", (1, "predictions", 0, "bbox"), DELETE),
     ("predictions", (1, "predictions", 0, "category"), "x"),
     ("predictions", (1, "predictions", 0, "category"), -3),

@@ -117,7 +117,7 @@ def test_the_engine_path_equals_the_scalar_reference(monkeypatch, budget):
             want = reference_iteration(images, gt, catalog, pool_ids, test_ids, confidence=confidence,
                                        nms_iou=nms_iou, match_iou=match_iou, n=n, batch_size=batch_size)
             config = RunConfig(passes_n=n, confidence=confidence, nms_iou=nms_iou, match_iou=match_iou)
-            preds, certainties = _predict(kept, config, kappa, pool_ids)
+            preds, certainties = _predict(kept, config, pool_ids)
             assert preds == want.predictions
             assert {i: (c.set_count, c.c_min, astuple(c.min_triple)) for i, c in certainties.items()} == \
                 want.certainties

@@ -184,7 +184,7 @@ class TestSimulatePasses:
         world = hand_world({"easy": 0.0}, objects)
         skill = SkillState(exposures=(10**6, 10**6))
         passes = simulate_passes(world, skill, "easy", n=10, pass_seed=5)
-        ic = image_certainty(passes.image_id, group_passes(passes), kappa=2, n=10)
+        ic = image_certainty(group_passes(passes))
         assert ic.set_count == 2
         assert ic.c_min > 0.98
         preds = consolidate(group_passes(passes))
@@ -215,7 +215,7 @@ class TestSimulatePasses:
             cmins = []
             for image_id in image_ids:
                 passes = simulate_passes(world, skill, image_id, n=10, pass_seed=55)
-                cmins.append(image_certainty(image_id, group_passes(passes), 3, 10).c_min)
+                cmins.append(image_certainty(group_passes(passes)).c_min)
             means.append(sum(cmins) / len(cmins))
         assert means[1] >= means[0] - 0.01
         assert means[2] >= means[1] - 0.01
