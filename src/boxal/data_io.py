@@ -562,7 +562,8 @@ def load_image_passes(
     return _image_views(box_cols, score_cols, [image[1:5] for image in images])
 
 
-def save_image_passes(images: Sequence[ImagePasses], path: str | Path) -> None:
+def save_image_passes(images: Iterable[ImagePasses], path: str | Path) -> None:
+    """One line per image of ``images``, written as each is reached, so an iterator's images need not all be held."""
     def record(img: ImagePasses) -> dict:
         dets = [
             {"bbox": box, "scores": scores}

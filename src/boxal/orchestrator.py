@@ -18,6 +18,11 @@ whose write commits the iteration: ``sampled`` ([image_id, c_min] pairs) and
 (the log.csv row, keyed by ``LOG_COLUMNS``). T_N is ``initial_training`` plus
 the ids records 1 to N sample, P_N the pool without T_N. ``log.csv`` is rebuilt
 from the records, and each T_N export, ``trainset_iter_N.txt``, checked on load.
+
+One request's detections are in memory at a time: the simulator adapter holds
+one image while it writes its answer, and an iteration keeps only the sampled
+ids, their c_min, the F1 lists and the t-test of its pool request, which is
+freed before the test request is asked.
 """
 
 from __future__ import annotations
@@ -62,6 +67,7 @@ from .data_io import (
 from .errors import AdapterError, BoxalError, FormatError, ValidationError
 from .evaluation import (
     FinalPrediction,
+    TTestResult,
     coco_map,
     consolidate,
     f1_image,
@@ -185,7 +191,10 @@ class SimulatorDetectorAdapter(DetectorAdapter):
 
     It keeps no file of its own: the detector answering iteration N is a fresh
     one trained on ``trainset_iter_N.txt``, the file a real trainer reads as its
-    request's ``trainset_file``.
+    request's ``trainset_file``. It holds one image's passes at a time: the
+    skill and the request's seed words are computed first, then each image is
+    simulated, written and dropped before the next, so its memory does not
+    grow with the request.
     """
 
     def __init__(self, world: SyntheticWorld, run_dir: str | Path):
@@ -205,20 +214,12 @@ class SimulatorDetectorAdapter(DetectorAdapter):
         request = _load_json(request_path, lambda doc: doc)
         skill = self.skill(request["iteration"])
         image_ids, n, pass_seed = request["image_ids"], request["passes"], request["pass_seed"]
-        images = [
-            simulate_passes(
-                self.world,
-                skill,
-                image_id,
-                n,
-                pass_seed,
-                request["confidence"],
-                request["nms_iou"],
-                states=states,
-            )
-            for image_id, states in zip(image_ids, pass_states(pass_seed, image_ids, n))
-        ]
-        save_image_passes(images, output_path)
+        states = pass_states(pass_seed, image_ids, n)
+        save_image_passes((
+            simulate_passes(self.world, skill, image_id, n, pass_seed, request["confidence"], request["nms_iou"],
+                            states=image_states)
+            for image_id, image_states in zip(image_ids, states)
+        ), output_path)
         _write_lines([], f"{output_path}.done")
 
     def fulfill_training_request(self, request_path: Path) -> None:
@@ -478,14 +479,17 @@ def _test_map(
     return coco_map(preds, gt_test, manifest.catalog).map_score
 
 
-def _run_iteration_locked(
+def _sample_pool(
     run_dir: Path,
     adapter: DetectorAdapter,
     state: ActiveLearningState,
     config: RunConfig,
     manifest: DatasetManifest,
     gt: Mapping[str, GroundTruthImage],
-) -> ActiveLearningState:
+) -> tuple[list[list], list[float], list[float], TTestResult | None]:
+    """The pool request of ``state``'s iteration: the sampled [image_id, c_min] pairs in rank order, their F1, the
+    others' F1 in pool order and the t-test between them (None with fewer than two on a side). Nothing of the
+    request outlives the call."""
     i = state.iteration
     detections = _request_detections(run_dir, adapter, config, len(manifest.catalog), i, state.pool_ids, "pool")
     preds, certainties = _predict(detections, config, state.pool_ids)
@@ -505,6 +509,20 @@ def _run_iteration_locked(
         ttest = ttest_two_sided([f for s, f in per_image_f1.items() if s in sampled_set], remaining_f1)
     else:
         ttest = None
+    return [[s, certainties[s].c_min] for s in sampled], sampled_f1, remaining_f1, ttest
+
+
+def _run_iteration_locked(
+    run_dir: Path,
+    adapter: DetectorAdapter,
+    state: ActiveLearningState,
+    config: RunConfig,
+    manifest: DatasetManifest,
+    gt: Mapping[str, GroundTruthImage],
+) -> ActiveLearningState:
+    i = state.iteration
+    sampled, sampled_f1, remaining_f1, ttest = _sample_pool(run_dir, adapter, state, config, manifest, gt)
+    sampled_ids = [s for s, _ in sampled]
     map_score = _test_map(run_dir, adapter, config, manifest, gt, i)
 
     metrics = dict(zip(LOG_COLUMNS, (
@@ -515,15 +533,15 @@ def _run_iteration_locked(
         sum(remaining_f1) / len(remaining_f1) if remaining_f1 else None,
         ttest.statistic if ttest else None,
         ttest.p_value if ttest else None,
-        sum(certainties[s].c_min for s in sampled) / len(sampled),
+        sum(c_min for _, c_min in sampled) / len(sampled),
     )))
     record = {
-        "sampled": [[s, certainties[s].c_min] for s in sampled],
+        "sampled": sampled,
         "metrics": metrics,
         "f1_sampled": sampled_f1,
         "f1_remaining": remaining_f1,
     }
-    training_ids = state.training_ids + tuple(sampled)
+    training_ids = state.training_ids + tuple(sampled_ids)
     new_state = ActiveLearningState(i + 1, training_ids, _pool(manifest, training_ids), (*state.records, record))
 
     _write_lines((image_id + "\n" for image_id in training_ids), run_dir / f"trainset_iter_{i + 1}.txt")
@@ -532,7 +550,7 @@ def _run_iteration_locked(
         "iteration": i + 1,
         "epochs": config.epoch_budget(i + 1),
         "trainset_file": f"trainset_iter_{i + 1}.txt",
-        "new_image_ids": list(sampled),
+        "new_image_ids": sampled_ids,
     }
     _ask(doc, train_request, Path(str(train_request) + ".done"),
          lambda: adapter.fulfill_training_request(train_request))

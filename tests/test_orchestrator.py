@@ -1,6 +1,7 @@
 import csv
 import errno
 import fcntl
+import gc
 import io
 import json
 import os
@@ -9,6 +10,8 @@ import shutil
 import socket
 import subprocess
 import sys
+import tracemalloc
+import weakref
 from collections import Counter
 from contextlib import contextmanager
 from pathlib import Path
@@ -641,6 +644,63 @@ class TestRunLock:
         with pytest.raises(BoxalError, match=re.escape(f"{tmp_path / 'LOCK'}: cannot lock: ")):
             with run_lock(tmp_path):
                 pass
+
+
+def adapter_peak(adapter, request_dir, image_ids, n=15):
+    """The tracemalloc peak, in bytes, of the adapter answering one iteration-0 request for ``image_ids``."""
+    request = {"iteration": 0, "image_ids": list(image_ids), "passes": n, "pass_seed": 5,
+               "confidence": 0.5, "nms_iou": 0.3}
+    path = request_dir / f"request_{len(image_ids)}.json"
+    path.write_text(json.dumps(request))
+    tracemalloc.start()
+    try:
+        adapter.fulfill_detection_request(path, request_dir / f"out_{len(image_ids)}.jsonl")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+class TestRequestMemory:
+    """One request's detections in memory at a time."""
+
+    def test_the_adapter_holds_one_image_at_a_time(self, tmp_path):
+        # the simulate-run reference's scenes: 10 categories, 1 to 4 objects, 15 passes
+        world = generate_world(seed=0, image_count=400, kappa=10, initial_training=8, validation=1, test=1)
+        (tmp_path / "trainset_iter_0.txt").write_text("".join(f"{i}\n" for i in world.manifest.initial_training))
+        adapter, ids, n = SimulatorDetectorAdapter(world, tmp_path), world.manifest.pool, 90
+        adapter_peak(adapter, tmp_path, ids[:5])  # first-call allocations are not the request's
+        small = adapter_peak(adapter, tmp_path, ids[:n])
+        large = adapter_peak(adapter, tmp_path, ids[:4 * n])
+        # a request held whole until its write grows the peak by about 5 KB per image; its seed words take 480 B
+        assert (large - small) / (3 * n) < 1500
+
+    def test_the_pool_request_is_freed_before_the_test_request_is_asked(self, tmp_path, monkeypatch):
+        run_dir, _, world = start_run(tmp_path)
+        batches, load = {}, orchestrator.load_image_passes
+
+        def load_keeping_refs(path, *args, **kwargs):
+            images = load(path, *args, **kwargs)
+            batches[Path(path).name] = weakref.ref(images[0].batch)
+            return images
+
+        pool_alive = {}
+
+        class CheckingAdapter(SimulatorDetectorAdapter):
+            def fulfill_detection_request(self, request_path, output_path):
+                pool = output_path.name.replace("_test", "_pool")
+                if output_path.name.endswith("_test.jsonl") and pool in batches:
+                    pool_alive[pool] = batches[pool]() is not None
+                super().fulfill_detection_request(request_path, output_path)
+
+        monkeypatch.setattr(orchestrator, "load_image_passes", load_keeping_refs)
+        gc.disable()  # a reference cycle would keep the batch until a collection
+        try:
+            run_loop(run_dir, CheckingAdapter(world, run_dir), 2)
+        finally:
+            gc.enable()
+        # iteration 2's test request is the final evaluation, which reads no pool request
+        assert pool_alive == {"iter_0_pool.jsonl": False, "iter_1_pool.jsonl": False}
 
 
 class TestFileWaitAdapter:
